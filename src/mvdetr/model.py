@@ -155,10 +155,11 @@ class Detr:
         """Multi-head attention on (Nq, C) or batched (B, Nq, C) inputs.
 
         Returns (output, attention weights); weights are (heads, Nq, L) for
-        single inputs and (B, heads, Nq, L) batched.
+        single inputs and (B, heads, Nq, L) batched. The weights are the
+        buffer the attention backward reads: they are read-only and carry no
+        gradient.
         """
         c, heads = self.config.d_model, self.config.heads
-        dk = c // heads
         if q_in.data.shape[-1] != c or k_in.data.shape[-1] != c:
             raise T.ShapeError(f"mha: inputs must have width {c}, got "
                                f"{q_in.data.shape} / {k_in.data.shape}")
@@ -167,23 +168,13 @@ class Detr:
             q_in = T.reshape(q_in, (1,) + q_in.data.shape)
             k_in = T.reshape(k_in, (1,) + k_in.data.shape)
             v_in = T.reshape(v_in, (1,) + v_in.data.shape)
-        b, nq = q_in.data.shape[0], q_in.data.shape[1]
-        lk = k_in.data.shape[1]
-
-        def split(t: Tensor, length: int) -> Tensor:
-            return T.transpose(T.reshape(t, (b, length, heads, dk)), (0, 2, 1, 3))
-
-        q = split(self._lin(f"{prefix}.f_q", q_in), nq)
-        k = split(self._lin(f"{prefix}.f_k", k_in), lk)
-        v = split(self._lin(f"{prefix}.f_v", v_in), lk)
-        logits = T.matmul(q, T.transpose(k, (0, 1, 3, 2))) * (1.0 / math.sqrt(dk))
-        attn = T.softmax(logits, axis=-1)
-        mixed = T.matmul(attn, v)
-        merged = T.reshape(T.transpose(mixed, (0, 2, 1, 3)), (b, nq, c))
-        out = self._lin(f"{prefix}.out", merged)
+        mixed, attn = T.attention(self._lin(f"{prefix}.f_q", q_in),
+                                  self._lin(f"{prefix}.f_k", k_in),
+                                  self._lin(f"{prefix}.f_v", v_in), heads)
+        out = self._lin(f"{prefix}.out", mixed)
         if single:
-            return T.reshape(out, (nq, c)), T.reshape(attn, (heads, nq, lk))
-        return out, attn
+            return T.reshape(out, out.data.shape[1:]), Tensor(attn[0])
+        return out, Tensor(attn)
 
     # -- positional embedding --------------------------------------------------------
 

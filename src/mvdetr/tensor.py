@@ -12,9 +12,23 @@ Broadcasting is restricted to leading-dimension expansion: elementwise ops
 accept equal shapes, or one operand whose shape is a trailing suffix of the
 other's (the usual bias-add pattern). This keeps every backward rule a plain
 sum over the expanded axes.
+
+Multi-head attention is one fused primitive, `attention`, rather than a chain
+of generic nodes. Its forward computes softmax(Q K^T / sqrt(d_k)) in a single
+freshly allocated buffer, with scale, max-shift, exp and normalisation done in
+place, and its backward keeps only that probability buffer plus the q/k/v
+inputs it already references: no logits or scaled logits stay alive on the
+tape. Every arithmetic step runs in the order of the composed ops (the same
+matmuls on the same array views, the float32 scale applied after Q K^T, and
+the softmax backward (g - sum(g * p)) * p followed by the scale), and numpy's
+elementwise kernels give the same bits in place as out of place, so outputs,
+probabilities and gradients are bit-identical to building attention from
+`matmul`, `transpose`, `mul` and `softmax`.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -36,12 +50,6 @@ class Tensor:
         self._parents: tuple[Tensor, ...] = ()
         self._backward = None
         self._op = "leaf"
-
-    # -- construction helpers -------------------------------------------------
-
-    @staticmethod
-    def zeros(shape, dtype=np.float32, requires_grad: bool = False) -> "Tensor":
-        return Tensor(np.zeros(shape, dtype=dtype), requires_grad=requires_grad)
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -71,7 +79,11 @@ class Tensor:
         self.grad = None
 
     def accumulate_grad(self, g: np.ndarray) -> None:
-        # grads are never mutated in place, so adopting g without a copy is safe
+        """Add g to this tensor's gradient, adopting g itself when it is the first.
+
+        g is not copied, so no backward rule may write into an array after it
+        has been passed here, nor into the incoming gradient it was handed.
+        """
         if self.grad is None:
             self.grad = g if g.dtype == self.data.dtype else g.astype(self.data.dtype)
         else:
@@ -494,6 +506,63 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
         x.accumulate_grad((g - dot) * data)
 
     return _make(data, (x,), "softmax", backward)
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> tuple[Tensor, np.ndarray]:
+    """Multi-head scaled dot-product attention, recorded as one tape node.
+
+    q is (B, Nq, C), k and v are (B, L, C), and heads divides C. The heads are
+    split from C, softmax(Q K^T / sqrt(C / heads)) V is computed per head and
+    the heads are merged back. Returns the (B, Nq, C) output and the
+    (B, heads, Nq, L) probabilities. The probabilities are the buffer the
+    backward reads, so they are returned read-only and carry no gradient.
+
+    The backward works in place only on buffers it allocates itself; it never
+    writes into the incoming gradient or into an array already handed to
+    `accumulate_grad`, which adopts arrays without copying.
+    """
+    sq, sk, sv = q.data.shape, k.data.shape, v.data.shape
+    if len(sq) != 3 or len(sk) != 3 or sk != sv or sq[0] != sk[0] or sq[2] != sk[2]:
+        raise ShapeError(f"attention: expects q (B, Nq, C) and k, v (B, L, C), got "
+                         f"{sq}, {sk}, {sv}")
+    b, nq, c = sq
+    lk = sk[1]
+    if heads < 1 or c % heads:
+        raise ShapeError(f"attention: width {c} is not divisible by {heads} heads")
+    dk = c // heads
+    q4 = q.data.reshape(b, nq, heads, dk).transpose(0, 2, 1, 3)
+    k4 = k.data.reshape(b, lk, heads, dk).transpose(0, 2, 1, 3)
+    v4 = v.data.reshape(b, lk, heads, dk).transpose(0, 2, 1, 3)
+    probs = q4 @ k4.transpose(0, 1, 3, 2)
+    scale = probs.dtype.type(1.0 / math.sqrt(dk))
+    probs *= scale
+    probs -= probs.max(axis=-1, keepdims=True)
+    np.exp(probs, out=probs)
+    probs /= probs.sum(axis=-1, keepdims=True)
+    probs.flags.writeable = False
+    data = (probs @ v4).transpose(0, 2, 1, 3).reshape(b, nq, c)
+
+    def backward(g):
+        g4 = g.reshape(b, nq, heads, dk).transpose(0, 2, 1, 3)
+        if v.requires_grad or v._parents:
+            gv = np.swapaxes(probs, -1, -2) @ g4
+            v.accumulate_grad(gv.transpose(0, 2, 1, 3).reshape(b, lk, c))
+        want_q = q.requires_grad or q._parents
+        want_k = k.requires_grad or k._parents
+        if not (want_q or want_k):
+            return
+        # softmax backward, then the scale, into the fresh buffer of dL/dP
+        gs = g4 @ np.swapaxes(v4, -1, -2)
+        gs -= (gs * probs).sum(axis=-1, keepdims=True)
+        gs *= probs
+        gs *= scale
+        if want_q:
+            q.accumulate_grad((gs @ k4).transpose(0, 2, 1, 3).reshape(b, nq, c))
+        if want_k:
+            gk = np.swapaxes(q4, -1, -2) @ gs
+            k.accumulate_grad(gk.transpose(0, 3, 1, 2).reshape(b, lk, c))
+
+    return _make(data, (q, k, v), "attention", backward), probs
 
 
 def layer_norm(x: Tensor, scale: Tensor, shift: Tensor, eps: float = 1e-5) -> Tensor:

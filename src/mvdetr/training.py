@@ -370,11 +370,19 @@ def lr_at_epoch(cfg: RunConfig, epoch: int) -> float:
     return cfg.train_lr * (0.1 if epoch >= cfg.train_decay_epoch else 1.0)
 
 
+def _require_full_batch(count: int, batch: int, key: str) -> None:
+    # epochs drop the last partial batch, so fewer images than one batch
+    # would run no step at all
+    if count < batch:
+        raise ValueError(f"{count} images cannot fill one batch of {key}={batch}")
+
+
 def run_pretrain(cfg: RunConfig, images: list[np.ndarray], out_dir: str,
                  resume_from: str | None = None,
                  log=None) -> tuple[str, str]:
     """Pretrain over the image list; write per-epoch checkpoints and a per-step
     metrics CSV. Returns (final checkpoint path, csv path)."""
+    _require_full_batch(len(images), cfg.train_batch_size, "train.batch_size")
     os.makedirs(out_dir, exist_ok=True)
     backbone = FrozenBackbone(cfg.backbone_seed)
     model = make_model(cfg, backbone)
@@ -441,6 +449,7 @@ def run_finetune(cfg: RunConfig, items: list[LabeledItem], seed: int,
                  log=None) -> tuple[Detr, list[float]]:
     """Supervised finetuning; init_arrays (from a pretraining checkpoint)
     seeds the transformer, the class head is always fresh."""
+    _require_full_batch(len(items), cfg.finetune_batch_size, "finetune.batch_size")
     backbone = FrozenBackbone(cfg.backbone_seed)
     model = make_model(cfg, backbone)
     if init_arrays is not None:

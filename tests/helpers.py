@@ -2,11 +2,17 @@
 
 These deliberately avoid the library's own computation paths: gradients come
 from central finite differences, box overlaps from grid-cell counting, and
-RoIAlign references from dense sampling. Oracles run in float64.
+RoIAlign references from dense sampling. Oracles run in float64. The one
+exception is the attention reference, which composes the library's generic
+primitives (themselves gradient-checked) so that the fused attention
+primitive can be held to their exact bits.
 """
+
+import math
 
 import numpy as np
 
+from mvdetr import tensor as T
 from mvdetr.tensor import Tensor
 
 
@@ -62,6 +68,25 @@ def gradcheck(build_loss, shapes, rng, n_trials=20, h=1e-3, tol=1e-3,
             denom = max(1e-6, float(np.abs(gn).max()), float(np.abs(ga).max()))
             err = float(np.abs(ga - gn).max()) / denom
             assert err < tol, f"gradient mismatch: rel err {err:.3e}"
+
+
+def composed_attention(q: Tensor, k: Tensor, v: Tensor, heads: int):
+    """Attention reference built from generic tape nodes (matmul, transpose, mul,
+    softmax), as Detr.mha built it before the fused primitive.
+
+    Returns the merged (B, Nq, C) output and the probability tensor.
+    """
+    b, nq, c = q.data.shape
+    lk = k.data.shape[1]
+    dk = c // heads
+
+    def split(t, length):
+        return T.transpose(T.reshape(t, (b, length, heads, dk)), (0, 2, 1, 3))
+
+    logits = T.matmul(split(q, nq), T.transpose(split(k, lk), (0, 1, 3, 2)))
+    attn = T.softmax(logits * (1.0 / math.sqrt(dk)), axis=-1)
+    mixed = T.matmul(attn, split(v, lk))
+    return T.reshape(T.transpose(mixed, (0, 2, 1, 3)), (b, nq, c)), attn
 
 
 def grid_count_iou(a, b, cell=0.01):

@@ -62,6 +62,27 @@ class TestExitCodes:
         assert rc == 2
 
 
+class TestTooFewImages:
+    @pytest.fixture(scope="class")
+    def three_images(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("few")
+        assert main(["gen-data", "--count", "3", "--seed", "3", "--out",
+                     str(root / "data"), "--size", "96"]) == 0
+        cfg_path = root / "small.cfg"
+        cfg_path.write_text(CFG_SMALL)
+        return root, str(cfg_path), str(root / "data" / "manifest.txt")
+
+    @pytest.mark.parametrize("command,key", [("pretrain", "train.batch_size"),
+                                             ("finetune", "finetune.batch_size")])
+    def test_exit_two_names_batch_key(self, three_images, capsys, command, key):
+        root, cfg, manifest = three_images
+        rc = main([command, "--config", cfg, "--data", manifest,
+                   "--out", str(root / command), "--set", f"{key}=4"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "3 images" in err and f"{key}=4" in err
+
+
 class TestPipeline:
     def test_pretrain_finetune_eval_probe_export(self, workspace):
         root, cfg, manifest = workspace

@@ -9,7 +9,7 @@ from mvdetr import tensor as T
 from mvdetr.model import Detr, TransformerConfig, sine_positional_embedding
 from mvdetr.tensor import Tensor
 
-from helpers import numerical_gradient
+from helpers import composed_attention, numerical_gradient
 
 
 def tiny_config(**kw):
@@ -85,6 +85,85 @@ class TestMha:
         kv = Tensor(rng.standard_normal((12, 64)).astype(np.float32))
         _, attn = model.mha("decoder.layer0.cross", q, kv, kv)
         np.testing.assert_allclose(attn.data.sum(axis=-1), 1.0, atol=1e-6)
+
+
+def composed_mha(model, prefix, q_in, k_in, v_in):
+    """Reference: Detr.mha with attention built from generic tape nodes."""
+    single = q_in.data.ndim == 2
+    if single:
+        q_in, k_in, v_in = (T.reshape(t, (1,) + t.data.shape) for t in (q_in, k_in, v_in))
+    merged, attn = composed_attention(model._lin(f"{prefix}.f_q", q_in),
+                                      model._lin(f"{prefix}.f_k", k_in),
+                                      model._lin(f"{prefix}.f_v", v_in), model.config.heads)
+    out = model._lin(f"{prefix}.out", merged)
+    if single:
+        return T.reshape(out, out.data.shape[1:]), T.reshape(attn, attn.data.shape[1:])
+    return out, attn
+
+
+class TestMhaMatchesComposed:
+    """The fused attention path gives the composed path's bits, gradients included."""
+
+    def _run(self, mha, model, prefix, arrays, shared_qk, w):
+        model.zero_grads()
+        leaves = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+        q_in = leaves[0]
+        k_in = q_in if shared_qk else leaves[1]
+        v_in = leaves[-1]
+        out, attn = mha(model, prefix, q_in, k_in, v_in)
+        T.tsum(T.mul(out, Tensor(w))).backward()
+        grads = [leaf.grad for leaf in leaves]
+        grads += [p.grad for n, p in model.params.items() if n.startswith(prefix + ".")]
+        return out.data, attn.data, grads
+
+    @pytest.mark.parametrize("prefix,batch,nq,shared_qk", [
+        ("encoder.layer0.self", (2,), 64, True),
+        ("decoder.layer0.cross", (2,), 10, False),
+        ("decoder.layer0.cross", (), 10, False),
+    ], ids=["encoder_batched", "decoder_batched", "decoder_single"])
+    def test_bit_identical(self, prefix, batch, nq, shared_qk):
+        model = Detr(desk_config(), seed=41)
+        rng = np.random.default_rng(42)
+        q = rng.standard_normal(batch + (nq, 64)).astype(np.float32)
+        kv = [rng.standard_normal(batch + (64, 64)).astype(np.float32) for _ in range(2)]
+        arrays = [q, kv[1]] if shared_qk else [q] + kv
+        w = rng.standard_normal(batch + (nq, 64)).astype(np.float32)
+        fused = self._run(Detr.mha, model, prefix, arrays, shared_qk, w)
+        ref = self._run(composed_mha, model, prefix, arrays, shared_qk, w)
+        np.testing.assert_array_equal(fused[0], ref[0])
+        np.testing.assert_array_equal(fused[1], ref[1])
+        assert len(fused[2]) == len(ref[2]) == len(arrays) + 8
+        for gf, gr in zip(fused[2], ref[2]):
+            np.testing.assert_array_equal(gf, gr)
+
+    def test_batched_call_records_five_tape_nodes(self, monkeypatch):
+        model = Detr(desk_config(), seed=43)
+        x = Tensor(np.random.default_rng(44).standard_normal((2, 16, 64)).astype(np.float32),
+                   requires_grad=True)
+        ops = []
+        make = T._make
+
+        def counting_make(data, parents, op, backward_fn):
+            ops.append(op)
+            return make(data, parents, op, backward_fn)
+
+        monkeypatch.setattr(T, "_make", counting_make)
+        model.mha("encoder.layer0.self", x, x, x)
+        assert ops == ["affine"] * 3 + ["attention", "affine"]
+
+    def test_weights_read_only(self):
+        model = Detr(desk_config(), seed=45)
+        rng = np.random.default_rng(46)
+        kv = Tensor(rng.standard_normal((2, 12, 64)).astype(np.float32))
+        q = Tensor(rng.standard_normal((2, 5, 64)).astype(np.float32))
+        _, attn = model.mha("decoder.layer0.cross", q, kv, kv)
+        kv0 = Tensor(kv.data[0])
+        _, attn_single = model.mha("decoder.layer0.cross", Tensor(q.data[0]), kv0, kv0)
+        c, hw = model.encode(Tensor(rng.standard_normal((2, 4, 4, 64)).astype(np.float32)))
+        _, attn_dec = model.decode(c, hw)
+        for weights in (attn, attn_single, attn_dec):
+            with pytest.raises(ValueError):
+                weights.data[..., 0] = 0.0
 
 
 class TestEncode:

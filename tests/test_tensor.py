@@ -6,7 +6,7 @@ import pytest
 from mvdetr import tensor as T
 from mvdetr.tensor import Tensor
 
-from helpers import gradcheck
+from helpers import composed_attention, gradcheck
 
 
 def test_add_basic():
@@ -79,6 +79,61 @@ class TestSoftmax:
     def test_empty_axis_errors(self):
         with pytest.raises(T.ShapeError):
             T.softmax(Tensor(np.zeros((3, 0))), axis=-1)
+
+
+class TestAttention:
+    def _run(self, fn, arrays, w):
+        leaves = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+        q, k, v = leaves if len(leaves) == 3 else (leaves[0], leaves[0], leaves[1])
+        out, probs = fn(q, k, v, 4)
+        T.tsum(T.mul(out, Tensor(w))).backward()
+        probs = probs.data if isinstance(probs, Tensor) else probs
+        return out.data, probs, [leaf.grad for leaf in leaves]
+
+    @pytest.mark.parametrize("nq,shared", [(64, True), (10, False)],
+                             ids=["encoder_self", "decoder_cross"])
+    def test_bit_identical_to_composed(self, nq, shared):
+        rng = np.random.default_rng(21)
+        q = rng.standard_normal((2, nq, 32)).astype(np.float32)
+        kv = [rng.standard_normal((2, 64, 32)).astype(np.float32) for _ in range(2)]
+        arrays = [q, kv[1]] if shared else [q] + kv
+        w = rng.standard_normal((2, nq, 32)).astype(np.float32)
+        fused = self._run(T.attention, arrays, w)
+        ref = self._run(composed_attention, arrays, w)
+        np.testing.assert_array_equal(fused[0], ref[0])
+        np.testing.assert_array_equal(fused[1], ref[1])
+        assert len(fused[2]) == len(ref[2])
+        for gf, gr in zip(fused[2], ref[2]):
+            assert gf.dtype == np.float32
+            np.testing.assert_array_equal(gf, gr)
+
+    def test_probabilities_read_only(self):
+        rng = np.random.default_rng(22)
+        q, k, v = (Tensor(rng.standard_normal((1, 3, 8)).astype(np.float32),
+                          requires_grad=True) for _ in range(3))
+        _, probs = T.attention(q, k, v, heads=2)
+        assert probs.shape == (1, 2, 3, 3)
+        with pytest.raises(ValueError):
+            probs[0, 0, 0, 0] = 0.0
+
+    def test_backward_leaves_incoming_gradient_untouched(self):
+        rng = np.random.default_rng(23)
+        q, k, v = (Tensor(rng.standard_normal((2, 4, 8)).astype(np.float32),
+                          requires_grad=True) for _ in range(3))
+        out, _ = T.attention(q, k, v, heads=2)
+        g = rng.standard_normal(out.data.shape).astype(np.float32)
+        before = g.copy()
+        out._backward(g)
+        np.testing.assert_array_equal(g, before)
+
+    def test_shape_errors(self):
+        x = Tensor(np.zeros((2, 3, 8), np.float32))
+        with pytest.raises(T.ShapeError):
+            T.attention(x, Tensor(np.zeros((2, 3, 6), np.float32)), x, heads=2)
+        with pytest.raises(T.ShapeError):
+            T.attention(x, x, x, heads=3)
+        with pytest.raises(T.ShapeError):
+            T.attention(Tensor(np.zeros((3, 8), np.float32)), x, x, heads=2)
 
 
 class TestNormalization:
@@ -284,6 +339,16 @@ class TestGradients:
     def test_softmax(self):
         gradcheck(lambda ts: T.tsum(T.mul(T.softmax(ts[0], axis=-1), ts[1])),
                   [(3, 5), (3, 5)], self._rng())
+
+    def test_attention_self(self):
+        gradcheck(lambda ts: T.tsum(T.mul(T.attention(ts[0], ts[0], ts[1], heads=2)[0],
+                                          ts[2])),
+                  [(2, 5, 4), (2, 5, 4), (2, 5, 4)], self._rng())
+
+    def test_attention_cross(self):
+        gradcheck(lambda ts: T.tsum(T.mul(T.attention(ts[0], ts[1], ts[2], heads=2)[0],
+                                          ts[3])),
+                  [(2, 3, 4), (2, 6, 4), (2, 6, 4), (2, 3, 4)], self._rng())
 
     def test_layer_norm(self):
         gradcheck(lambda ts: T.tsum(T.mul(T.layer_norm(ts[0], ts[1], ts[2]), ts[3])),

@@ -183,6 +183,22 @@ class TestRunPretrain:
             TR.run_pretrain(other, images, str(tmp_path / "run2"), resume_from=ckpt)
 
 
+class TestTooFewImages:
+    """Fewer images than one batch is a config error, raised before any model."""
+
+    def test_pretrain_rejected(self, images, tmp_path):
+        cfg = small_cfg(**{"train.batch_size": 8})
+        out = tmp_path / "run"
+        with pytest.raises(ValueError, match=r"6 images .*train\.batch_size=8"):
+            TR.run_pretrain(cfg, images, str(out))
+        assert not out.exists()
+
+    def test_finetune_rejected(self, labeled):
+        cfg = small_cfg(**{"finetune.batch_size": 8})
+        with pytest.raises(ValueError, match=r"6 images .*finetune\.batch_size=8"):
+            TR.run_finetune(cfg, labeled, seed=1, log=lambda msg: None)
+
+
 class TestFinetune:
     def test_loss_decreases(self, labeled):
         cfg = small_cfg()
