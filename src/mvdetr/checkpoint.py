@@ -8,7 +8,7 @@ Layout (all integers little-endian):
                u8 rank, rank x u64 dims, raw little-endian f32 payload
     trailing u64: byte length of everything before the trailer
 
-Non-tensor state (config text, seeds, rng words, epoch counters) rides along
+Non-tensor state (config text, seeds, epoch counters) rides along
 as reserved "__meta__.*" entries encoded into exact small-integer f32 values,
 so the round trip stays bit-identical.
 """

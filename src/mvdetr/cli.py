@@ -123,19 +123,23 @@ def _cmd_pretrain(args, argv) -> int:
     return 0
 
 
+def _load_params(path, cfg):
+    """Model arrays of a checkpoint whose architecture matches cfg."""
+    from .checkpoint import load_checkpoint
+    from .training import check_architecture, split_checkpoint
+    params, _, meta = split_checkpoint(load_checkpoint(path))
+    check_architecture(meta, cfg)
+    return params
+
+
 def _cmd_finetune(args, argv) -> int:
-    from .checkpoint import load_checkpoint, save_checkpoint
+    from .checkpoint import save_checkpoint
     from .data import load_dataset
-    from .training import (check_architecture, checkpoint_entries, labeled_item,
-                           run_finetune, split_checkpoint)
+    from .training import checkpoint_entries, labeled_item, run_finetune
     cfg = _load_config(args)
     items = [labeled_item(px, boxes, labels)
              for px, boxes, labels in load_dataset(args.data)]
-    init_arrays = None
-    if args.init != "scratch":
-        params, _, meta = split_checkpoint(load_checkpoint(args.init))
-        check_architecture(meta, cfg)
-        init_arrays = params
+    init_arrays = None if args.init == "scratch" else _load_params(args.init, cfg)
     _write_run_manifest(args.out, cfg, argv,
                         [f"data: {args.data}", f"init: {args.init}",
                          f"finetune_seed: {args.seed}"])
@@ -153,10 +157,8 @@ def _cmd_finetune(args, argv) -> int:
 
 def _load_model_from_checkpoint(path, cfg):
     from .backbone import FrozenBackbone
-    from .checkpoint import load_checkpoint
-    from .training import check_architecture, make_model, split_checkpoint
-    params, _, meta = split_checkpoint(load_checkpoint(path))
-    check_architecture(meta, cfg)
+    from .training import make_model
+    params = _load_params(path, cfg)
     backbone = FrozenBackbone(cfg.backbone_seed)
     model = make_model(cfg, backbone)
     has_class_head = any(n.startswith("class_head") for n in params)
@@ -183,18 +185,15 @@ def _cmd_eval(args, argv) -> int:
 
 
 def _cmd_probe(args, argv) -> int:
-    from .checkpoint import load_checkpoint
     from .data import load_dataset
     from .metrics import evaluate_model
-    from .training import (check_architecture, labeled_item, run_finetune,
-                           split_checkpoint)
+    from .training import labeled_item, run_finetune
     from .backbone import FrozenBackbone
     cfg = _load_config(args)
     cfg.finetune_freeze_transformer = True
     train_items = [labeled_item(px, b, l) for px, b, l in load_dataset(args.data)]
     eval_set = load_dataset(args.eval_data)
-    params, _, meta = split_checkpoint(load_checkpoint(args.init))
-    check_architecture(meta, cfg)
+    params = _load_params(args.init, cfg)
     backbone = FrozenBackbone(cfg.backbone_seed)
 
     rows = []

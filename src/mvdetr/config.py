@@ -41,11 +41,10 @@ class RunConfig:
     model_queries: int = 10
     model_aux_loss: bool = False  # set-loss on every decoder layer's output
 
+    # a weight of 0 is the way to switch a term off
     loss_lambda_r: float = 1.0
     loss_lambda_g: float = 1.0
     loss_lambda_loc: float = 1.0
-    loss_enable_g: bool = True
-    loss_enable_r: bool = True
     loss_region_target: str = "crop"  # or "object"
 
     # full-scale DETR recipes use lr 1e-4 / clip 0.1; short desk schedules
@@ -70,12 +69,6 @@ class RunConfig:
     @classmethod
     def key_map(cls) -> dict[str, str]:
         return {cls._key_of(f.name): f.name for f in fields(cls)}
-
-    def effective_lambdas(self) -> tuple[float, float, float]:
-        """(region, global, loc) with enable flags folded in."""
-        return (self.loss_lambda_r if self.loss_enable_r else 0.0,
-                self.loss_lambda_g if self.loss_enable_g else 0.0,
-                self.loss_lambda_loc)
 
     def resolved_text(self) -> str:
         lines = []
@@ -161,6 +154,6 @@ def _validate(cfg: RunConfig, problems: list[str]) -> None:
         problems.append("loss weights must be non-negative")
     if cfg.view_size % 8 or cfg.data_image_size % 8:
         problems.append("view.size and data.image_size must be divisible by 8")
-    if cfg.train_batch_size < 2 and cfg.loss_enable_g and cfg.loss_lambda_g > 0:
+    if cfg.train_batch_size < 2 and cfg.loss_lambda_g > 0:
         problems.append("global discrimination needs train.batch_size >= 2 "
                         "(batch norm in the projector)")

@@ -2,9 +2,10 @@
 
 Matching runs on detached prediction values (the assignment is an argmin and
 carries no gradient); the box/semantic/match losses are then built from tape
-primitives on the matched rows. Costs combine a match-score term, a
-generalized-IoU term, and an L1 term with coefficients (1, 2, 5); the same
-(2, 5) pair weights the GIoU/L1 parts of the box regression loss.
+primitives on the matched rows of a whole batch, flattened to one row per
+(item, query). Costs combine a match-score term, a generalized-IoU term, and
+an L1 term with coefficients (1, 2, 5); the same (2, 5) pair weights the
+GIoU/L1 parts of the box regression loss.
 """
 
 from __future__ import annotations
@@ -227,48 +228,37 @@ def giou_pairs(pred_boxes: Tensor, target_boxes: np.ndarray) -> Tensor:
     return T.reshape(giou, (-1,))
 
 
-def box_regression_loss(pred_boxes: Tensor, assignment: MatchAssignment,
-                        target_boxes: np.ndarray,
-                        giou_weight: float = MATCH_COEF[1],
-                        l1_weight: float = MATCH_COEF[2]) -> Tensor:
-    """Mean over matched pairs of giou_w * (1 - GIoU) + l1_w * |pred - tgt|_1."""
-    if len(assignment) == 0:
+def box_regression(pred_flat: Tensor, rows: list[int], targets: np.ndarray) -> Tensor:
+    """Mean over matched rows of 2 (1 - GIoU) + 5 |pred - tgt|_1.
+
+    pred_flat is (R, 4) cxcywh; rows[t] is the row matched to targets[t].
+    """
+    if not rows:
         raise ValueError("box regression needs at least one matched pair")
-    dt = pred_boxes.data.dtype
-    matched = T.gather_rows(pred_boxes, list(assignment.target_to_pred))
-    tgt = np.asarray(target_boxes, dtype=dt)
+    dt = pred_flat.data.dtype
+    matched = T.gather_rows(pred_flat, rows)
+    tgt = np.asarray(targets, dtype=dt)
     giou = giou_pairs(matched, tgt)
     one = Tensor(np.ones_like(giou.data))
     giou_term = T.tmean(T.sub(one, giou))
     l1_term = T.tmean(T.tsum(T.absolute(T.sub(matched, Tensor(tgt))), axis=-1))
-    return T.add(T.mul(giou_term, Tensor(np.asarray(giou_weight, dtype=dt))),
-                 T.mul(l1_term, Tensor(np.asarray(l1_weight, dtype=dt))))
+    return T.add(T.mul(giou_term, Tensor(np.asarray(MATCH_COEF[1], dtype=dt))),
+                 T.mul(l1_term, Tensor(np.asarray(MATCH_COEF[2], dtype=dt))))
 
 
-def match_bce_loss(pred_match: Tensor, assignment: MatchAssignment) -> Tensor:
-    """Binary cross-entropy on the match head over all queries.
+def match_bce(match: Tensor, targets: np.ndarray) -> Tensor:
+    """Binary cross-entropy on the match head, mean over all queries.
 
-    Matched queries have target 1, the rest 0; mean over queries, weight 1.
+    targets is (R, 1): 1 for matched queries, 0 for the rest; match holds the
+    same R scores in any shape.
     """
-    n = pred_match.data.shape[0]
-    targets = np.zeros((n, 1), dtype=pred_match.data.dtype)
-    for j in assignment.target_to_pred:
-        targets[j, 0] = 1.0
-    k = T.clamp(T.reshape(pred_match, (n, 1)), K_CLAMP, 1.0 - K_CLAMP)
+    targets = np.asarray(targets, dtype=match.data.dtype)
+    k = T.clamp(T.reshape(match, targets.shape), K_CLAMP, 1.0 - K_CLAMP)
     t = Tensor(targets)
     ones = Tensor(np.ones_like(targets))
     ce = T.sub(Tensor(np.zeros_like(targets)),
                T.add(T.mul(t, T.log(k)), T.mul(T.sub(ones, t), T.log(T.sub(ones, k)))))
     return T.tmean(ce)
-
-
-def loc_loss_direction(pred_boxes: Tensor, pred_match: Tensor,
-                       assignment: MatchAssignment,
-                       target_boxes: np.ndarray) -> Tensor:
-    """One direction of the localization loss: matched box regression plus
-    the match-head cross-entropy over all queries."""
-    return T.add(box_regression_loss(pred_boxes, assignment, target_boxes),
-                 match_bce_loss(pred_match, assignment))
 
 
 def global_disc_loss(project_fn, pooled1: Tensor, pooled2: Tensor) -> Tensor:
@@ -282,49 +272,43 @@ def global_disc_loss(project_fn, pooled1: Tensor, pooled2: Tensor) -> Tensor:
     return T.sub(Tensor(np.zeros((), dtype=pooled1.data.dtype)), T.add(a, b))
 
 
-def region_disc_loss_direction(pred_sem: Tensor, target_features: np.ndarray,
-                               assignment: MatchAssignment) -> Tensor:
-    """Normalized-L2 reconstruction of region features for matched pairs.
+def region_disc(sem_flat: Tensor, rows: list[int], target_features: np.ndarray) -> Tensor:
+    """Normalized-L2 reconstruction of region features over matched rows.
 
-    D(a, b) = |a/|a| - b/|b||^2 = 2 - 2 cos(a, b), averaged over pairs.
-    Targets come from the frozen backbone and carry no gradient.
+    D(a, b) = |a/|a| - b/|b||^2 = 2 - 2 cos(a, b), averaged over pairs;
+    rows[t] is the row of sem_flat matched to target_features[t]. Targets
+    come from the frozen backbone and carry no gradient.
     """
-    if len(assignment) == 0:
+    if not rows:
         raise ValueError("region discrimination needs at least one matched pair")
-    dt = pred_sem.data.dtype
-    matched = T.gather_rows(pred_sem, list(assignment.target_to_pred))
+    dt = sem_flat.data.dtype
+    matched = T.gather_rows(sem_flat, rows)
     tgt = np.asarray(target_features, dtype=np.float64)
     norms = np.linalg.norm(tgt, axis=-1, keepdims=True)
     if (norms <= 1e-12).any():
-        raise ValueError("zero-norm target feature row")
+        raise ValueError("zero-norm region feature target")
     tgt_unit = Tensor((tgt / norms).astype(dt))
     diff = T.sub(T.l2_normalize(matched), tgt_unit)
     return T.tmean(T.tsum(T.mul(diff, diff), axis=-1))
 
 
-def total_loss(loc: Tensor, global_disc: Tensor | None, region_disc: Tensor | None,
+def total_loss(loc: Tensor, glob: Tensor | None, region: Tensor | None,
                lambdas: tuple[float, float, float]) -> tuple[Tensor, LossBreakdown]:
     """Weighted sum; lambdas = (region, global, loc) following the loss form
-    lambda0 * L_r + lambda1 * L_g + lambda2 * L_loc."""
+    lambda0 * L_r + lambda1 * L_g + lambda2 * L_loc. A global or region term
+    with weight 0 is reported but left out of the sum."""
     lam_r, lam_g, lam_loc = lambdas
     if lam_r < 0 or lam_g < 0 or lam_loc < 0:
         raise ValueError(f"negative loss weight: {lambdas}")
     dt = loc.data.dtype
     total = T.mul(loc, Tensor(np.asarray(lam_loc, dtype=dt)))
-    g_val = 0.0
-    if global_disc is not None and lam_g > 0:
-        total = T.add(total, T.mul(global_disc, Tensor(np.asarray(lam_g, dtype=dt))))
-        g_val = float(global_disc.data)
-    elif global_disc is not None:
-        g_val = float(global_disc.data)
-    r_val = 0.0
-    if region_disc is not None and lam_r > 0:
-        total = T.add(total, T.mul(region_disc, Tensor(np.asarray(lam_r, dtype=dt))))
-        r_val = float(region_disc.data)
-    elif region_disc is not None:
-        r_val = float(region_disc.data)
-    breakdown = LossBreakdown(loc=float(loc.data), global_disc=g_val,
-                              region_disc=r_val, total=float(total.data),
+    values = []
+    for term, lam in ((glob, lam_g), (region, lam_r)):
+        if term is not None and lam > 0:
+            total = T.add(total, T.mul(term, Tensor(np.asarray(lam, dtype=dt))))
+        values.append(0.0 if term is None else float(term.data))
+    breakdown = LossBreakdown(loc=float(loc.data), global_disc=values[0],
+                              region_disc=values[1], total=float(total.data),
                               lambdas=lambdas)
     return total, breakdown
 
@@ -344,45 +328,49 @@ def finetune_matching_cost(pred_boxes: np.ndarray, class_probs: np.ndarray,
     return -coef[0] * np.log(p_true) + coef[1] * (1.0 - giou) + coef[2] * l1
 
 
-def finetune_set_loss(class_logits: Tensor, pred_boxes: Tensor,
-                      target_boxes: np.ndarray, target_labels: np.ndarray,
-                      n_classes: int, no_object_weight: float = 0.1
-                      ) -> tuple[Tensor, MatchAssignment]:
-    """DETR-style set prediction loss for labeled data.
+NO_OBJECT_WEIGHT = 0.1
 
-    Cross-entropy over all queries (matched -> true class, unmatched -> the
-    no-object class with down-weighted contribution, averaged over queries)
-    plus GIoU/L1 regression on matched pairs.
+
+def set_loss(logits: Tensor, boxes: Tensor,
+             targets: list[tuple[np.ndarray, np.ndarray]], n_classes: int) -> Tensor:
+    """DETR-style set prediction loss over a batch of labeled images.
+
+    logits is (B, N, K+1) with the no-object class last, boxes (B, N, 4)
+    cxcywh, and targets[i] the (boxes, labels) of image i. Each image is
+    matched on its own; cross-entropy then averages over all B*N queries
+    (matched -> true class, unmatched -> no-object down-weighted by
+    NO_OBJECT_WEIGHT), and GIoU/L1 regression averages over all matched
+    pairs in the batch.
     """
-    n_queries = class_logits.data.shape[0]
-    dt = class_logits.data.dtype
-    no_object = n_classes  # last class index
-    if len(target_labels):
-        probs_np = _softmax_np(class_logits.data)
-        cost = finetune_matching_cost(pred_boxes.data, probs_np,
-                                      np.asarray(target_boxes), np.asarray(target_labels))
-        assignment = hungarian(cost)
-    else:
-        assignment = MatchAssignment(())
+    b, n_q = logits.data.shape[:2]
+    dt = logits.data.dtype
+    probs_np = _softmax_np(logits.data)
+    classes = np.full((b, n_q), n_classes, dtype=np.int64)
+    weights = np.full((b * n_q, 1), NO_OBJECT_WEIGHT, dtype=dt)
+    rows: list[int] = []
+    tgt_boxes: list[np.ndarray] = []
+    for i, (t_boxes, t_labels) in enumerate(targets):
+        if not len(t_labels):
+            continue
+        assignment = hungarian(finetune_matching_cost(boxes.data[i], probs_np[i],
+                                                      t_boxes, t_labels))
+        for t, j in enumerate(assignment.target_to_pred):
+            classes[i, j] = t_labels[t]
+            weights[i * n_q + j, 0] = 1.0
+            rows.append(i * n_q + j)
+            tgt_boxes.append(t_boxes[t])
 
-    classes = np.full(n_queries, no_object, dtype=np.int64)
-    weights = np.full((n_queries, 1), no_object_weight, dtype=dt)
-    for i, j in enumerate(assignment.target_to_pred):
-        classes[j] = target_labels[i]
-        weights[j, 0] = 1.0
-    onehot = np.zeros((n_queries, n_classes + 1), dtype=dt)
-    onehot[np.arange(n_queries), classes] = 1.0
-
-    probs = T.softmax(class_logits, axis=-1)
-    logp = T.log(T.clamp(probs, 1e-9, 1.0))
-    per_query = T.sub(Tensor(np.zeros((n_queries, 1), dtype=dt)),
+    onehot = np.zeros((b * n_q, n_classes + 1), dtype=dt)
+    onehot[np.arange(b * n_q), classes.reshape(-1)] = 1.0
+    logits_flat = T.reshape(logits, (b * n_q, n_classes + 1))
+    logp = T.log(T.clamp(T.softmax(logits_flat, axis=-1), 1e-9, 1.0))
+    per_query = T.sub(Tensor(np.zeros((b * n_q, 1), dtype=dt)),
                       T.tsum(T.mul(logp, Tensor(onehot)), axis=-1, keepdims=True))
-    class_loss = T.tmean(T.mul(per_query, Tensor(weights)))
-
-    if len(assignment):
-        box_loss = box_regression_loss(pred_boxes, assignment, target_boxes)
-        return T.add(class_loss, box_loss), assignment
-    return class_loss, assignment
+    total = T.tmean(T.mul(per_query, Tensor(weights)))
+    if rows:
+        total = T.add(total, box_regression(T.reshape(boxes, (b * n_q, 4)), rows,
+                                            np.stack(tgt_boxes)))
+    return total
 
 
 def _softmax_np(logits: np.ndarray) -> np.ndarray:

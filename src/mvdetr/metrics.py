@@ -17,6 +17,7 @@ from .backbone import FrozenBackbone
 from .geometry import BoxXYXY, box_iou
 from .model import Detr
 from .tensor import Tensor
+from .views import resize_to_view
 
 IOU_GRID = tuple(round(0.5 + 0.05 * i, 2) for i in range(10))
 RECALL_GRID = np.linspace(0.0, 1.0, 101)
@@ -162,13 +163,8 @@ def detect_batch(model: Detr, backbone: FrozenBackbone,
     resizes inputs to the training geometry; predicted boxes stay in each
     image's original pixel frame (they are normalized).
     """
-    from .views import resize
-    inputs = []
-    for _, pixels in images:
-        if view_size is not None and pixels.shape[:2] != (view_size, view_size):
-            inputs.append(resize(pixels, view_size, view_size))
-        else:
-            inputs.append(pixels)
+    inputs = [pixels if view_size is None else resize_to_view(pixels, view_size)
+              for _, pixels in images]
     h = Tensor(backbone.extract_batch(np.stack(inputs)))
     c, hw = model.encode(h)
     q_hat, _ = model.decode(c, hw, z=None)
@@ -200,14 +196,6 @@ def detect_batch(model: Detr, backbone: FrozenBackbone,
                                  int(labels[bi, i]),
                                  float(np.clip(scores[bi, i], 0.0, 1.0))))
     return out
-
-
-def detect(model: Detr, backbone: FrozenBackbone, pixels: np.ndarray,
-           image_id: int, score_source: str = "class",
-           view_size: int | None = None) -> list[Detection]:
-    """Single-image convenience wrapper over detect_batch."""
-    return detect_batch(model, backbone, [(image_id, pixels)], score_source,
-                        view_size)
 
 
 def evaluate_model(model: Detr, backbone: FrozenBackbone,
@@ -246,10 +234,9 @@ def export_attention(model: Detr, backbone: FrozenBackbone, pixels: np.ndarray,
                      view_size: int | None = None) -> list[str]:
     """Final-decoder-layer cross-attention per query as 8-bit PGM maps, plus
     a sidecar listing predicted boxes and match scores."""
-    from .views import resize
     os.makedirs(out_dir, exist_ok=True)
-    if view_size is not None and pixels.shape[:2] != (view_size, view_size):
-        pixels = resize(pixels, view_size, view_size)
+    if view_size is not None:
+        pixels = resize_to_view(pixels, view_size)
     h = backbone.extract(pixels)
     c, hw = model.encode(h)
     q_hat, attn = model.decode(c, hw, z=None)

@@ -1,9 +1,10 @@
 """Deterministic, platform-independent random number generation.
 
 A small splitmix64 core drives every stochastic choice in the project so that
-runs are bit-reproducible across machines and so generator state fits in a
-handful of 64-bit words (checkpoints store it verbatim). numpy's generators
-are deliberately not used for anything that affects training outcomes.
+runs are bit-reproducible across machines. Generators are built from seeds
+derived statelessly from (run seed, epoch, item), so no generator state needs
+saving. numpy's generators are deliberately not used for anything that
+affects training outcomes.
 """
 
 from __future__ import annotations
@@ -44,19 +45,6 @@ class Rng:
         self._state = seed & _MASK64
         self._spare_normal: float | None = None
 
-    def state(self) -> tuple[int, int, float]:
-        """Serializable state: (counter word, has-spare flag, spare value)."""
-        if self._spare_normal is None:
-            return (self._state, 0, 0.0)
-        return (self._state, 1, self._spare_normal)
-
-    @classmethod
-    def from_state(cls, state: tuple[int, int, float]) -> "Rng":
-        rng = cls(0)
-        rng._state = int(state[0]) & _MASK64
-        rng._spare_normal = float(state[2]) if int(state[1]) else None
-        return rng
-
     def next_u64(self) -> int:
         self._state, out = _splitmix64(self._state)
         return out
@@ -93,14 +81,6 @@ class Rng:
         for i in range(len(items) - 1, 0, -1):
             j = self.randint(0, i)
             items[i], items[j] = items[j], items[i]
-
-    def choice(self, n: int, count: int) -> list[int]:
-        """`count` distinct indices from range(n), order randomized."""
-        if count > n:
-            raise ValueError(f"choice: cannot draw {count} from {n}")
-        idx = list(range(n))
-        self.shuffle(idx)
-        return idx[:count]
 
 
 def uniform_field(seed: int, shape: tuple[int, ...],

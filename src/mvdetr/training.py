@@ -27,7 +27,7 @@ from .optim import AdamW, clip_global_norm
 from .rng import Rng, derive_seed
 from .tensor import Tensor
 from .views import (AugmentConfig, Image, ViewConfig, ViewPair,
-                    build_view_pair, resize)
+                    build_view_pair, resize_to_view)
 
 META_PREFIX = "__meta__."
 CSV_COLUMNS = ("step", "epoch", "lr", "loss_total", "loss_loc", "loss_g", "loss_r")
@@ -83,7 +83,7 @@ def pretrain_step(model: Detr, backbone: FrozenBackbone, optimizer: AdamW,
     """
     if not pairs:
         raise ValueError("empty batch")
-    lam_r, lam_g, lam_loc = cfg.effective_lambdas()
+    lam_r, lam_g, lam_loc = cfg.loss_lambda_r, cfg.loss_lambda_g, cfg.loss_lambda_loc
     need_region = lam_r > 0
     need_global = lam_g > 0
     size = float(cfg.view_size)
@@ -131,7 +131,8 @@ def pretrain_step(model: Detr, backbone: FrozenBackbone, optimizer: AdamW,
     flat_rows: list[int] = []
     tgt_boxes: list[np.ndarray] = []
     tgt_feats: list[np.ndarray] = []
-    match_targets = np.zeros((2 * b * n_q, 1), dtype=np.float32)
+    n_rows = 2 * b * n_q
+    match_targets = np.zeros((n_rows, 1), dtype=np.float32)
     for d in range(2 * b):
         targets = dir_targets[d]
         cost = L.matching_cost(boxes.data[d], match.data[d], targets)
@@ -143,37 +144,17 @@ def pretrain_step(model: Detr, backbone: FrozenBackbone, optimizer: AdamW,
             if need_region:
                 tgt_feats.append(dir_region[d][t])
 
-    two = Tensor(np.float32(2.0))
-    boxes_flat = T.reshape(boxes, (2 * b * n_q, 4))
-    matched_boxes = T.gather_rows(boxes_flat, flat_rows)
-    tgt_arr = np.stack(tgt_boxes)
-    giou = L.giou_pairs(matched_boxes, tgt_arr)
-    reg = T.add(
-        T.mul(T.tmean(T.sub(Tensor(np.ones_like(giou.data)), giou)),
-              Tensor(np.float32(L.MATCH_COEF[1]))),
-        T.mul(T.tmean(T.tsum(T.absolute(T.sub(matched_boxes, Tensor(tgt_arr))),
-                             axis=-1)),
-              Tensor(np.float32(L.MATCH_COEF[2]))))
-    k = T.clamp(T.reshape(match, (2 * b * n_q, 1)), L.K_CLAMP, 1.0 - L.K_CLAMP)
-    t_arr = Tensor(match_targets)
-    ones = Tensor(np.ones_like(match_targets))
-    bce = T.tmean(T.sub(Tensor(np.zeros_like(match_targets)),
-                        T.add(T.mul(t_arr, T.log(k)),
-                              T.mul(T.sub(ones, t_arr), T.log(T.sub(ones, k))))))
     # x2: each direction contributes its own mean in the symmetric sum
-    loc_total = T.mul(T.add(reg, bce), two)
+    two = Tensor(np.float32(2.0))
+    loc_total = T.mul(T.add(L.box_regression(T.reshape(boxes, (n_rows, 4)),
+                                             flat_rows, np.stack(tgt_boxes)),
+                            L.match_bce(match, match_targets)), two)
 
     region_total = None
     if need_region:
-        sem_flat = T.reshape(sem, (2 * b * n_q, sem.data.shape[-1]))
-        matched_sem = T.gather_rows(sem_flat, flat_rows)
-        feats = np.stack(tgt_feats).astype(np.float64)
-        norms = np.linalg.norm(feats, axis=-1, keepdims=True)
-        if (norms <= 1e-12).any():
-            raise ValueError("zero-norm region feature target")
-        tgt_unit = Tensor((feats / norms).astype(np.float32))
-        diff = T.sub(T.l2_normalize(matched_sem), tgt_unit)
-        region_total = T.mul(T.tmean(T.tsum(T.mul(diff, diff), axis=-1)), two)
+        sem_flat = T.reshape(sem, (n_rows, sem.data.shape[-1]))
+        region_total = T.mul(L.region_disc(sem_flat, flat_rows, np.stack(tgt_feats)),
+                             two)
 
     global_total = None
     if need_global:
@@ -252,54 +233,9 @@ def finetune_step_cached(model: Detr, optimizer: AdamW, q_rows: np.ndarray,
 
 def _batched_set_loss(model: Detr, q_hat: Tensor, items: list[LabeledItem],
                       cfg: RunConfig) -> Tensor:
-    """Batched analogue of the single-image set loss: classification averages
-    the weighted per-query terms over all queries in the batch; box
-    regression normalizes by the total matched-pair count.
-    """
-    b = len(items)
-    n_q = model.config.n_queries
-    n_classes = cfg.data_classes
     boxes, _, _ = model.predict(q_hat)
-    logits = model.class_logits(q_hat)  # (B, N, K+1)
-
-    probs_np = L._softmax_np(logits.data)
-    classes = np.full((b, n_q), n_classes, dtype=np.int64)
-    weights = np.full((b * n_q, 1), 0.1, dtype=np.float32)
-    flat_rows: list[int] = []
-    tgt_boxes: list[np.ndarray] = []
-    for i, item in enumerate(items):
-        if not len(item.labels):
-            continue
-        cost = L.finetune_matching_cost(boxes.data[i], probs_np[i],
-                                        item.boxes, item.labels)
-        assignment = L.hungarian(cost)
-        for t, j in enumerate(assignment.target_to_pred):
-            classes[i, j] = item.labels[t]
-            weights[i * n_q + j, 0] = 1.0
-            flat_rows.append(i * n_q + j)
-            tgt_boxes.append(item.boxes[t])
-
-    onehot = np.zeros((b * n_q, n_classes + 1), dtype=np.float32)
-    onehot[np.arange(b * n_q), classes.reshape(-1)] = 1.0
-    logits_flat = T.reshape(logits, (b * n_q, n_classes + 1))
-    logp = T.log(T.clamp(T.softmax(logits_flat, axis=-1), 1e-9, 1.0))
-    per_query = T.sub(Tensor(np.zeros((b * n_q, 1), dtype=np.float32)),
-                      T.tsum(T.mul(logp, Tensor(onehot)), axis=-1, keepdims=True))
-    total = T.tmean(T.mul(per_query, Tensor(weights)))
-
-    if flat_rows:
-        boxes_flat = T.reshape(boxes, (b * n_q, 4))
-        matched = T.gather_rows(boxes_flat, flat_rows)
-        tgt_arr = np.stack(tgt_boxes)
-        giou = L.giou_pairs(matched, tgt_arr)
-        reg = T.add(
-            T.mul(T.tmean(T.sub(Tensor(np.ones_like(giou.data)), giou)),
-                  Tensor(np.float32(L.MATCH_COEF[1]))),
-            T.mul(T.tmean(T.tsum(T.absolute(T.sub(matched, Tensor(tgt_arr))),
-                                 axis=-1)),
-                  Tensor(np.float32(L.MATCH_COEF[2]))))
-        total = T.add(total, reg)
-    return total
+    return L.set_loss(model.class_logits(q_hat), boxes,
+                      [(item.boxes, item.labels) for item in items], cfg.data_classes)
 
 
 FROZEN_HEAD_PREFIXES = ("head.box.", "class_head.")
@@ -401,7 +337,7 @@ def run_pretrain(cfg: RunConfig, images: list[np.ndarray], out_dir: str,
     csv_path = os.path.join(out_dir, "metrics.csv")
     mode = "a" if resume_from is not None and os.path.exists(csv_path) else "w"
     step = start_epoch * (len(images) // batch)
-    final_path = os.path.join(out_dir, f"epoch_{start_epoch:04d}.ckpt")
+    final_path = resume_from  # stays so when no epoch is left to run
     with open(csv_path, mode, newline="") as f:
         writer = csv.writer(f)
         if mode == "w":
@@ -430,17 +366,6 @@ def run_pretrain(cfg: RunConfig, images: list[np.ndarray], out_dir: str,
 def _fmt(x: float) -> str:
     # %.9g round-trips float32 exactly; resume comparisons rely on it
     return f"{np.float32(x):.9g}"
-
-
-def resize_to_view(pixels: np.ndarray, view_size: int) -> np.ndarray:
-    """Resize an image to the square view size the model was pretrained on.
-
-    Normalized box targets are unaffected, and positional-embedding geometry
-    then matches pretraining exactly.
-    """
-    if pixels.shape[0] == view_size and pixels.shape[1] == view_size:
-        return pixels
-    return resize(pixels, view_size, view_size)
 
 
 def run_finetune(cfg: RunConfig, items: list[LabeledItem], seed: int,

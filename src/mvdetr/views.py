@@ -117,9 +117,16 @@ def crop_resize(pixels: np.ndarray, rect: BoxXYXY, out_h: int, out_w: int) -> np
     return out.astype(np.float32)
 
 
-def resize(pixels: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
+def resize_to_view(pixels: np.ndarray, view_size: int) -> np.ndarray:
+    """Resize an image to the square view size the model was pretrained on.
+
+    Normalized box targets are unaffected, and positional-embedding geometry
+    then matches pretraining exactly.
+    """
     H, W = pixels.shape[:2]
-    return crop_resize(pixels, BoxXYXY(0, 0, W, H), out_h, out_w)
+    if H == view_size and W == view_size:
+        return pixels
+    return crop_resize(pixels, BoxXYXY(0, 0, W, H), view_size, view_size)
 
 
 def gaussian_blur(pixels: np.ndarray, sigma: float) -> np.ndarray:

@@ -346,10 +346,10 @@ def test_criterion_5_loss_identities():
     # region discrimination equals 2 - 2 cos
     pred = rng.standard_normal((5, 12)).astype(np.float32)
     tgt = rng.standard_normal((5, 12)).astype(np.float32)
-    assign = L.MatchAssignment((3, 1, 4, 0, 2))
-    val = float(L.region_disc_loss_direction(Tensor(pred), tgt, assign).data)
+    rows = [3, 1, 4, 0, 2]
+    val = float(L.region_disc(Tensor(pred), rows, tgt).data)
     ref = np.mean([2 - 2 * float(T.cosine(Tensor(pred[j]), Tensor(tgt[i])).data)
-                   for i, j in enumerate(assign.target_to_pred)])
+                   for i, j in enumerate(rows)])
     region_ok = abs(val - ref) < 1e-6
 
     # MVCA with z = 0 is bitwise the plain decoder path

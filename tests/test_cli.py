@@ -55,6 +55,12 @@ class TestExitCodes:
                    "--out", str(root / "x"), "--set", "not.a.key=1"])
         assert rc == 1
 
+    def test_removed_enable_flag_is_one(self, workspace):
+        root, cfg, manifest = workspace
+        rc = main(["pretrain", "--config", cfg, "--data", manifest,
+                   "--out", str(root / "x"), "--set", "loss.enable_g=false"])
+        assert rc == 1
+
     def test_missing_data_is_two(self, workspace):
         root, cfg, _ = workspace
         rc = main(["pretrain", "--config", cfg, "--data",

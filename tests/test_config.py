@@ -20,13 +20,20 @@ def test_parse_and_override():
                        overrides=["loss.lambda_g=0", "loss.lambda_r=0"])
     assert cfg.view_tau == 0.6
     assert cfg.train_batch_size == 4
-    assert cfg.effective_lambdas() == (0.0, 0.0, 1.0)
+    assert (cfg.loss_lambda_r, cfg.loss_lambda_g, cfg.loss_lambda_loc) == (0.0, 0.0, 1.0)
 
 
 def test_bools_and_comments():
-    cfg = parse_config("# comment line\nloss.enable_g=false\n\nloss.enable_r=true\n")
-    assert not cfg.loss_enable_g and cfg.loss_enable_r
-    assert cfg.effective_lambdas()[1] == 0.0
+    cfg = parse_config("# comment line\nmodel.aux_loss=true\n\n"
+                       "finetune.freeze_transformer=false\n")
+    assert cfg.model_aux_loss and not cfg.finetune_freeze_transformer
+
+
+def test_removed_enable_flags_rejected():
+    # lambda = 0 is the one way to switch a loss term off
+    for key in ("loss.enable_g", "loss.enable_r"):
+        with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
+            parse_config(f"{key}=false\n")
 
 
 def test_unknown_keys_all_reported():
@@ -65,3 +72,4 @@ def test_every_field_reachable_by_key():
     assert "loss.lambda_r" in mapping
     assert "finetune.freeze_transformer" in mapping
     assert len(mapping) == len(set(mapping.values()))
+    assert len(mapping) == 34

@@ -123,32 +123,29 @@ class TestLocLoss:
         boxes = np.array([[0.5, 0.5, 0.2, 0.2], [0.3, 0.7, 0.1, 0.2]], dtype=np.float32)
         pred = Tensor(boxes)
         match = Tensor(np.full((2, 1), 1.0 - 1e-7, dtype=np.float32))
-        a = L.MatchAssignment((0, 1))
-        loss = L.loc_loss_direction(pred, match, a, boxes)
+        loss = T.add(L.box_regression(pred, [0, 1], boxes),
+                     L.match_bce(match, np.ones((2, 1))))
         assert float(loss.data) < 1e-4
 
     def test_l1_term_value(self):
         # single pair: pred (0.5,0.5,0.4,0.4), target (0.5,0.5,0.2,0.2)
         pred = Tensor(np.array([[0.5, 0.5, 0.4, 0.4]], dtype=np.float32))
         tgt = np.array([[0.5, 0.5, 0.2, 0.2]], dtype=np.float32)
-        reg = L.box_regression_loss(pred, L.MatchAssignment((0,)), tgt)
+        reg = L.box_regression(pred, [0], tgt)
         g = box_giou(BoxXYXY(0.3, 0.3, 0.7, 0.7), BoxXYXY(0.4, 0.4, 0.6, 0.6))
         expected = 2 * (1 - g) + 5 * 0.4
         assert float(reg.data) == pytest.approx(expected, abs=1e-5)
 
     def test_unmatched_queries_supervised_via_bce_only(self):
-        pred = Tensor(np.array([[0.5, 0.5, 0.2, 0.2], [0.9, 0.9, 0.1, 0.1]],
-                               dtype=np.float32))
         k = Tensor(np.array([[0.8], [0.2]], dtype=np.float32))
-        a = L.MatchAssignment((0,))
-        bce = L.match_bce_loss(k, a)
+        bce = L.match_bce(k, np.array([[1.0], [0.0]]))
         expected = -(math.log(0.8) + math.log(0.8)) / 2
         assert float(bce.data) == pytest.approx(expected, abs=1e-5)
 
     def test_zero_matches_rejected(self):
         with pytest.raises(ValueError):
-            L.box_regression_loss(Tensor(np.zeros((2, 4), np.float32)),
-                                  L.MatchAssignment(()), np.zeros((0, 4)))
+            L.box_regression(Tensor(np.zeros((2, 4), np.float32)), [],
+                             np.zeros((0, 4)))
 
 
 class TestGlobalDisc:
@@ -183,30 +180,29 @@ class TestRegionDisc:
     def test_proportional_features_zero(self):
         p = np.random.default_rng(2).standard_normal((3, 8)).astype(np.float32)
         pred = Tensor(2.5 * p)
-        loss = L.region_disc_loss_direction(pred, p, L.MatchAssignment((0, 1, 2)))
+        loss = L.region_disc(pred, [0, 1, 2], p)
         assert float(loss.data) == pytest.approx(0.0, abs=1e-6)
 
     def test_antipodal_features_four(self):
         p = np.random.default_rng(3).standard_normal((2, 8)).astype(np.float32)
-        loss = L.region_disc_loss_direction(Tensor(-p), p, L.MatchAssignment((0, 1)))
+        loss = L.region_disc(Tensor(-p), [0, 1], p)
         assert float(loss.data) == pytest.approx(4.0, abs=1e-5)
 
     def test_equals_two_minus_two_cos(self):
         rng = np.random.default_rng(4)
         pred = rng.standard_normal((4, 16)).astype(np.float32)
         tgt = rng.standard_normal((4, 16)).astype(np.float32)
-        a = L.MatchAssignment((2, 0, 3, 1))
-        loss = L.region_disc_loss_direction(Tensor(pred), tgt, a)
+        rows = [2, 0, 3, 1]
+        loss = L.region_disc(Tensor(pred), rows, tgt)
         cs = [float(T.cosine(Tensor(pred[j]), Tensor(tgt[i])).data)
-              for i, j in enumerate(a.target_to_pred)]
+              for i, j in enumerate(rows)]
         expected = np.mean([2 - 2 * c for c in cs])
         assert float(loss.data) == pytest.approx(expected, abs=1e-6)
 
     def test_zero_norm_target_rejected(self):
         tgt = np.zeros((1, 4))
         with pytest.raises(ValueError):
-            L.region_disc_loss_direction(Tensor(np.ones((1, 4), np.float32)), tgt,
-                                         L.MatchAssignment((0,)))
+            L.region_disc(Tensor(np.ones((1, 4), np.float32)), [0], tgt)
 
 
 class TestTotalLoss:
@@ -237,6 +233,12 @@ class TestTotalLoss:
             L.total_loss(loc, g, r, lambdas=(-1.0, 0.0, 1.0))
 
 
+def _set_assignment(logits, boxes, tgt_boxes, labels):
+    """The matching set_loss makes for one image, from the same two calls."""
+    return L.hungarian(L.finetune_matching_cost(boxes, L._softmax_np(logits),
+                                                tgt_boxes, labels))
+
+
 class TestFinetuneLoss:
     def test_perfect_predictions_small_loss(self):
         tgt_boxes = np.array([[0.5, 0.5, 0.2, 0.2], [0.2, 0.8, 0.1, 0.1]], dtype=np.float32)
@@ -248,16 +250,18 @@ class TestFinetuneLoss:
         boxes = np.tile(np.array([[0.9, 0.9, 0.05, 0.05]], dtype=np.float32), (4, 1))
         boxes[0] = tgt_boxes[0]
         boxes[1] = tgt_boxes[1]
-        loss, a = L.finetune_set_loss(Tensor(logits), Tensor(boxes), tgt_boxes,
-                                      labels, n_classes=3)
+        loss = L.set_loss(Tensor(logits[None]), Tensor(boxes[None]),
+                          [(tgt_boxes, labels)], n_classes=3)
+        a = _set_assignment(logits, boxes, tgt_boxes, labels)
         assert a.target_to_pred == (0, 1)
         assert float(loss.data) < 0.01
 
     def test_empty_targets_uniform_logits(self):
-        logits = Tensor(np.zeros((5, 4), dtype=np.float32))
-        boxes = Tensor(np.full((5, 4), 0.5, dtype=np.float32))
-        loss, a = L.finetune_set_loss(logits, boxes, np.zeros((0, 4)),
-                                      np.zeros(0, dtype=np.int64), n_classes=3)
+        logits = np.zeros((1, 5, 4), dtype=np.float32)
+        boxes = np.full((1, 5, 4), 0.5, dtype=np.float32)
+        empty = (np.zeros((0, 4)), np.zeros(0, dtype=np.int64))
+        loss = L.set_loss(Tensor(logits), Tensor(boxes), [empty], n_classes=3)
+        a = _set_assignment(logits[0], boxes[0], *empty)
         assert len(a) == 0
         assert float(loss.data) == pytest.approx(0.1 * math.log(4), abs=1e-6)
 
@@ -268,6 +272,5 @@ class TestFinetuneLoss:
         logits = np.zeros((2, 3), dtype=np.float32)
         logits[1, 1] = 5.0  # query 1 confident in class 1
         boxes = np.tile(tgt_boxes, (2, 1))
-        _, a = L.finetune_set_loss(Tensor(logits), Tensor(boxes), tgt_boxes,
-                                   labels, n_classes=2)
+        a = _set_assignment(logits, boxes, tgt_boxes, labels)
         assert a.target_to_pred == (1,)

@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+from mvdetr import losses as L
 from mvdetr import training as TR
 from mvdetr.backbone import FrozenBackbone
 from mvdetr.checkpoint import load_checkpoint
@@ -13,7 +14,7 @@ from mvdetr.data import SceneSpec, render_scene
 from mvdetr.geometry import BoxXYXY
 from mvdetr.optim import AdamW
 from mvdetr.rng import derive_seed
-from mvdetr.views import Image, build_view_pair
+from mvdetr.views import Image, build_view_pair, resize_to_view
 
 
 def small_cfg(**overrides):
@@ -175,6 +176,14 @@ class TestRunPretrain:
         res_rows = open(res_csv).read().strip().splitlines()[1:]
         assert res_rows == full_rows[steps_per_epoch:]
 
+    def test_resume_of_finished_run_returns_existing_checkpoint(self, images, tmp_path):
+        # no epoch is left to run, so nothing is written to the new directory
+        cfg = small_cfg()
+        done, _ = TR.run_pretrain(cfg, images, str(tmp_path / "done"))
+        ckpt, _ = TR.run_pretrain(cfg, images, str(tmp_path / "fresh"), resume_from=done)
+        assert os.path.exists(ckpt)
+        assert ckpt == done
+
     def test_architecture_mismatch_rejected(self, images, tmp_path):
         cfg = small_cfg()
         ckpt, _ = TR.run_pretrain(cfg, images, str(tmp_path / "run"))
@@ -235,6 +244,35 @@ class TestFinetune:
                 assert changed, f"{name} should have been trained"
             else:
                 assert not changed, f"{name} should have stayed frozen"
+
+    def test_aux_loss_sums_set_loss_over_decoder_layers(self, labeled):
+        cfg = small_cfg(**{"model.aux_loss": "true", "model.dec_layers": 2})
+        items = labeled[:cfg.finetune_batch_size]
+
+        def step(lr):
+            backbone = FrozenBackbone(cfg.backbone_seed)
+            model = TR.make_model(cfg, backbone)
+            model.add_class_head(cfg.data_classes, seed=derive_seed(4, 0xC1))
+            feats = [backbone.extract(resize_to_view(it.pixels, cfg.view_size))
+                     for it in items]
+            opt = AdamW(model.params, lr=lr, weight_decay=0.0)
+            return model, TR.finetune_step(model, opt, feats, items, cfg)
+
+        # lr 0 leaves the parameters as they were for the step's forward
+        model, total = step(0.0)
+        layers = model.decoder_layer_outputs
+        assert len(layers) == 2
+        targets = [(it.boxes, it.labels) for it in items]
+        per_layer = [L.set_loss(model.class_logits(q), model.predict(q)[0], targets,
+                                cfg.data_classes).data for q in layers]
+        assert total == float(per_layer[0] + per_layer[1])
+        assert total != float(per_layer[1])
+
+        model_a, total_a = step(cfg.train_lr)
+        model_b, total_b = step(cfg.train_lr)
+        assert total_a == total_b
+        for name, p in model_a.params.items():
+            assert p.data.tobytes() == model_b.params[name].data.tobytes(), name
 
     def test_finetune_deterministic(self, labeled):
         cfg = small_cfg()
