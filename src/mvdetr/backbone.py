@@ -2,8 +2,9 @@
 
 Three stride-2 3x3 conv layers (3 -> 16 -> 32 -> 64) with ReLU, He-style
 initialization drawn once from the seed, never updated. Produces image-level
-feature maps at stride 8, pooled object-level region features, and pooled
-crop-level region features. Outputs are gradient-free leaves: no backbone
+feature maps at stride 8, pooled object-level region features (RoIAlign on
+the map), and pooled crop-level region features (each box resampled from the
+image, then extracted). Outputs are gradient-free leaves: no backbone
 parameter ever reaches an optimizer.
 """
 
@@ -13,39 +14,9 @@ import math
 
 import numpy as np
 
-from .geometry import BoxXYXY, roi_align
+from .geometry import BoxXYXY, bilinear_taps, resample, roi_align
 from .rng import Rng
 from .tensor import Tensor, tmean
-from .views import crop_resize
-
-
-def _crop_resize_many(pixels: np.ndarray, boxes: list[BoxXYXY], out: int) -> np.ndarray:
-    """Bilinear crop+resize of several boxes from one image, (n, out, out, 3).
-
-    One vectorized gather per corner across all boxes is much cheaper than
-    per-box resampling.
-    """
-    H, W = pixels.shape[:2]
-    n = len(boxes)
-    grid = (np.arange(out, dtype=np.float64) + 0.5) / out
-    xs = np.stack([b.x1 + grid * b.width for b in boxes])   # (n, out)
-    ys = np.stack([b.y1 + grid * b.height for b in boxes])
-    gx = np.clip(xs - 0.5, 0.0, W - 1.0)
-    gy = np.clip(ys - 0.5, 0.0, H - 1.0)
-    x0 = np.floor(gx).astype(np.int64)
-    y0 = np.floor(gy).astype(np.int64)
-    x1 = np.minimum(x0 + 1, W - 1)
-    y1 = np.minimum(y0 + 1, H - 1)
-    wx = (gx - x0).astype(np.float32)[:, None, :, None]
-    wy = (gy - y0).astype(np.float32)[:, :, None, None]
-    yi0, xi0 = y0[:, :, None], x0[:, None, :]
-    yi1, xi1 = y1[:, :, None], x1[:, None, :]
-    p00 = pixels[yi0, xi0]
-    p01 = pixels[yi0, xi1]
-    p10 = pixels[yi1, xi0]
-    p11 = pixels[yi1, xi1]
-    return (p00 * (1 - wy) * (1 - wx) + p01 * (1 - wy) * wx
-            + p10 * wy * (1 - wx) + p11 * wy * wx).astype(np.float32)
 
 
 def _conv_forward(x: np.ndarray, weight: np.ndarray, bias: np.ndarray) -> np.ndarray:
@@ -110,20 +81,23 @@ class FrozenBackbone:
         pooled = roi_align(h, fboxes, (4, 4))
         return tmean(pooled, axis=(1, 2))
 
-    def crop_level_features(self, view_pixels: np.ndarray,
-                            boxes: list[BoxXYXY]) -> Tensor:
-        """Crop each box from the view, resize, extract, pool."""
-        return Tensor(self.crop_features_multi([(view_pixels, boxes)]))
-
     def crop_features_multi(self, groups: list[tuple[np.ndarray, list[BoxXYXY]]]
                             ) -> np.ndarray:
-        """Crop-level features for several (image, boxes) groups in one conv
-        pass; rows follow group order. Keeps the GEMMs large."""
-        crops = []
+        """Crop each box from its image, resize to crop_size, extract, pool.
+
+        Each group is resampled in one call into a shared crop buffer, and all
+        crops go through one conv pass, so the GEMMs stay large; rows follow
+        group order."""
+        size = self.crop_size
+        crops = np.empty((sum(len(boxes) for _, boxes in groups), size, size, 3),
+                         dtype=np.float32)
+        start = 0
         for pixels, boxes in groups:
             for b in boxes:
                 if b.width < 2.0 or b.height < 2.0:
                     raise ValueError(f"degenerate crop box {b}")
-            crops.append(_crop_resize_many(pixels, boxes, self.crop_size))
-        feats = self.extract_batch(np.concatenate(crops))
+            ay, ax = bilinear_taps(boxes, pixels.shape[0], pixels.shape[1], (size, size))
+            resample(pixels, ay, ax, out=crops[start:start + len(boxes)])
+            start += len(boxes)
+        feats = self.extract_batch(crops)
         return feats.mean(axis=(1, 2))

@@ -144,6 +144,10 @@ def _validate(cfg: RunConfig, problems: list[str]) -> None:
         problems.append(f"proposals.mode must be random|objectness, got {cfg.proposals_mode!r}")
     if cfg.loss_region_target not in ("crop", "object"):
         problems.append(f"loss.region_target must be crop|object, got {cfg.loss_region_target!r}")
+    for key, epochs in (("train.epochs", cfg.train_epochs),
+                        ("finetune.epochs", cfg.finetune_epochs)):
+        if epochs < 1:
+            problems.append(f"{key} must be at least 1, got {epochs}")
     if cfg.train_decay_epoch >= cfg.train_epochs:
         problems.append(f"train.decay_epoch ({cfg.train_decay_epoch}) must be "
                         f"below train.epochs ({cfg.train_epochs})")

@@ -1,9 +1,13 @@
-"""Box algebra, overlap metrics, frame transforms, and RoIAlign.
+"""Box algebra, overlap metrics, frame transforms, resampling and RoIAlign.
 
 Boxes are half-open intervals in continuous pixel coordinates. Pixel-frame
 boxes use corner (xyxy) form; model-side boxes use center-size (cxcywh) form
 normalized to [0, 1] relative to their view. Division guards use 1e-9 and
 degenerate boxes report IoU 0 instead of NaN.
+
+Every box resample (view crops, crop-level targets, RoIAlign) goes through
+one separable bilinear sampler: per-axis tap matrices with half-pixel
+centres and a border clamp, applied as two matrix products.
 """
 
 from __future__ import annotations
@@ -178,40 +182,54 @@ def map_box(box: BoxXYXY, t: FrameTransform) -> BoxXYXY:
     return BoxXYXY(cx1, cy1, cx2, cy2)
 
 
-def _roi_sample_matrix(boxes, H, W, out_hw, sampling):
-    """Sparse-in-spirit sampling matrix S with out = S @ features.reshape(H*W, C).
+def _axis_taps(lo: np.ndarray, extent: np.ndarray, n_out: int, size: int,
+               sampling: int, dtype) -> np.ndarray:
+    """Bilinear taps along one axis, (n, n_out, size).
 
-    Each output bin averages sampling x sampling bilinear reads at interior
-    points of the bin, half-pixel aligned, border-clamped.
+    Row o of box k averages `sampling` reads at interior points of bin o of
+    [lo[k], lo[k] + extent[k]), half-pixel aligned and clamped to the border.
     """
-    h_out, w_out = out_hw
-    n = len(boxes)
-    S = np.zeros((n * h_out * w_out, H * W), dtype=np.float32)
+    n = len(lo)
     frac = (np.arange(sampling) + 0.5) / sampling
-    inv_count = 1.0 / (sampling * sampling)
-    for bi, box in enumerate(boxes):
-        bin_w = box.width / w_out
-        bin_h = box.height / h_out
-        xs = box.x1 + (np.arange(w_out)[:, None] + frac[None, :]).reshape(-1) * bin_w
-        ys = box.y1 + (np.arange(h_out)[:, None] + frac[None, :]).reshape(-1) * bin_h
-        gx = np.clip(xs - 0.5, 0.0, W - 1.0)
-        gy = np.clip(ys - 0.5, 0.0, H - 1.0)
-        x0 = np.floor(gx).astype(np.int64)
-        y0 = np.floor(gy).astype(np.int64)
-        x1 = np.minimum(x0 + 1, W - 1)
-        y1 = np.minimum(y0 + 1, H - 1)
-        wx = (gx - x0).astype(np.float32)
-        wy = (gy - y0).astype(np.float32)
-        # sample (iy, ix) belongs to bin (iy // sampling, ix // sampling)
-        bin_row = (np.arange(h_out * sampling) // sampling)[:, None] * w_out \
-            + (np.arange(w_out * sampling) // sampling)[None, :]
-        rows = (bi * h_out * w_out + bin_row).reshape(-1)
-        for cy, wgt_y in ((y0, 1.0 - wy), (y1, wy)):
-            for cx, wgt_x in ((x0, 1.0 - wx), (x1, wx)):
-                cols = (cy[:, None] * W + cx[None, :]).reshape(-1)
-                wgts = (wgt_y[:, None] * wgt_x[None, :]).reshape(-1) * inv_count
-                np.add.at(S, (rows, cols), wgts)
-    return S
+    steps = (np.arange(n_out)[:, None] + frac[None, :]).reshape(-1)
+    g = np.clip(lo[:, None] + steps[None, :] * (extent / n_out)[:, None] - 0.5,
+                0.0, size - 1.0)
+    i0 = np.floor(g).astype(np.int64)
+    i1 = np.minimum(i0 + 1, size - 1)
+    w = g - i0
+    taps = np.zeros((n, n_out * sampling, size), dtype=dtype)
+    box, row = np.ogrid[:n, :n_out * sampling]
+    taps[box, row, i0] = 1.0 - w
+    taps[box, row, i1] += w  # i1 == i0 at the far border
+    if sampling > 1:
+        taps = taps.reshape(n, n_out, sampling, size).mean(axis=2, dtype=dtype)
+    return taps
+
+
+def bilinear_taps(boxes: list[BoxXYXY], H: int, W: int, out_hw: tuple[int, int],
+                  sampling: int = 1, dtype=np.float32) -> tuple[np.ndarray, np.ndarray]:
+    """Per-axis sampling matrices Ay (n, out_h, H) and Ax (n, out_w, W).
+
+    Bilinear reads and bin averaging factor by axis, so box k resamples an
+    (H, W) plane as Ay[k] @ F @ Ax[k].T.
+    """
+    corners = np.array([(b.x1, b.y1, b.x2, b.y2) for b in boxes],
+                       dtype=np.float64).reshape(-1, 4)
+    x1, y1, x2, y2 = corners.T
+    return (_axis_taps(y1, y2 - y1, out_hw[0], H, sampling, dtype),
+            _axis_taps(x1, x2 - x1, out_hw[1], W, sampling, dtype))
+
+
+def resample(source: np.ndarray, ay: np.ndarray, ax: np.ndarray,
+             out: np.ndarray | None = None) -> np.ndarray:
+    """(H, W, C) source -> (n, out_h, out_w, C): Ay . F . Axᵀ per box.
+
+    `out`, if given, receives the result (a slice of a larger batch, say).
+    """
+    H, W, C = source.shape
+    n, out_h = ay.shape[:2]
+    rows = (ay.reshape(n * out_h, H) @ source.reshape(H, W * C)).reshape(n, out_h, W, C)
+    return np.matmul(ax[:, None], rows, out=out)
 
 
 def roi_align(features: Tensor, boxes: list[BoxXYXY], out_hw: tuple[int, int],
@@ -226,13 +244,14 @@ def roi_align(features: Tensor, boxes: list[BoxXYXY], out_hw: tuple[int, int],
     H, W, C = features.data.shape
     if H == 0 or W == 0:
         raise ValueError("roi_align: empty feature map")
-    h_out, w_out = out_hw
-    S = _roi_sample_matrix(boxes, H, W, out_hw, sampling)
-    flat = features.data.reshape(H * W, C)
-    data = (S @ flat).reshape(len(boxes), h_out, w_out, C)
+    ay, ax = bilinear_taps(boxes, H, W, out_hw, sampling,
+                           np.result_type(features.data.dtype, np.float32))
+    data = resample(features.data, ay, ax)
 
     def backward(g):
-        g2 = g.reshape(-1, C)
-        features.accumulate_grad((S.T @ g2).reshape(H, W, C))
+        # transposed contraction, summed over boxes: sum_k Ay[k]ᵀ g[k] Ax[k]
+        cols = np.matmul(ax.transpose(0, 2, 1)[:, None], g)  # (n, h_out, W, C)
+        grad = ay.reshape(-1, H).T @ cols.reshape(-1, W * C)
+        features.accumulate_grad(grad.reshape(H, W, C))
 
     return _make(data, (features,), "roi_align", backward)

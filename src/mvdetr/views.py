@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import BoxXYXY, FrameTransform, box_iou, map_box
+from .geometry import BoxXYXY, FrameTransform, bilinear_taps, box_iou, map_box, resample
 from .rng import Rng
 
 _LUMA = np.array([0.299, 0.587, 0.114], dtype=np.float32)
@@ -97,24 +97,8 @@ class ViewPair:
 
 def crop_resize(pixels: np.ndarray, rect: BoxXYXY, out_h: int, out_w: int) -> np.ndarray:
     """Bilinearly resample a continuous source rectangle to (out_h, out_w)."""
-    H, W = pixels.shape[:2]
-    xs = rect.x1 + (np.arange(out_w, dtype=np.float64) + 0.5) * (rect.width / out_w)
-    ys = rect.y1 + (np.arange(out_h, dtype=np.float64) + 0.5) * (rect.height / out_h)
-    gx = np.clip(xs - 0.5, 0.0, W - 1.0)
-    gy = np.clip(ys - 0.5, 0.0, H - 1.0)
-    x0 = np.floor(gx).astype(np.int64)
-    y0 = np.floor(gy).astype(np.int64)
-    x1 = np.minimum(x0 + 1, W - 1)
-    y1 = np.minimum(y0 + 1, H - 1)
-    wx = (gx - x0).astype(np.float32)[None, :, None]
-    wy = (gy - y0).astype(np.float32)[:, None, None]
-    p00 = pixels[np.ix_(y0, x0)]
-    p01 = pixels[np.ix_(y0, x1)]
-    p10 = pixels[np.ix_(y1, x0)]
-    p11 = pixels[np.ix_(y1, x1)]
-    out = (p00 * (1 - wy) * (1 - wx) + p01 * (1 - wy) * wx
-           + p10 * wy * (1 - wx) + p11 * wy * wx)
-    return out.astype(np.float32)
+    ay, ax = bilinear_taps([rect], pixels.shape[0], pixels.shape[1], (out_h, out_w))
+    return resample(pixels, ay, ax)[0].astype(np.float32, copy=False)
 
 
 def resize_to_view(pixels: np.ndarray, view_size: int) -> np.ndarray:

@@ -5,6 +5,7 @@ import pytest
 
 from mvdetr.backbone import FrozenBackbone
 from mvdetr.geometry import BoxXYXY
+from mvdetr.views import crop_resize
 
 from helpers import dense_bilinear_average
 
@@ -96,26 +97,39 @@ class TestCropFeatures:
     def test_full_view_crop_reduces_to_extract(self, backbone):
         img = _image(6)
         box = BoxXYXY(0, 0, 128, 128)
-        p = backbone.crop_level_features(img, [box])
-        from mvdetr.views import crop_resize
+        p = backbone.crop_features_multi([(img, [box])])
         resized = crop_resize(img, box, 64, 64)
         direct = backbone.extract(resized).data.mean(axis=(0, 1))
-        np.testing.assert_allclose(p.data[0], direct, atol=1e-6)
+        np.testing.assert_allclose(p[0], direct, atol=1e-6)
 
     def test_constant_crops_identical(self, backbone):
         img = np.full((128, 128, 3), 0.4, dtype=np.float32)
-        p = backbone.crop_level_features(img, [BoxXYXY(0, 0, 30, 30),
-                                               BoxXYXY(50, 60, 100, 90)])
-        np.testing.assert_allclose(p.data[0], p.data[1], atol=1e-5)
+        p = backbone.crop_features_multi([(img, [BoxXYXY(0, 0, 30, 30),
+                                                 BoxXYXY(50, 60, 100, 90)])])
+        np.testing.assert_allclose(p[0], p[1], atol=1e-5)
 
     def test_crop_vs_object_features_differ_on_texture(self, backbone):
         img = _image(7)
         h = backbone.extract(img)
         box = BoxXYXY(20, 20, 52, 52)
         z = backbone.object_level_features(h, [box])
-        p = backbone.crop_level_features(img, [box])
-        assert float(np.linalg.norm(p.data[0] - z.data[0])) > 1e-3
+        p = backbone.crop_features_multi([(img, [box])])
+        assert float(np.linalg.norm(p[0] - z.data[0])) > 1e-3
 
     def test_degenerate_box_errors(self, backbone):
         with pytest.raises(ValueError):
-            backbone.crop_level_features(_image(8), [BoxXYXY(10, 10, 11, 30)])
+            backbone.crop_features_multi([(_image(8), [BoxXYXY(10, 10, 11, 30)])])
+
+    def test_rows_follow_groups_and_match_one_box_path(self, backbone):
+        # each row of a two-group call equals resizing that box alone through
+        # crop_resize and pooling the extracted map
+        groups = [(_image(9), [BoxXYXY(3.5, 7.25, 60.0, 41.0),
+                               BoxXYXY(0, 0, 128, 128)]),
+                  (_image(10, h=96, w=160), [BoxXYXY(100.5, 2.0, 158.0, 90.5),
+                                             BoxXYXY(-4.0, 80.0, 30.0, 99.0),
+                                             BoxXYXY(20.0, 20.0, 24.0, 23.0)])]
+        p = backbone.crop_features_multi(groups)
+        rows = [backbone.extract(crop_resize(img, b, 64, 64)).data.mean(axis=(0, 1))
+                for img, boxes in groups for b in boxes]
+        assert p.shape == (5, backbone.out_channels)
+        np.testing.assert_allclose(p, np.stack(rows), atol=1e-6)

@@ -61,6 +61,19 @@ class TestExitCodes:
                    "--out", str(root / "x"), "--set", "loss.enable_g=false"])
         assert rc == 1
 
+    @pytest.mark.parametrize("command,sets", [
+        ("pretrain", ["train.epochs=0", "train.decay_epoch=-1"]),
+        ("finetune", ["finetune.epochs=0"]),
+    ])
+    def test_zero_epochs_is_one(self, workspace, capsys, command, sets):
+        root, cfg, manifest = workspace
+        argv = [command, "--config", cfg, "--data", manifest,
+                "--out", str(root / f"zero_{command}")]
+        for s in sets:
+            argv += ["--set", s]
+        assert main(argv) == 1
+        assert "epochs must be at least 1" in capsys.readouterr().err
+
     def test_missing_data_is_two(self, workspace):
         root, cfg, _ = workspace
         rc = main(["pretrain", "--config", cfg, "--data",

@@ -53,6 +53,16 @@ def test_validation_decay_before_end():
         parse_config("train.epochs=5\ntrain.decay_epoch=7\n")
 
 
+@pytest.mark.parametrize("text,key", [
+    ("train.epochs=0\ntrain.decay_epoch=-1\n", "train.epochs"),
+    ("finetune.epochs=0\n", "finetune.epochs"),
+    ("finetune.epochs=-3\n", "finetune.epochs"),
+])
+def test_validation_epochs_at_least_one(text, key):
+    with pytest.raises(ConfigError, match=f"{key} must be at least 1"):
+        parse_config(text)
+
+
 def test_region_target_values():
     cfg = parse_config("loss.region_target=object\n")
     assert cfg.loss_region_target == "object"

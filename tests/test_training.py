@@ -67,9 +67,12 @@ class TestPretrainStep:
         model = TR.make_model(cfg, backbone)
         opt = AdamW(model.params, lr=cfg.train_lr)
         bd = TR.pretrain_step(model, backbone, opt, _pairs(images, cfg), cfg)
-        expected = (bd.lambdas[0] * bd.region_disc + bd.lambdas[1] * bd.global_disc
-                    + bd.lambdas[2] * bd.loc)
-        assert bd.total == pytest.approx(expected, abs=1e-6)
+        # recomputed in total_loss's own float32 order, so the check is exact
+        f32 = np.float32
+        lam_r, lam_g, lam_loc = (f32(lam) for lam in bd.lambdas)
+        expected = (f32(f32(f32(bd.loc) * lam_loc) + f32(f32(bd.global_disc) * lam_g))
+                    + f32(f32(bd.region_disc) * lam_r))
+        assert bd.total == float(expected)
 
     def test_deterministic_sequences(self, images):
         cfg = small_cfg()

@@ -7,10 +7,31 @@ from mvdetr import views as V
 from mvdetr.geometry import BoxXYXY, box_iou, map_box
 from mvdetr.rng import Rng
 
+from helpers import dense_bilinear_average
+
 
 def _noise_image(seed=0, w=160, h=160):
     rng = np.random.default_rng(seed)
     return V.Image(rng.uniform(0, 1, size=(h, w, 3)).astype(np.float32))
+
+
+class TestCropResize:
+    # one bilinear read per output cell at its half-pixel centre, clamped to
+    # the border: the dense oracle with one sample per bin
+    @pytest.mark.parametrize("rect,out_hw", [
+        ((12.25, 30.5, 97.0, 120.75), (64, 64)),    # inside the image
+        ((-20.0, 140.0, 60.0, 190.0), (32, 32)),    # past two borders: clamp
+        ((0.0, 0.0, 160.0, 160.0), (40, 40)),       # downsampling
+        ((70.3, 80.9, 79.1, 86.2), (48, 48)),       # upsampling
+        ((5.0, 17.5, 150.0, 60.0), (24, 80)),       # non-square output
+    ])
+    def test_matches_dense_oracle_one_sample_per_bin(self, rect, out_hw):
+        pixels = _noise_image(41).pixels
+        out = V.crop_resize(pixels, BoxXYXY(*rect), *out_hw)
+        assert out.dtype == np.float32 and out.shape == (*out_hw, 3)
+        oracle = dense_bilinear_average(pixels.astype(np.float64), rect, out_hw,
+                                        samples_per_bin=1)
+        np.testing.assert_allclose(out, oracle, atol=1e-5)
 
 
 class TestBaseRect:
