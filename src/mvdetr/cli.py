@@ -27,6 +27,16 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="mvdetr", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -66,8 +76,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--eval-data", required=True, help="labeled eval manifest")
     p.add_argument("--init", required=True, help="pretraining checkpoint")
     p.add_argument("--out")
-    p.add_argument("--epochs", type=int, default=10)
-    p.add_argument("--seeds", type=int, default=3)
+    p.add_argument("--epochs", type=_positive_int, default=10)
+    p.add_argument("--seeds", type=_positive_int, default=3)
     p.add_argument("--set", action="append", default=[], dest="overrides")
 
     p = sub.add_parser("export-attn", help="write per-query attention PGMs")

@@ -18,12 +18,19 @@ of generic nodes. Its forward computes softmax(Q K^T / sqrt(d_k)) in a single
 freshly allocated buffer, with scale, max-shift, exp and normalisation done in
 place, and its backward keeps only that probability buffer plus the q/k/v
 inputs it already references: no logits or scaled logits stay alive on the
-tape. Every arithmetic step runs in the order of the composed ops (the same
-matmuls on the same array views, the float32 scale applied after Q K^T, and
-the softmax backward (g - sum(g * p)) * p followed by the scale), and numpy's
-elementwise kernels give the same bits in place as out of place, so outputs,
-probabilities and gradients are bit-identical to building attention from
-`matmul`, `transpose`, `mul` and `softmax`.
+tape. Forward and backward both walk the batch one block of items at a time,
+sized so that a block's probabilities fit 1 MiB: a default encoder layer's
+(16, 4, 256, 256) float32 probabilities are 16 MiB, and passing them whole
+through each elementwise step streams them through L3, while one block stays
+in a 2 MiB L2 from its Q K^T matmul to its product with V. Every arithmetic
+step runs in the order of the composed ops (the same matmuls on the same
+per-item matrices, the float32 scale applied after Q K^T, and the softmax
+backward (g - sum(g * p)) * p followed by the scale); a batched matmul is one
+independent GEMM per (item, head) and every reduction runs along the last
+axis of one row, so splitting the batch changes no operand or summation
+order, and numpy's elementwise kernels give the same bits in place as out of
+place. Outputs, probabilities and gradients are therefore bit-identical to
+building attention from `matmul`, `transpose`, `mul` and `softmax`.
 """
 
 from __future__ import annotations
@@ -508,6 +515,11 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     return _make(data, (x,), "softmax", backward)
 
 
+# Probability bytes one block of batch items may hold in `attention`: a 1 MiB
+# block keeps its logits-to-probabilities passes inside a 2 MiB L2 cache.
+_ATTENTION_BLOCK_BYTES = 1 << 20
+
+
 def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> tuple[Tensor, np.ndarray]:
     """Multi-head scaled dot-product attention, recorded as one tape node.
 
@@ -533,14 +545,24 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> tuple[Tensor, np.n
     q4 = q.data.reshape(b, nq, heads, dk).transpose(0, 2, 1, 3)
     k4 = k.data.reshape(b, lk, heads, dk).transpose(0, 2, 1, 3)
     v4 = v.data.reshape(b, lk, heads, dk).transpose(0, 2, 1, 3)
-    probs = q4 @ k4.transpose(0, 1, 3, 2)
+    k4t, v4t = np.swapaxes(k4, -1, -2), np.swapaxes(v4, -1, -2)
+    probs = np.empty((b, heads, nq, lk), np.result_type(q.data, k.data))
     scale = probs.dtype.type(1.0 / math.sqrt(dk))
-    probs *= scale
-    probs -= probs.max(axis=-1, keepdims=True)
-    np.exp(probs, out=probs)
-    probs /= probs.sum(axis=-1, keepdims=True)
+    # the per-head outputs are written straight into the merged (B, Nq, C) layout
+    mixed = np.empty((b, nq, heads, dk), np.result_type(probs, v.data))
+    mixed4 = mixed.transpose(0, 2, 1, 3)
+    step = max(1, _ATTENTION_BLOCK_BYTES // max(1, heads * nq * lk * probs.itemsize))
+    for lo in range(0, b, step):
+        s = slice(lo, lo + step)
+        p = probs[s]
+        np.matmul(q4[s], k4t[s], out=p)
+        p *= scale
+        p -= p.max(axis=-1, keepdims=True)
+        np.exp(p, out=p)
+        p /= p.sum(axis=-1, keepdims=True)
+        np.matmul(p, v4[s], out=mixed4[s])
     probs.flags.writeable = False
-    data = (probs @ v4).transpose(0, 2, 1, 3).reshape(b, nq, c)
+    data = mixed.reshape(b, nq, c)
 
     def backward(g):
         g4 = g.reshape(b, nq, heads, dk).transpose(0, 2, 1, 3)
@@ -551,16 +573,30 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> tuple[Tensor, np.n
         want_k = k.requires_grad or k._parents
         if not (want_q or want_k):
             return
-        # softmax backward, then the scale, into the fresh buffer of dL/dP
-        gs = g4 @ np.swapaxes(v4, -1, -2)
-        gs -= (gs * probs).sum(axis=-1, keepdims=True)
-        gs *= probs
-        gs *= scale
+        gs_all = np.empty((min(step, b), heads, nq, lk), np.result_type(g, v.data))
         if want_q:
-            q.accumulate_grad((gs @ k4).transpose(0, 2, 1, 3).reshape(b, nq, c))
+            gq = np.empty((b, nq, heads, dk), np.result_type(gs_all, k.data))
+            gq4 = gq.transpose(0, 2, 1, 3)
         if want_k:
-            gk = np.swapaxes(q4, -1, -2) @ gs
-            k.accumulate_grad(gk.transpose(0, 3, 1, 2).reshape(b, lk, c))
+            gk4 = np.empty((b, heads, dk, lk), np.result_type(q.data, gs_all))
+        q4t = np.swapaxes(q4, -1, -2)
+        for lo in range(0, b, step):
+            s = slice(lo, lo + step)
+            p = probs[s]
+            # softmax backward, then the scale, in place on this block's dL/dP
+            gs = gs_all[:len(p)]
+            np.matmul(g4[s], v4t[s], out=gs)
+            gs -= (gs * p).sum(axis=-1, keepdims=True)
+            gs *= p
+            gs *= scale
+            if want_q:
+                np.matmul(gs, k4[s], out=gq4[s])
+            if want_k:
+                np.matmul(q4t[s], gs, out=gk4[s])
+        if want_q:
+            q.accumulate_grad(gq.reshape(b, nq, c))
+        if want_k:
+            k.accumulate_grad(gk4.transpose(0, 3, 1, 2).reshape(b, lk, c))
 
     return _make(data, (q, k, v), "attention", backward), probs
 

@@ -374,6 +374,9 @@ def run_finetune(cfg: RunConfig, items: list[LabeledItem], seed: int,
                  log=None) -> tuple[Detr, list[float]]:
     """Supervised finetuning; init_arrays (from a pretraining checkpoint)
     seeds the transformer, the class head is always fresh."""
+    n_epochs = cfg.finetune_epochs if epochs is None else epochs
+    if n_epochs < 1:
+        raise ValueError(f"finetune needs at least 1 epoch, got {n_epochs}")
     _require_full_batch(len(items), cfg.finetune_batch_size, "finetune.batch_size")
     backbone = FrozenBackbone(cfg.backbone_seed)
     model = make_model(cfg, backbone)
@@ -392,7 +395,6 @@ def run_finetune(cfg: RunConfig, items: list[LabeledItem], seed: int,
         c, hw = model.encode(feats)
         cached_q = model.decode(c, hw, z=None)[0].data
 
-    n_epochs = cfg.finetune_epochs if epochs is None else epochs
     batch = cfg.finetune_batch_size
     losses: list[float] = []
     decay_at = max(1, int(round(n_epochs * 0.7)))  # same decay ratio as pretraining

@@ -2,10 +2,11 @@
 
 These deliberately avoid the library's own computation paths: gradients come
 from central finite differences, box overlaps from grid-cell counting, and
-RoIAlign references from dense sampling. Oracles run in float64. The one
-exception is the attention reference, which composes the library's generic
-primitives (themselves gradient-checked) so that the fused attention
-primitive can be held to their exact bits.
+RoIAlign references from dense sampling. Oracles run in float64. The two
+exceptions are held to exact bits instead: the attention reference composes
+the library's generic primitives (themselves gradient-checked), and the
+backbone reference runs each float32 conv layer as one GEMM over the whole
+batch.
 """
 
 import math
@@ -87,6 +88,25 @@ def composed_attention(q: Tensor, k: Tensor, v: Tensor, heads: int):
     attn = T.softmax(logits * (1.0 / math.sqrt(dk)), axis=-1)
     mixed = T.matmul(attn, split(v, lk))
     return T.reshape(T.transpose(mixed, (0, 2, 1, 3)), (b, nq, c)), attn
+
+
+def unblocked_extract(backbone, batch):
+    """Backbone reference: each conv layer as one im2col GEMM over the whole
+    batch, `cols @ w + b` then ReLU, with no blocking and no in-place steps.
+
+    The 3x3 stride-2 windows are gathered by slicing the padded input, in the
+    (dy, dx, channel) column order of the backbone's weights.
+    """
+    x = batch.astype(np.float32)
+    for w, b in zip(backbone.weights, backbone.biases):
+        n, h, wd, cin = x.shape
+        ho, wo = (h + 1) // 2, (wd + 1) // 2
+        padded = np.pad(x, ((0, 0), (1, 1), (1, 1), (0, 0)))
+        cols = np.stack([padded[:, dy:dy + 2 * ho:2, dx:dx + 2 * wo:2]
+                         for dy in range(3) for dx in range(3)], axis=3)
+        out = cols.reshape(n * ho * wo, 9 * cin) @ w + b
+        x = np.maximum(out, 0.0).reshape(n, ho, wo, w.shape[1])
+    return x
 
 
 def grid_count_iou(a, b, cell=0.01):

@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
+from mvdetr import backbone as B
 from mvdetr.backbone import FrozenBackbone
 from mvdetr.geometry import BoxXYXY
 from mvdetr.views import crop_resize
 
-from helpers import dense_bilinear_average
+from helpers import dense_bilinear_average, unblocked_extract
 
 
 @pytest.fixture(scope="module")
@@ -49,6 +50,17 @@ class TestExtract:
         with pytest.raises(ValueError) as exc:
             backbone.extract(_image(2, h=100, w=100))
         assert "resize" in str(exc.value)
+
+    @pytest.mark.parametrize("n,size,per_block", [(3, 128, 1), (5, 64, 4)],
+                             ids=["image_per_block", "remainder_block"])
+    def test_blocked_equals_unblocked_oracle(self, backbone, n, size, per_block):
+        # one 128x128 view per block (three blocks); 64x64 crops four to a
+        # block (blocks of 4 + 1)
+        assert B._BLOCK_PIXELS // (size * size) == per_block
+        batch = np.stack([_image(40 + i, size, size) for i in range(n)])
+        out = backbone.extract_batch(batch)
+        assert out.dtype == np.float32 and out.shape == (n, size // 8, size // 8, 64)
+        np.testing.assert_array_equal(out, unblocked_extract(backbone, batch))
 
     def test_no_gradient_leaks(self, backbone):
         out = backbone.extract(_image(3))

@@ -74,6 +74,18 @@ class TestExitCodes:
         assert main(argv) == 1
         assert "epochs must be at least 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--seeds", "--epochs"])
+    def test_probe_count_below_one_is_one(self, workspace, capsys, flag):
+        # rejected while parsing, before the (missing) checkpoint is read
+        root, cfg, manifest = workspace
+        rc = main(["probe", "--config", cfg, "--data", manifest,
+                   "--eval-data", manifest, "--init", str(root / "none.ckpt"),
+                   flag, "0"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ")
+        assert f"argument {flag}: must be at least 1" in err
+
     def test_missing_data_is_two(self, workspace):
         root, cfg, _ = workspace
         rc = main(["pretrain", "--config", cfg, "--data",

@@ -107,6 +107,24 @@ class TestAttention:
             assert gf.dtype == np.float32
             np.testing.assert_array_equal(gf, gr)
 
+    @pytest.mark.parametrize("b,n,c,per_block", [(3, 256, 16, 1), (5, 128, 32, 4)],
+                             ids=["item_per_block", "remainder_block"])
+    def test_multi_block_bit_identical_to_composed(self, b, n, c, per_block):
+        # float32 probabilities of 4 heads: one n=256 item fills a whole block
+        # (three blocks); n=128 items go four to a block (blocks of 4 + 1)
+        assert T._ATTENTION_BLOCK_BYTES // (4 * n * n * 4) == per_block
+        rng = np.random.default_rng(24)
+        arrays = [rng.standard_normal((b, n, c)).astype(np.float32) for _ in range(3)]
+        w = rng.standard_normal((b, n, c)).astype(np.float32)
+        fused = self._run(T.attention, arrays, w)
+        ref = self._run(composed_attention, arrays, w)
+        np.testing.assert_array_equal(fused[0], ref[0])
+        np.testing.assert_array_equal(fused[1], ref[1])
+        assert len(fused[2]) == 3
+        for gf, gr in zip(fused[2], ref[2]):
+            assert gf.dtype == np.float32
+            np.testing.assert_array_equal(gf, gr)
+
     def test_probabilities_read_only(self):
         rng = np.random.default_rng(22)
         q, k, v = (Tensor(rng.standard_normal((1, 3, 8)).astype(np.float32),

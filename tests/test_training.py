@@ -211,6 +211,12 @@ class TestTooFewImages:
             TR.run_finetune(cfg, labeled, seed=1, log=lambda msg: None)
 
 
+@pytest.mark.parametrize("epochs", [0, -1])
+def test_finetune_rejects_fewer_than_one_epoch(labeled, epochs):
+    with pytest.raises(ValueError, match=f"at least 1 epoch, got {epochs}"):
+        TR.run_finetune(small_cfg(), labeled, seed=1, epochs=epochs)
+
+
 class TestFinetune:
     def test_loss_decreases(self, labeled):
         cfg = small_cfg()
