@@ -1,11 +1,12 @@
 """Frozen, seeded convolutional feature extractor.
 
 Three stride-2 3x3 conv layers (3 -> 16 -> 32 -> 64) with ReLU, He-style
-initialization drawn once from the seed, never updated. Produces image-level
-feature maps at stride 8, pooled object-level region features (RoIAlign on
-the map), and pooled crop-level region features (each box resampled from the
-image, then extracted). Outputs are gradient-free leaves: no backbone
-parameter ever reaches an optimizer.
+initialization drawn once from the seed, never updated. Every entry point
+takes a batch and returns plain arrays (no backbone parameter ever reaches an
+optimizer): image-level feature maps at stride 8 (`extract_batch`), pooled
+object-level region features (RoIAlign on each map, `object_level_features`),
+and pooled crop-level region features (each box resampled from its image,
+then extracted, `crop_features_multi`). A single image is a batch of one.
 
 `extract_batch` runs all three layers on one block of images before it moves
 to the next, with a fixed input-pixel budget per block, so a block's im2col
@@ -27,7 +28,7 @@ import numpy as np
 
 from .geometry import BoxXYXY, bilinear_taps, resample, roi_align
 from .rng import Rng
-from .tensor import Tensor, tmean
+from .tensor import Tensor
 
 
 def _conv_forward(x: np.ndarray, weight: np.ndarray, bias: np.ndarray) -> np.ndarray:
@@ -95,16 +96,17 @@ class FrozenBackbone:
             out[lo:lo + step] = x
         return out
 
-    def extract(self, pixels: np.ndarray) -> Tensor:
-        """Image-level features of one (H, W, 3) image; gradient-free leaf."""
-        return Tensor(self.extract_batch(pixels[None])[0])
-
-    def object_level_features(self, h: Tensor, boxes: list[BoxXYXY]) -> Tensor:
-        """RoIAlign on the feature map (boxes in view pixels), then spatial mean."""
-        fboxes = [BoxXYXY(b.x1 / self.stride, b.y1 / self.stride,
-                          b.x2 / self.stride, b.y2 / self.stride) for b in boxes]
-        pooled = roi_align(h, fboxes, (4, 4))
-        return tmean(pooled, axis=(1, 2))
+    def object_level_features(self, maps: np.ndarray, box_groups: list[list[BoxXYXY]]
+                              ) -> np.ndarray:
+        """RoIAlign each (H1, W1, C) map of `maps` on its own boxes (in view
+        pixels), then take the spatial mean: (n_maps, n, C), rows in map
+        order. Every group must hold the same number n of boxes."""
+        out = np.empty((len(maps), len(box_groups[0]), maps.shape[-1]), dtype=maps.dtype)
+        for i, boxes in enumerate(box_groups):
+            fboxes = [BoxXYXY(b.x1 / self.stride, b.y1 / self.stride,
+                              b.x2 / self.stride, b.y2 / self.stride) for b in boxes]
+            out[i] = roi_align(Tensor(maps[i]), fboxes, (4, 4)).data.mean(axis=(1, 2))
+        return out
 
     def crop_features_multi(self, groups: list[tuple[np.ndarray, list[BoxXYXY]]]
                             ) -> np.ndarray:

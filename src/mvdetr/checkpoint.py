@@ -8,9 +8,9 @@ Layout (all integers little-endian):
                u8 rank, rank x u64 dims, raw little-endian f32 payload
     trailing u64: byte length of everything before the trailer
 
-Non-tensor state (config text, seeds, epoch counters) rides along
-as reserved "__meta__.*" entries encoded into exact small-integer f32 values,
-so the round trip stays bit-identical.
+Non-tensor state (config text, epoch counter) rides along as reserved
+"__meta__.*" entries encoded into exact small-integer f32 values, so the
+round trip stays bit-identical.
 """
 
 from __future__ import annotations
@@ -94,14 +94,3 @@ def text_to_array(text: str) -> np.ndarray:
 
 def array_to_text(arr: np.ndarray) -> str:
     return arr.astype(np.uint8).tobytes().decode("utf-8")
-
-
-def u64_to_array(value: int) -> np.ndarray:
-    """One u64 as four 16-bit chunks, each exactly representable in f32."""
-    chunks = [(value >> (16 * i)) & 0xFFFF for i in range(4)]
-    return np.array(chunks, dtype=np.float32)
-
-
-def array_to_u64(arr: np.ndarray) -> int:
-    chunks = [int(round(float(v))) for v in arr]
-    return sum(c << (16 * i) for i, c in enumerate(chunks))

@@ -201,6 +201,7 @@ def _cmd_probe(args, argv) -> int:
     from .backbone import FrozenBackbone
     cfg = _load_config(args)
     cfg.finetune_freeze_transformer = True
+    cfg.finetune_epochs = args.epochs
     train_items = [labeled_item(px, b, l) for px, b, l in load_dataset(args.data)]
     eval_set = load_dataset(args.eval_data)
     params = _load_params(args.init, cfg)
@@ -210,8 +211,7 @@ def _cmd_probe(args, argv) -> int:
     for label, init_arrays in (("pretrained", params), ("random", None)):
         ar1s, ar10s = [], []
         for s in range(args.seeds):
-            model, _ = run_finetune(cfg, train_items, seed=s, init_arrays=init_arrays,
-                                    epochs=args.epochs)
+            model, _ = run_finetune(cfg, train_items, seed=s, init_arrays=init_arrays)
             report = evaluate_model(model, backbone, eval_set, cfg.data_classes,
                                     view_size=cfg.view_size)
             ar1s.append(report.ar1)

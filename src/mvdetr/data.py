@@ -3,7 +3,8 @@ backgrounds, stored as binary PPM (P6) plus a line-oriented manifest.
 
 Manifest layout: a header line `manifest v1 <image count>`, then one block
 per image separated by blank lines; each block line reads
-`<image_path> <x1> <y1> <x2> <y2> <label>`. Generation is a pure function of
+`<image_path> <x1> <y1> <x2> <y2> <label>`. Loading rejects a manifest whose
+count is not an integer or differs from the number of image blocks. Generation is a pure function of
 (spec, seed) down to the file bytes.
 """
 
@@ -18,7 +19,6 @@ import numpy as np
 from .geometry import BoxXYXY, box_iou
 from .rng import Rng, derive_seed, uniform_field
 
-CLASS_NAMES = ("circle", "square", "triangle")
 MANIFEST_NAME = "manifest.txt"
 
 
@@ -194,8 +194,14 @@ def load_dataset(manifest_path: str) -> list[tuple[np.ndarray, list[BoxXYXY], li
     base = os.path.dirname(manifest_path)
     with open(manifest_path, encoding="ascii") as f:
         lines = f.read().splitlines()
-    if not lines or not lines[0].startswith("manifest v1"):
+    header = lines[0].split() if lines else []
+    if header[:2] != ["manifest", "v1"] or len(header) != 3:
         raise ValueError(f"{manifest_path}:1: bad or missing manifest header")
+    try:
+        declared = int(header[2])
+    except ValueError:
+        raise ValueError(f"{manifest_path}:1: image count {header[2]!r} "
+                         "is not an integer") from None
     blocks: dict[str, tuple[list[BoxXYXY], list[int]]] = {}
     order: list[str] = []
     for lineno, line in enumerate(lines[1:], start=2):
@@ -216,6 +222,9 @@ def load_dataset(manifest_path: str) -> list[tuple[np.ndarray, list[BoxXYXY], li
             order.append(name)
         blocks[name][0].append(BoxXYXY(x1, y1, x2, y2))
         blocks[name][1].append(label)
+    if len(order) != declared:
+        raise ValueError(f"{manifest_path}: header declares {declared} images, "
+                         f"found {len(order)} image blocks")
     out = []
     for name in order:
         pixels = read_ppm(os.path.join(base, name))

@@ -80,43 +80,12 @@ def box_iou(a: BoxXYXY, b: BoxXYXY) -> float:
     return inter / union
 
 
-def box_giou(a: BoxXYXY, b: BoxXYXY) -> float:
-    ix = max(0.0, min(a.x2, b.x2) - max(a.x1, b.x1))
-    iy = max(0.0, min(a.y2, b.y2) - max(a.y1, b.y1))
-    inter = ix * iy
-    union = a.area + b.area - inter
-    iou = inter / union if union > _EPS else 0.0
-    hull = (max(a.x2, b.x2) - min(a.x1, b.x1)) * (max(a.y2, b.y2) - min(a.y1, b.y1))
-    if hull <= _EPS:
-        return iou
-    return iou - (hull - union) / hull
-
-
 def to_cxcywh(box: BoxXYXY, frame_w: float, frame_h: float) -> BoxCxCyWH:
     """Pixel corners to normalized center-size."""
     if frame_w <= 0 or frame_h <= 0:
         raise ValueError(f"frame dims must be positive, got {frame_w}x{frame_h}")
     cx, cy = box.center()
     return BoxCxCyWH(cx / frame_w, cy / frame_h, box.width / frame_w, box.height / frame_h)
-
-
-def to_xyxy(box: BoxCxCyWH, frame_w: float, frame_h: float) -> tuple[BoxXYXY, bool]:
-    """Normalized center-size to pixel corners.
-
-    Out-of-range inputs are clamped into the frame; the second return value
-    flags whether clamping occurred.
-    """
-    if frame_w <= 0 or frame_h <= 0:
-        raise ValueError(f"frame dims must be positive, got {frame_w}x{frame_h}")
-    x1 = (box.cx - box.w / 2) * frame_w
-    y1 = (box.cy - box.h / 2) * frame_h
-    x2 = (box.cx + box.w / 2) * frame_w
-    y2 = (box.cy + box.h / 2) * frame_h
-    cx1, cy1 = max(0.0, x1), max(0.0, y1)
-    cx2, cy2 = min(float(frame_w), x2), min(float(frame_h), y2)
-    clamped = (cx1, cy1, cx2, cy2) != (x1, y1, x2, y2)
-    cx2, cy2 = max(cx1, cx2), max(cy1, cy2)
-    return BoxXYXY(cx1, cy1, cx2, cy2), clamped
 
 
 @dataclass(frozen=True)
@@ -137,10 +106,6 @@ class FrameTransform:
     src_h: float
     dst_w: float
     dst_h: float
-
-    @staticmethod
-    def identity(w: float, h: float) -> "FrameTransform":
-        return FrameTransform(0.0, 0.0, 1.0, 1.0, False, w, h, w, h)
 
     def apply_point(self, x: float, y: float) -> tuple[float, float]:
         xo = self.sx * (x - self.dx)

@@ -237,11 +237,10 @@ def export_attention(model: Detr, backbone: FrozenBackbone, pixels: np.ndarray,
     os.makedirs(out_dir, exist_ok=True)
     if view_size is not None:
         pixels = resize_to_view(pixels, view_size)
-    h = backbone.extract(pixels)
-    c, hw = model.encode(h)
+    c, hw = model.encode(Tensor(backbone.extract_batch(pixels[None])))  # a batch of one
     q_hat, attn = model.decode(c, hw, z=None)
     boxes, _, match = model.predict(q_hat)
-    mean_attn = attn.data.mean(axis=0)  # (N, L)
+    mean_attn = attn.data[0].mean(axis=0)  # (N, L)
     paths = []
     for qi in range(mean_attn.shape[0]):
         amap = mean_attn[qi].reshape(hw)
@@ -255,9 +254,9 @@ def export_attention(model: Detr, backbone: FrozenBackbone, pixels: np.ndarray,
         paths.append(path)
     sidecar = os.path.join(out_dir, f"{prefix}_boxes.txt")
     with open(sidecar, "w", encoding="ascii") as f:
-        for qi in range(boxes.data.shape[0]):
-            cx, cy, w, bh = (float(v) for v in boxes.data[qi])
+        for qi in range(boxes.data.shape[1]):
+            cx, cy, w, bh = (float(v) for v in boxes.data[0, qi])
             f.write(f"{qi} {cx:.6f} {cy:.6f} {w:.6f} {bh:.6f} "
-                    f"{float(match.data[qi, 0]):.6f}\n")
+                    f"{float(match.data[0, qi, 0]):.6f}\n")
     paths.append(sidecar)
     return paths

@@ -1,5 +1,9 @@
 """DETR-style encoder/decoder with two-view conditioned cross-attention.
 
+Every forward entry point takes a batch: `mha` (B, N, C) inputs, `encode`
+(B, H, W, C) feature maps, and `decode` a (B, L, C) context with (B, N, Cb)
+region features. A single image is a batch of one.
+
 The decoder's cross-attention accepts optional region features from the
 other view: they are projected and added to the learnable object queries, so
 the query positional term becomes (queries + projected regions). With no
@@ -32,7 +36,6 @@ class TransformerConfig:
     n_queries: int = 10
     in_channels: int = 64   # backbone feature channels
     sem_dim: int = 64       # semantic head output width (matches in_channels)
-    projector_identity: bool = False  # bypass the projector MLP (tests only)
 
     def __post_init__(self):
         if self.d_model % self.heads:
@@ -152,29 +155,20 @@ class Detr:
 
     def mha(self, prefix: str, q_in: Tensor, k_in: Tensor, v_in: Tensor
             ) -> tuple[Tensor, Tensor]:
-        """Multi-head attention on (Nq, C) or batched (B, Nq, C) inputs.
+        """Multi-head attention of (B, Nq, C) queries over (B, L, C) keys/values.
 
-        Returns (output, attention weights); weights are (heads, Nq, L) for
-        single inputs and (B, heads, Nq, L) batched. The weights are the
-        buffer the attention backward reads: they are read-only and carry no
-        gradient.
+        Returns (output (B, Nq, C), attention weights (B, heads, Nq, L)). The
+        weights are the buffer the attention backward reads: they are
+        read-only and carry no gradient.
         """
-        c, heads = self.config.d_model, self.config.heads
+        c = self.config.d_model
         if q_in.data.shape[-1] != c or k_in.data.shape[-1] != c:
             raise T.ShapeError(f"mha: inputs must have width {c}, got "
                                f"{q_in.data.shape} / {k_in.data.shape}")
-        single = q_in.data.ndim == 2
-        if single:
-            q_in = T.reshape(q_in, (1,) + q_in.data.shape)
-            k_in = T.reshape(k_in, (1,) + k_in.data.shape)
-            v_in = T.reshape(v_in, (1,) + v_in.data.shape)
         mixed, attn = T.attention(self._lin(f"{prefix}.f_q", q_in),
                                   self._lin(f"{prefix}.f_k", k_in),
-                                  self._lin(f"{prefix}.f_v", v_in), heads)
-        out = self._lin(f"{prefix}.out", mixed)
-        if single:
-            return T.reshape(out, out.data.shape[1:]), Tensor(attn[0])
-        return out, Tensor(attn)
+                                  self._lin(f"{prefix}.f_v", v_in), self.config.heads)
+        return self._lin(f"{prefix}.out", mixed), Tensor(attn)
 
     # -- positional embedding --------------------------------------------------------
 
@@ -187,21 +181,12 @@ class Detr:
 
     # -- forward paths -----------------------------------------------------------------
 
-    def encode(self, h: Tensor, pos_override: np.ndarray | None = None
-               ) -> tuple[Tensor, tuple[int, int]]:
-        """Backbone features to global context.
-
-        Accepts (H1, W1, Cb) or a batch (B, H1, W1, Cb); returns context of
-        shape (H1*W1, C) or (B, H1*W1, C) plus the spatial dims.
-        """
-        if h.data.ndim not in (3, 4):
-            raise T.ShapeError(f"encode expects (H, W, C) features or a batch, "
-                               f"got {h.data.shape}")
-        single = h.data.ndim == 3
-        hh, ww, cb = h.data.shape[-3:]
-        b = 1 if single else h.data.shape[0]
-        pos_arr = self.positional(hh, ww) if pos_override is None else pos_override
-        pos = Tensor(pos_arr)  # (L, C): broadcasts over the batch dim
+    def encode(self, h: Tensor) -> tuple[Tensor, tuple[int, int]]:
+        """(B, H1, W1, Cb) backbone features to (B, H1*W1, C) context plus (H1, W1)."""
+        if h.data.ndim != 4:
+            raise T.ShapeError(f"encode expects (B, H, W, C) features, got {h.data.shape}")
+        b, hh, ww, cb = h.data.shape
+        pos = Tensor(self.positional(hh, ww))  # (L, C): broadcasts over the batch dim
         x = self._lin("input_proj", T.reshape(h, (b, hh * ww, cb)))
         for i in range(self.config.enc_layers):
             p = f"encoder.layer{i}"
@@ -210,40 +195,29 @@ class Detr:
             x = self._ln(f"{p}.norm1", T.add(x, a))
             f = self._lin(f"{p}.ffn.fc2", T.relu(self._lin(f"{p}.ffn.fc1", x)))
             x = self._ln(f"{p}.norm2", T.add(x, f))
-        if single:
-            x = T.reshape(x, (hh * ww, self.config.d_model))
         return x, (hh, ww)
 
     def decode(self, context: Tensor, hw: tuple[int, int],
-               z: Tensor | None = None,
-               pos_override: np.ndarray | None = None
-               ) -> tuple[Tensor, Tensor]:
-        """Query decoding against view context ((L, C) or batched (B, L, C)).
+               z: Tensor | None = None) -> tuple[Tensor, Tensor]:
+        """Query decoding against (B, L, C) view context.
 
-        z, when given, holds the other view's pooled region features with
-        one row per query ((N, Cb), batched (B, N, Cb)); they are projected
-        and added to the object queries. Returns (decoded queries, final
-        layer cross-attention weights (heads, N, L), batched with a leading
-        B).
+        z, when given, holds the other view's pooled region features, (B, N,
+        Cb) with one row per query; they are projected and added to the
+        object queries. Returns (decoded queries (B, N, C), final layer
+        cross-attention weights (B, heads, N, L)).
         """
         n_q = self.config.n_queries
-        single = context.data.ndim == 2
         phi_q = self.params["query_embed.weight"]
         if z is not None:
-            if z.data.shape[-2] != n_q:
-                raise T.ShapeError(f"region features rows {z.data.shape[-2]} must equal "
-                                   f"query count {n_q} during pretraining")
-            if (z.data.ndim == 2) != single:
-                raise T.ShapeError("region features and context must agree on batching")
+            if z.data.ndim != 3 or z.data.shape[1] != n_q:
+                raise T.ShapeError(f"region features must be (B, {n_q}, C), one row "
+                                   f"per query, got {z.data.shape}")
             qpos = T.add(T.affine(z, self.params["z_proj.weight"]), phi_q)
         else:
             qpos = phi_q
-        pos_arr = self.positional(*hw) if pos_override is None else pos_override
-        pos = Tensor(pos_arr)
-        kv = T.add(context, pos)
-        b = 1 if single else context.data.shape[0]
-        y_shape = (n_q, self.config.d_model) if single else (b, n_q, self.config.d_model)
-        y = Tensor(np.zeros(y_shape, dtype=context.data.dtype))
+        kv = T.add(context, Tensor(self.positional(*hw)))
+        y = Tensor(np.zeros((context.data.shape[0], n_q, self.config.d_model),
+                            dtype=context.data.dtype))
         attn = None
         self.decoder_layer_outputs: list[Tensor] = []
         for i in range(self.config.dec_layers):
@@ -259,7 +233,8 @@ class Detr:
         return y, attn
 
     def predict(self, q_hat: Tensor) -> tuple[Tensor, Tensor, Tensor]:
-        """Heads on decoded queries: boxes (N,4 in (0,1)), semantics, match score."""
+        """Heads on (B, N, C) decoded queries: boxes (B, N, 4) in (0, 1),
+        semantics, match score."""
         t = T.relu(self._lin("head.box.fc0", q_hat))
         t = T.relu(self._lin("head.box.fc1", t))
         boxes = T.sigmoid(self._lin("head.box.fc2", t))
@@ -274,8 +249,6 @@ class Detr:
 
     def project_context(self, pooled: Tensor) -> Tensor:
         """Projector MLP on pooled (B, C) contexts: FC-BN-ReLU x2 then FC."""
-        if self.config.projector_identity:
-            return pooled
         if pooled.data.ndim != 2:
             raise T.ShapeError(f"projector expects (B, C), got {pooled.data.shape}")
         x = self._lin("projector.fc0", pooled)

@@ -48,10 +48,6 @@ class AdamW:
             v_hat = self.v[name] / bc2
             p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
-    def zero_grad(self) -> None:
-        for name in self.names:
-            self.params[name].grad = None
-
     # -- checkpoint plumbing -----------------------------------------------------
 
     def state_arrays(self) -> dict[str, np.ndarray]:

@@ -82,9 +82,6 @@ class Tensor:
         out._op = "detach"
         return out
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def accumulate_grad(self, g: np.ndarray) -> None:
         """Add g to this tensor's gradient, adopting g itself when it is the first.
 
@@ -124,26 +121,14 @@ class Tensor:
     def __add__(self, other):
         return add(self, _wrap(other, self))
 
-    def __radd__(self, other):
-        return add(_wrap(other, self), self)
-
     def __sub__(self, other):
         return sub(self, _wrap(other, self))
-
-    def __rsub__(self, other):
-        return sub(_wrap(other, self), self)
 
     def __mul__(self, other):
         return mul(self, _wrap(other, self))
 
     def __rmul__(self, other):
         return mul(_wrap(other, self), self)
-
-    def __truediv__(self, other):
-        return div(self, _wrap(other, self))
-
-    def __neg__(self):
-        return mul(self, _wrap(-1.0, self))
 
     def __matmul__(self, other):
         return matmul(self, other)
@@ -653,14 +638,7 @@ def batch_norm_1d(x: Tensor, scale: Tensor, shift: Tensor, eps: float = 1e-5) ->
     return _make(data, (x, scale, shift), "batch_norm_1d", backward)
 
 
-# -- pooling and similarity --------------------------------------------------------
-
-
-def global_average_pool(x: Tensor) -> Tensor:
-    """Spatial mean: collapse every axis except the last (channel) one."""
-    if x.data.ndim < 2:
-        raise ShapeError(f"global_average_pool expects >= 2 dims, got {x.data.shape}")
-    return tmean(x, axis=tuple(range(x.data.ndim - 1)))
+# -- similarity ----------------------------------------------------------------------
 
 
 def l2_normalize(x: Tensor, eps_check: float = 1e-12) -> Tensor:

@@ -17,8 +17,7 @@ import numpy as np
 from . import losses as L
 from . import tensor as T
 from .backbone import FrozenBackbone
-from .checkpoint import (array_to_text, load_checkpoint, save_checkpoint,
-                         text_to_array, u64_to_array)
+from .checkpoint import array_to_text, load_checkpoint, save_checkpoint, text_to_array
 from .config import RunConfig
 from .geometry import BoxXYXY, to_cxcywh
 from .losses import LossBreakdown
@@ -60,10 +59,11 @@ def make_model(cfg: RunConfig, backbone: FrozenBackbone) -> Detr:
     return Detr(model_config_from(cfg, backbone), seed=derive_seed(cfg.seed, 11))
 
 
-def boxes_to_targets(boxes: list[BoxXYXY], frame: float) -> np.ndarray:
+def boxes_to_targets(boxes: list[BoxXYXY], frame_w: float, frame_h: float) -> np.ndarray:
+    """Pixel boxes as an (m, 4) float32 array of normalized cxcywh rows."""
     out = np.zeros((len(boxes), 4), dtype=np.float32)
     for i, b in enumerate(boxes):
-        c = to_cxcywh(b, frame, frame)
+        c = to_cxcywh(b, frame_w, frame_h)
         out[i] = (c.cx, c.cy, c.w, c.h)
     return out
 
@@ -95,15 +95,10 @@ def pretrain_step(model: Detr, backbone: FrozenBackbone, optimizer: AdamW,
     h_all = backbone.extract_batch(all_views)  # (2B, H1, W1, Cb), frozen
     ctx_all, hw = model.encode(Tensor(h_all))  # (2B, L, C)
 
-    # pooled region features z (no tape: h is a frozen leaf)
-    z_rows = []
-    for i, pair in enumerate(pairs):
-        z_rows.append(backbone.object_level_features(
-            Tensor(h_all[i]), pair.proposals1).data)
-    for i, pair in enumerate(pairs):
-        z_rows.append(backbone.object_level_features(
-            Tensor(h_all[b + i]), pair.proposals2).data)
-    z1s, z2s = np.stack(z_rows[:b]), np.stack(z_rows[b:])
+    # pooled region features z of [view1 x B, view2 x B] (no tape: h is frozen)
+    z_all = backbone.object_level_features(
+        h_all, [p.proposals1 for p in pairs] + [p.proposals2 for p in pairs])
+    z1s, z2s = z_all[:b], z_all[b:]
 
     if need_region:
         if cfg.loss_region_target == "crop":
@@ -115,14 +110,13 @@ def pretrain_step(model: Detr, backbone: FrozenBackbone, optimizer: AdamW,
         else:  # object-level targets reuse z
             r_src1, r_src2 = z1s, z2s
 
-    targets1 = [boxes_to_targets(p.proposals1, size) for p in pairs]
-    targets2 = [boxes_to_targets(p.proposals2, size) for p in pairs]
+    targets1 = [boxes_to_targets(p.proposals1, size, size) for p in pairs]
+    targets2 = [boxes_to_targets(p.proposals2, size, size) for p in pairs]
 
     # decode: directions 1->2 use (c2, z1), then 2->1 use (c1, z2)
     ctx_dec = T.concatenate([T.narrow(ctx_all, 0, b, b),
                              T.narrow(ctx_all, 0, 0, b)], axis=0)
-    z_dec = Tensor(np.concatenate([z1s, z2s]))
-    q_hat, _ = model.decode(ctx_dec, hw, z=z_dec)
+    q_hat, _ = model.decode(ctx_dec, hw, z=Tensor(z_all))
     boxes, sem, match = model.predict(q_hat)
 
     dir_targets = targets2 + targets1
@@ -165,11 +159,17 @@ def pretrain_step(model: Detr, backbone: FrozenBackbone, optimizer: AdamW,
 
     total, breakdown = L.total_loss(loc_total, global_total, region_total,
                                     (lam_r, lam_g, lam_loc))
+    _update(model, optimizer, total, cfg)
+    return breakdown
+
+
+def _update(model: Detr, optimizer: AdamW, total: Tensor, cfg: RunConfig) -> float:
+    """Backward from the loss, clip the optimizer's gradients, take one step."""
     model.zero_grads()
     total.backward()
-    clip_global_norm(model.params, cfg.train_clip_norm)
+    clip_global_norm(optimizer.params, cfg.train_clip_norm)
     optimizer.step()
-    return breakdown
+    return float(total.data)
 
 
 def _sum_tensors(ts: list[Tensor]) -> Tensor:
@@ -191,44 +191,30 @@ class LabeledItem:
 
 def labeled_item(pixels: np.ndarray, boxes: list[BoxXYXY], labels: list[int]) -> LabeledItem:
     h, w = pixels.shape[:2]
-    arr = np.zeros((len(boxes), 4), dtype=np.float32)
-    for i, b in enumerate(boxes):
-        c = to_cxcywh(b, w, h)
-        arr[i] = (c.cx, c.cy, c.w, c.h)
-    return LabeledItem(pixels=pixels, boxes=arr,
+    return LabeledItem(pixels=pixels, boxes=boxes_to_targets(boxes, w, h),
                        labels=np.asarray(labels, dtype=np.int64))
 
 
-def finetune_step(model: Detr, optimizer: AdamW, features: list[Tensor],
+def finetune_step(model: Detr, optimizer: AdamW, features: np.ndarray,
                   items: list[LabeledItem], cfg: RunConfig) -> float:
-    """One supervised set-prediction step over cached backbone features."""
-    feats = Tensor(np.stack([f.data for f in features]))
-    c, hw = model.encode(feats)
+    """One supervised set-prediction step over the batch's cached (B, H1, W1,
+    C) backbone features, transformer trainable."""
+    c, hw = model.encode(Tensor(features))
     q_hat, _ = model.decode(c, hw, z=None)
-    if cfg.finetune_freeze_transformer:
-        q_hat = q_hat.detach()
-    if cfg.model_aux_loss and not cfg.finetune_freeze_transformer:
+    if cfg.model_aux_loss:
         # deep supervision: the set loss on every decoder layer's output
         total = _sum_tensors([_batched_set_loss(model, layer_q, items, cfg)
                               for layer_q in model.decoder_layer_outputs])
     else:
         total = _batched_set_loss(model, q_hat, items, cfg)
-    model.zero_grads()
-    total.backward()
-    clip_global_norm(optimizer.params, cfg.train_clip_norm)
-    optimizer.step()
-    return float(total.data)
+    return _update(model, optimizer, total, cfg)
 
 
 def finetune_step_cached(model: Detr, optimizer: AdamW, q_rows: np.ndarray,
                          items: list[LabeledItem], cfg: RunConfig) -> float:
     """Head-only step on precomputed decoded queries (frozen transformer)."""
     total = _batched_set_loss(model, Tensor(q_rows), items, cfg)
-    model.zero_grads()
-    total.backward()
-    clip_global_norm(optimizer.params, cfg.train_clip_norm)
-    optimizer.step()
-    return float(total.data)
+    return _update(model, optimizer, total, cfg)
 
 
 def _batched_set_loss(model: Detr, q_hat: Tensor, items: list[LabeledItem],
@@ -261,8 +247,6 @@ def checkpoint_entries(model: Detr, optimizer: AdamW | None, cfg: RunConfig,
             entries[f"opt.{name}"] = arr
     entries[META_PREFIX + "config"] = text_to_array(cfg.resolved_text())
     entries[META_PREFIX + "epoch"] = np.array([next_epoch], dtype=np.float32)
-    entries[META_PREFIX + "backbone_seed"] = u64_to_array(cfg.backbone_seed)
-    entries[META_PREFIX + "seed"] = u64_to_array(cfg.seed)
     return entries
 
 
@@ -280,18 +264,14 @@ ARCHITECTURE_KEYS = ("model.d_model", "model.heads", "model.enc_layers",
                      "backbone.seed", "view.size")
 
 
+def _config_values(text: str) -> dict[str, str]:
+    return dict(line.split("=", 1) for line in text.splitlines() if "=" in line)
+
+
 def check_architecture(meta: dict[str, np.ndarray], cfg: RunConfig) -> None:
     """Reject checkpoints whose architecture keys differ from the config."""
-    stored = {}
-    for line in array_to_text(meta["config"]).splitlines():
-        if "=" in line:
-            k, v = line.split("=", 1)
-            stored[k] = v
-    current = {}
-    for line in cfg.resolved_text().splitlines():
-        if "=" in line:
-            k, v = line.split("=", 1)
-            current[k] = v
+    stored = _config_values(array_to_text(meta["config"]))
+    current = _config_values(cfg.resolved_text())
     mismatched = [k for k in ARCHITECTURE_KEYS if stored.get(k) != current.get(k)]
     if mismatched:
         detail = ", ".join(f"{k}: checkpoint={stored.get(k)} config={current.get(k)}"
@@ -337,6 +317,8 @@ def run_pretrain(cfg: RunConfig, images: list[np.ndarray], out_dir: str,
     csv_path = os.path.join(out_dir, "metrics.csv")
     mode = "a" if resume_from is not None and os.path.exists(csv_path) else "w"
     step = start_epoch * (len(images) // batch)
+    if mode == "a":
+        _drop_rows_from(csv_path, step)
     final_path = resume_from  # stays so when no epoch is left to run
     with open(csv_path, mode, newline="") as f:
         writer = csv.writer(f)
@@ -363,6 +345,19 @@ def run_pretrain(cfg: RunConfig, images: list[np.ndarray], out_dir: str,
     return final_path, csv_path
 
 
+def _drop_rows_from(csv_path: str, first_step: int) -> None:
+    """Cut metrics rows for steps >= first_step, which a resumed run writes
+    again (left there when the run went on past the resumed checkpoint, or
+    crashed mid-epoch); a partly written last line goes too."""
+    with open(csv_path, newline="") as f:
+        lines = f.readlines()
+    keep = lines[:1] + [ln for ln in lines[1:]
+                        if ln.endswith("\n") and int(ln.split(",", 1)[0]) < first_step]
+    if len(keep) < len(lines):
+        with open(csv_path, "w", newline="") as f:
+            f.writelines(keep)
+
+
 def _fmt(x: float) -> str:
     # %.9g round-trips float32 exactly; resume comparisons rely on it
     return f"{np.float32(x):.9g}"
@@ -370,11 +365,10 @@ def _fmt(x: float) -> str:
 
 def run_finetune(cfg: RunConfig, items: list[LabeledItem], seed: int,
                  init_arrays: dict[str, np.ndarray] | None = None,
-                 epochs: int | None = None,
                  log=None) -> tuple[Detr, list[float]]:
     """Supervised finetuning; init_arrays (from a pretraining checkpoint)
     seeds the transformer, the class head is always fresh."""
-    n_epochs = cfg.finetune_epochs if epochs is None else epochs
+    n_epochs = cfg.finetune_epochs
     if n_epochs < 1:
         raise ValueError(f"finetune needs at least 1 epoch, got {n_epochs}")
     _require_full_batch(len(items), cfg.finetune_batch_size, "finetune.batch_size")
@@ -385,14 +379,17 @@ def run_finetune(cfg: RunConfig, items: list[LabeledItem], seed: int,
     model.add_class_head(cfg.data_classes, seed=derive_seed(seed, 0xC1))
     params = trainable_params(model, cfg.finetune_freeze_transformer)
     optimizer = AdamW(params, lr=cfg.train_lr, weight_decay=cfg.train_weight_decay)
-    features = [backbone.extract(resize_to_view(item.pixels, cfg.view_size))
-                for item in items]
+    # one image at a time, so the resized inputs are never all held at once
+    side = cfg.view_size // backbone.stride
+    features = np.empty((len(items), side, side, backbone.out_channels), np.float32)
+    for i, item in enumerate(items):
+        pixels = resize_to_view(item.pixels, cfg.view_size)
+        features[i] = backbone.extract_batch(pixels[None])[0]
     cached_q = None
     if cfg.finetune_freeze_transformer:
         # the frozen transformer maps each image to a fixed query embedding;
         # decode once and train the heads on the cached result
-        feats = Tensor(np.stack([f.data for f in features]))
-        c, hw = model.encode(feats)
+        c, hw = model.encode(Tensor(features))
         cached_q = model.decode(c, hw, z=None)[0].data
 
     batch = cfg.finetune_batch_size
@@ -409,8 +406,7 @@ def run_finetune(cfg: RunConfig, items: list[LabeledItem], seed: int,
                 loss = finetune_step_cached(model, optimizer, cached_q[idx],
                                             batch_items, cfg)
             else:
-                loss = finetune_step(model, optimizer,
-                                     [features[i] for i in idx], batch_items, cfg)
+                loss = finetune_step(model, optimizer, features[idx], batch_items, cfg)
             losses.append(loss)
         if log:
             log(f"finetune epoch {epoch + 1}/{n_epochs}; loss {losses[-1]:.4f}")

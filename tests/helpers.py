@@ -1,12 +1,12 @@
 """Shared test oracles.
 
 These deliberately avoid the library's own computation paths: gradients come
-from central finite differences, box overlaps from grid-cell counting, and
-RoIAlign references from dense sampling. Oracles run in float64. The two
-exceptions are held to exact bits instead: the attention reference composes
-the library's generic primitives (themselves gradient-checked), and the
-backbone reference runs each float32 conv layer as one GEMM over the whole
-batch.
+from central finite differences, box overlaps from grid-cell counting (with
+a closed-form GIoU checked against it), and RoIAlign references from dense
+sampling. Oracles run in float64. The two exceptions are held to exact bits
+instead: the attention reference composes the library's generic primitives
+(themselves gradient-checked), and the backbone reference runs each float32
+conv layer as one GEMM over the whole batch.
 """
 
 import math
@@ -140,6 +140,20 @@ def grid_count_iou(a, b, cell=0.01):
     hull = centers_inside(hx1, hx2) * centers_inside(hy1, hy2)
     giou = iou - (hull - union) / hull if hull > 0 else iou
     return iou, giou
+
+
+def box_giou(a, b):
+    """GIoU oracle in closed form for two BoxXYXY: IoU minus the share of the
+    enclosing hull that the union leaves empty; degenerate unions give 0."""
+    ix = max(0.0, min(a.x2, b.x2) - max(a.x1, b.x1))
+    iy = max(0.0, min(a.y2, b.y2) - max(a.y1, b.y1))
+    inter = ix * iy
+    union = a.area + b.area - inter
+    iou = inter / union if union > 1e-9 else 0.0
+    hull = (max(a.x2, b.x2) - min(a.x1, b.x1)) * (max(a.y2, b.y2) - min(a.y1, b.y1))
+    if hull <= 1e-9:
+        return iou
+    return iou - (hull - union) / hull
 
 
 def dense_bilinear_average(feat, box, out_hw, samples_per_bin=100):

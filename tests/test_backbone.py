@@ -5,7 +5,8 @@ import pytest
 
 from mvdetr import backbone as B
 from mvdetr.backbone import FrozenBackbone
-from mvdetr.geometry import BoxXYXY
+from mvdetr.geometry import BoxXYXY, roi_align
+from mvdetr.tensor import Tensor
 from mvdetr.views import crop_resize
 
 from helpers import dense_bilinear_average, unblocked_extract
@@ -20,15 +21,20 @@ def _image(seed, h=128, w=128):
     return np.random.default_rng(seed).uniform(0, 1, (h, w, 3)).astype(np.float32)
 
 
+def _extract(backbone, img):
+    """Features of one image, run as a batch of one."""
+    return backbone.extract_batch(img[None])[0]
+
+
 class TestExtract:
     def test_output_shape(self, backbone):
-        out = backbone.extract(_image(0))
-        assert out.data.shape == (16, 16, 64)
+        out = _extract(backbone, _image(0))
+        assert out.shape == (16, 16, 64)
 
     def test_bitwise_deterministic(self, backbone):
         img = _image(1)
-        a = backbone.extract(img).data
-        b = backbone.extract(img).data
+        a = _extract(backbone, img)
+        b = _extract(backbone, img)
         assert a.tobytes() == b.tobytes()
 
     def test_same_seed_same_weights(self):
@@ -42,13 +48,13 @@ class TestExtract:
 
     def test_zero_image_stable(self, backbone):
         img = np.zeros((64, 64, 3), dtype=np.float32)
-        a = backbone.extract(img).data
-        b = backbone.extract(img).data
+        a = _extract(backbone, img)
+        b = _extract(backbone, img)
         assert a.tobytes() == b.tobytes()
 
     def test_non_divisible_dims_error(self, backbone):
         with pytest.raises(ValueError) as exc:
-            backbone.extract(_image(2, h=100, w=100))
+            _extract(backbone, _image(2, h=100, w=100))
         assert "resize" in str(exc.value)
 
     @pytest.mark.parametrize("n,size,per_block", [(3, 128, 1), (5, 64, 4)],
@@ -63,46 +69,60 @@ class TestExtract:
         np.testing.assert_array_equal(out, unblocked_extract(backbone, batch))
 
     def test_no_gradient_leaks(self, backbone):
-        out = backbone.extract(_image(3))
-        assert not out.requires_grad and out._parents == ()
+        # plain arrays: nothing the backbone returns can join the tape
+        img = _image(3)
+        h = backbone.extract_batch(img[None])
+        box = [BoxXYXY(8, 8, 40, 40)]
+        for out in (h, backbone.object_level_features(h, [box]),
+                    backbone.crop_features_multi([(img, box)])):
+            assert type(out) is np.ndarray
 
 
 class TestObjectFeatures:
     def test_shape(self, backbone):
-        h = backbone.extract(_image(4))
+        h = backbone.extract_batch(_image(4)[None])
         boxes = [BoxXYXY(8 * i, 8, 8 * i + 32, 56) for i in range(10)]
-        z = backbone.object_level_features(h, boxes)
-        assert z.data.shape == (10, 64)
+        z = backbone.object_level_features(h, [boxes])
+        assert z.shape == (1, 10, 64)
 
     def test_constant_map(self, backbone):
-        import mvdetr.tensor as T
-        h = T.Tensor(np.full((16, 16, 64), 3.0, dtype=np.float32))
-        z = backbone.object_level_features(h, [BoxXYXY(10, 10, 90, 90)])
-        np.testing.assert_allclose(z.data, 3.0, atol=1e-5)
+        h = np.full((1, 16, 16, 64), 3.0, dtype=np.float32)
+        z = backbone.object_level_features(h, [[BoxXYXY(10, 10, 90, 90)]])
+        np.testing.assert_allclose(z, 3.0, atol=1e-5)
+
+    def test_rows_follow_maps_and_equal_roi_align_mean(self, backbone):
+        maps = backbone.extract_batch(np.stack([_image(12 + i) for i in range(3)]))
+        groups = [[BoxXYXY(8 * i + k, 8, 8 * i + 40, 56 - k) for k in range(4)]
+                  for i in range(3)]
+        z = backbone.object_level_features(maps, groups)
+        assert z.shape == (3, 4, 64) and z.dtype == np.float32
+        for i, boxes in enumerate(groups):
+            fboxes = [BoxXYXY(b.x1 / 8, b.y1 / 8, b.x2 / 8, b.y2 / 8) for b in boxes]
+            pooled = roi_align(Tensor(maps[i]), fboxes, (4, 4)).data.mean(axis=(1, 2))
+            np.testing.assert_array_equal(z[i], pooled)
 
     def test_matches_dense_oracle_on_linear_map(self, backbone):
         # pooled z equals the box-average of the interpolant exactly when the
         # field is linear; random per-channel ramps keep the check non-trivial
-        import mvdetr.tensor as T
         rng = np_rng = np.random.default_rng(11)
         ys, xs = np.mgrid[0:16, 0:16].astype(np.float64)
         coef = np_rng.uniform(-1, 1, (3, 64))
         h_lin = (coef[0] + coef[1] * xs[:, :, None] + coef[2] * ys[:, :, None])
         box = BoxXYXY(16, 24, 80, 96)
-        z = backbone.object_level_features(T.Tensor(h_lin.astype(np.float32)), [box])
+        z = backbone.object_level_features(h_lin.astype(np.float32)[None], [[box]])
         fb = (box.x1 / 8, box.y1 / 8, box.x2 / 8, box.y2 / 8)
         oracle = dense_bilinear_average(h_lin, fb, (4, 4))
-        np.testing.assert_allclose(z.data[0], oracle.mean(axis=(0, 1)),
+        np.testing.assert_allclose(z[0, 0], oracle.mean(axis=(0, 1)),
                                    atol=1e-3 * max(1, np.abs(oracle).max()))
 
     def test_near_dense_oracle_on_real_features(self, backbone):
-        h = backbone.extract(_image(5))
+        h = backbone.extract_batch(_image(5)[None])
         box = BoxXYXY(16, 24, 80, 96)
-        z = backbone.object_level_features(h, [box])
+        z = backbone.object_level_features(h, [[box]])
         fb = (box.x1 / 8, box.y1 / 8, box.x2 / 8, box.y2 / 8)
-        oracle = dense_bilinear_average(h.data.astype(np.float64), fb, (4, 4))
+        oracle = dense_bilinear_average(h[0].astype(np.float64), fb, (4, 4))
         # non-linear field: 2x2 sampling only approximates the dense average
-        np.testing.assert_allclose(z.data[0], oracle.mean(axis=(0, 1)), atol=5e-2)
+        np.testing.assert_allclose(z[0, 0], oracle.mean(axis=(0, 1)), atol=5e-2)
 
 
 class TestCropFeatures:
@@ -111,7 +131,7 @@ class TestCropFeatures:
         box = BoxXYXY(0, 0, 128, 128)
         p = backbone.crop_features_multi([(img, [box])])
         resized = crop_resize(img, box, 64, 64)
-        direct = backbone.extract(resized).data.mean(axis=(0, 1))
+        direct = _extract(backbone, resized).mean(axis=(0, 1))
         np.testing.assert_allclose(p[0], direct, atol=1e-6)
 
     def test_constant_crops_identical(self, backbone):
@@ -122,11 +142,11 @@ class TestCropFeatures:
 
     def test_crop_vs_object_features_differ_on_texture(self, backbone):
         img = _image(7)
-        h = backbone.extract(img)
+        h = backbone.extract_batch(img[None])
         box = BoxXYXY(20, 20, 52, 52)
-        z = backbone.object_level_features(h, [box])
+        z = backbone.object_level_features(h, [[box]])
         p = backbone.crop_features_multi([(img, [box])])
-        assert float(np.linalg.norm(p[0] - z.data[0])) > 1e-3
+        assert float(np.linalg.norm(p[0] - z[0, 0])) > 1e-3
 
     def test_degenerate_box_errors(self, backbone):
         with pytest.raises(ValueError):
@@ -141,7 +161,7 @@ class TestCropFeatures:
                                              BoxXYXY(-4.0, 80.0, 30.0, 99.0),
                                              BoxXYXY(20.0, 20.0, 24.0, 23.0)])]
         p = backbone.crop_features_multi(groups)
-        rows = [backbone.extract(crop_resize(img, b, 64, 64)).data.mean(axis=(0, 1))
+        rows = [_extract(backbone, crop_resize(img, b, 64, 64)).mean(axis=(0, 1))
                 for img, boxes in groups for b in boxes]
         assert p.shape == (5, backbone.out_channels)
         np.testing.assert_allclose(p, np.stack(rows), atol=1e-6)

@@ -55,7 +55,3 @@ def test_text_encoding_round_trip():
     text = "view.tau=0.5\nmodel.d_model=64\n"
     assert C.array_to_text(C.text_to_array(text)) == text
 
-
-def test_u64_encoding_round_trip():
-    for value in (0, 1, 0xDEADBEEF, (1 << 64) - 1, 1234567890123456789):
-        assert C.array_to_u64(C.u64_to_array(value)) == value

@@ -86,6 +86,16 @@ class TestExitCodes:
         assert err.startswith("usage error: ")
         assert f"argument {flag}: must be at least 1" in err
 
+    def test_truncated_manifest_is_two(self, workspace, tmp_path, capsys):
+        root, cfg, manifest = workspace
+        text = open(manifest).read().replace("manifest v1 8", "manifest v1 9", 1)
+        short = tmp_path / "manifest.txt"  # rejected before any image is read
+        short.write_text(text)
+        rc = main(["pretrain", "--config", cfg, "--data", str(short),
+                   "--out", str(tmp_path / "run")])
+        assert rc == 2
+        assert "header declares 9 images, found 8 image blocks" in capsys.readouterr().err
+
     def test_missing_data_is_two(self, workspace):
         root, cfg, _ = workspace
         rc = main(["pretrain", "--config", cfg, "--data",

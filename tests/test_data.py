@@ -100,6 +100,40 @@ def test_malformed_manifest_line_reports_location(tmp_path):
     assert ":3:" in str(exc.value)
 
 
+def _manifest_with_blocks(tmp_path, keep):
+    """Three generated images; the manifest keeps the header and `keep` blocks."""
+    manifest = D.generate_dataset(3, D.SceneSpec(image_size=64, seed=6), str(tmp_path))
+    header, *blocks = open(manifest).read().split("\n\n")
+    with open(manifest, "w") as f:
+        f.write("\n\n".join([header] + blocks[:keep]))
+    return manifest
+
+
+@pytest.mark.parametrize("header,found", [("manifest v1 3", 2), ("manifest v1 2", 3)],
+                         ids=["truncated", "extra_blocks"])
+def test_header_count_must_match_blocks(tmp_path, header, found):
+    manifest = _manifest_with_blocks(tmp_path, found)
+    text = open(manifest).read().split("\n", 1)[1]
+    with open(manifest, "w") as f:
+        f.write(header + "\n" + text)
+    with pytest.raises(ValueError) as exc:
+        D.load_dataset(manifest)
+    declared = header.split()[2]
+    assert str(exc.value) == (f"{manifest}: header declares {declared} images, "
+                              f"found {found} image blocks")
+
+
+@pytest.mark.parametrize("count", ["three", "2.0"])
+def test_header_count_must_be_an_integer(tmp_path, count):
+    manifest = _manifest_with_blocks(tmp_path, 3)
+    text = open(manifest).read().split("\n", 1)[1]
+    with open(manifest, "w") as f:
+        f.write(f"manifest v1 {count}\n" + text)
+    with pytest.raises(ValueError) as exc:
+        D.load_dataset(manifest)
+    assert str(exc.value) == f"{manifest}:1: image count {count!r} is not an integer"
+
+
 def test_ppm_round_trip(tmp_path):
     rng = np.random.default_rng(0)
     pixels = rng.uniform(0, 1, (24, 16, 3)).astype(np.float32)

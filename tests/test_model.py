@@ -37,9 +37,11 @@ def _set_identity_attention(model, prefix):
 class TestMha:
     def test_single_key_ignores_query(self):
         model = Detr(tiny_config(), seed=0)
-        k = Tensor(np.random.default_rng(0).standard_normal((1, 8)).astype(np.float32))
-        out1, attn = model.mha("encoder.layer0.self", Tensor(np.zeros((3, 8), np.float32)), k, k)
-        out2, _ = model.mha("encoder.layer0.self", Tensor(np.ones((3, 8), np.float32) * 5), k, k)
+        k = Tensor(np.random.default_rng(0).standard_normal((1, 1, 8)).astype(np.float32))
+        out1, attn = model.mha("encoder.layer0.self",
+                               Tensor(np.zeros((1, 3, 8), np.float32)), k, k)
+        out2, _ = model.mha("encoder.layer0.self",
+                            Tensor(np.ones((1, 3, 8), np.float32) * 5), k, k)
         np.testing.assert_allclose(out1.data, out2.data, atol=1e-6)
         np.testing.assert_allclose(attn.data, 1.0)
 
@@ -47,14 +49,14 @@ class TestMha:
         cfg = tiny_config(heads=1)
         model = Detr(cfg, seed=1)
         _set_identity_attention(model, "encoder.layer0.self")
-        key = np.ones((1, 8), dtype=np.float32)
-        keys = Tensor(np.repeat(key, 2, axis=0))
-        vals = Tensor(np.array([[1, 0, 0, 0, 0, 0, 0, 0],
-                                [0, 1, 0, 0, 0, 0, 0, 0]], dtype=np.float32))
-        q = Tensor(np.ones((1, 8), dtype=np.float32))
+        key = np.ones((1, 1, 8), dtype=np.float32)
+        keys = Tensor(np.repeat(key, 2, axis=1))
+        vals = Tensor(np.array([[[1, 0, 0, 0, 0, 0, 0, 0],
+                                 [0, 1, 0, 0, 0, 0, 0, 0]]], dtype=np.float32))
+        q = Tensor(np.ones((1, 1, 8), dtype=np.float32))
         out, attn = model.mha("encoder.layer0.self", q, keys, vals)
         np.testing.assert_allclose(attn.data, 0.5, atol=1e-7)
-        np.testing.assert_allclose(out.data[0, :2], [0.5, 0.5], atol=1e-6)
+        np.testing.assert_allclose(out.data[0, 0, :2], [0.5, 0.5], atol=1e-6)
 
     def test_hand_computed_two_dim(self):
         cfg = TransformerConfig(d_model=4, heads=1, enc_layers=1, dec_layers=1,
@@ -64,41 +66,36 @@ class TestMha:
         q = np.array([[1.0, 0.0, 0.0, 0.0]], dtype=np.float32)
         k = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]], dtype=np.float32)
         v = np.array([[2.0, 0.0, 0.0, 0.0], [0.0, 3.0, 0.0, 0.0]], dtype=np.float32)
-        out, attn = model.mha("encoder.layer0.self", Tensor(q), Tensor(k), Tensor(v))
+        out, attn = model.mha("encoder.layer0.self",
+                              Tensor(q[None]), Tensor(k[None]), Tensor(v[None]))
         # manual: logits = [1, 0] / sqrt(4) = [0.5, 0]; softmax -> weights
         w = np.exp([0.5, 0.0])
         w = w / w.sum()
         expected = w[0] * v[0] + w[1] * v[1]
-        np.testing.assert_allclose(attn.data[0, 0], w, atol=1e-5)
-        np.testing.assert_allclose(out.data[0], expected, atol=1e-5)
+        np.testing.assert_allclose(attn.data[0, 0, 0], w, atol=1e-5)
+        np.testing.assert_allclose(out.data[0, 0], expected, atol=1e-5)
 
     def test_dim_mismatch(self):
         model = Detr(tiny_config(), seed=0)
         with pytest.raises(T.ShapeError):
-            model.mha("encoder.layer0.self", Tensor(np.zeros((2, 5))),
-                      Tensor(np.zeros((3, 8))), Tensor(np.zeros((3, 8))))
+            model.mha("encoder.layer0.self", Tensor(np.zeros((1, 2, 5))),
+                      Tensor(np.zeros((1, 3, 8))), Tensor(np.zeros((1, 3, 8))))
 
     def test_attention_rows_sum_to_one(self):
         model = Detr(desk_config(), seed=3)
         rng = np.random.default_rng(4)
-        q = Tensor(rng.standard_normal((5, 64)).astype(np.float32))
-        kv = Tensor(rng.standard_normal((12, 64)).astype(np.float32))
+        q = Tensor(rng.standard_normal((1, 5, 64)).astype(np.float32))
+        kv = Tensor(rng.standard_normal((1, 12, 64)).astype(np.float32))
         _, attn = model.mha("decoder.layer0.cross", q, kv, kv)
         np.testing.assert_allclose(attn.data.sum(axis=-1), 1.0, atol=1e-6)
 
 
 def composed_mha(model, prefix, q_in, k_in, v_in):
     """Reference: Detr.mha with attention built from generic tape nodes."""
-    single = q_in.data.ndim == 2
-    if single:
-        q_in, k_in, v_in = (T.reshape(t, (1,) + t.data.shape) for t in (q_in, k_in, v_in))
     merged, attn = composed_attention(model._lin(f"{prefix}.f_q", q_in),
                                       model._lin(f"{prefix}.f_k", k_in),
                                       model._lin(f"{prefix}.f_v", v_in), model.config.heads)
-    out = model._lin(f"{prefix}.out", merged)
-    if single:
-        return T.reshape(out, out.data.shape[1:]), T.reshape(attn, attn.data.shape[1:])
-    return out, attn
+    return model._lin(f"{prefix}.out", merged), attn
 
 
 class TestMhaMatchesComposed:
@@ -119,7 +116,7 @@ class TestMhaMatchesComposed:
     @pytest.mark.parametrize("prefix,batch,nq,shared_qk", [
         ("encoder.layer0.self", (2,), 64, True),
         ("decoder.layer0.cross", (2,), 10, False),
-        ("decoder.layer0.cross", (), 10, False),
+        ("decoder.layer0.cross", (1,), 10, False),
     ], ids=["encoder_batched", "decoder_batched", "decoder_single"])
     def test_bit_identical(self, prefix, batch, nq, shared_qk):
         model = Detr(desk_config(), seed=41)
@@ -157,8 +154,8 @@ class TestMhaMatchesComposed:
         kv = Tensor(rng.standard_normal((2, 12, 64)).astype(np.float32))
         q = Tensor(rng.standard_normal((2, 5, 64)).astype(np.float32))
         _, attn = model.mha("decoder.layer0.cross", q, kv, kv)
-        kv0 = Tensor(kv.data[0])
-        _, attn_single = model.mha("decoder.layer0.cross", Tensor(q.data[0]), kv0, kv0)
+        kv0 = Tensor(kv.data[:1])
+        _, attn_single = model.mha("decoder.layer0.cross", Tensor(q.data[:1]), kv0, kv0)
         c, hw = model.encode(Tensor(rng.standard_normal((2, 4, 4, 64)).astype(np.float32)))
         _, attn_dec = model.decode(c, hw)
         for weights in (attn, attn_single, attn_dec):
@@ -169,71 +166,86 @@ class TestMhaMatchesComposed:
 class TestEncode:
     def test_output_shape(self):
         model = Detr(desk_config(), seed=5)
-        h = Tensor(np.random.default_rng(6).standard_normal((16, 16, 64)).astype(np.float32))
+        h = Tensor(np.random.default_rng(6).standard_normal((1, 16, 16, 64)).astype(np.float32))
         c, hw = model.encode(h)
-        assert c.data.shape == (256, 64)
+        assert c.data.shape == (1, 256, 64)
         assert hw == (16, 16)
+
+    def test_unbatched_features_rejected(self):
+        model = Detr(desk_config(), seed=5)
+        h = Tensor(np.zeros((16, 16, 64), np.float32))
+        with pytest.raises(T.ShapeError, match=r"\(B, H, W, C\)"):
+            model.encode(h)
 
     def test_zero_layers_reduces_to_projection(self):
         model = Detr(desk_config(enc_layers=0), seed=7)
-        h = Tensor(np.random.default_rng(8).standard_normal((4, 4, 64)).astype(np.float32))
+        h = Tensor(np.random.default_rng(8).standard_normal((1, 4, 4, 64)).astype(np.float32))
         c, _ = model.encode(h)
-        expected = T.affine(T.reshape(h, (16, 64)), model.params["input_proj.weight"],
+        expected = T.affine(T.reshape(h, (1, 16, 64)), model.params["input_proj.weight"],
                             model.params["input_proj.bias"])
         np.testing.assert_array_equal(c.data, expected.data)
 
-    def test_joint_permutation_equivariance(self):
+    def test_joint_permutation_equivariance(self, monkeypatch):
         model = Detr(desk_config(enc_layers=2), seed=9)
         rng = np.random.default_rng(10)
-        h = rng.standard_normal((4, 4, 64)).astype(np.float32)
+        h = rng.standard_normal((1, 4, 4, 64)).astype(np.float32)
         pos = model.positional(4, 4)
         perm = rng.permutation(16)
         c_base, _ = model.encode(Tensor(h))
-        h_perm = h.reshape(16, 64)[perm].reshape(4, 4, 64)
-        c_perm, _ = model.encode(Tensor(h_perm), pos_override=pos[perm])
-        np.testing.assert_allclose(c_perm.data, c_base.data[perm], atol=2e-5)
+        h_perm = h.reshape(16, 64)[perm].reshape(1, 4, 4, 64)
+        # permute the embedding table along with the positions
+        monkeypatch.setattr(model, "positional", lambda hh, ww: pos[perm])
+        c_perm, _ = model.encode(Tensor(h_perm))
+        np.testing.assert_allclose(c_perm.data, c_base.data[:, perm], atol=2e-5)
 
 
 class TestDecode:
     def test_zero_region_features_bitwise_equal_plain(self):
         model = Detr(desk_config(), seed=11)
         rng = np.random.default_rng(12)
-        h = Tensor(rng.standard_normal((8, 8, 64)).astype(np.float32))
+        h = Tensor(rng.standard_normal((1, 8, 8, 64)).astype(np.float32))
         c, hw = model.encode(h)
         q_plain, _ = model.decode(c, hw, z=None)
-        q_zero, _ = model.decode(c, hw, z=Tensor(np.zeros((10, 64), np.float32)))
+        q_zero, _ = model.decode(c, hw, z=Tensor(np.zeros((1, 10, 64), np.float32)))
         assert q_plain.data.tobytes() == q_zero.data.tobytes()
 
     def test_shapes(self):
         model = Detr(desk_config(), seed=13)
         rng = np.random.default_rng(14)
-        c, hw = model.encode(Tensor(rng.standard_normal((16, 16, 64)).astype(np.float32)))
-        z = Tensor(rng.standard_normal((10, 64)).astype(np.float32))
+        c, hw = model.encode(Tensor(rng.standard_normal((1, 16, 16, 64)).astype(np.float32)))
+        z = Tensor(rng.standard_normal((1, 10, 64)).astype(np.float32))
         q_hat, attn = model.decode(c, hw, z=z)
-        assert q_hat.data.shape == (10, 64)
-        assert attn.data.shape == (4, 10, 256)
+        assert q_hat.data.shape == (1, 10, 64)
+        assert attn.data.shape == (1, 4, 10, 256)
         np.testing.assert_allclose(attn.data.sum(axis=-1), 1.0, atol=1e-6)
 
     def test_region_feature_count_must_match_queries(self):
         model = Detr(desk_config(), seed=15)
         rng = np.random.default_rng(16)
-        c, hw = model.encode(Tensor(rng.standard_normal((8, 8, 64)).astype(np.float32)))
+        c, hw = model.encode(Tensor(rng.standard_normal((1, 8, 8, 64)).astype(np.float32)))
         with pytest.raises(T.ShapeError):
-            model.decode(c, hw, z=Tensor(np.zeros((7, 64), np.float32)))
+            model.decode(c, hw, z=Tensor(np.zeros((1, 7, 64), np.float32)))
+
+    def test_unbatched_region_features_rejected(self):
+        model = Detr(desk_config(), seed=15)
+        rng = np.random.default_rng(16)
+        c, hw = model.encode(Tensor(rng.standard_normal((1, 8, 8, 64)).astype(np.float32)))
+        with pytest.raises(T.ShapeError, match=r"\(B, 10, C\)"):
+            model.decode(c, hw, z=Tensor(np.zeros((10, 64), np.float32)))
 
     def test_joint_row_permutation_equivariance(self):
         model = Detr(desk_config(), seed=17)
         rng = np.random.default_rng(18)
-        c, hw = model.encode(Tensor(rng.standard_normal((8, 8, 64)).astype(np.float32)))
-        z = rng.standard_normal((10, 64)).astype(np.float32)
+        c, hw = model.encode(Tensor(rng.standard_normal((1, 8, 8, 64)).astype(np.float32)))
+        z = rng.standard_normal((1, 10, 64)).astype(np.float32)
         q_base, _ = model.decode(c, hw, z=Tensor(z))
         perm = rng.permutation(10)
         phi = model.params["query_embed.weight"]
         original = phi.data.copy()
         phi.data = original[perm]
-        q_perm, _ = model.decode(c, hw, z=Tensor(z[perm]))
+        q_perm, _ = model.decode(c, hw, z=Tensor(z[:, perm]))
         phi.data = original
-        np.testing.assert_allclose(q_perm.data, q_base.data[perm], atol=2e-5)
+        np.testing.assert_allclose(q_perm.data, q_base.data[:, perm], atol=2e-5)
 
 
 class TestHeads:
@@ -257,8 +269,8 @@ class TestHeads:
     def test_gradients_reach_queries_from_all_heads(self):
         model = Detr(desk_config(), seed=23)
         rng = np.random.default_rng(24)
-        c, hw = model.encode(Tensor(rng.standard_normal((8, 8, 64)).astype(np.float32)))
-        z = Tensor(rng.standard_normal((10, 64)).astype(np.float32))
+        c, hw = model.encode(Tensor(rng.standard_normal((1, 8, 8, 64)).astype(np.float32)))
+        z = Tensor(rng.standard_normal((1, 10, 64)).astype(np.float32))
         q_hat, _ = model.decode(c, hw, z=z)
         boxes, sem, match = model.predict(q_hat)
         loss = T.tsum(boxes) + T.tsum(sem) + T.tsum(match)
@@ -276,11 +288,6 @@ class TestHeads:
 
 
 class TestProjector:
-    def test_identity_mode_passthrough(self):
-        model = Detr(desk_config(projector_identity=True), seed=26)
-        x = Tensor(np.random.default_rng(27).standard_normal((4, 64)).astype(np.float32))
-        assert model.project_context(x) is x
-
     def test_output_dim(self):
         model = Detr(desk_config(), seed=28)
         x = Tensor(np.random.default_rng(29).standard_normal((4, 64)).astype(np.float32))
@@ -319,9 +326,9 @@ class TestEndToEndGradient:
         rng = np.random.default_rng(31)
         for trial in range(3):
             model = Detr(tiny_config(), seed=100 + trial, dtype=np.float64)
-            h = rng.standard_normal((2, 2, 8))
-            z = rng.standard_normal((2, 8))
-            w = rng.standard_normal((2, 4))
+            h = rng.standard_normal((1, 2, 2, 8))
+            z = rng.standard_normal((1, 2, 8))
+            w = rng.standard_normal((1, 2, 4))
 
             def forward() -> T.Tensor:
                 c, hw = model.encode(Tensor(h))

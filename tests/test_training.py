@@ -8,7 +8,7 @@ import pytest
 from mvdetr import losses as L
 from mvdetr import training as TR
 from mvdetr.backbone import FrozenBackbone
-from mvdetr.checkpoint import load_checkpoint
+from mvdetr.checkpoint import load_checkpoint, save_checkpoint
 from mvdetr.config import parse_config
 from mvdetr.data import SceneSpec, render_scene
 from mvdetr.geometry import BoxXYXY
@@ -179,6 +179,51 @@ class TestRunPretrain:
         res_rows = open(res_csv).read().strip().splitlines()[1:]
         assert res_rows == full_rows[steps_per_epoch:]
 
+    def test_resume_into_own_dir_writes_each_row_once(self, images, tmp_path):
+        cfg = small_cfg()
+        _, full_csv = TR.run_pretrain(cfg, images, str(tmp_path / "full"))
+        run = str(tmp_path / "run")
+        _, csv_path = TR.run_pretrain(cfg, images, run)
+        TR.run_pretrain(cfg, images, run,
+                        resume_from=os.path.join(run, "epoch_0001.ckpt"))
+        assert open(csv_path, "rb").read() == open(full_csv, "rb").read()
+
+    def test_resume_after_mid_epoch_crash_drops_unfinished_rows(self, images, tmp_path):
+        # a crash in the last epoch leaves its first row (step 9) and the first
+        # byte of the next one: "1" of step 10, which must not pass for step 1
+        cfg = small_cfg(**{"train.epochs": 4, "train.decay_epoch": 2})
+        _, full_csv = TR.run_pretrain(cfg, images, str(tmp_path / "full"))
+        full = open(full_csv, "rb").read()
+        lines = full.splitlines(keepends=True)
+        assert lines[10].startswith(b"9,") and lines[11].startswith(b"10,")
+        run = tmp_path / "run"
+        run.mkdir()
+        (run / "metrics.csv").write_bytes(b"".join(lines[:11]) + lines[11][:1])
+        mid = os.path.join(str(tmp_path / "full"), "epoch_0003.ckpt")
+        _, csv_path = TR.run_pretrain(cfg, images, str(run), resume_from=mid)
+        assert open(csv_path, "rb").read() == full
+
+    def test_checkpoint_with_seed_entries_still_resumes(self, images, tmp_path):
+        # checkpoints once also stored __meta__.seed and __meta__.backbone_seed,
+        # each a u64 as four 16-bit chunks; nothing reads them
+        cfg = small_cfg()
+        full_ckpt, _ = TR.run_pretrain(cfg, images, str(tmp_path / "full"))
+        mid = load_checkpoint(os.path.join(str(tmp_path / "full"), "epoch_0001.ckpt"))
+        assert not any(n in mid for n in ("__meta__.seed", "__meta__.backbone_seed"))
+
+        def chunks(value):
+            return np.array([(value >> (16 * i)) & 0xFFFF for i in range(4)], np.float32)
+
+        mid["__meta__.backbone_seed"] = chunks(cfg.backbone_seed)
+        mid["__meta__.seed"] = chunks(cfg.seed)
+        old = str(tmp_path / "old.ckpt")
+        save_checkpoint(old, mid)
+        res_ckpt, _ = TR.run_pretrain(cfg, images, str(tmp_path / "resumed"), resume_from=old)
+        a, b = load_checkpoint(full_ckpt), load_checkpoint(res_ckpt)
+        assert list(a) == list(b)
+        for name in a:
+            assert a[name].tobytes() == b[name].tobytes(), name
+
     def test_resume_of_finished_run_returns_existing_checkpoint(self, images, tmp_path):
         # no epoch is left to run, so nothing is written to the new directory
         cfg = small_cfg()
@@ -213,14 +258,17 @@ class TestTooFewImages:
 
 @pytest.mark.parametrize("epochs", [0, -1])
 def test_finetune_rejects_fewer_than_one_epoch(labeled, epochs):
+    # set after parsing, the way `mvdetr probe` sets its --epochs
+    cfg = small_cfg()
+    cfg.finetune_epochs = epochs
     with pytest.raises(ValueError, match=f"at least 1 epoch, got {epochs}"):
-        TR.run_finetune(small_cfg(), labeled, seed=1, epochs=epochs)
+        TR.run_finetune(cfg, labeled, seed=1)
 
 
 class TestFinetune:
     def test_loss_decreases(self, labeled):
-        cfg = small_cfg()
-        model, losses = TR.run_finetune(cfg, labeled, seed=1, epochs=30)
+        cfg = small_cfg(**{"finetune.epochs": 30})
+        model, losses = TR.run_finetune(cfg, labeled, seed=1)
         assert losses[-1] < losses[0]
 
     def test_scratch_vs_init_differ_only_in_transformer(self, images, labeled, tmp_path):
@@ -246,7 +294,7 @@ class TestFinetune:
         reference.add_class_head(cfg.data_classes, seed=derive_seed(9, 0xC1))
         before = {n: p.data.copy() for n, p in reference.params.items()}
 
-        model, _ = TR.run_finetune(cfg, labeled, seed=9, epochs=2)
+        model, _ = TR.run_finetune(cfg, labeled, seed=9)
         for name, p in model.params.items():
             changed = p.data.tobytes() != before[name].tobytes()
             if name.startswith(TR.FROZEN_HEAD_PREFIXES):
@@ -262,8 +310,8 @@ class TestFinetune:
             backbone = FrozenBackbone(cfg.backbone_seed)
             model = TR.make_model(cfg, backbone)
             model.add_class_head(cfg.data_classes, seed=derive_seed(4, 0xC1))
-            feats = [backbone.extract(resize_to_view(it.pixels, cfg.view_size))
-                     for it in items]
+            feats = backbone.extract_batch(
+                np.stack([resize_to_view(it.pixels, cfg.view_size) for it in items]))
             opt = AdamW(model.params, lr=lr, weight_decay=0.0)
             return model, TR.finetune_step(model, opt, feats, items, cfg)
 
@@ -287,7 +335,7 @@ class TestFinetune:
         cfg = small_cfg()
 
         def run():
-            model, losses = TR.run_finetune(cfg, labeled, seed=5, epochs=2)
+            model, losses = TR.run_finetune(cfg, labeled, seed=5)
             return losses, model.params["class_head.weight"].data.tobytes()
 
         assert run() == run()
@@ -305,8 +353,9 @@ class TestPretrainOracleInit:
         model = TR.make_model(cfg, backbone)
         pairs = _pairs(images, cfg)
         # direction order in the step: [targets2 per item, targets1 per item]
-        t2 = [TR.boxes_to_targets(p.proposals2, cfg.view_size) for p in pairs]
-        t1 = [TR.boxes_to_targets(p.proposals1, cfg.view_size) for p in pairs]
+        size = cfg.view_size
+        t2 = [TR.boxes_to_targets(p.proposals2, size, size) for p in pairs]
+        t1 = [TR.boxes_to_targets(p.proposals1, size, size) for p in pairs]
         oracle_boxes = np.stack(t2 + t1)
 
         import mvdetr.tensor as T
