@@ -263,9 +263,6 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 1
-    except FileNotFoundError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
     except (ValueError, OSError, KeyError, FloatingPointError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -185,11 +185,16 @@ def matching_cost(pred_boxes: np.ndarray, pred_match: np.ndarray,
     with k clamped away from {0, 1}.
     """
     k = np.clip(pred_match.reshape(-1), K_CLAMP, 1.0 - K_CLAMP)
-    score_term = -coef[0] * np.log(k)[None, :]
+    return _box_cost(-coef[0] * np.log(k)[None, :], pred_boxes, target_boxes, coef)
+
+
+def _box_cost(score: np.ndarray, pred_boxes: np.ndarray, target_boxes: np.ndarray,
+              coef: tuple[float, float, float]) -> np.ndarray:
+    """score + c1 (1 - GIoU) + c2 L1 for every (target, prediction) pair."""
     giou = giou_matrix(cxcywh_to_xyxy_array(target_boxes),
                        cxcywh_to_xyxy_array(pred_boxes))
     l1 = np.abs(target_boxes[:, None, :] - pred_boxes[None, :, :]).sum(axis=-1)
-    return score_term + coef[1] * (1.0 - giou) + coef[2] * l1
+    return score + coef[1] * (1.0 - giou) + coef[2] * l1
 
 
 # -- differentiable loss pieces --------------------------------------------------------
@@ -322,10 +327,7 @@ def finetune_matching_cost(pred_boxes: np.ndarray, class_probs: np.ndarray,
     """Finetuning cost: the probability of the true class stands in for the
     match score."""
     p_true = np.clip(class_probs[:, target_labels].T, K_CLAMP, 1.0)  # (m, N)
-    giou = giou_matrix(cxcywh_to_xyxy_array(target_boxes),
-                       cxcywh_to_xyxy_array(pred_boxes))
-    l1 = np.abs(target_boxes[:, None, :] - pred_boxes[None, :, :]).sum(axis=-1)
-    return -coef[0] * np.log(p_true) + coef[1] * (1.0 - giou) + coef[2] * l1
+    return _box_cost(-coef[0] * np.log(p_true), pred_boxes, target_boxes, coef)
 
 
 NO_OBJECT_WEIGHT = 0.1
@@ -344,7 +346,9 @@ def set_loss(logits: Tensor, boxes: Tensor,
     """
     b, n_q = logits.data.shape[:2]
     dt = logits.data.dtype
-    probs_np = _softmax_np(logits.data)
+    logits_flat = T.reshape(logits, (b * n_q, n_classes + 1))
+    probs = T.softmax(logits_flat, axis=-1)
+    probs_np = probs.data.reshape(b, n_q, n_classes + 1)
     classes = np.full((b, n_q), n_classes, dtype=np.int64)
     weights = np.full((b * n_q, 1), NO_OBJECT_WEIGHT, dtype=dt)
     rows: list[int] = []
@@ -362,8 +366,7 @@ def set_loss(logits: Tensor, boxes: Tensor,
 
     onehot = np.zeros((b * n_q, n_classes + 1), dtype=dt)
     onehot[np.arange(b * n_q), classes.reshape(-1)] = 1.0
-    logits_flat = T.reshape(logits, (b * n_q, n_classes + 1))
-    logp = T.log(T.clamp(T.softmax(logits_flat, axis=-1), 1e-9, 1.0))
+    logp = T.log(T.clamp(probs, 1e-9, 1.0))
     per_query = T.sub(Tensor(np.zeros((b * n_q, 1), dtype=dt)),
                       T.tsum(T.mul(logp, Tensor(onehot)), axis=-1, keepdims=True))
     total = T.tmean(T.mul(per_query, Tensor(weights)))
@@ -371,8 +374,3 @@ def set_loss(logits: Tensor, boxes: Tensor,
         total = T.add(total, box_regression(T.reshape(boxes, (b * n_q, 4)), rows,
                                             np.stack(tgt_boxes)))
     return total
-
-
-def _softmax_np(logits: np.ndarray) -> np.ndarray:
-    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import tensor as T
 from .backbone import FrozenBackbone
 from .geometry import BoxXYXY, box_iou
 from .model import Detr
@@ -170,10 +171,7 @@ def detect_batch(model: Detr, backbone: FrozenBackbone,
     q_hat, _ = model.decode(c, hw, z=None)
     boxes, _, match = model.predict(q_hat)
     if score_source == "class":
-        logits = model.class_logits(q_hat).data
-        e = np.exp(logits - logits.max(axis=-1, keepdims=True))
-        probs = e / e.sum(axis=-1, keepdims=True)
-        fg = probs[:, :, :-1]
+        fg = T.softmax(model.class_logits(q_hat).detach()).data[:, :, :-1]
         labels = fg.argmax(axis=-1)
         scores = fg.max(axis=-1)
     elif score_source == "match":

@@ -6,12 +6,13 @@ that touches a gradient-requiring input appends itself to the implicit tape:
 the output node keeps its parents and a closure that routes the output
 gradient backwards. `backward()` replays that record in reverse topological
 order, so every parameter reachable from the loss accumulates its gradient
-exactly once per call.
+exactly once per call. A node keeps parents and a closure only if some input
+requires a gradient, so backward rules test `requires_grad` alone.
 
 Broadcasting is restricted to leading-dimension expansion: elementwise ops
 accept equal shapes, or one operand whose shape is a trailing suffix of the
 other's (the usual bias-add pattern). This keeps every backward rule a plain
-sum over the expanded axes.
+sum over the expanded axes; the two-operand ops share one rule (`_binary`).
 
 Multi-head attention is one fused primitive, `attention`, rather than a chain
 of generic nodes. Its forward computes softmax(Q K^T / sqrt(d_k)) in a single
@@ -116,41 +117,12 @@ class Tensor:
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
 
-    # -- operator sugar ---------------------------------------------------------
-
-    def __add__(self, other):
-        return add(self, _wrap(other, self))
-
-    def __sub__(self, other):
-        return sub(self, _wrap(other, self))
-
-    def __mul__(self, other):
-        return mul(self, _wrap(other, self))
-
-    def __rmul__(self, other):
-        return mul(_wrap(other, self), self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def reshape(self, *shape):
-        return reshape(self, shape if len(shape) > 1 else shape[0])
-
-    def item(self) -> float:
-        return float(self.data.reshape(-1)[0])
-
-
-def _wrap(value, like: Tensor) -> Tensor:
-    if isinstance(value, Tensor):
-        return value
-    return Tensor(np.asarray(value, dtype=like.data.dtype))
-
 
 def _make(data: np.ndarray, parents: tuple[Tensor, ...], op: str, backward_fn) -> Tensor:
     out = Tensor.__new__(Tensor)
     out.data = data
     out.grad = None
-    out.requires_grad = any(p.requires_grad or p._parents for p in parents)
+    out.requires_grad = any(p.requires_grad for p in parents)
     out._op = op
     if out.requires_grad:
         out._parents = parents
@@ -185,56 +157,38 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 # -- elementwise primitives ------------------------------------------------------
 
 
-def add(a: Tensor, b: Tensor) -> Tensor:
-    _check_broadcast("add", a, b)
-    data = a.data + b.data
+def _binary(op: str, a: Tensor, b: Tensor, data: np.ndarray, grad_a, grad_b) -> Tensor:
+    """Two-operand node; grad_a(g), grad_b(g) are unbroadcast into a and b."""
 
     def backward(g):
-        if a.requires_grad or a._parents:
-            a.accumulate_grad(_unbroadcast(g, a.data.shape))
-        if b.requires_grad or b._parents:
-            b.accumulate_grad(_unbroadcast(g, b.data.shape))
+        if a.requires_grad:
+            a.accumulate_grad(_unbroadcast(grad_a(g), a.data.shape))
+        if b.requires_grad:
+            b.accumulate_grad(_unbroadcast(grad_b(g), b.data.shape))
 
-    return _make(data, (a, b), "add", backward)
+    return _make(data, (a, b), op, backward)
+
+
+def add(a: Tensor, b: Tensor) -> Tensor:
+    _check_broadcast("add", a, b)
+    return _binary("add", a, b, a.data + b.data, lambda g: g, lambda g: g)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     _check_broadcast("sub", a, b)
-    data = a.data - b.data
-
-    def backward(g):
-        if a.requires_grad or a._parents:
-            a.accumulate_grad(_unbroadcast(g, a.data.shape))
-        if b.requires_grad or b._parents:
-            b.accumulate_grad(_unbroadcast(-g, b.data.shape))
-
-    return _make(data, (a, b), "sub", backward)
+    return _binary("sub", a, b, a.data - b.data, lambda g: g, lambda g: -g)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     _check_broadcast("mul", a, b)
-    data = a.data * b.data
-
-    def backward(g):
-        if a.requires_grad or a._parents:
-            a.accumulate_grad(_unbroadcast(g * b.data, a.data.shape))
-        if b.requires_grad or b._parents:
-            b.accumulate_grad(_unbroadcast(g * a.data, b.data.shape))
-
-    return _make(data, (a, b), "mul", backward)
+    return _binary("mul", a, b, a.data * b.data,
+                   lambda g: g * b.data, lambda g: g * a.data)
 
 
 def div(a: Tensor, b: Tensor) -> Tensor:
     _check_broadcast("div", a, b)
-    data = a.data / b.data
-
-    def backward(g):
-        if a.requires_grad or a._parents:
-            a.accumulate_grad(_unbroadcast(g / b.data, a.data.shape))
-        if b.requires_grad or b._parents:
-            b.accumulate_grad(_unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
-
-    return _make(data, (a, b), "div", backward)
+    return _binary("div", a, b, a.data / b.data,
+                   lambda g: g / b.data, lambda g: -g * a.data / (b.data * b.data))
 
 
 def relu(x: Tensor) -> Tensor:
@@ -259,15 +213,6 @@ def sigmoid(x: Tensor) -> Tensor:
     return _make(data, (x,), "sigmoid", backward)
 
 
-def exp(x: Tensor) -> Tensor:
-    data = np.exp(x.data)
-
-    def backward(g):
-        x.accumulate_grad(g * data)
-
-    return _make(data, (x,), "exp", backward)
-
-
 def log(x: Tensor) -> Tensor:
     data = np.log(x.data)
 
@@ -275,15 +220,6 @@ def log(x: Tensor) -> Tensor:
         x.accumulate_grad(g / x.data)
 
     return _make(data, (x,), "log", backward)
-
-
-def sqrt(x: Tensor) -> Tensor:
-    data = np.sqrt(x.data)
-
-    def backward(g):
-        x.accumulate_grad(g * 0.5 / data)
-
-    return _make(data, (x,), "sqrt", backward)
 
 
 def absolute(x: Tensor) -> Tensor:
@@ -298,29 +234,15 @@ def absolute(x: Tensor) -> Tensor:
 def minimum(a: Tensor, b: Tensor) -> Tensor:
     _check_broadcast("minimum", a, b)
     take_a = a.data <= b.data  # ties route to the first operand
-    data = np.where(take_a, a.data, b.data)
-
-    def backward(g):
-        if a.requires_grad or a._parents:
-            a.accumulate_grad(_unbroadcast(g * take_a, a.data.shape))
-        if b.requires_grad or b._parents:
-            b.accumulate_grad(_unbroadcast(g * ~take_a, b.data.shape))
-
-    return _make(data, (a, b), "minimum", backward)
+    return _binary("minimum", a, b, np.where(take_a, a.data, b.data),
+                   lambda g: g * take_a, lambda g: g * ~take_a)
 
 
 def maximum(a: Tensor, b: Tensor) -> Tensor:
     _check_broadcast("maximum", a, b)
     take_a = a.data >= b.data
-    data = np.where(take_a, a.data, b.data)
-
-    def backward(g):
-        if a.requires_grad or a._parents:
-            a.accumulate_grad(_unbroadcast(g * take_a, a.data.shape))
-        if b.requires_grad or b._parents:
-            b.accumulate_grad(_unbroadcast(g * ~take_a, b.data.shape))
-
-    return _make(data, (a, b), "maximum", backward)
+    return _binary("maximum", a, b, np.where(take_a, a.data, b.data),
+                   lambda g: g * take_a, lambda g: g * ~take_a)
 
 
 def clamp(x: Tensor, lo: float, hi: float) -> Tensor:
@@ -346,9 +268,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     data = a.data @ b.data
 
     def backward(g):
-        if a.requires_grad or a._parents:
+        if a.requires_grad:
             a.accumulate_grad(g @ np.swapaxes(b.data, -1, -2))
-        if b.requires_grad or b._parents:
+        if b.requires_grad:
             b.accumulate_grad(np.swapaxes(a.data, -1, -2) @ g)
 
     return _make(data, (a, b), "matmul", backward)
@@ -364,7 +286,7 @@ def affine(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
         data = data + bias.data
 
     def backward(g):
-        if x.requires_grad or x._parents:
+        if x.requires_grad:
             x.accumulate_grad(g @ weight.data.T)
         if weight.requires_grad:
             g2 = g.reshape(-1, g.shape[-1])
@@ -411,7 +333,7 @@ def concatenate(tensors: list[Tensor], axis: int = 0) -> Tensor:
 
     def backward(g):
         for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            if t.requires_grad or t._parents:
+            if t.requires_grad:
                 index = [slice(None)] * g.ndim
                 index[axis] = slice(lo, hi)
                 t.accumulate_grad(g[tuple(index)])
@@ -449,18 +371,22 @@ def gather_rows(x: Tensor, indices) -> Tensor:
 # -- reductions ------------------------------------------------------------------
 
 
-def tsum(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    data = x.data.sum(axis=axis, keepdims=keepdims)
+def _reduce(op: str, x: Tensor, data, axis, keepdims: bool, count=None) -> Tensor:
+    """Record a sum-like reduction; the backward divides by count (means only),
+    restores the reduced axis and broadcasts back to x's shape."""
 
     def backward(g):
-        if axis is None:
-            x.accumulate_grad(np.broadcast_to(g, x.data.shape).copy())
-            return
-        if not keepdims:
+        if count is not None:
+            g = g / count
+        if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
         x.accumulate_grad(np.broadcast_to(g, x.data.shape).copy())
 
-    return _make(np.asarray(data), (x,), "sum", backward)
+    return _make(np.asarray(data), (x,), op, backward)
+
+
+def tsum(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
+    return _reduce("sum", x, x.data.sum(axis=axis, keepdims=keepdims), axis, keepdims)
 
 
 def tmean(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
@@ -470,17 +396,8 @@ def tmean(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
         count = int(np.prod([x.data.shape[a] for a in axis]))
     else:
         count = x.data.shape[axis]
-    data = x.data.mean(axis=axis, keepdims=keepdims)
-
-    def backward(g):
-        if axis is None:
-            x.accumulate_grad(np.broadcast_to(g / count, x.data.shape).copy())
-            return
-        if not keepdims:
-            g = np.expand_dims(g, axis)
-        x.accumulate_grad(np.broadcast_to(g / count, x.data.shape).copy())
-
-    return _make(np.asarray(data), (x,), "mean", backward)
+    return _reduce("mean", x, x.data.mean(axis=axis, keepdims=keepdims), axis, keepdims,
+                   count)
 
 
 # -- normalization and attention support -----------------------------------------
@@ -551,11 +468,11 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> tuple[Tensor, np.n
 
     def backward(g):
         g4 = g.reshape(b, nq, heads, dk).transpose(0, 2, 1, 3)
-        if v.requires_grad or v._parents:
+        if v.requires_grad:
             gv = np.swapaxes(probs, -1, -2) @ g4
             v.accumulate_grad(gv.transpose(0, 2, 1, 3).reshape(b, lk, c))
-        want_q = q.requires_grad or q._parents
-        want_k = k.requires_grad or k._parents
+        want_q = q.requires_grad
+        want_k = k.requires_grad
         if not (want_q or want_k):
             return
         gs_all = np.empty((min(step, b), heads, nq, lk), np.result_type(g, v.data))
@@ -586,10 +503,12 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> tuple[Tensor, np.n
     return _make(data, (q, k, v), "attention", backward), probs
 
 
-def layer_norm(x: Tensor, scale: Tensor, shift: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize over the last dimension, then apply elementwise scale/shift."""
-    mu = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
+def _normalize(op: str, x: Tensor, scale: Tensor, shift: Tensor, axis: int,
+               eps: float) -> Tensor:
+    """Standardize x along axis, then apply the per-feature (last-axis) scale
+    and shift."""
+    mu = x.data.mean(axis=axis, keepdims=True)
+    var = x.data.var(axis=axis, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     xhat = (x.data - mu) * inv
     data = xhat * scale.data + shift.data
@@ -599,13 +518,18 @@ def layer_norm(x: Tensor, scale: Tensor, shift: Tensor, eps: float = 1e-5) -> Te
             shift.accumulate_grad(g.reshape(-1, g.shape[-1]).sum(axis=0))
         if scale.requires_grad:
             scale.accumulate_grad((g * xhat).reshape(-1, g.shape[-1]).sum(axis=0))
-        if x.requires_grad or x._parents:
+        if x.requires_grad:
             gh = g * scale.data
-            m1 = gh.mean(axis=-1, keepdims=True)
-            m2 = (gh * xhat).mean(axis=-1, keepdims=True)
+            m1 = gh.mean(axis=axis, keepdims=True)
+            m2 = (gh * xhat).mean(axis=axis, keepdims=True)
             x.accumulate_grad((gh - m1 - xhat * m2) * inv)
 
-    return _make(data, (x, scale, shift), "layer_norm", backward)
+    return _make(data, (x, scale, shift), op, backward)
+
+
+def layer_norm(x: Tensor, scale: Tensor, shift: Tensor, eps: float = 1e-5) -> Tensor:
+    """Normalize over the last dimension, then apply elementwise scale/shift."""
+    return _normalize("layer_norm", x, scale, shift, -1, eps)
 
 
 def batch_norm_1d(x: Tensor, scale: Tensor, shift: Tensor, eps: float = 1e-5) -> Tensor:
@@ -618,24 +542,7 @@ def batch_norm_1d(x: Tensor, scale: Tensor, shift: Tensor, eps: float = 1e-5) ->
         raise ShapeError(f"batch_norm_1d expects a 2-d input, got {x.data.shape}")
     if x.data.shape[0] < 2:
         raise ShapeError("batch_norm_1d requires batch size >= 2")
-    mu = x.data.mean(axis=0, keepdims=True)
-    var = x.data.var(axis=0, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu) * inv
-    data = xhat * scale.data + shift.data
-
-    def backward(g):
-        if shift.requires_grad:
-            shift.accumulate_grad(g.sum(axis=0))
-        if scale.requires_grad:
-            scale.accumulate_grad((g * xhat).sum(axis=0))
-        if x.requires_grad or x._parents:
-            gh = g * scale.data
-            m1 = gh.mean(axis=0, keepdims=True)
-            m2 = (gh * xhat).mean(axis=0, keepdims=True)
-            x.accumulate_grad((gh - m1 - xhat * m2) * inv)
-
-    return _make(data, (x, scale, shift), "batch_norm_1d", backward)
+    return _normalize("batch_norm_1d", x, scale, shift, 0, eps)
 
 
 # -- similarity ----------------------------------------------------------------------

@@ -385,14 +385,18 @@ def run_finetune(cfg: RunConfig, items: list[LabeledItem], seed: int,
     for i, item in enumerate(items):
         pixels = resize_to_view(item.pixels, cfg.view_size)
         features[i] = backbone.extract_batch(pixels[None])[0]
+    batch = cfg.finetune_batch_size
     cached_q = None
     if cfg.finetune_freeze_transformer:
         # the frozen transformer maps each image to a fixed query embedding;
-        # decode once and train the heads on the cached result
-        c, hw = model.encode(Tensor(features))
-        cached_q = model.decode(c, hw, z=None)[0].data
+        # decode once, one batch at a time so only one batch's tape is alive,
+        # and train the heads on the cached result
+        chunks = []
+        for lo in range(0, len(items), batch):
+            c, hw = model.encode(Tensor(features[lo:lo + batch]))
+            chunks.append(model.decode(c, hw, z=None)[0].data)
+        cached_q = np.concatenate(chunks)
 
-    batch = cfg.finetune_batch_size
     losses: list[float] = []
     decay_at = max(1, int(round(n_epochs * 0.7)))  # same decay ratio as pretraining
     for epoch in range(n_epochs):

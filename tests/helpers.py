@@ -85,7 +85,8 @@ def composed_attention(q: Tensor, k: Tensor, v: Tensor, heads: int):
         return T.transpose(T.reshape(t, (b, length, heads, dk)), (0, 2, 1, 3))
 
     logits = T.matmul(split(q, nq), T.transpose(split(k, lk), (0, 1, 3, 2)))
-    attn = T.softmax(logits * (1.0 / math.sqrt(dk)), axis=-1)
+    scale = Tensor(np.asarray(1.0 / math.sqrt(dk), dtype=logits.data.dtype))
+    attn = T.softmax(T.mul(logits, scale), axis=-1)
     mixed = T.matmul(attn, split(v, lk))
     return T.reshape(T.transpose(mixed, (0, 2, 1, 3)), (b, nq, c)), attn
 

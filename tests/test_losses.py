@@ -237,7 +237,7 @@ class TestTotalLoss:
 
 def _set_assignment(logits, boxes, tgt_boxes, labels):
     """The matching set_loss makes for one image, from the same two calls."""
-    return L.hungarian(L.finetune_matching_cost(boxes, L._softmax_np(logits),
+    return L.hungarian(L.finetune_matching_cost(boxes, T.softmax(Tensor(logits)).data,
                                                 tgt_boxes, labels))
 
 

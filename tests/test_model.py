@@ -273,7 +273,7 @@ class TestHeads:
         z = Tensor(rng.standard_normal((1, 10, 64)).astype(np.float32))
         q_hat, _ = model.decode(c, hw, z=z)
         boxes, sem, match = model.predict(q_hat)
-        loss = T.tsum(boxes) + T.tsum(sem) + T.tsum(match)
+        loss = T.add(T.add(T.tsum(boxes), T.tsum(sem)), T.tsum(match))
         loss.backward()
         phi = model.params["query_embed.weight"]
         assert phi.grad is not None and float(np.abs(phi.grad).max()) > 0
@@ -334,7 +334,8 @@ class TestEndToEndGradient:
                 c, hw = model.encode(Tensor(h))
                 q_hat, _ = model.decode(c, hw, z=Tensor(z))
                 boxes, sem, match = model.predict(q_hat)
-                return T.tsum(T.mul(boxes, Tensor(w))) + T.tmean(sem) + T.tsum(match)
+                return T.add(T.add(T.tsum(T.mul(boxes, Tensor(w))), T.tmean(sem)),
+                             T.tsum(match))
 
             loss = forward()
             loss.backward()

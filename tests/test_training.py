@@ -12,6 +12,7 @@ from mvdetr.checkpoint import load_checkpoint, save_checkpoint
 from mvdetr.config import parse_config
 from mvdetr.data import SceneSpec, render_scene
 from mvdetr.geometry import BoxXYXY
+from mvdetr.model import Detr
 from mvdetr.optim import AdamW
 from mvdetr.rng import derive_seed
 from mvdetr.views import Image, build_view_pair, resize_to_view
@@ -301,6 +302,22 @@ class TestFinetune:
                 assert changed, f"{name} should have been trained"
             else:
                 assert not changed, f"{name} should have stayed frozen"
+
+    def test_frozen_probe_encodes_one_batch_at_a_time(self, labeled, monkeypatch):
+        # the cached queries are filled batch by batch, so no tape over all
+        # images is ever alive at once
+        cfg = small_cfg(**{"finetune.freeze_transformer": "true"})
+        seen = []
+        encode = Detr.encode
+
+        def spy(self, h):
+            seen.append(h.data.shape[0])
+            return encode(self, h)
+
+        monkeypatch.setattr(Detr, "encode", spy)
+        TR.run_finetune(cfg, labeled, seed=9)
+        assert max(seen) <= cfg.finetune_batch_size
+        assert sum(seen) == len(labeled)
 
     def test_aux_loss_sums_set_loss_over_decoder_layers(self, labeled):
         cfg = small_cfg(**{"model.aux_loss": "true", "model.dec_layers": 2})
