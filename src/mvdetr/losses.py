@@ -10,6 +10,7 @@ GIoU/L1 parts of the box regression loss.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,38 +48,48 @@ class LossBreakdown:
 # -- Hungarian matching ------------------------------------------------------------
 
 
-def _solve_lap(cost: np.ndarray) -> tuple[list[int], float, np.ndarray, np.ndarray]:
+def _solve_lap(cost: np.ndarray) -> tuple[list[int], float, list[float], list[float]]:
     """Shortest-augmenting-path assignment for an m x n matrix, m <= n.
 
-    Returns (column of each row, total cost, row potentials, column
-    potentials); the potentials are an optimal dual certificate:
-    cost[i][j] >= u[i] + v[j] everywhere with equality on matched cells.
-    Potentials-based O(m n^2).
+    Returns (column of each row, total cost, row potentials u, column
+    potentials v). The potentials are an optimal dual certificate:
+    cost[i][j] >= u[i] + v[j] everywhere with equality on matched cells, and
+    v <= 0 with v[j] == 0 on every unmatched column. Potentials-based
+    O(m n^2), run over plain lists: the matrices here are about 10 x 10, where
+    a numpy call per inner step costs more than the arithmetic it does.
     """
     m, n = cost.shape
-    INF = np.inf
-    u = np.zeros(m + 1)
-    v = np.zeros(n + 1)
-    p = np.zeros(n + 1, dtype=np.int64)  # p[j]: row matched to column j (1-based)
+    rows = cost.tolist()
+    inf = math.inf
+    u = [0.0] * (m + 1)
+    v = [0.0] * (n + 1)
+    p = [0] * (n + 1)  # p[j]: row matched to column j (1-based)
     for i in range(1, m + 1):
         p[0] = i
         j0 = 0
-        minv = np.full(n + 1, INF)
-        used = np.zeros(n + 1, dtype=bool)
-        way = np.zeros(n + 1, dtype=np.int64)
+        minv = [inf] * (n + 1)
+        used = [False] * (n + 1)
+        way = [0] * (n + 1)
         while True:
             used[j0] = True
             i0 = p[j0]
-            reduced = cost[i0 - 1] - u[i0] - v[1:]
-            better = ~used[1:] & (reduced < minv[1:])
-            minv[1:][better] = reduced[better]
-            way[1:][better] = j0
-            free = np.where(~used[1:])[0]
-            j1 = free[np.argmin(minv[1:][free])] + 1
-            delta = minv[j1]
-            u[p[used]] += delta
-            v[used] -= delta
-            minv[~used] -= delta
+            row, ui = rows[i0 - 1], u[i0]
+            delta, j1 = inf, 0
+            for j in range(1, n + 1):
+                if used[j]:
+                    continue
+                reduced = row[j - 1] - ui - v[j]
+                if reduced < minv[j]:
+                    minv[j] = reduced
+                    way[j] = j0
+                if minv[j] < delta:
+                    delta, j1 = minv[j], j
+            for j in range(n + 1):
+                if used[j]:
+                    u[p[j]] += delta
+                    v[j] -= delta
+                else:
+                    minv[j] -= delta
             j0 = j1
             if p[j0] == 0:
                 break
@@ -86,12 +97,12 @@ def _solve_lap(cost: np.ndarray) -> tuple[list[int], float, np.ndarray, np.ndarr
             j1 = way[j0]
             p[j0] = p[j1]
             j0 = j1
-    cols = np.zeros(m, dtype=np.int64)
+    cols = [0] * m
     for j in range(1, n + 1):
         if p[j]:
             cols[p[j] - 1] = j - 1
     total = float(cost[np.arange(m), cols].sum())
-    return cols.tolist(), total, u[1:], v[1:]
+    return cols, total, u[1:], v[1:]
 
 
 def hungarian(cost_matrix) -> MatchAssignment:
@@ -101,6 +112,20 @@ def hungarian(cost_matrix) -> MatchAssignment:
     assignments, returns the lexicographically smallest vector
     (sigma(0), sigma(1), ...), so tie-breaking is deterministic across
     platforms.
+
+    One `_solve_lap` call gives an optimal assignment and optimal duals
+    (u, v). A cell is tight when cost - u - v <= tol, with
+    tol = 1e-9 (1 + |optimal total|). By complementary slackness an
+    assignment is optimal exactly when each of its cells is tight and it
+    covers every column with v < 0; n - m zero-cost dummy rows with u = 0,
+    tight exactly on the columns with v = 0 (within tol), turn that into a
+    perfect matching on the square tight graph. The tie-break walks the rows
+    in order, keeping one such perfect matching that agrees with the columns
+    already fixed: row i can only improve on its current column c with a
+    tight, unfixed column j < c, and it takes the first j for which an
+    alternating path over rows > i moves j's owner onto the freed c. A row
+    with no such j keeps c unchecked. So tol bounds the slack of every cell
+    of the returned assignment, not the gap of its summed cost.
     """
     cost = np.asarray(cost_matrix, dtype=np.float64)
     if cost.ndim != 2:
@@ -114,41 +139,47 @@ def hungarian(cost_matrix) -> MatchAssignment:
         return MatchAssignment(())
     base_cols, best, u, v = _solve_lap(cost)
     tol = 1e-9 * (1.0 + abs(best))
-    # cells with positive reduced cost w.r.t. the optimal dual cannot appear
-    # in any optimal assignment (complementary slackness), so only zero-slack
-    # columns are lexicographic candidates
-    slack = cost - u[:, None] - v[None, :]
+    # tight columns of each row, ascending; the n - m dummy rows share one list
+    tight = [[j for j, (cij, vj) in enumerate(zip(row, v)) if cij - ui - vj <= tol]
+             for row, ui in zip(cost.tolist(), u)]
+    dummy_tight = [j for j, vj in enumerate(v) if -vj <= tol]
+    tight.extend([dummy_tight] * (n - m))
+    matched = set(base_cols)
+    col_of = base_cols + [j for j in range(n) if j not in matched]
+    owner = [0] * n
+    for r, j in enumerate(col_of):
+        owner[j] = r
 
-    assigned: list[int] = []
-    free_cols = list(range(n))
-    prefix = 0.0
     for i in range(m):
-        rest_rows = np.arange(i + 1, m)
-        candidates = [j for j in free_cols if slack[i, j] <= tol]
-        if len(candidates) == 1:
-            # a consistent optimal extension exists and must use a zero-slack
-            # cell, so a lone candidate needs no verification
-            j = candidates[0]
-            prefix += cost[i, j]
-            assigned.append(j)
-            free_cols.remove(j)
-            continue
-        for j in candidates:
-            trial_prefix = prefix + cost[i, j]
-            if rest_rows.size:
-                sub_cols = [c for c in free_cols if c != j]
-                sub = cost[np.ix_(rest_rows, sub_cols)]
-                completion = _solve_lap(sub)[1]
-            else:
-                completion = 0.0
-            if trial_prefix + completion <= best + tol:
-                assigned.append(j)
-                free_cols.remove(j)
-                prefix = trial_prefix
+        c = col_of[i]
+        for j in tight[i]:
+            if j >= c:
                 break
-        else:
-            raise RuntimeError("no consistent column found; numerical tolerance too tight")
-    return MatchAssignment(tuple(assigned))
+            r = owner[j]
+            if r < i:  # fixed by an earlier row
+                continue
+            # breadth-first search from r for an alternating path to c over
+            # rows > i; via[y] is the row that moves onto column y
+            via = {j: i}
+            queue = [r]
+            for x in queue:
+                for y in tight[x]:
+                    if y not in via and owner[y] >= i:
+                        via[y] = x
+                        queue.append(owner[y])
+                if c in via:
+                    break
+            if c not in via:
+                continue
+            y = c
+            while y != j:
+                x = via[y]
+                col_of[x], y = y, col_of[x]
+                owner[col_of[x]] = x
+            col_of[i] = j
+            owner[j] = i
+            break
+    return MatchAssignment(tuple(col_of[:m]))
 
 
 # -- box math on arrays (matching costs; gradient-free) -------------------------------

@@ -166,19 +166,20 @@ def detect_batch(model: Detr, backbone: FrozenBackbone,
     """
     inputs = [pixels if view_size is None else resize_to_view(pixels, view_size)
               for _, pixels in images]
-    h = Tensor(backbone.extract_batch(np.stack(inputs)))
-    c, hw = model.encode(h)
-    q_hat, _ = model.decode(c, hw, z=None)
-    boxes, _, match = model.predict(q_hat)
-    if score_source == "class":
-        fg = T.softmax(model.class_logits(q_hat).detach()).data[:, :, :-1]
-        labels = fg.argmax(axis=-1)
-        scores = fg.max(axis=-1)
-    elif score_source == "match":
-        labels = np.zeros(boxes.data.shape[:2], dtype=np.int64)
-        scores = match.data[:, :, 0]
-    else:
-        raise ValueError(f"unknown score source {score_source!r}")
+    with T.no_grad():
+        h = Tensor(backbone.extract_batch(np.stack(inputs)))
+        c, hw = model.encode(h)
+        q_hat, _ = model.decode(c, hw, z=None)
+        boxes, _, match = model.predict(q_hat)
+        if score_source == "class":
+            fg = T.softmax(model.class_logits(q_hat)).data[:, :, :-1]
+            labels = fg.argmax(axis=-1)
+            scores = fg.max(axis=-1)
+        elif score_source == "match":
+            labels = np.zeros(boxes.data.shape[:2], dtype=np.int64)
+            scores = match.data[:, :, 0]
+        else:
+            raise ValueError(f"unknown score source {score_source!r}")
     out = []
     for bi, (image_id, pixels) in enumerate(images):
         height, width = pixels.shape[:2]
@@ -235,9 +236,10 @@ def export_attention(model: Detr, backbone: FrozenBackbone, pixels: np.ndarray,
     os.makedirs(out_dir, exist_ok=True)
     if view_size is not None:
         pixels = resize_to_view(pixels, view_size)
-    c, hw = model.encode(Tensor(backbone.extract_batch(pixels[None])))  # a batch of one
-    q_hat, attn = model.decode(c, hw, z=None)
-    boxes, _, match = model.predict(q_hat)
+    with T.no_grad():
+        c, hw = model.encode(Tensor(backbone.extract_batch(pixels[None])))  # a batch of one
+        q_hat, attn = model.decode(c, hw, z=None)
+        boxes, _, match = model.predict(q_hat)
     mean_attn = attn.data[0].mean(axis=0)  # (N, L)
     paths = []
     for qi in range(mean_attn.shape[0]):

@@ -29,6 +29,13 @@ class AdamW:
         self.v = {n: np.zeros_like(params[n].data) for n in self.names}
 
     def step(self) -> None:
+        """One update of every parameter, or none: a non-finite gradient
+        anywhere raises before any parameter, moment or `t` changes."""
+        for name in self.names:
+            g = self.params[name].grad
+            if g is not None and not np.isfinite(g).all():
+                raise FloatingPointError(f"non-finite gradient in parameter {name!r} "
+                                         f"at optimizer step {self.t + 1}")
         self.t += 1
         b1, b2 = self.betas
         bc1 = 1.0 - b1 ** self.t
@@ -38,8 +45,6 @@ class AdamW:
             g = p.grad
             if g is None:
                 g = np.zeros_like(p.data)
-            elif not np.isfinite(g).all():
-                raise FloatingPointError(f"non-finite gradient in parameter {name!r}")
             if self.weight_decay:
                 p.data = p.data - self.lr * self.weight_decay * p.data
             self.m[name] = b1 * self.m[name] + (1.0 - b1) * g

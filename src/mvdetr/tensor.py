@@ -9,6 +9,12 @@ order, so every parameter reachable from the loss accumulates its gradient
 exactly once per call. A node keeps parents and a closure only if some input
 requires a gradient, so backward rules test `requires_grad` alone.
 
+Inside `with no_grad():` nothing is recorded at all: every primitive still
+computes the same values, but its output keeps no parents or closure and does
+not require a gradient, whatever its inputs. Inference (detection, attention
+export, the frozen transformer of a probe) runs there, so the activations of
+one forward pass are freed as soon as the next op no longer needs them.
+
 Broadcasting is restricted to leading-dimension expansion: elementwise ops
 accept equal shapes, or one operand whose shape is a trailing suffix of the
 other's (the usual bias-add pattern). This keeps every backward rule a plain
@@ -37,6 +43,7 @@ building attention from `matmul`, `transpose`, `mul` and `softmax`.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -118,11 +125,26 @@ class Tensor:
                 node._backward(node.grad)
 
 
+_recording = True  # False inside `no_grad`
+
+
+@contextmanager
+def no_grad():
+    """Record no tape: outputs made inside carry no history and no gradient."""
+    global _recording
+    saved = _recording
+    _recording = False
+    try:
+        yield
+    finally:
+        _recording = saved
+
+
 def _make(data: np.ndarray, parents: tuple[Tensor, ...], op: str, backward_fn) -> Tensor:
     out = Tensor.__new__(Tensor)
     out.data = data
     out.grad = None
-    out.requires_grad = any(p.requires_grad for p in parents)
+    out.requires_grad = _recording and any(p.requires_grad for p in parents)
     out._op = op
     if out.requires_grad:
         out._parents = parents
@@ -468,14 +490,15 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> tuple[Tensor, np.n
 
     def backward(g):
         g4 = g.reshape(b, nq, heads, dk).transpose(0, 2, 1, 3)
-        if v.requires_grad:
-            gv = np.swapaxes(probs, -1, -2) @ g4
-            v.accumulate_grad(gv.transpose(0, 2, 1, 3).reshape(b, lk, c))
         want_q = q.requires_grad
         want_k = k.requires_grad
-        if not (want_q or want_k):
-            return
-        gs_all = np.empty((min(step, b), heads, nq, lk), np.result_type(g, v.data))
+        want_v = v.requires_grad
+        # dQ and dV are written straight into their merged (B, L, C) layouts
+        if want_v:
+            gv = np.empty((b, lk, heads, dk), np.result_type(probs, g))
+            gv4 = gv.transpose(0, 2, 1, 3)
+        if want_q or want_k:
+            gs_all = np.empty((min(step, b), heads, nq, lk), np.result_type(g, v.data))
         if want_q:
             gq = np.empty((b, nq, heads, dk), np.result_type(gs_all, k.data))
             gq4 = gq.transpose(0, 2, 1, 3)
@@ -485,6 +508,10 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> tuple[Tensor, np.n
         for lo in range(0, b, step):
             s = slice(lo, lo + step)
             p = probs[s]
+            if want_v:
+                np.matmul(np.swapaxes(p, -1, -2), g4[s], out=gv4[s])
+            if not (want_q or want_k):
+                continue
             # softmax backward, then the scale, in place on this block's dL/dP
             gs = gs_all[:len(p)]
             np.matmul(g4[s], v4t[s], out=gs)
@@ -495,6 +522,8 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> tuple[Tensor, np.n
                 np.matmul(gs, k4[s], out=gq4[s])
             if want_k:
                 np.matmul(q4t[s], gs, out=gk4[s])
+        if want_v:
+            v.accumulate_grad(gv.reshape(b, lk, c))
         if want_q:
             q.accumulate_grad(gq.reshape(b, nq, c))
         if want_k:

@@ -389,12 +389,13 @@ def run_finetune(cfg: RunConfig, items: list[LabeledItem], seed: int,
     cached_q = None
     if cfg.finetune_freeze_transformer:
         # the frozen transformer maps each image to a fixed query embedding;
-        # decode once, one batch at a time so only one batch's tape is alive,
-        # and train the heads on the cached result
+        # decode once, one batch at a time and with no tape, and train the
+        # heads on the cached result
         chunks = []
-        for lo in range(0, len(items), batch):
-            c, hw = model.encode(Tensor(features[lo:lo + batch]))
-            chunks.append(model.decode(c, hw, z=None)[0].data)
+        with T.no_grad():
+            for lo in range(0, len(items), batch):
+                c, hw = model.encode(Tensor(features[lo:lo + batch]))
+                chunks.append(model.decode(c, hw, z=None)[0].data)
         cached_q = np.concatenate(chunks)
 
     losses: list[float] = []

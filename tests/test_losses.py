@@ -2,9 +2,11 @@
 
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mvdetr import losses as L
 from mvdetr import tensor as T
@@ -89,6 +91,36 @@ class TestHungarian:
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
             L.hungarian(np.array([[1.0, np.inf]]))
+
+
+@st.composite
+def tie_heavy_costs(draw, square: bool):
+    """Small integer cost matrices from {0, .., 3}: most have several optima."""
+    m = draw(st.integers(1, 5))
+    n = m if square else draw(st.integers(m + 1, 6))
+    cells = draw(st.lists(st.integers(0, 3), min_size=m * n, max_size=m * n))
+    return np.array(cells, dtype=np.float64).reshape(m, n)
+
+
+class TestHungarianProperties:
+    """hungarian equals the brute-force lexicographic optimum and solves one LAP."""
+
+    @pytest.mark.parametrize("square", [True, False], ids=["square", "rectangular"])
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_lexicographic_optimum(self, square, data):
+        cost = data.draw(tie_heavy_costs(square))
+        best_cost, oracle = brute_force_assignment(cost)
+        got = L.hungarian(cost).target_to_pred
+        assert got == oracle
+        assert cost[np.arange(len(got)), list(got)].sum() == best_cost
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(cost=st.one_of(tie_heavy_costs(True), tie_heavy_costs(False)))
+    def test_one_lap_solve_per_match(self, cost):
+        with mock.patch.object(L, "_solve_lap", wraps=L._solve_lap) as solve:
+            L.hungarian(cost)
+        assert solve.call_count == 1
 
 
 class TestMatchingCost:

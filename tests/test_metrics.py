@@ -1,9 +1,12 @@
 """AP/AR metrics against hand-enumerated PR curves; export formats."""
 
+import contextlib
+
 import numpy as np
 import pytest
 
 from mvdetr import metrics as M
+from mvdetr import tensor as T
 from mvdetr.geometry import BoxXYXY
 
 
@@ -171,3 +174,59 @@ class TestAttentionExport:
         M.write_pgm(path, gray)
         blob = open(path, "rb").read()
         assert blob.endswith(bytes([128] * 16))
+
+
+class TestInferenceTape:
+    """Detection and attention export record no tape, and the values are
+    bitwise those of the taped forward pass."""
+
+    @staticmethod
+    def _model():
+        from mvdetr.backbone import FrozenBackbone
+        from mvdetr.model import Detr, TransformerConfig
+
+        cfg = TransformerConfig(d_model=32, heads=2, enc_layers=1, dec_layers=1,
+                                ffn_dim=32, n_queries=5, in_channels=64, sem_dim=64)
+        model = Detr(cfg, seed=3)
+        model.add_class_head(3, seed=4)
+        return model, FrozenBackbone(7)
+
+    @staticmethod
+    def _count_tape(monkeypatch) -> list[str]:
+        recorded = []
+        make = T._make
+
+        def counting(*args):
+            out = make(*args)
+            if out._parents:
+                recorded.append(out._op)
+            return out
+
+        monkeypatch.setattr(T, "_make", counting)
+        return recorded
+
+    @pytest.mark.parametrize("score_source", ["class", "match"])
+    def test_detect_batch(self, monkeypatch, score_source):
+        model, backbone = self._model()
+        rng = np.random.default_rng(5)
+        images = [(i, rng.uniform(0, 1, (64, 64, 3)).astype(np.float32)) for i in range(3)]
+        recorded = self._count_tape(monkeypatch)
+        untaped = M.detect_batch(model, backbone, images, score_source)
+        assert recorded == []
+        monkeypatch.setattr(T, "no_grad", contextlib.nullcontext)
+        taped = M.detect_batch(model, backbone, images, score_source)
+        assert recorded  # the taped run really recorded nodes
+        assert untaped and untaped == taped
+
+    def test_export_attention(self, monkeypatch, tmp_path):
+        model, backbone = self._model()
+        pixels = np.random.default_rng(6).uniform(0, 1, (64, 64, 3)).astype(np.float32)
+        recorded = self._count_tape(monkeypatch)
+        untaped = M.export_attention(model, backbone, pixels, str(tmp_path / "a"))
+        assert recorded == []
+        monkeypatch.setattr(T, "no_grad", contextlib.nullcontext)
+        taped = M.export_attention(model, backbone, pixels, str(tmp_path / "b"))
+        assert recorded
+        assert len(untaped) == len(taped) == 6
+        for a, b in zip(untaped, taped):
+            assert open(a, "rb").read() == open(b, "rb").read()

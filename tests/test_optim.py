@@ -50,6 +50,26 @@ class TestAdamW:
         with pytest.raises(FloatingPointError, match="w"):
             opt.step()
 
+    def test_nan_in_last_param_changes_nothing(self):
+        a, b = _param([1.0, -2.0]), _param([3.0])
+        opt = AdamW({"a": a, "b": b}, lr=0.1, weight_decay=0.01)
+        a.grad = np.array([0.5, -0.25], dtype=np.float32)
+        b.grad = np.array([1.0], dtype=np.float32)
+        opt.step()
+        before = ([a.data.copy(), b.data.copy()], {n: m.copy() for n, m in opt.m.items()},
+                  {n: v.copy() for n, v in opt.v.items()}, opt.t)
+        a.grad = np.array([0.1, 0.2], dtype=np.float32)
+        b.grad = np.array([np.nan], dtype=np.float32)
+        with pytest.raises(FloatingPointError, match=r"'b' at optimizer step 2"):
+            opt.step()
+        params, m, v, t = before
+        np.testing.assert_array_equal(a.data, params[0])
+        np.testing.assert_array_equal(b.data, params[1])
+        for n in ("a", "b"):
+            np.testing.assert_array_equal(opt.m[n], m[n])
+            np.testing.assert_array_equal(opt.v[n], v[n])
+        assert opt.t == t == 1
+
     def test_deterministic(self):
         def run():
             w = _param([1.0, -2.0, 3.0])

@@ -125,6 +125,19 @@ class TestAttention:
             assert gf.dtype == np.float32
             np.testing.assert_array_equal(gf, gr)
 
+    def test_value_only_gradient_bit_identical_to_composed(self):
+        # q and k constant: the blocked backward computes dV alone
+        rng = np.random.default_rng(25)
+        q, k, v = (rng.standard_normal((3, 256, 16)).astype(np.float32) for _ in range(3))
+        w = rng.standard_normal((3, 256, 16)).astype(np.float32)
+        grads = []
+        for fn in (T.attention, composed_attention):
+            leaf = Tensor(v.copy(), requires_grad=True)
+            out, _ = fn(Tensor(q), Tensor(k), leaf, 4)
+            T.tsum(T.mul(out, Tensor(w))).backward()
+            grads.append(leaf.grad)
+        np.testing.assert_array_equal(grads[0], grads[1])
+
     def test_probabilities_read_only(self):
         rng = np.random.default_rng(22)
         q, k, v = (Tensor(rng.standard_normal((1, 3, 8)).astype(np.float32),
@@ -269,6 +282,33 @@ class TestTapeRule:
         out = T.mul(c, x)
         assert out.requires_grad and out._backward is not None
         assert out._parents == (c, x)
+
+
+class TestNoGrad:
+    """Under `no_grad` no node is recorded, whatever its inputs."""
+
+    def test_gradient_inputs_record_nothing(self):
+        x = Tensor(np.array([[1.0, -2.0], [0.5, 3.0]]), requires_grad=True)
+        w = Tensor(np.eye(2), requires_grad=True)
+        with T.no_grad():
+            outs = [T.affine(x, w), T.mul(x, x), T.softmax(x), T.tmean(x),
+                    T.layer_norm(x, w, w),
+                    T.attention(Tensor(x.data[None], requires_grad=True),
+                                Tensor(x.data[None], requires_grad=True),
+                                Tensor(x.data[None], requires_grad=True), 1)[0]]
+            with T.no_grad():  # nesting keeps recording off
+                outs.append(T.mul(x, w))
+            outs.append(T.add(x, w))
+        for out in outs:
+            TestTapeRule._assert_off_tape(out)
+        assert T.mul(x, w).requires_grad  # recording resumes on exit
+
+    def test_recording_restored_after_error(self):
+        x = Tensor(np.zeros(2), requires_grad=True)
+        with pytest.raises(T.ShapeError):
+            with T.no_grad():
+                T.add(x, Tensor(np.zeros(3)))
+        assert T.mul(x, x).requires_grad
 
 
 class TestBackward:
