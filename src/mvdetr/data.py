@@ -34,6 +34,15 @@ class SceneSpec:
     noise_amplitude: float = 0.04
     seed: int = 0
 
+    def side_range(self) -> tuple[float, float]:
+        """Object side lengths that fit inside the margins of the image."""
+        hi = min(self.max_side, self.image_size - 2 * self.margin)
+        if hi < self.min_side:
+            raise ValueError(f"image size {self.image_size} leaves no room for a "
+                             f"{self.min_side:g}-px object inside "
+                             f"{self.margin:g}-px margins")
+        return self.min_side, hi
+
 
 @dataclass
 class SceneObject:
@@ -52,10 +61,11 @@ def sample_scene(spec: SceneSpec, index: int) -> list[SceneObject]:
     """Object parameters for image `index`; pure function of (spec, index)."""
     rng = Rng(derive_seed(spec.seed, 0x5C, index))
     count = rng.randint(spec.min_objects, spec.max_objects)
+    min_side, max_side = spec.side_range()
     objects: list[SceneObject] = []
     for _ in range(count):
         for _attempt in range(50):
-            size = rng.uniform(spec.min_side, spec.max_side)
+            size = rng.uniform(min_side, max_side)
             half = size / 2.0
             lo = spec.margin + half
             hi = spec.image_size - spec.margin - half
@@ -162,8 +172,10 @@ def generate_dataset(count: int, spec: SceneSpec, out_dir: str) -> str:
     """Write `count` PPM images plus the manifest; returns the manifest path.
 
     Byte-identical for identical (count, spec). On I/O failure partial files
-    are removed before the error propagates.
+    are removed before the error propagates. A spec whose objects cannot fit
+    is rejected before anything is written.
     """
+    spec.side_range()
     os.makedirs(out_dir, exist_ok=True)
     manifest_path = os.path.join(out_dir, MANIFEST_NAME)
     written: list[str] = []

@@ -80,6 +80,23 @@ def box_iou(a: BoxXYXY, b: BoxXYXY) -> float:
     return inter / union
 
 
+def pairwise_iou(a_xyxy: np.ndarray, b_xyxy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """IoU and union of every pair, (m, 4) x (n, 4) -> two (m, n) arrays.
+
+    The arithmetic of `box_iou`, so each entry equals `box_iou(a_i, b_j)` bit
+    for bit.
+    """
+    area_a = (a_xyxy[:, 2] - a_xyxy[:, 0]) * (a_xyxy[:, 3] - a_xyxy[:, 1])
+    area_b = (b_xyxy[:, 2] - b_xyxy[:, 0]) * (b_xyxy[:, 3] - b_xyxy[:, 1])
+    lt = np.maximum(a_xyxy[:, None, :2], b_xyxy[None, :, :2])
+    rb = np.minimum(a_xyxy[:, None, 2:], b_xyxy[None, :, 2:])
+    wh = np.clip(rb - lt, 0, None)
+    inter = wh[..., 0] * wh[..., 1]
+    union = area_a[:, None] + area_b[None, :] - inter
+    iou = np.where(union > _EPS, inter / np.maximum(union, _EPS), 0.0)
+    return iou, union
+
+
 def to_cxcywh(box: BoxXYXY, frame_w: float, frame_h: float) -> BoxCxCyWH:
     """Pixel corners to normalized center-size."""
     if frame_w <= 0 or frame_h <= 0:

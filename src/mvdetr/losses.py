@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
+from .geometry import pairwise_iou
 from .tensor import Tensor
 
 MATCH_COEF = (1.0, 2.0, 5.0)  # match-score, giou, l1
@@ -192,14 +193,7 @@ def cxcywh_to_xyxy_array(boxes: np.ndarray) -> np.ndarray:
 
 def giou_matrix(a_xyxy: np.ndarray, b_xyxy: np.ndarray) -> np.ndarray:
     """Pairwise GIoU, (m, 4) x (n, 4) -> (m, n)."""
-    area_a = (a_xyxy[:, 2] - a_xyxy[:, 0]) * (a_xyxy[:, 3] - a_xyxy[:, 1])
-    area_b = (b_xyxy[:, 2] - b_xyxy[:, 0]) * (b_xyxy[:, 3] - b_xyxy[:, 1])
-    lt = np.maximum(a_xyxy[:, None, :2], b_xyxy[None, :, :2])
-    rb = np.minimum(a_xyxy[:, None, 2:], b_xyxy[None, :, 2:])
-    wh = np.clip(rb - lt, 0, None)
-    inter = wh[..., 0] * wh[..., 1]
-    union = area_a[:, None] + area_b[None, :] - inter
-    iou = np.where(union > 1e-9, inter / np.maximum(union, 1e-9), 0.0)
+    iou, union = pairwise_iou(a_xyxy, b_xyxy)
     lt_h = np.minimum(a_xyxy[:, None, :2], b_xyxy[None, :, :2])
     rb_h = np.maximum(a_xyxy[:, None, 2:], b_xyxy[None, :, 2:])
     wh_h = np.clip(rb_h - lt_h, 0, None)

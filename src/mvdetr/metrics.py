@@ -4,24 +4,34 @@ AP uses 101-point interpolation over the recall grid {0, 0.01, ..., 1} and
 greedy confidence-ordered matching (ties by detection index) with each
 ground-truth box matched at most once. AR@K averages recall over the IoU
 grid 0.50:0.05:0.95 with the top K detections per image.
+
+Scoring computes one IoU matrix per image, its detections against its
+ground truth, and keeps each detection's overlapping boxes best first.
+Detections are ranked once; every IoU threshold, each class's AP (the rows
+and columns of its class) and AR@K then match against those lists. Matching
+is per image: a detection only ever takes a box of its own image.
 """
 
 from __future__ import annotations
 
 import os
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import tensor as T
 from .backbone import FrozenBackbone
-from .geometry import BoxXYXY, box_iou
+from .geometry import BoxXYXY, pairwise_iou
 from .model import Detr
 from .tensor import Tensor
 from .views import resize_to_view
 
 IOU_GRID = tuple(round(0.5 + 0.05 * i, 2) for i in range(10))
 RECALL_GRID = np.linspace(0.0, 1.0, 101)
+
+# per detection, its (IoU, ground-truth index) pairs in the order it prefers them
+_Candidates = list[Sequence[tuple[float, int]]]
 
 
 @dataclass(frozen=True)
@@ -57,33 +67,107 @@ class MetricReport:
                 f"{self.ar1:.6f},{self.ar10:.6f}\n")
 
 
-def _greedy_match(dets: list[Detection], gts: list[GroundTruth],
-                  iou_threshold: float) -> list[bool]:
-    """True-positive flags for detections already sorted by rank."""
-    by_image: dict[int, list[int]] = {}
+def _rank(dets: list[Detection]) -> list[int]:
+    """Detection indices by descending confidence, ties by index."""
+    return sorted(range(len(dets)), key=lambda i: (-dets[i].confidence, i))
+
+
+def _corners(boxes) -> np.ndarray:
+    return np.array([(b.x1, b.y1, b.x2, b.y2) for b in boxes],
+                    dtype=np.float64).reshape(-1, 4)
+
+
+def _candidates(dets: list[Detection], gts: list[GroundTruth],
+                min_iou: float) -> _Candidates:
+    """Per detection, (IoU, ground-truth index) for each ground-truth box of
+    its image that it overlaps by at least min_iou, in the order greedy
+    matching prefers them: highest IoU first, ties by index. One IoU matrix
+    per image."""
+    gt_rows: dict[int, list[int]] = {}
     for gi, gt in enumerate(gts):
-        by_image.setdefault(gt.image_id, []).append(gi)
-    taken = [False] * len(gts)
-    flags = []
-    for det in dets:
-        best_iou, best_gi = 0.0, -1
-        for gi in by_image.get(det.image_id, ()):
-            if taken[gi]:
-                continue
-            iou = box_iou(det.box, gts[gi].box)
-            if iou >= iou_threshold and iou > best_iou:
-                best_iou, best_gi = iou, gi
-        if best_gi >= 0:
-            taken[best_gi] = True
-            flags.append(True)
-        else:
-            flags.append(False)
-    return flags
+        gt_rows.setdefault(gt.image_id, []).append(gi)
+    det_rows: dict[int, list[int]] = {}
+    for di, det in enumerate(dets):
+        det_rows.setdefault(det.image_id, []).append(di)
+    det_xyxy = _corners(d.box for d in dets)
+    gt_xyxy = _corners(g.box for g in gts)
+    cands: _Candidates = [()] * len(dets)
+    for image_id, dis in det_rows.items():
+        gis = gt_rows.get(image_id)
+        if gis is None:
+            continue
+        iou, _ = pairwise_iou(det_xyxy[dis], gt_xyxy[gis])
+        for di, row in zip(dis, iou.tolist()):
+            cands[di] = sorted(((v, gi) for v, gi in zip(row, gis)
+                                if v >= min_iou and v > 0.0),
+                               key=lambda c: (-c[0], c[1]))
+    return cands
 
 
-def _ranked(dets: list[Detection]) -> list[Detection]:
-    return [dets[i] for i in sorted(range(len(dets)),
-                                    key=lambda i: (-dets[i].confidence, i))]
+def _hits(ranked: list[int], cands: _Candidates,
+          thresholds: tuple[float, ...]) -> list[list[int]]:
+    """Rank positions of the true positives at each IoU threshold.
+
+    Greedy matching: in rank order, each detection takes its best untaken
+    candidate at or above the threshold. Candidates never leave a
+    detection's image, so neither does the matching.
+    """
+    matchable = [(pos, cands[di]) for pos, di in enumerate(ranked) if cands[di]]
+    out = []
+    for thr in thresholds:
+        taken: set[int] = set()
+        hits = []
+        for pos, cs in matchable:
+            for iou, gi in cs:
+                if iou < thr:
+                    break
+                if gi not in taken:
+                    taken.add(gi)
+                    hits.append(pos)
+                    break
+        out.append(hits)
+    return out
+
+
+def _precision(hits: list[int], n_dets: int, n_gt: int) -> float:
+    """101-point interpolated AP of n_dets ranked detections with true
+    positives at the rank positions `hits`."""
+    if not n_gt:
+        return 1.0 if not n_dets else 0.0
+    if not n_dets:
+        return 0.0
+    flags = np.zeros(n_dets, dtype=bool)
+    flags[hits] = True
+    tp = np.cumsum(flags)
+    fp = np.cumsum(~flags)
+    recall = tp / n_gt
+    precision = tp / np.maximum(tp + fp, 1)
+    # precision envelope, sampled at the 101-point recall grid (0 past the
+    # highest recall), summed in grid order
+    envelope = np.maximum.accumulate(precision[::-1])[::-1]
+    idx = np.searchsorted(recall, RECALL_GRID, side="left")
+    ap = 0.0
+    for v in np.append(envelope, 0.0)[idx].tolist():
+        ap += v
+    return ap / len(RECALL_GRID)
+
+
+def _recall_at_k(dets: list[Detection], ranked: list[int],
+                 cands: _Candidates, n_gt: int, k: int) -> float:
+    """Recall of the top-k detections per image, averaged over the IoU grid."""
+    if not n_gt:
+        return 1.0 if not dets else 0.0
+    per_image: dict[int, int] = {}
+    kept = []
+    for di in ranked:
+        image_id = dets[di].image_id
+        if per_image.get(image_id, 0) < k:
+            per_image[image_id] = per_image.get(image_id, 0) + 1
+            kept.append(di)
+    total = 0.0
+    for hits in _hits(kept, cands, IOU_GRID):
+        total += len(hits) / n_gt
+    return total / len(IOU_GRID)
 
 
 def average_precision(detections: list[Detection], ground_truth: list[GroundTruth],
@@ -91,62 +175,45 @@ def average_precision(detections: list[Detection], ground_truth: list[GroundTrut
     """101-point interpolated AP at one IoU threshold (class-blind: filter
     per class before calling for per-class AP). Empty GT with no detections
     is undefined and reported as 1 by convention."""
-    if not ground_truth:
-        return 1.0 if not detections else 0.0
-    if not detections:
-        return 0.0
-    ranked = _ranked(detections)
-    flags = _greedy_match(ranked, ground_truth, iou_threshold)
-    tp = np.cumsum(flags)
-    fp = np.cumsum([not f for f in flags])
-    recall = tp / len(ground_truth)
-    precision = tp / np.maximum(tp + fp, 1)
-    # precision envelope, then sample the 101-point recall grid
-    envelope = np.maximum.accumulate(precision[::-1])[::-1]
-    ap = 0.0
-    for r in RECALL_GRID:
-        idx = np.searchsorted(recall, r, side="left")
-        ap += envelope[idx] if idx < len(envelope) else 0.0
-    return float(ap / len(RECALL_GRID))
+    cands = _candidates(detections, ground_truth, iou_threshold)
+    hits, = _hits(_rank(detections), cands, (iou_threshold,))
+    return _precision(hits, len(detections), len(ground_truth))
 
 
 def average_recall_at_k(detections: list[Detection], ground_truth: list[GroundTruth],
                         k: int) -> float:
     """Recall of the top-k detections per image, averaged over the IoU grid."""
-    if not ground_truth:
-        return 1.0 if not detections else 0.0
-    per_image: dict[int, list[Detection]] = {}
-    for det in _ranked(detections):
-        bucket = per_image.setdefault(det.image_id, [])
-        if len(bucket) < k:
-            bucket.append(det)
-    kept = [d for bucket in per_image.values() for d in bucket]
-    kept = _ranked(kept)
-    total = 0.0
-    for thr in IOU_GRID:
-        flags = _greedy_match(kept, ground_truth, thr)
-        total += sum(flags) / len(ground_truth)
-    return total / len(IOU_GRID)
+    cands = _candidates(detections, ground_truth, IOU_GRID[0])
+    return _recall_at_k(detections, _rank(detections), cands, len(ground_truth), k)
 
 
 def evaluate_detections(detections: list[Detection], ground_truth: list[GroundTruth],
                         n_classes: int) -> MetricReport:
-    """Class-mean AP over the IoU grid plus class-agnostic AR@1/AR@10."""
+    """Class-mean AP over the IoU grid plus class-agnostic AR@1/AR@10.
+
+    One ranking and one IoU matrix per image serve every number.
+    """
+    ranked = _rank(detections)
+    cands = _candidates(detections, ground_truth, IOU_GRID[0])
+    # a class's AP matches its detections against its ground truth only
+    own_class = [[c for c in cs if ground_truth[c[1]].class_id == det.class_id]
+                 for det, cs in zip(detections, cands)]
     ap_per_thr: dict[float, list[float]] = {thr: [] for thr in IOU_GRID}
     for cls in range(n_classes):
-        cls_gt = [g for g in ground_truth if g.class_id == cls]
-        if not cls_gt:
+        n_gt = sum(g.class_id == cls for g in ground_truth)
+        if not n_gt:
             continue
-        cls_det = [d for d in detections if d.class_id == cls]
-        for thr in IOU_GRID:
-            ap_per_thr[thr].append(average_precision(cls_det, cls_gt, thr))
+        cls_ranked = [di for di in ranked if detections[di].class_id == cls]
+        for thr, hits in zip(IOU_GRID, _hits(cls_ranked, own_class, IOU_GRID)):
+            ap_per_thr[thr].append(_precision(hits, len(cls_ranked), n_gt))
     means = {thr: (float(np.mean(v)) if v else 0.0) for thr, v in ap_per_thr.items()}
+    n_gt = len(ground_truth)
     return MetricReport(
         ap=float(np.mean(list(means.values()))),
         ap50=means[0.5],
         ap75=means[0.75],
-        ar1=average_recall_at_k(detections, ground_truth, 1),
-        ar10=average_recall_at_k(detections, ground_truth, 10),
+        ar1=_recall_at_k(detections, ranked, cands, n_gt, 1),
+        ar10=_recall_at_k(detections, ranked, cands, n_gt, 10),
     )
 
 
@@ -201,6 +268,8 @@ def evaluate_model(model: Detr, backbone: FrozenBackbone,
                    dataset: list[tuple[np.ndarray, list[BoxXYXY], list[int]]],
                    n_classes: int, score_source: str = "class",
                    view_size: int | None = None, batch: int = 16) -> MetricReport:
+    if not any(boxes for _, boxes, _ in dataset):
+        raise ValueError(f"eval set has no ground-truth boxes ({len(dataset)} images)")
     detections: list[Detection] = []
     ground_truth: list[GroundTruth] = []
     pending: list[tuple[int, np.ndarray]] = []

@@ -3,10 +3,11 @@
 These deliberately avoid the library's own computation paths: gradients come
 from central finite differences, box overlaps from grid-cell counting (with
 a closed-form GIoU checked against it), and RoIAlign references from dense
-sampling. Oracles run in float64. The two exceptions are held to exact bits
+sampling. Oracles run in float64. Three exceptions are held to exact bits
 instead: the attention reference composes the library's generic primitives
-(themselves gradient-checked), and the backbone reference runs each float32
-conv layer as one GEMM over the whole batch.
+(themselves gradient-checked), the backbone reference runs each float32
+conv layer as one GEMM over the whole batch, and the AP/AR reference scores
+each (detection, ground truth) pair with `geometry.box_iou` at every match.
 """
 
 import math
@@ -14,6 +15,8 @@ import math
 import numpy as np
 
 from mvdetr import tensor as T
+from mvdetr.geometry import box_iou
+from mvdetr.metrics import IOU_GRID, RECALL_GRID
 from mvdetr.tensor import Tensor
 
 
@@ -195,3 +198,87 @@ def dense_bilinear_average(feat, box, out_hw, samples_per_bin=100):
                      + f10 * wy2 * (1 - wx2) + f11 * wy2 * wx2)
             out[by, bx] = blend.mean(axis=(0, 1))
     return out
+
+
+def per_pair_greedy_match(dets, gts, iou_threshold):
+    """Matching oracle: true-positive flags for detections already sorted by
+    rank, scoring each (detection, ground truth) pair of an image with
+    `box_iou` at every call. Each detection takes the untaken box of its
+    image with the highest IoU at or above the threshold (first on ties)."""
+    by_image = {}
+    for gi, gt in enumerate(gts):
+        by_image.setdefault(gt.image_id, []).append(gi)
+    taken = [False] * len(gts)
+    flags = []
+    for det in dets:
+        best_iou, best_gi = 0.0, -1
+        for gi in by_image.get(det.image_id, ()):
+            if taken[gi]:
+                continue
+            iou = box_iou(det.box, gts[gi].box)
+            if iou >= iou_threshold and iou > best_iou:
+                best_iou, best_gi = iou, gi
+        if best_gi >= 0:
+            taken[best_gi] = True
+            flags.append(True)
+        else:
+            flags.append(False)
+    return flags
+
+
+def _per_pair_ranked(dets):
+    return [dets[i] for i in sorted(range(len(dets)),
+                                    key=lambda i: (-dets[i].confidence, i))]
+
+
+def per_pair_average_precision(dets, gts, iou_threshold):
+    """AP oracle: 101-point interpolation over the per-pair matching, one
+    `searchsorted` per recall grid point."""
+    if not gts:
+        return 1.0 if not dets else 0.0
+    if not dets:
+        return 0.0
+    flags = per_pair_greedy_match(_per_pair_ranked(dets), gts, iou_threshold)
+    tp = np.cumsum(flags)
+    fp = np.cumsum([not f for f in flags])
+    recall = tp / len(gts)
+    precision = tp / np.maximum(tp + fp, 1)
+    envelope = np.maximum.accumulate(precision[::-1])[::-1]
+    ap = 0.0
+    for r in RECALL_GRID:
+        idx = np.searchsorted(recall, r, side="left")
+        ap += envelope[idx] if idx < len(envelope) else 0.0
+    return float(ap / len(RECALL_GRID))
+
+
+def per_pair_average_recall_at_k(dets, gts, k):
+    """AR@k oracle: per-pair matching of the top-k detections per image."""
+    if not gts:
+        return 1.0 if not dets else 0.0
+    per_image = {}
+    for det in _per_pair_ranked(dets):
+        bucket = per_image.setdefault(det.image_id, [])
+        if len(bucket) < k:
+            bucket.append(det)
+    kept = _per_pair_ranked([d for bucket in per_image.values() for d in bucket])
+    total = 0.0
+    for thr in IOU_GRID:
+        total += sum(per_pair_greedy_match(kept, gts, thr)) / len(gts)
+    return total / len(IOU_GRID)
+
+
+def per_pair_report(dets, gts, n_classes):
+    """(ap, ap50, ap75, ar1, ar10) oracle: per-class AP calls on filtered
+    lists, class-agnostic AR."""
+    ap_per_thr = {thr: [] for thr in IOU_GRID}
+    for cls in range(n_classes):
+        cls_gt = [g for g in gts if g.class_id == cls]
+        if not cls_gt:
+            continue
+        cls_det = [d for d in dets if d.class_id == cls]
+        for thr in IOU_GRID:
+            ap_per_thr[thr].append(per_pair_average_precision(cls_det, cls_gt, thr))
+    means = {thr: (float(np.mean(v)) if v else 0.0) for thr, v in ap_per_thr.items()}
+    return (float(np.mean(list(means.values()))), means[0.5], means[0.75],
+            per_pair_average_recall_at_k(dets, gts, 1),
+            per_pair_average_recall_at_k(dets, gts, 10))

@@ -30,6 +30,17 @@ def workspace(tmp_path_factory):
     return root, str(cfg_path), str(data_dir / "manifest.txt")
 
 
+def _untrained_checkpoint(cfg_path, path) -> str:
+    from mvdetr.backbone import FrozenBackbone
+    from mvdetr.checkpoint import save_checkpoint
+    from mvdetr.config import parse_config
+    from mvdetr.training import checkpoint_entries, make_model
+    cfg = parse_config(open(cfg_path).read())
+    model = make_model(cfg, FrozenBackbone(cfg.backbone_seed))
+    save_checkpoint(str(path), checkpoint_entries(model, None, cfg, 0))
+    return str(path)
+
+
 class TestGenData:
     def test_repeat_identical_bytes(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -38,11 +49,22 @@ class TestGenData:
         for name in sorted(os.listdir(a)):
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
-    def test_count_zero(self, tmp_path):
-        rc = main(["gen-data", "--count", "0", "--seed", "1",
+    @pytest.mark.parametrize("count", ["0", "-2"])
+    def test_count_below_one_is_one(self, tmp_path, capsys, count):
+        rc = main(["gen-data", "--count", count, "--seed", "1",
                    "--out", str(tmp_path / "empty")])
-        assert rc == 0
-        assert (tmp_path / "empty" / "manifest.txt").exists()
+        assert rc == 1
+        assert "argument --count: must be at least 1" in capsys.readouterr().err
+        assert not (tmp_path / "empty").exists()
+
+    @pytest.mark.parametrize("size", ["0", "20"])
+    def test_no_room_for_objects_is_two(self, tmp_path, capsys, size):
+        rc = main(["gen-data", "--count", "2", "--seed", "1",
+                   "--out", str(tmp_path / "tiny"), "--size", size])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"image size {size} " in err
+        assert not (tmp_path / "tiny").exists()
 
 
 class TestExitCodes:
@@ -95,6 +117,22 @@ class TestExitCodes:
                    "--out", str(tmp_path / "run")])
         assert rc == 2
         assert "header declares 9 images, found 8 image blocks" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["eval", "probe"])
+    def test_eval_set_without_ground_truth_is_two(self, workspace, tmp_path, capsys,
+                                                  command):
+        root, cfg, manifest = workspace
+        empty = tmp_path / "manifest.txt"
+        empty.write_text("manifest v1 0\n")
+        ckpt = _untrained_checkpoint(cfg, tmp_path / "init.ckpt")
+        if command == "eval":
+            argv = ["eval", "--config", cfg, "--data", str(empty), "--checkpoint", ckpt]
+        else:
+            argv = ["probe", "--config", cfg, "--data", manifest, "--eval-data",
+                    str(empty), "--init", ckpt, "--epochs", "1", "--seeds", "1"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            "error: eval set has no ground-truth boxes (0 images)\n")
 
     def test_missing_data_is_two(self, workspace):
         root, cfg, _ = workspace

@@ -55,6 +55,34 @@ def test_scene_invariants():
                 assert box_iou(b, other.bbox()) <= spec.max_pairwise_iou + 1e-9
 
 
+@pytest.mark.parametrize("size", [36, 48, 68])
+def test_small_images_keep_boxes_inside_margins(size):
+    spec = D.SceneSpec(image_size=size, seed=1)
+    for i in range(20):
+        for obj in D.sample_scene(spec, i):
+            b = obj.bbox()
+            assert b.x1 >= spec.margin - 1e-9 and b.y1 >= spec.margin - 1e-9
+            assert b.x2 <= size - spec.margin + 1e-9
+            assert b.y2 <= size - spec.margin + 1e-9
+            assert b.width >= spec.min_side
+
+
+def test_side_range_reaches_max_side_from_68_px():
+    # the range sampled before side_range existed, so larger datasets keep their bytes
+    assert D.SceneSpec(image_size=68).side_range() == (24.0, 56.0)
+    assert D.SceneSpec(image_size=67).side_range() == (24.0, 55.0)
+
+
+@pytest.mark.parametrize("size", [0, 32, 35])
+def test_no_room_for_objects_rejected(tmp_path, size):
+    spec = D.SceneSpec(image_size=size)
+    with pytest.raises(ValueError, match=f"image size {size} leaves no room"):
+        D.sample_scene(spec, 0)
+    with pytest.raises(ValueError, match=f"image size {size} leaves no room"):
+        D.generate_dataset(1, spec, str(tmp_path / "out"))
+    assert not (tmp_path / "out").exists()
+
+
 def test_boxes_cover_object_pixels(tmp_path):
     """Independent rasterization: each annotation box must hold >= 60% of its
     object's pixels (geometry is exact, so effectively all of them)."""

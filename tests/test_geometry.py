@@ -42,6 +42,26 @@ class TestIoU:
             assert box_giou(a, b) == box_giou(b, a)
 
 
+class TestPairwiseIoU:
+    def test_equals_box_iou_bit_for_bit(self):
+        rng = np.random.default_rng(12)
+        boxes = [G.BoxXYXY(*(float(v) for v in (x, y, x + w, y + h)))
+                 for x, y, w, h in rng.uniform(0, 50, (40, 4))]
+        boxes += [
+            G.BoxXYXY(5, 5, 5, 5), G.BoxXYXY(5, 5, 5, 9),    # zero area
+            G.BoxXYXY(0, 0, 10, 10), G.BoxXYXY(10, 0, 20, 10),  # touching edge
+            G.BoxXYXY(10, 10, 20, 20),                        # touching corner
+            G.BoxXYXY(100, 100, 101, 101),                    # disjoint
+            G.BoxXYXY(0.1, 0.2, 10.3, 10.7), G.BoxXYXY(0.1, 0.2, 10.3, 10.7),
+        ]
+        xyxy = np.array([(b.x1, b.y1, b.x2, b.y2) for b in boxes])
+        iou, union = G.pairwise_iou(xyxy, xyxy[::-1])
+        expected = np.array([[G.box_iou(a, b) for b in boxes[::-1]] for a in boxes])
+        assert iou.tobytes() == expected.tobytes()
+        assert union[0, -1] == boxes[0].area  # a box with itself
+        assert (iou == 0.0).sum() > len(boxes)  # zero-area, touching and disjoint pairs
+
+
 class TestGIoU:
     def test_identical(self):
         b = G.BoxXYXY(1, 1, 5, 7)

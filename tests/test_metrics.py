@@ -4,7 +4,10 @@ import contextlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from helpers import (per_pair_average_precision, per_pair_average_recall_at_k,
+                     per_pair_report)
 from mvdetr import metrics as M
 from mvdetr import tensor as T
 from mvdetr.geometry import BoxXYXY
@@ -130,6 +133,104 @@ class TestReport:
         lines = report.as_csv().strip().splitlines()
         assert lines[0] == "ap,ap50,ap75,ar1,ar10"
         assert len(lines[1].split(",")) == 5
+
+
+def _report_tuple(report):
+    return (report.ap, report.ap50, report.ap75, report.ar1, report.ar10)
+
+
+@st.composite
+def scored_scenes(draw):
+    """Detections and ground truth on half-pixel grids: ties in confidence,
+    boxes identical to or cut from a ground-truth box (IoU on or near a grid
+    threshold), zero-area boxes, detections on an image without ground truth
+    (image 3) and ground truth without detections, over three classes."""
+    half = st.integers(0, 24).map(lambda v: v / 2)
+    side = st.integers(0, 16).map(lambda v: v / 2)
+
+    def box():
+        x1, y1 = draw(half), draw(half)
+        return BoxXYXY(x1, y1, x1 + draw(side), y1 + draw(side))
+
+    gts = [M.GroundTruth(draw(st.integers(0, 2)), box(), draw(st.integers(0, 2)))
+           for _ in range(draw(st.integers(0, 8)))]
+    dets = []
+    for _ in range(draw(st.integers(0, 14))):
+        kind = draw(st.sampled_from(["free", "copy", "cut"] if gts else ["free"]))
+        if kind == "free":
+            image, b = draw(st.integers(0, 3)), box()
+        else:
+            g = draw(st.sampled_from(gts))
+            image, b = g.image_id, g.box
+            if kind == "cut":  # keep a share of its height
+                share = draw(st.sampled_from([0.5, 0.55, 0.6, 0.75, 0.9, 0.95]))
+                b = BoxXYXY(b.x1, b.y1, b.x2, b.y1 + b.height * share)
+        dets.append(M.Detection(image, b, draw(st.integers(0, 2)),
+                                draw(st.sampled_from([0.0, 0.25, 0.5, 1.0]))))
+    return dets, gts
+
+
+class TestAgainstPerPairOracle:
+    """The per-image IoU scorer reproduces per-pair `box_iou` matching exactly."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(scene=scored_scenes())
+    def test_report_equals_oracle(self, scene):
+        dets, gts = scene
+        assert (_report_tuple(M.evaluate_detections(dets, gts, n_classes=3))
+                == per_pair_report(dets, gts, 3))
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(scene=scored_scenes())
+    def test_class_blind_scores_equal_oracle(self, scene):
+        dets, gts = scene
+        for thr in (0.0, 0.3) + M.IOU_GRID:
+            assert (M.average_precision(dets, gts, thr)
+                    == per_pair_average_precision(dets, gts, thr))
+        for k in (1, 2, 10):
+            assert (M.average_recall_at_k(dets, gts, k)
+                    == per_pair_average_recall_at_k(dets, gts, k))
+
+    def test_iou_exactly_on_threshold(self):
+        gts = [_gt(0, 0, 0, 10, 10), _gt(0, 20, 0, 30, 10, cls=1)]
+        dets = [_det(0, 0, 0, 10, 6, 0.9), _det(0, 20, 0, 30, 6, 0.9, cls=1),
+                _det(0, 0, 0, 10, 10, 0.5)]  # IoU 0.6, 0.6 and 1
+        report = M.evaluate_detections(dets, gts, n_classes=2)
+        assert _report_tuple(report) == per_pair_report(dets, gts, 2)
+        # top-1 per image: only the first cut box, matched up to 0.6
+        assert report.ar1 == pytest.approx(0.5 * 3 / 10)
+        # above 0.6 the full box takes the first ground truth instead
+        assert report.ar10 == pytest.approx((3 * 1.0 + 7 * 0.5) / 10)
+
+    def test_tied_ious_take_the_first_ground_truth(self):
+        gts = [_gt(0, 0, 0, 10, 10), _gt(0, 10, 0, 20, 10)]
+        # the wide box overlaps both by exactly 0.5 and takes the first, so
+        # at 0.5 the second detection, which only fits the first, is a miss
+        dets = [_det(0, 0, 0, 20, 10, 0.9), _det(0, 0, 0, 10, 10, 0.8)]
+        assert M.average_precision(dets, gts, 0.5) == pytest.approx(51 / 101)
+        report = M.evaluate_detections(dets, gts, n_classes=1)
+        assert _report_tuple(report) == per_pair_report(dets, gts, 1)
+
+    def test_images_without_detections_or_ground_truth(self):
+        gts = [_gt(0, 0, 0, 10, 10), _gt(1, 0, 0, 10, 10), _gt(1, 5, 5, 15, 15, cls=2)]
+        dets = [_det(0, 0, 0, 10, 10, 0.8), _det(2, 0, 0, 10, 10, 0.9),
+                _det(2, 0, 0, 10, 10, 0.9, cls=2)]
+        report = M.evaluate_detections(dets, gts, n_classes=3)
+        assert _report_tuple(report) == per_pair_report(dets, gts, 3)
+        assert report.ar10 == pytest.approx(1 / 3)
+
+
+class TestEvaluateModel:
+    @pytest.mark.parametrize("dataset", [
+        [],
+        [(np.zeros((64, 64, 3), np.float32), [], []),
+         (np.zeros((64, 64, 3), np.float32), [], [])],
+    ], ids=["no_images", "boxless_images"])
+    def test_no_ground_truth_is_an_error(self, dataset):
+        with pytest.raises(ValueError) as exc:
+            M.evaluate_model(None, None, dataset, n_classes=3)
+        assert str(exc.value) == (
+            f"eval set has no ground-truth boxes ({len(dataset)} images)")
 
 
 class TestPgm:
