@@ -73,8 +73,7 @@ class FrozenBackbone:
         for cout in self.channels:
             fan_in = 9 * cin
             std = math.sqrt(2.0 / fan_in)
-            w = np.array(rng.normals(fan_in * cout, 0.0, std),
-                         dtype=np.float32).reshape(fan_in, cout)
+            w = rng.normals(fan_in * cout, 0.0, std).astype(np.float32).reshape(fan_in, cout)
             self.weights.append(w)
             self.biases.append(np.zeros(cout, dtype=np.float32))
             cin = cout

@@ -98,11 +98,23 @@ def _load_config(args):
     return parse_config(text, getattr(args, "overrides", []))
 
 
+def _numerics_notes() -> list[str]:
+    """The numpy build and BLAS thread cap a run's timings depend on."""
+    import numpy as np
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas_text = f"{blas.get('name', 'unknown')} {blas.get('version', 'unknown')}"
+    except (TypeError, KeyError):  # numpy before 1.25 has no dict mode
+        blas_text = "unknown"
+    return [f"numpy: {np.__version__}", f"blas: {blas_text}",
+            f"SDTR_THREADS: {os.environ.get('SDTR_THREADS', 'unset')}"]
+
+
 def _write_run_manifest(out_dir: str, cfg, argv: list[str], notes: list[str]) -> None:
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "run.txt"), "w", encoding="utf-8") as f:
         f.write("command: " + " ".join(argv) + "\n")
-        for note in notes:
+        for note in notes + _numerics_notes():
             f.write(note + "\n")
         f.write("-- resolved config --\n")
         f.write(cfg.resolved_text())
@@ -196,7 +208,7 @@ def _cmd_eval(args, argv) -> int:
 
 def _cmd_probe(args, argv) -> int:
     from .data import load_dataset
-    from .metrics import evaluate_model
+    from .metrics import check_eval_set, evaluate_model
     from .training import labeled_item, run_finetune
     from .backbone import FrozenBackbone
     cfg = _load_config(args)
@@ -204,6 +216,7 @@ def _cmd_probe(args, argv) -> int:
     cfg.finetune_epochs = args.epochs
     train_items = [labeled_item(px, b, l) for px, b, l in load_dataset(args.data)]
     eval_set = load_dataset(args.eval_data)
+    check_eval_set(eval_set)  # before any training, not after the first run
     params = _load_params(args.init, cfg)
     backbone = FrozenBackbone(cfg.backbone_seed)
 

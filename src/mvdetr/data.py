@@ -12,12 +12,13 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .geometry import BoxXYXY, box_iou
-from .rng import Rng, derive_seed, uniform_field
+from .rng import Rng, derive_seed
 
 MANIFEST_NAME = "manifest.txt"
 
@@ -91,7 +92,7 @@ def _background(spec: SceneSpec, rng: Rng) -> np.ndarray:
         ramp = xs * math.cos(angle) + ys * math.sin(angle)
         color = np.array([rng.uniform(-1, 1) for _ in range(3)])
         img += ramp[:, :, None] * color[None, None, :] * rng.uniform(0.03, 0.10)
-    noise = uniform_field(rng.next_u64(), (s, s), -1.0, 1.0)
+    noise = Rng(rng.next_u64()).uniforms(s * s, -1.0, 1.0).reshape(s, s)
     img += noise[:, :, None] * spec.noise_amplitude
     return np.clip(img, 0.0, 1.0)
 
@@ -173,16 +174,20 @@ def generate_dataset(count: int, spec: SceneSpec, out_dir: str) -> str:
 
     Byte-identical for identical (count, spec). On I/O failure partial files
     are removed before the error propagates. A spec whose objects cannot fit
-    is rejected before anything is written.
+    is rejected before anything is written. Images that hold fewer than
+    `spec.min_objects` objects (no placement kept the overlap limit) are
+    counted on stderr.
     """
     spec.side_range()
     os.makedirs(out_dir, exist_ok=True)
     manifest_path = os.path.join(out_dir, MANIFEST_NAME)
     written: list[str] = []
+    short = 0
     try:
         lines = [f"manifest v1 {count}"]
         for i in range(count):
             pixels, objects = render_scene(spec, i)
+            short += len(objects) < spec.min_objects
             name = f"img_{i:05d}.ppm"
             write_ppm(os.path.join(out_dir, name), pixels)
             written.append(os.path.join(out_dir, name))
@@ -198,6 +203,10 @@ def generate_dataset(count: int, spec: SceneSpec, out_dir: str) -> str:
             if os.path.exists(p):
                 os.remove(p)
         raise
+    if short:
+        print(f"warning: {short} of {count} images hold fewer than "
+              f"{spec.min_objects} objects (no room for more at IoU <= "
+              f"{spec.max_pairwise_iou:g})", file=sys.stderr)
     return manifest_path
 
 

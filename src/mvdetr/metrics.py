@@ -264,12 +264,17 @@ def detect_batch(model: Detr, backbone: FrozenBackbone,
     return out
 
 
+def check_eval_set(dataset: list[tuple[np.ndarray, list[BoxXYXY], list[int]]]) -> None:
+    """Reject an eval set that AP/AR cannot score: one with no ground-truth box."""
+    if not any(boxes for _, boxes, _ in dataset):
+        raise ValueError(f"eval set has no ground-truth boxes ({len(dataset)} images)")
+
+
 def evaluate_model(model: Detr, backbone: FrozenBackbone,
                    dataset: list[tuple[np.ndarray, list[BoxXYXY], list[int]]],
                    n_classes: int, score_source: str = "class",
                    view_size: int | None = None, batch: int = 16) -> MetricReport:
-    if not any(boxes for _, boxes, _ in dataset):
-        raise ValueError(f"eval set has no ground-truth boxes ({len(dataset)} images)")
+    check_eval_set(dataset)
     detections: list[Detection] = []
     ground_truth: list[GroundTruth] = []
     pending: list[tuple[int, np.ndarray]] = []

@@ -118,7 +118,7 @@ class Detr:
 
     def _param(self, name: str, shape: tuple[int, ...], scale: float) -> None:
         n = int(np.prod(shape))
-        data = np.array(self._rng.normals(n, 0.0, scale), dtype=self.dtype).reshape(shape)
+        data = self._rng.normals(n, 0.0, scale).astype(self.dtype).reshape(shape)
         self.params[name] = Tensor(data, requires_grad=True)
 
     def _linear(self, name: str, fan_in: int, fan_out: int) -> None:

@@ -237,62 +237,66 @@ def generate_proposals(image: Image, overlap: BoxXYXY, mode: str, count: int,
                          f"{overlap.width:.1f}x{overlap.height:.1f}")
     if mode not in ("random", "objectness"):
         raise ValueError(f"unknown proposal mode: {mode!r}")
+    k = count if mode == "random" else 4 * count
+    u = rng.uniforms(4 * k).reshape(k, 4)  # x1, y1, w, h of each candidate
+    x1 = overlap.x1 + (overlap.x2 - min_side - overlap.x1) * u[:, 0]
+    y1 = overlap.y1 + (overlap.y2 - min_side - overlap.y1) * u[:, 1]
+    x2 = x1 + (min_side + (overlap.x2 - x1 - min_side) * u[:, 2])
+    y2 = y1 + (min_side + (overlap.y2 - y1 - min_side) * u[:, 3])
+    boxes = np.stack([x1, y1, x2, y2], axis=1)
+    if mode == "objectness":
+        # stable, so tied scores keep draw order
+        order = np.argsort(-_edge_contrast(image.pixels, boxes), kind="stable")
+        boxes = boxes[order[:count]]
+    return [BoxXYXY(*b) for b in boxes.tolist()]
 
-    def random_boxes(k):
-        boxes = []
-        for _ in range(k):
-            x1 = rng.uniform(overlap.x1, overlap.x2 - min_side)
-            y1 = rng.uniform(overlap.y1, overlap.y2 - min_side)
-            w = rng.uniform(min_side, overlap.x2 - x1)
-            h = rng.uniform(min_side, overlap.y2 - y1)
-            boxes.append(BoxXYXY(x1, y1, x1 + w, y1 + h))
-        return boxes
 
-    if mode == "random":
-        return random_boxes(count)
-
-    candidates = random_boxes(4 * count)
-    mag = sobel_magnitude(image.pixels).astype(np.float64)
-    ii = np.zeros((mag.shape[0] + 1, mag.shape[1] + 1))
+def _edge_contrast(pixels: np.ndarray, boxes: np.ndarray) -> np.ndarray:
+    """Per (x1, y1, x2, y2) row: mean Sobel magnitude over the box's central
+    half minus the mean over the ring around it, on the pixels each box
+    touches (0 for an empty region)."""
+    mag = sobel_magnitude(pixels).astype(np.float64)
+    h, w = mag.shape
+    ii = np.zeros((h + 1, w + 1))
     ii[1:, 1:] = mag.cumsum(0).cumsum(1)
 
-    def box_sum(x1, y1, x2, y2):
-        x1, y1 = max(0, int(math.floor(x1))), max(0, int(math.floor(y1)))
-        x2 = min(mag.shape[1], int(math.ceil(x2)))
-        y2 = min(mag.shape[0], int(math.ceil(y2)))
-        if x2 <= x1 or y2 <= y1:
-            return 0.0, 0
+    def box_sums(x1, y1, x2, y2):
+        x1 = np.clip(np.floor(x1), 0, w).astype(np.intp)
+        y1 = np.clip(np.floor(y1), 0, h).astype(np.intp)
+        x2 = np.clip(np.ceil(x2), 0, w).astype(np.intp)
+        y2 = np.clip(np.ceil(y2), 0, h).astype(np.intp)
+        inside = (x2 > x1) & (y2 > y1)
         s = ii[y2, x2] - ii[y1, x2] - ii[y2, x1] + ii[y1, x1]
-        return float(s), (x2 - x1) * (y2 - y1)
+        return np.where(inside, s, 0.0), np.where(inside, (x2 - x1) * (y2 - y1), 0)
 
-    scored = []
-    for idx, b in enumerate(candidates):
-        sx, sy = 0.25 * b.width, 0.25 * b.height
-        inner = (b.x1 + sx, b.y1 + sy, b.x2 - sx, b.y2 - sy)
-        total, n_total = box_sum(b.x1, b.y1, b.x2, b.y2)
-        interior, n_in = box_sum(*inner)
-        ring, n_ring = total - interior, n_total - n_in
-        mean_in = interior / n_in if n_in else 0.0
-        mean_ring = ring / n_ring if n_ring else 0.0
-        scored.append((-(mean_in - mean_ring), idx, b))
-    scored.sort(key=lambda t: (t[0], t[1]))
-    return [b for _, _, b in scored[:count]]
+    x1, y1, x2, y2 = boxes.T
+    sx, sy = 0.25 * (x2 - x1), 0.25 * (y2 - y1)
+    total, n_total = box_sums(x1, y1, x2, y2)
+    interior, n_in = box_sums(x1 + sx, y1 + sy, x2 - sx, y2 - sy)
+    ring, n_ring = total - interior, n_total - n_in
+    mean_in = np.divide(interior, n_in, out=np.zeros_like(interior), where=n_in != 0)
+    mean_ring = np.divide(ring, n_ring, out=np.zeros_like(ring), where=n_ring != 0)
+    return mean_in - mean_ring
 
 
-def _jitter_box(box: BoxXYXY, amount: float, rng: Rng,
-                frame_w: float, frame_h: float) -> BoxXYXY:
-    dcx = rng.uniform(-amount, amount) * box.width
-    dcy = rng.uniform(-amount, amount) * box.height
-    fw = rng.uniform(1.0 - amount, 1.0 + amount)
-    fh = rng.uniform(1.0 - amount, 1.0 + amount)
-    cx, cy = box.center()
-    cx, cy = cx + dcx, cy + dcy
-    w, h = box.width * fw, box.height * fh
-    x1 = min(max(0.0, cx - w / 2), frame_w - 2.0)
-    y1 = min(max(0.0, cy - h / 2), frame_h - 2.0)
-    x2 = max(min(frame_w, cx + w / 2), x1 + 2.0)
-    y2 = max(min(frame_h, cy + h / 2), y1 + 2.0)
-    return BoxXYXY(x1, y1, x2, y2)
+def _jitter_boxes(boxes: list[BoxXYXY], amount: float, rng: Rng,
+                  frame_w: float, frame_h: float) -> list[BoxXYXY]:
+    """Shift each box's centre by up to `amount` of its sides and scale its
+    sides by 1 ± `amount`, from one block of four draws per box."""
+    lo = np.array([-amount, -amount, 1.0 - amount, 1.0 - amount])
+    hi = np.array([amount, amount, 1.0 + amount, 1.0 + amount])
+    draws = lo + (hi - lo) * rng.uniforms(4 * len(boxes)).reshape(-1, 4)
+    out = []
+    for box, (ux, uy, fw, fh) in zip(boxes, draws.tolist()):
+        cx, cy = box.center()
+        cx, cy = cx + ux * box.width, cy + uy * box.height
+        w, h = box.width * fw, box.height * fh
+        x1 = min(max(0.0, cx - w / 2), frame_w - 2.0)
+        y1 = min(max(0.0, cy - h / 2), frame_h - 2.0)
+        x2 = max(min(frame_w, cx + w / 2), x1 + 2.0)
+        y2 = max(min(frame_h, cy + h / 2), y1 + 2.0)
+        out.append(BoxXYXY(x1, y1, x2, y2))
+    return out
 
 
 def build_view_pair(image: Image, config: ViewConfig, seed: int) -> ViewPair:
@@ -343,10 +347,10 @@ def build_view_pair(image: Image, config: ViewConfig, seed: int) -> ViewPair:
         pairs.append(survivors[len(pairs) % len(survivors)])
     pairs = pairs[:config.n_proposals]
 
-    p1 = [_jitter_box(b1, config.jitter, rng, size, size) for b1, _ in pairs] \
-        if config.jitter > 0 else [b1 for b1, _ in pairs]
-    p2 = [_jitter_box(b2, config.jitter, rng, size, size) for _, b2 in pairs] \
-        if config.jitter > 0 else [b2 for _, b2 in pairs]
+    p1, p2 = [b1 for b1, _ in pairs], [b2 for _, b2 in pairs]
+    if config.jitter > 0:
+        p1 = _jitter_boxes(p1, config.jitter, rng, size, size)
+        p2 = _jitter_boxes(p2, config.jitter, rng, size, size)
 
     return ViewPair(view1=views[0], view2=views[1], t1=transforms[0], t2=transforms[1],
                     proposals1=p1, proposals2=p2, seed=seed, base_rect=base,

@@ -6,8 +6,11 @@ a closed-form GIoU checked against it), and RoIAlign references from dense
 sampling. Oracles run in float64. Three exceptions are held to exact bits
 instead: the attention reference composes the library's generic primitives
 (themselves gradient-checked), the backbone reference runs each float32
-conv layer as one GEMM over the whole batch, and the AP/AR reference scores
-each (detection, ground truth) pair with `geometry.box_iou` at every match.
+conv layer as one GEMM over the whole batch, the AP/AR reference scores
+each (detection, ground truth) pair with `geometry.box_iou` at every match,
+and the random-stream references (`scalar_normal`, `scalar_proposals`,
+`scalar_jitter_box`) make one draw at a time where the library draws a
+block.
 """
 
 import math
@@ -15,9 +18,10 @@ import math
 import numpy as np
 
 from mvdetr import tensor as T
-from mvdetr.geometry import box_iou
+from mvdetr.geometry import BoxXYXY, box_iou
 from mvdetr.metrics import IOU_GRID, RECALL_GRID
 from mvdetr.tensor import Tensor
+from mvdetr.views import sobel_magnitude
 
 
 def numerical_gradient(fn, arrays, h=1e-3):
@@ -282,3 +286,77 @@ def per_pair_report(dets, gts, n_classes):
     return (float(np.mean(list(means.values()))), means[0.5], means[0.75],
             per_pair_average_recall_at_k(dets, gts, 1),
             per_pair_average_recall_at_k(dets, gts, 10))
+
+
+def scalar_normal(rng, mean=0.0, std=1.0):
+    """One Box-Muller normal from an `Rng`, the draw `Rng.normals` makes in
+    blocks: each pair of uniforms returns mean + std·r·cos θ and keeps r·sin θ
+    as the generator's spare, which the next draw returns first."""
+    if rng._spare_normal is not None:
+        z = rng._spare_normal
+        rng._spare_normal = None
+        return mean + std * z
+    u1 = 1.0 - rng.uniform()  # strictly positive
+    u2 = rng.uniform()
+    r = math.sqrt(-2.0 * math.log(u1))
+    rng._spare_normal = r * math.sin(2.0 * math.pi * u2)
+    return mean + std * r * math.cos(2.0 * math.pi * u2)
+
+
+def scalar_proposals(image, overlap, mode, count, rng, min_side=8.0):
+    """`views.generate_proposals` one candidate at a time: four `uniform`
+    calls per box, integral-image sums per box, then a sort on
+    (-contrast, draw index)."""
+    def random_boxes(k):
+        boxes = []
+        for _ in range(k):
+            x1 = rng.uniform(overlap.x1, overlap.x2 - min_side)
+            y1 = rng.uniform(overlap.y1, overlap.y2 - min_side)
+            w = rng.uniform(min_side, overlap.x2 - x1)
+            h = rng.uniform(min_side, overlap.y2 - y1)
+            boxes.append(BoxXYXY(x1, y1, x1 + w, y1 + h))
+        return boxes
+
+    if mode == "random":
+        return random_boxes(count)
+    candidates = random_boxes(4 * count)
+    mag = sobel_magnitude(image.pixels).astype(np.float64)
+    ii = np.zeros((mag.shape[0] + 1, mag.shape[1] + 1))
+    ii[1:, 1:] = mag.cumsum(0).cumsum(1)
+
+    def box_sum(x1, y1, x2, y2):
+        x1, y1 = max(0, int(math.floor(x1))), max(0, int(math.floor(y1)))
+        x2 = min(mag.shape[1], int(math.ceil(x2)))
+        y2 = min(mag.shape[0], int(math.ceil(y2)))
+        if x2 <= x1 or y2 <= y1:
+            return 0.0, 0
+        return float(ii[y2, x2] - ii[y1, x2] - ii[y2, x1] + ii[y1, x1]), \
+            (x2 - x1) * (y2 - y1)
+
+    scored = []
+    for idx, b in enumerate(candidates):
+        sx, sy = 0.25 * b.width, 0.25 * b.height
+        total, n_total = box_sum(b.x1, b.y1, b.x2, b.y2)
+        interior, n_in = box_sum(b.x1 + sx, b.y1 + sy, b.x2 - sx, b.y2 - sy)
+        ring, n_ring = total - interior, n_total - n_in
+        mean_in = interior / n_in if n_in else 0.0
+        mean_ring = ring / n_ring if n_ring else 0.0
+        scored.append((-(mean_in - mean_ring), idx, b))
+    scored.sort(key=lambda t: (t[0], t[1]))
+    return [b for _, _, b in scored[:count]]
+
+
+def scalar_jitter_box(box, amount, rng, frame_w, frame_h):
+    """One box of `views._jitter_boxes`, from four `uniform` calls."""
+    dcx = rng.uniform(-amount, amount) * box.width
+    dcy = rng.uniform(-amount, amount) * box.height
+    fw = rng.uniform(1.0 - amount, 1.0 + amount)
+    fh = rng.uniform(1.0 - amount, 1.0 + amount)
+    cx, cy = box.center()
+    cx, cy = cx + dcx, cy + dcy
+    w, h = box.width * fw, box.height * fh
+    x1 = min(max(0.0, cx - w / 2), frame_w - 2.0)
+    y1 = min(max(0.0, cy - h / 2), frame_h - 2.0)
+    x2 = max(min(frame_w, cx + w / 2), x1 + 2.0)
+    y2 = max(min(frame_h, cy + h / 2), y1 + 2.0)
+    return BoxXYXY(x1, y1, x2, y2)

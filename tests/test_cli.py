@@ -66,6 +66,18 @@ class TestGenData:
         assert err.startswith("error: ") and f"image size {size} " in err
         assert not (tmp_path / "tiny").exists()
 
+    @pytest.mark.parametrize("size,short", [("36", 20), ("160", 0)])
+    def test_reports_images_short_of_objects(self, tmp_path, capsys, size, short):
+        # at 36 px no second object fits beside the first within the IoU limit
+        assert main(["gen-data", "--count", "20", "--seed", "1",
+                     "--out", str(tmp_path / "d"), "--size", size]) == 0
+        err = capsys.readouterr().err
+        if short:
+            assert err == (f"warning: {short} of 20 images hold fewer than 2 objects "
+                           "(no room for more at IoU <= 0.3)\n")
+        else:
+            assert err == ""
+
 
 class TestExitCodes:
     def test_usage_error_is_one(self):
@@ -120,7 +132,11 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("command", ["eval", "probe"])
     def test_eval_set_without_ground_truth_is_two(self, workspace, tmp_path, capsys,
-                                                  command):
+                                                  monkeypatch, command):
+        import mvdetr.training
+        finetunes = []  # probe must reject the eval set before it trains
+        monkeypatch.setattr(mvdetr.training, "run_finetune",
+                            lambda *a, **kw: finetunes.append(a) or (None, []))
         root, cfg, manifest = workspace
         empty = tmp_path / "manifest.txt"
         empty.write_text("manifest v1 0\n")
@@ -133,6 +149,7 @@ class TestExitCodes:
         assert main(argv) == 2
         assert capsys.readouterr().err == (
             "error: eval set has no ground-truth boxes (0 images)\n")
+        assert finetunes == []
 
     def test_missing_data_is_two(self, workspace):
         root, cfg, _ = workspace
@@ -163,15 +180,20 @@ class TestTooFewImages:
 
 
 class TestPipeline:
-    def test_pretrain_finetune_eval_probe_export(self, workspace):
+    def test_pretrain_finetune_eval_probe_export(self, workspace, monkeypatch):
         root, cfg, manifest = workspace
         pre_out = str(root / "pre")
+        monkeypatch.setenv("SDTR_THREADS", "1")
         rc = main(["pretrain", "--config", cfg, "--data", manifest, "--out", pre_out])
         assert rc == 0
         ckpt = os.path.join(pre_out, "epoch_0001.ckpt")
         assert os.path.exists(ckpt)
         assert os.path.exists(os.path.join(pre_out, "metrics.csv"))
-        assert os.path.exists(os.path.join(pre_out, "run.txt"))
+        run_txt = open(os.path.join(pre_out, "run.txt")).read().splitlines()
+        assert f"numpy: {np.__version__}" in run_txt
+        assert "SDTR_THREADS: 1" in run_txt
+        (blas,) = [line for line in run_txt if line.startswith("blas: ")]
+        assert len(blas.split()) == 3  # name and version
 
         ft_out = str(root / "ft")
         rc = main(["finetune", "--config", cfg, "--data", manifest,

@@ -2,12 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mvdetr import views as V
 from mvdetr.geometry import BoxXYXY, box_iou, map_box
 from mvdetr.rng import Rng
 
-from helpers import dense_bilinear_average
+from helpers import dense_bilinear_average, scalar_jitter_box, scalar_proposals
 
 
 def _noise_image(seed=0, w=160, h=160):
@@ -148,6 +149,38 @@ class TestProposals:
         # pick must match the best of the same 4 random candidates
         cands = V.generate_proposals(img, overlap, "random", 4, Rng(44))
         assert box_iou(best, square) == max(box_iou(c, square) for c in cands)
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**64 - 1), mode=st.sampled_from(["random", "objectness"]),
+           count=st.integers(1, 12), blocks=st.sampled_from([1, 2, 5, 64]),
+           corner=st.tuples(st.floats(0, 55), st.floats(0, 55)),
+           size=st.tuples(st.floats(9, 64), st.floats(9, 64)),
+           min_side=st.sampled_from([1.0, 4.0, 8.0]))
+    def test_equals_scalar_oracle(self, seed, mode, count, blocks, corner, size, min_side):
+        # piecewise-constant images of few blocks give many tied scores and
+        # empty interiors; overlaps reach the image border
+        cells = np.random.default_rng(seed % 1000).uniform(0, 1, (blocks, blocks, 3))
+        img = V.Image(np.kron(cells, np.ones((64 // blocks + 1,) * 2 + (1,)))[:64, :64])
+        overlap = BoxXYXY(corner[0], corner[1], min(64.0, corner[0] + size[0]),
+                          min(64.0, corner[1] + size[1]))
+        got_rng, want_rng = Rng(seed), Rng(seed)
+        got = V.generate_proposals(img, overlap, mode, count, got_rng, min_side)
+        want = scalar_proposals(img, overlap, mode, count, want_rng, min_side)
+        assert [repr(b) for b in got] == [repr(b) for b in want]
+        assert got_rng.next_u64() == want_rng.next_u64()
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**64 - 1), amount=st.sampled_from([0.05, 0.1, 0.5]),
+           corners=st.lists(st.tuples(st.floats(-4, 60), st.floats(-4, 60),
+                                      st.floats(0, 70), st.floats(0, 70)), max_size=12))
+    def test_jitter_equals_scalar_oracle(self, seed, amount, corners):
+        # boxes at and past the frame border are clamped the same way
+        boxes = [BoxXYXY(x, y, x + w, y + h) for x, y, w, h in corners]
+        got_rng, want_rng = Rng(seed), Rng(seed)
+        got = V._jitter_boxes(boxes, amount, got_rng, 64.0, 48.0)
+        want = [scalar_jitter_box(b, amount, want_rng, 64.0, 48.0) for b in boxes]
+        assert [repr(b) for b in got] == [repr(b) for b in want]
+        assert got_rng.next_u64() == want_rng.next_u64()
 
     def test_small_overlap_errors(self):
         with pytest.raises(ValueError):
