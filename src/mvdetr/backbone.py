@@ -7,6 +7,8 @@ optimizer): image-level feature maps at stride 8 (`extract_batch`), pooled
 object-level region features (RoIAlign on each map, `object_level_features`),
 and pooled crop-level region features (each box resampled from its image,
 then extracted, `crop_features_multi`). A single image is a batch of one.
+Region boxes come as (n, 4) float64 arrays of (x1, y1, x2, y2) rows in view
+pixels, the box-set format of `geometry`.
 
 `extract_batch` runs all three layers on one block of images before it moves
 to the next, with a fixed input-pixel budget per block, so a block's im2col
@@ -26,7 +28,7 @@ import math
 
 import numpy as np
 
-from .geometry import BoxXYXY, bilinear_taps, resample, roi_align
+from .geometry import bilinear_taps, resample, roi_align
 from .rng import Rng
 from .tensor import Tensor
 
@@ -95,32 +97,31 @@ class FrozenBackbone:
             out[lo:lo + step] = x
         return out
 
-    def object_level_features(self, maps: np.ndarray, box_groups: list[list[BoxXYXY]]
-                              ) -> np.ndarray:
-        """RoIAlign each (H1, W1, C) map of `maps` on its own boxes (in view
-        pixels), then take the spatial mean: (n_maps, n, C), rows in map
-        order. Every group must hold the same number n of boxes."""
-        out = np.empty((len(maps), len(box_groups[0]), maps.shape[-1]), dtype=maps.dtype)
-        for i, boxes in enumerate(box_groups):
-            fboxes = [BoxXYXY(b.x1 / self.stride, b.y1 / self.stride,
-                              b.x2 / self.stride, b.y2 / self.stride) for b in boxes]
-            out[i] = roi_align(Tensor(maps[i]), fboxes, (4, 4)).data.mean(axis=(1, 2))
+    def object_level_features(self, maps: np.ndarray, boxes: np.ndarray) -> np.ndarray:
+        """RoIAlign each (H1, W1, C) map of `maps` on its own row of the
+        (n_maps, n, 4) box array (in view pixels), then take the spatial
+        mean: (n_maps, n, C), rows in map order."""
+        fboxes = boxes / self.stride
+        out = np.empty((len(maps), fboxes.shape[1], maps.shape[-1]), dtype=maps.dtype)
+        for i, rows in enumerate(fboxes):
+            out[i] = roi_align(Tensor(maps[i]), rows, (4, 4)).data.mean(axis=(1, 2))
         return out
 
-    def crop_features_multi(self, groups: list[tuple[np.ndarray, list[BoxXYXY]]]
+    def crop_features_multi(self, groups: list[tuple[np.ndarray, np.ndarray]]
                             ) -> np.ndarray:
         """Crop each box from its image, resize to crop_size, extract, pool.
 
-        Each group is resampled in one call into a shared crop buffer, and all
-        crops go through one `extract_batch` call; rows follow group order."""
+        Each group is an image and its (n, 4) boxes, resampled in one call
+        into a shared crop buffer; all crops go through one `extract_batch`
+        call, and rows follow group order."""
         size = self.crop_size
         crops = np.empty((sum(len(boxes) for _, boxes in groups), size, size, 3),
                          dtype=np.float32)
         start = 0
         for pixels, boxes in groups:
-            for b in boxes:
-                if b.width < 2.0 or b.height < 2.0:
-                    raise ValueError(f"degenerate crop box {b}")
+            thin = (boxes[:, 2] - boxes[:, 0] < 2.0) | (boxes[:, 3] - boxes[:, 1] < 2.0)
+            if thin.any():
+                raise ValueError(f"degenerate crop box {boxes[thin][0].tolist()}")
             ay, ax = bilinear_taps(boxes, pixels.shape[0], pixels.shape[1], (size, size))
             resample(pixels, ay, ax, out=crops[start:start + len(boxes)])
             start += len(boxes)

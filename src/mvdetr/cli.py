@@ -136,10 +136,11 @@ def _cmd_pretrain(args, argv) -> int:
     if not images:
         print("error: dataset is empty", file=sys.stderr)
         return 2
-    _write_run_manifest(args.out, cfg, argv,
-                        [f"data: {args.data}", f"resume: {args.resume or 'none'}"])
-    ckpt, csv_path = run_pretrain(cfg, images, args.out, resume_from=args.resume,
-                                  log=lambda msg: print(msg, flush=True))
+    notes = [f"data: {args.data}", f"resume: {args.resume or 'none'}"]
+    ckpt, csv_path = run_pretrain(
+        cfg, images, args.out, resume_from=args.resume,
+        log=lambda msg: print(msg, flush=True),
+        on_start=lambda: _write_run_manifest(args.out, cfg, argv, notes))
     print(f"final checkpoint: {ckpt}")
     print(f"metrics: {csv_path}")
     return 0
@@ -160,13 +161,13 @@ def _cmd_finetune(args, argv) -> int:
     from .training import checkpoint_entries, labeled_item, run_finetune
     cfg = _load_config(args)
     items = [labeled_item(px, boxes, labels)
-             for px, boxes, labels in load_dataset(args.data)]
+             for px, boxes, labels in load_dataset(args.data, cfg.data_classes)]
     init_arrays = None if args.init == "scratch" else _load_params(args.init, cfg)
-    _write_run_manifest(args.out, cfg, argv,
-                        [f"data: {args.data}", f"init: {args.init}",
-                         f"finetune_seed: {args.seed}"])
-    model, losses = run_finetune(cfg, items, seed=args.seed, init_arrays=init_arrays,
-                                 log=lambda msg: print(msg, flush=True))
+    notes = [f"data: {args.data}", f"init: {args.init}", f"finetune_seed: {args.seed}"]
+    model, losses = run_finetune(
+        cfg, items, seed=args.seed, init_arrays=init_arrays,
+        log=lambda msg: print(msg, flush=True),
+        on_start=lambda: _write_run_manifest(args.out, cfg, argv, notes))
     out_ckpt = os.path.join(args.out, "finetuned.ckpt")
     save_checkpoint(out_ckpt, checkpoint_entries(model, None, cfg, 0))
     with open(os.path.join(args.out, "loss.csv"), "w", encoding="ascii") as f:
@@ -195,7 +196,7 @@ def _cmd_eval(args, argv) -> int:
     from .metrics import evaluate_model
     cfg = _load_config(args)
     model, backbone = _load_model_from_checkpoint(args.checkpoint, cfg)
-    dataset = load_dataset(args.data)
+    dataset = load_dataset(args.data, cfg.data_classes)
     report = evaluate_model(model, backbone, dataset, cfg.data_classes,
                             score_source=args.score, view_size=cfg.view_size)
     print(report.as_csv(), end="")
@@ -214,8 +215,9 @@ def _cmd_probe(args, argv) -> int:
     cfg = _load_config(args)
     cfg.finetune_freeze_transformer = True
     cfg.finetune_epochs = args.epochs
-    train_items = [labeled_item(px, b, l) for px, b, l in load_dataset(args.data)]
-    eval_set = load_dataset(args.eval_data)
+    train_items = [labeled_item(px, b, l)
+                   for px, b, l in load_dataset(args.data, cfg.data_classes)]
+    eval_set = load_dataset(args.eval_data, cfg.data_classes)
     check_eval_set(eval_set)  # before any training, not after the first run
     params = _load_params(args.init, cfg)
     backbone = FrozenBackbone(cfg.backbone_seed)

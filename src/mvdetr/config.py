@@ -144,10 +144,21 @@ def _validate(cfg: RunConfig, problems: list[str]) -> None:
         problems.append(f"proposals.mode must be random|objectness, got {cfg.proposals_mode!r}")
     if cfg.loss_region_target not in ("crop", "object"):
         problems.append(f"loss.region_target must be crop|object, got {cfg.loss_region_target!r}")
-    for key, epochs in (("train.epochs", cfg.train_epochs),
-                        ("finetune.epochs", cfg.finetune_epochs)):
-        if epochs < 1:
-            problems.append(f"{key} must be at least 1, got {epochs}")
+    for key, count in (("train.epochs", cfg.train_epochs),
+                       ("finetune.epochs", cfg.finetune_epochs),
+                       ("train.batch_size", cfg.train_batch_size),
+                       ("finetune.batch_size", cfg.finetune_batch_size),
+                       ("model.d_model", cfg.model_d_model),
+                       ("model.heads", cfg.model_heads), ("view.n", cfg.view_n),
+                       ("view.size", cfg.view_size), ("data.classes", cfg.data_classes)):
+        if count < 1:
+            problems.append(f"{key} must be at least 1, got {count}")
+    if cfg.model_heads >= 1 and cfg.model_d_model % cfg.model_heads:
+        problems.append(f"model.d_model ({cfg.model_d_model}) must be divisible by "
+                        f"model.heads ({cfg.model_heads})")
+    if cfg.model_d_model % 4:
+        problems.append(f"model.d_model ({cfg.model_d_model}) must be divisible by 4 "
+                        "(2d sine positional embeddings)")
     if cfg.train_decay_epoch >= cfg.train_epochs:
         problems.append(f"train.decay_epoch ({cfg.train_decay_epoch}) must be "
                         f"below train.epochs ({cfg.train_epochs})")

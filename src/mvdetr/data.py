@@ -210,8 +210,10 @@ def generate_dataset(count: int, spec: SceneSpec, out_dir: str) -> str:
     return manifest_path
 
 
-def load_dataset(manifest_path: str) -> list[tuple[np.ndarray, list[BoxXYXY], list[int]]]:
-    """Read the manifest into (pixels, boxes, labels) triples."""
+def load_dataset(manifest_path: str, classes: int | None = None
+                 ) -> list[tuple[np.ndarray, list[BoxXYXY], list[int]]]:
+    """Read the manifest into (pixels, boxes, labels) triples. With `classes`
+    given, a label outside [0, classes) is an error."""
     base = os.path.dirname(manifest_path)
     with open(manifest_path, encoding="ascii") as f:
         lines = f.read().splitlines()
@@ -238,6 +240,9 @@ def load_dataset(manifest_path: str) -> list[tuple[np.ndarray, list[BoxXYXY], li
             label = int(parts[5])
         except ValueError:
             raise ValueError(f"{manifest_path}:{lineno}: malformed numbers") from None
+        if classes is not None and not 0 <= label < classes:
+            raise ValueError(f"{manifest_path}:{lineno}: label {label} is outside "
+                             f"[0, {classes}) for data.classes={classes}")
         if name not in blocks:
             blocks[name] = ([], [])
             order.append(name)

@@ -1,9 +1,12 @@
 """Box algebra, overlap metrics, frame transforms, resampling and RoIAlign.
 
-Boxes are half-open intervals in continuous pixel coordinates. Pixel-frame
-boxes use corner (xyxy) form; model-side boxes use center-size (cxcywh) form
-normalized to [0, 1] relative to their view. Division guards use 1e-9 and
-degenerate boxes report IoU 0 instead of NaN.
+Boxes are half-open intervals in continuous pixel coordinates. A single
+rectangle (a view rect, an overlap, a ground-truth box) is a `BoxXYXY`; a box
+set (proposals, crop and RoIAlign boxes) is an (n, 4) float64 array of
+(x1, y1, x2, y2) rows, which `map_boxes`, `bilinear_taps` and `roi_align`
+take whole. Model-side boxes use center-size (cxcywh) rows normalized to
+[0, 1] relative to their view. Division guards use 1e-9 and degenerate boxes
+report IoU 0 instead of NaN.
 
 Every box resample (view crops, crop-level targets, RoIAlign) goes through
 one separable bilinear sampler: per-axis tap matrices with half-pixel
@@ -58,16 +61,10 @@ class BoxXYXY:
         return BoxXYXY(x1, y1, x2, y2)
 
 
-@dataclass(frozen=True)
-class BoxCxCyWH:
-    cx: float
-    cy: float
-    w: float
-    h: float
-
-    def __post_init__(self):
-        if self.w <= 0 or self.h <= 0:
-            raise ValueError(f"non-positive size: {self}")
+def corners(boxes) -> np.ndarray:
+    """The box set of an iterable of `BoxXYXY`: an (n, 4) float64 array."""
+    return np.array([(b.x1, b.y1, b.x2, b.y2) for b in boxes],
+                    dtype=np.float64).reshape(-1, 4)
 
 
 def box_iou(a: BoxXYXY, b: BoxXYXY) -> float:
@@ -97,14 +94,6 @@ def pairwise_iou(a_xyxy: np.ndarray, b_xyxy: np.ndarray) -> tuple[np.ndarray, np
     return iou, union
 
 
-def to_cxcywh(box: BoxXYXY, frame_w: float, frame_h: float) -> BoxCxCyWH:
-    """Pixel corners to normalized center-size."""
-    if frame_w <= 0 or frame_h <= 0:
-        raise ValueError(f"frame dims must be positive, got {frame_w}x{frame_h}")
-    cx, cy = box.center()
-    return BoxCxCyWH(cx / frame_w, cy / frame_h, box.width / frame_w, box.height / frame_h)
-
-
 @dataclass(frozen=True)
 class FrameTransform:
     """Affine crop/scale (plus optional horizontal flip) between two frames.
@@ -124,17 +113,6 @@ class FrameTransform:
     dst_w: float
     dst_h: float
 
-    def apply_point(self, x: float, y: float) -> tuple[float, float]:
-        xo = self.sx * (x - self.dx)
-        yo = self.sy * (y - self.dy)
-        if self.flip:
-            xo = self.dst_w - xo
-        return xo, yo
-
-    def with_flip(self) -> "FrameTransform":
-        return FrameTransform(self.dx, self.dy, self.sx, self.sy, not self.flip,
-                              self.src_w, self.src_h, self.dst_w, self.dst_h)
-
     def inverse(self) -> "FrameTransform":
         sx2, sy2 = 1.0 / self.sx, 1.0 / self.sy
         if self.flip:
@@ -147,21 +125,28 @@ class FrameTransform:
                               self.dst_w, self.dst_h, self.src_w, self.src_h)
 
 
-def map_box(box: BoxXYXY, t: FrameTransform) -> BoxXYXY:
-    """Express a box in the transform's target frame, clamped to its bounds.
+# Python's min(a, b) and max(a, b), elementwise: a unless b is below (above)
+# it, so a tie such as 0.0 against -0.0 keeps a, where np.minimum may not
+def py_min(a, b) -> np.ndarray:
+    return np.where(b < a, b, a)
 
-    Raises ValueError when the mapped box has no intersection with the target
-    frame (the caller drops such proposals).
+
+def py_max(a, b) -> np.ndarray:
+    return np.where(b > a, b, a)
+
+
+def map_boxes(boxes: np.ndarray, t: FrameTransform) -> tuple[np.ndarray, np.ndarray]:
+    """Express an (n, 4) box set in the transform's target frame, clamped to
+    its bounds: (mapped, inside), where inside[k] is False for a box with no
+    intersection with the target frame (the caller drops those rows).
     """
-    xa, ya = t.apply_point(box.x1, box.y1)
-    xb, yb = t.apply_point(box.x2, box.y2)
-    x1, x2 = (xa, xb) if xa <= xb else (xb, xa)  # flip swaps corners
-    y1, y2 = (ya, yb) if ya <= yb else (yb, ya)
-    cx1, cy1 = max(0.0, x1), max(0.0, y1)
-    cx2, cy2 = min(t.dst_w, x2), min(t.dst_h, y2)
-    if cx2 <= cx1 or cy2 <= cy1:
-        raise ValueError(f"box {box} maps outside the {t.dst_w}x{t.dst_h} frame")
-    return BoxXYXY(cx1, cy1, cx2, cy2)
+    pts = np.array([t.sx, t.sy]) * (boxes.reshape(-1, 2, 2) - np.array([t.dx, t.dy]))
+    if t.flip:  # mirrors x, so the corners swap
+        pts[..., 0] = t.dst_w - pts[..., 0]
+    a, b = pts[:, 0], pts[:, 1]  # (n, 2) each: the (x, y) of either corner
+    lo = py_max(0.0, py_min(a, b))
+    hi = py_min(np.array([t.dst_w, t.dst_h]), py_max(a, b))
+    return np.concatenate([lo, hi], axis=1), (hi > lo).all(axis=1)
 
 
 def _axis_taps(lo: np.ndarray, extent: np.ndarray, n_out: int, size: int,
@@ -188,16 +173,15 @@ def _axis_taps(lo: np.ndarray, extent: np.ndarray, n_out: int, size: int,
     return taps
 
 
-def bilinear_taps(boxes: list[BoxXYXY], H: int, W: int, out_hw: tuple[int, int],
+def bilinear_taps(boxes: np.ndarray, H: int, W: int, out_hw: tuple[int, int],
                   sampling: int = 1, dtype=np.float32) -> tuple[np.ndarray, np.ndarray]:
-    """Per-axis sampling matrices Ay (n, out_h, H) and Ax (n, out_w, W).
+    """Per-axis sampling matrices Ay (n, out_h, H) and Ax (n, out_w, W) of an
+    (n, 4) box set.
 
     Bilinear reads and bin averaging factor by axis, so box k resamples an
     (H, W) plane as Ay[k] @ F @ Ax[k].T.
     """
-    corners = np.array([(b.x1, b.y1, b.x2, b.y2) for b in boxes],
-                       dtype=np.float64).reshape(-1, 4)
-    x1, y1, x2, y2 = corners.T
+    x1, y1, x2, y2 = boxes.T
     return (_axis_taps(y1, y2 - y1, out_hw[0], H, sampling, dtype),
             _axis_taps(x1, x2 - x1, out_hw[1], W, sampling, dtype))
 
@@ -214,9 +198,10 @@ def resample(source: np.ndarray, ay: np.ndarray, ax: np.ndarray,
     return np.matmul(ax[:, None], rows, out=out)
 
 
-def roi_align(features: Tensor, boxes: list[BoxXYXY], out_hw: tuple[int, int],
+def roi_align(features: Tensor, boxes: np.ndarray, out_hw: tuple[int, int],
               sampling: int = 2) -> Tensor:
-    """Pool box regions of an (H, W, C) feature map to (n, h_out, w_out, C).
+    """Pool the regions of an (n, 4) box set on an (H, W, C) feature map to
+    (n, h_out, w_out, C).
 
     Boxes are in feature-frame coordinates; regions outside the map clamp to
     the border. Differentiable w.r.t. the feature map.

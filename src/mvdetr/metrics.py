@@ -22,7 +22,7 @@ import numpy as np
 
 from . import tensor as T
 from .backbone import FrozenBackbone
-from .geometry import BoxXYXY, pairwise_iou
+from .geometry import BoxXYXY, corners, pairwise_iou
 from .model import Detr
 from .tensor import Tensor
 from .views import resize_to_view
@@ -72,11 +72,6 @@ def _rank(dets: list[Detection]) -> list[int]:
     return sorted(range(len(dets)), key=lambda i: (-dets[i].confidence, i))
 
 
-def _corners(boxes) -> np.ndarray:
-    return np.array([(b.x1, b.y1, b.x2, b.y2) for b in boxes],
-                    dtype=np.float64).reshape(-1, 4)
-
-
 def _candidates(dets: list[Detection], gts: list[GroundTruth],
                 min_iou: float) -> _Candidates:
     """Per detection, (IoU, ground-truth index) for each ground-truth box of
@@ -89,8 +84,8 @@ def _candidates(dets: list[Detection], gts: list[GroundTruth],
     det_rows: dict[int, list[int]] = {}
     for di, det in enumerate(dets):
         det_rows.setdefault(det.image_id, []).append(di)
-    det_xyxy = _corners(d.box for d in dets)
-    gt_xyxy = _corners(g.box for g in gts)
+    det_xyxy = corners(d.box for d in dets)
+    gt_xyxy = corners(g.box for g in gts)
     cands: _Candidates = [()] * len(dets)
     for image_id, dis in det_rows.items():
         gis = gt_rows.get(image_id)
@@ -131,9 +126,7 @@ def _hits(ranked: list[int], cands: _Candidates,
 
 def _precision(hits: list[int], n_dets: int, n_gt: int) -> float:
     """101-point interpolated AP of n_dets ranked detections with true
-    positives at the rank positions `hits`."""
-    if not n_gt:
-        return 1.0 if not n_dets else 0.0
+    positives at the rank positions `hits`, against n_gt > 0 boxes."""
     if not n_dets:
         return 0.0
     flags = np.zeros(n_dets, dtype=bool)
@@ -168,23 +161,6 @@ def _recall_at_k(dets: list[Detection], ranked: list[int],
     for hits in _hits(kept, cands, IOU_GRID):
         total += len(hits) / n_gt
     return total / len(IOU_GRID)
-
-
-def average_precision(detections: list[Detection], ground_truth: list[GroundTruth],
-                      iou_threshold: float) -> float:
-    """101-point interpolated AP at one IoU threshold (class-blind: filter
-    per class before calling for per-class AP). Empty GT with no detections
-    is undefined and reported as 1 by convention."""
-    cands = _candidates(detections, ground_truth, iou_threshold)
-    hits, = _hits(_rank(detections), cands, (iou_threshold,))
-    return _precision(hits, len(detections), len(ground_truth))
-
-
-def average_recall_at_k(detections: list[Detection], ground_truth: list[GroundTruth],
-                        k: int) -> float:
-    """Recall of the top-k detections per image, averaged over the IoU grid."""
-    cands = _candidates(detections, ground_truth, IOU_GRID[0])
-    return _recall_at_k(detections, _rank(detections), cands, len(ground_truth), k)
 
 
 def evaluate_detections(detections: list[Detection], ground_truth: list[GroundTruth],

@@ -19,31 +19,16 @@ from . import tensor as T
 from .backbone import FrozenBackbone
 from .checkpoint import array_to_text, load_checkpoint, save_checkpoint, text_to_array
 from .config import RunConfig
-from .geometry import BoxXYXY, to_cxcywh
+from .geometry import BoxXYXY, corners
 from .losses import LossBreakdown
 from .model import Detr, TransformerConfig
 from .optim import AdamW, clip_global_norm
 from .rng import Rng, derive_seed
 from .tensor import Tensor
-from .views import (AugmentConfig, Image, ViewConfig, ViewPair,
-                    build_view_pair, resize_to_view)
+from .views import Image, ViewPair, build_view_pair, resize_to_view
 
 META_PREFIX = "__meta__."
 CSV_COLUMNS = ("step", "epoch", "lr", "loss_total", "loss_loc", "loss_g", "loss_r")
-
-
-def view_config_from(cfg: RunConfig) -> ViewConfig:
-    return ViewConfig(
-        tau=cfg.view_tau,
-        n_proposals=cfg.view_n,
-        view_size=cfg.view_size,
-        jitter=cfg.view_jitter,
-        proposal_mode=cfg.proposals_mode,
-        augment=AugmentConfig(flip_p=cfg.aug_flip_p, color_p=cfg.aug_color_p,
-                              color_jitter=cfg.aug_color_jitter,
-                              grayscale_p=cfg.aug_grayscale_p,
-                              blur_p=cfg.aug_blur_p),
-    )
 
 
 def model_config_from(cfg: RunConfig, backbone: FrozenBackbone) -> TransformerConfig:
@@ -59,13 +44,18 @@ def make_model(cfg: RunConfig, backbone: FrozenBackbone) -> Detr:
     return Detr(model_config_from(cfg, backbone), seed=derive_seed(cfg.seed, 11))
 
 
-def boxes_to_targets(boxes: list[BoxXYXY], frame_w: float, frame_h: float) -> np.ndarray:
-    """Pixel boxes as an (m, 4) float32 array of normalized cxcywh rows."""
-    out = np.zeros((len(boxes), 4), dtype=np.float32)
-    for i, b in enumerate(boxes):
-        c = to_cxcywh(b, frame_w, frame_h)
-        out[i] = (c.cx, c.cy, c.w, c.h)
-    return out
+def boxes_to_targets(boxes: np.ndarray, frame_w: float, frame_h: float) -> np.ndarray:
+    """(m, 4) xyxy pixel boxes as an (m, 4) float32 array of normalized
+    cxcywh rows."""
+    if frame_w <= 0 or frame_h <= 0:
+        raise ValueError(f"frame dims must be positive, got {frame_w}x{frame_h}")
+    lo, hi = boxes[:, :2], boxes[:, 2:]
+    empty = (hi <= lo).any(axis=1)
+    if empty.any():
+        raise ValueError(f"box with non-positive size: {boxes[empty][0].tolist()}")
+    frame = np.array([frame_w, frame_h])
+    return np.concatenate([0.5 * (lo + hi) / frame, (hi - lo) / frame],
+                          axis=1).astype(np.float32)
 
 
 # -- pretraining step ---------------------------------------------------------------
@@ -97,7 +87,7 @@ def pretrain_step(model: Detr, backbone: FrozenBackbone, optimizer: AdamW,
 
     # pooled region features z of [view1 x B, view2 x B] (no tape: h is frozen)
     z_all = backbone.object_level_features(
-        h_all, [p.proposals1 for p in pairs] + [p.proposals2 for p in pairs])
+        h_all, np.stack([p.proposals1 for p in pairs] + [p.proposals2 for p in pairs]))
     z1s, z2s = z_all[:b], z_all[b:]
 
     if need_region:
@@ -191,7 +181,7 @@ class LabeledItem:
 
 def labeled_item(pixels: np.ndarray, boxes: list[BoxXYXY], labels: list[int]) -> LabeledItem:
     h, w = pixels.shape[:2]
-    return LabeledItem(pixels=pixels, boxes=boxes_to_targets(boxes, w, h),
+    return LabeledItem(pixels=pixels, boxes=boxes_to_targets(corners(boxes), w, h),
                        labels=np.asarray(labels, dtype=np.int64))
 
 
@@ -295,11 +285,12 @@ def _require_full_batch(count: int, batch: int, key: str) -> None:
 
 def run_pretrain(cfg: RunConfig, images: list[np.ndarray], out_dir: str,
                  resume_from: str | None = None,
-                 log=None) -> tuple[str, str]:
+                 log=None, on_start=None) -> tuple[str, str]:
     """Pretrain over the image list; write per-epoch checkpoints and a per-step
-    metrics CSV. Returns (final checkpoint path, csv path)."""
+    metrics CSV. Returns (final checkpoint path, csv path). `on_start` is
+    called once the inputs (images, resume checkpoint) pass their checks,
+    before anything is written."""
     _require_full_batch(len(images), cfg.train_batch_size, "train.batch_size")
-    os.makedirs(out_dir, exist_ok=True)
     backbone = FrozenBackbone(cfg.backbone_seed)
     model = make_model(cfg, backbone)
     optimizer = AdamW(model.params, lr=cfg.train_lr, weight_decay=cfg.train_weight_decay)
@@ -311,8 +302,10 @@ def run_pretrain(cfg: RunConfig, images: list[np.ndarray], out_dir: str,
         model.load_state(params)
         optimizer.load_state(opt_state)
         start_epoch = int(meta["epoch"][0])
+    if on_start:
+        on_start()
+    os.makedirs(out_dir, exist_ok=True)
 
-    view_cfg = view_config_from(cfg)
     batch = cfg.train_batch_size
     csv_path = os.path.join(out_dir, "metrics.csv")
     mode = "a" if resume_from is not None and os.path.exists(csv_path) else "w"
@@ -329,7 +322,7 @@ def run_pretrain(cfg: RunConfig, images: list[np.ndarray], out_dir: str,
             order = list(range(len(images)))
             Rng(derive_seed(cfg.seed, 0xD5, epoch)).shuffle(order)
             for lo in range(0, len(order) - batch + 1, batch):
-                pairs = [build_view_pair(Image(images[i]), view_cfg,
+                pairs = [build_view_pair(Image(images[i]), cfg,
                                          derive_seed(cfg.seed, epoch, i))
                          for i in order[lo:lo + batch]]
                 bd = pretrain_step(model, backbone, optimizer, pairs, cfg)
@@ -365,13 +358,16 @@ def _fmt(x: float) -> str:
 
 def run_finetune(cfg: RunConfig, items: list[LabeledItem], seed: int,
                  init_arrays: dict[str, np.ndarray] | None = None,
-                 log=None) -> tuple[Detr, list[float]]:
+                 log=None, on_start=None) -> tuple[Detr, list[float]]:
     """Supervised finetuning; init_arrays (from a pretraining checkpoint)
-    seeds the transformer, the class head is always fresh."""
+    seeds the transformer, the class head is always fresh. `on_start` is
+    called once the inputs pass their checks."""
     n_epochs = cfg.finetune_epochs
     if n_epochs < 1:
         raise ValueError(f"finetune needs at least 1 epoch, got {n_epochs}")
     _require_full_batch(len(items), cfg.finetune_batch_size, "finetune.batch_size")
+    if on_start:
+        on_start()
     backbone = FrozenBackbone(cfg.backbone_seed)
     model = make_model(cfg, backbone)
     if init_arrays is not None:

@@ -1,6 +1,10 @@
 """Two-view construction: base rectangle, IoU-constrained view rectangles,
 photometric/geometric augmentation, proposals in the overlap, and box jitter.
 
+Single rectangles (base, view rects, overlap) are `BoxXYXY`; every proposal
+set, from `generate_proposals` to `ViewPair.proposals1`/`proposals2`, is an
+(n, 4) float64 array of xyxy rows. Settings come straight from `RunConfig`.
+
 Everything here is a pure function of (image bytes, seed, config); the full
 pipeline is deterministic across runs and platforms.
 """
@@ -8,14 +12,21 @@ pipeline is deterministic across runs and platforms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import BoxXYXY, FrameTransform, bilinear_taps, box_iou, map_box, resample
+from .config import RunConfig
+from .geometry import (BoxXYXY, FrameTransform, bilinear_taps, box_iou, corners,
+                       map_boxes, py_max, py_min, resample)
 from .rng import Rng
 
 _LUMA = np.array([0.299, 0.587, 0.114], dtype=np.float32)
+
+# fixed settings with no config key
+MIN_PROPOSAL_SIDE = 8.0
+BASE_AREA_RANGE = (0.5, 1.0)  # of the image area, for the base rectangle
+BLUR_SIGMA = (0.1, 2.0)
 
 
 @dataclass
@@ -40,20 +51,6 @@ class Image:
 
 
 @dataclass
-class AugmentConfig:
-    flip_p: float = 0.5
-    color_p: float = 0.8
-    color_jitter: float = 0.4
-    grayscale_p: float = 0.2
-    blur_p: float = 0.5
-    blur_sigma: tuple[float, float] = (0.1, 2.0)
-
-    @staticmethod
-    def disabled() -> "AugmentConfig":
-        return AugmentConfig(flip_p=0.0, color_p=0.0, grayscale_p=0.0, blur_p=0.0)
-
-
-@dataclass
 class AugmentRecord:
     flipped: bool = False
     brightness: float = 1.0
@@ -64,25 +61,13 @@ class AugmentRecord:
 
 
 @dataclass
-class ViewConfig:
-    tau: float = 0.5
-    n_proposals: int = 10
-    view_size: int = 128
-    jitter: float = 0.1
-    proposal_mode: str = "objectness"
-    min_proposal_side: float = 8.0
-    base_area_range: tuple[float, float] = (0.5, 1.0)
-    augment: AugmentConfig = field(default_factory=AugmentConfig)
-
-
-@dataclass
 class ViewPair:
     view1: Image
     view2: Image
     t1: FrameTransform
     t2: FrameTransform
-    proposals1: list[BoxXYXY]
-    proposals2: list[BoxXYXY]
+    proposals1: np.ndarray  # (n, 4) xyxy in view 1 pixels
+    proposals2: np.ndarray  # (n, 4) xyxy in view 2 pixels
     seed: int
     base_rect: BoxXYXY
     rect1: BoxXYXY
@@ -97,7 +82,8 @@ class ViewPair:
 
 def crop_resize(pixels: np.ndarray, rect: BoxXYXY, out_h: int, out_w: int) -> np.ndarray:
     """Bilinearly resample a continuous source rectangle to (out_h, out_w)."""
-    ay, ax = bilinear_taps([rect], pixels.shape[0], pixels.shape[1], (out_h, out_w))
+    ay, ax = bilinear_taps(corners([rect]), pixels.shape[0], pixels.shape[1],
+                           (out_h, out_w))
     return resample(pixels, ay, ax)[0].astype(np.float32, copy=False)
 
 
@@ -146,7 +132,7 @@ def sobel_magnitude(pixels: np.ndarray) -> np.ndarray:
 
 
 def sample_base_rect(width: int, height: int, rng: Rng,
-                     area_range: tuple[float, float] = (0.5, 1.0)) -> BoxXYXY:
+                     area_range: tuple[float, float] = BASE_AREA_RANGE) -> BoxXYXY:
     """Random rectangle covering an area fraction drawn from area_range."""
     if width < 32 or height < 32:
         raise ValueError(f"image too small for view construction: {width}x{height}")
@@ -209,18 +195,18 @@ def apply_photometrics(pixels: np.ndarray, rec: AugmentRecord) -> np.ndarray:
     return out.astype(np.float32)
 
 
-def augment(view: Image, rng: Rng, cfg: AugmentConfig) -> tuple[Image, AugmentRecord, bool]:
-    """Photometric + flip augmentation; returns (image, record, flipped)."""
+def augment(view: Image, rng: Rng, cfg: RunConfig) -> tuple[Image, AugmentRecord, bool]:
+    """Photometric + flip augmentation by the `aug.*` keys: (image, record, flipped)."""
     rec = AugmentRecord()
-    rec.flipped = rng.uniform() < cfg.flip_p
-    if rng.uniform() < cfg.color_p:
-        j = cfg.color_jitter
+    rec.flipped = rng.uniform() < cfg.aug_flip_p
+    if rng.uniform() < cfg.aug_color_p:
+        j = cfg.aug_color_jitter
         rec.brightness = rng.uniform(1.0 - j, 1.0 + j)
         rec.contrast = rng.uniform(1.0 - j, 1.0 + j)
         rec.saturation = rng.uniform(1.0 - j, 1.0 + j)
-    rec.grayscale = rng.uniform() < cfg.grayscale_p
-    if rng.uniform() < cfg.blur_p:
-        rec.blur_sigma = rng.uniform(cfg.blur_sigma[0], cfg.blur_sigma[1])
+    rec.grayscale = rng.uniform() < cfg.aug_grayscale_p
+    if rng.uniform() < cfg.aug_blur_p:
+        rec.blur_sigma = rng.uniform(BLUR_SIGMA[0], BLUR_SIGMA[1])
     pixels = view.pixels
     if rec.flipped:
         pixels = pixels[:, ::-1, :].copy()
@@ -229,9 +215,9 @@ def augment(view: Image, rng: Rng, cfg: AugmentConfig) -> tuple[Image, AugmentRe
 
 
 def generate_proposals(image: Image, overlap: BoxXYXY, mode: str, count: int,
-                       rng: Rng, min_side: float = 8.0) -> list[BoxXYXY]:
-    """Boxes inside `overlap` (image frame); objectness mode ranks random
-    candidates by interior-vs-border Sobel gradient contrast."""
+                       rng: Rng, min_side: float = MIN_PROPOSAL_SIDE) -> np.ndarray:
+    """(count, 4) boxes inside `overlap` (image frame); objectness mode ranks
+    random candidates by interior-vs-border Sobel gradient contrast."""
     if overlap.width < min_side or overlap.height < min_side or overlap.area < 64.0:
         raise ValueError(f"overlap too small for proposals: "
                          f"{overlap.width:.1f}x{overlap.height:.1f}")
@@ -248,7 +234,7 @@ def generate_proposals(image: Image, overlap: BoxXYXY, mode: str, count: int,
         # stable, so tied scores keep draw order
         order = np.argsort(-_edge_contrast(image.pixels, boxes), kind="stable")
         boxes = boxes[order[:count]]
-    return [BoxXYXY(*b) for b in boxes.tolist()]
+    return boxes
 
 
 def _edge_contrast(pixels: np.ndarray, boxes: np.ndarray) -> np.ndarray:
@@ -279,78 +265,61 @@ def _edge_contrast(pixels: np.ndarray, boxes: np.ndarray) -> np.ndarray:
     return mean_in - mean_ring
 
 
-def _jitter_boxes(boxes: list[BoxXYXY], amount: float, rng: Rng,
-                  frame_w: float, frame_h: float) -> list[BoxXYXY]:
+def _jitter_boxes(boxes: np.ndarray, amount: float, rng: Rng,
+                  frame_w: float, frame_h: float) -> np.ndarray:
     """Shift each box's centre by up to `amount` of its sides and scale its
-    sides by 1 ± `amount`, from one block of four draws per box."""
+    sides by 1 ± `amount`, from one block of four draws per box; boxes stay
+    inside the frame and at least 2 px wide and high."""
     lo = np.array([-amount, -amount, 1.0 - amount, 1.0 - amount])
     hi = np.array([amount, amount, 1.0 + amount, 1.0 + amount])
     draws = lo + (hi - lo) * rng.uniforms(4 * len(boxes)).reshape(-1, 4)
-    out = []
-    for box, (ux, uy, fw, fh) in zip(boxes, draws.tolist()):
-        cx, cy = box.center()
-        cx, cy = cx + ux * box.width, cy + uy * box.height
-        w, h = box.width * fw, box.height * fh
-        x1 = min(max(0.0, cx - w / 2), frame_w - 2.0)
-        y1 = min(max(0.0, cy - h / 2), frame_h - 2.0)
-        x2 = max(min(frame_w, cx + w / 2), x1 + 2.0)
-        y2 = max(min(frame_h, cy + h / 2), y1 + 2.0)
-        out.append(BoxXYXY(x1, y1, x2, y2))
-    return out
+    side = boxes[:, 2:] - boxes[:, :2]
+    centre = 0.5 * (boxes[:, :2] + boxes[:, 2:]) + draws[:, :2] * side
+    half = side * draws[:, 2:] / 2
+    frame = np.array([frame_w, frame_h])
+    x1y1 = py_min(py_max(0.0, centre - half), frame - 2.0)
+    x2y2 = py_max(py_min(frame, centre + half), x1y1 + 2.0)
+    return np.concatenate([x1y1, x2y2], axis=1)
 
 
-def build_view_pair(image: Image, config: ViewConfig, seed: int) -> ViewPair:
-    """Full two-view construction for one image, driven entirely by `seed`."""
+def build_view_pair(image: Image, cfg: RunConfig, seed: int) -> ViewPair:
+    """Full two-view construction for one image (the `view.*`, `proposals.*`
+    and `aug.*` keys), driven entirely by `seed`."""
     rng = Rng(seed)
-    size = config.view_size
+    size = cfg.view_size
     for _ in range(20):
-        base = sample_base_rect(image.width, image.height, rng, config.base_area_range)
-        rect1, rect2 = sample_view_rects(base, config.tau, rng)
+        base = sample_base_rect(image.width, image.height, rng)
+        rect1, rect2 = sample_view_rects(base, cfg.view_tau, rng)
         overlap = rect1.intersection(rect2)
-        if overlap is not None and overlap.width >= config.min_proposal_side \
-                and overlap.height >= config.min_proposal_side and overlap.area >= 64.0:
+        if overlap is not None and overlap.width >= MIN_PROPOSAL_SIDE \
+                and overlap.height >= MIN_PROPOSAL_SIDE and overlap.area >= 64.0:
             break
     else:
         raise ValueError("could not sample view rectangles with a usable overlap")
 
-    proposals_img = generate_proposals(image, overlap, config.proposal_mode,
-                                       config.n_proposals, rng,
-                                       config.min_proposal_side)
+    proposals_img = generate_proposals(image, overlap, cfg.proposals_mode, cfg.view_n, rng)
 
     views, transforms, records = [], [], []
     for rect in (rect1, rect2):
-        pixels = crop_resize(image.pixels, rect, size, size)
-        t = FrameTransform(dx=rect.x1, dy=rect.y1,
-                           sx=size / rect.width, sy=size / rect.height,
-                           flip=False, src_w=image.width, src_h=image.height,
-                           dst_w=size, dst_h=size)
-        aug_img, rec, flipped = augment(Image(pixels), rng, config.augment)
-        if flipped:
-            t = t.with_flip()
-        views.append(aug_img)
-        transforms.append(t)
+        view, rec, flipped = augment(Image(crop_resize(image.pixels, rect, size, size)),
+                                     rng, cfg)
+        views.append(view)
+        transforms.append(FrameTransform(dx=rect.x1, dy=rect.y1,
+                                         sx=size / rect.width, sy=size / rect.height,
+                                         flip=flipped, src_w=image.width,
+                                         src_h=image.height, dst_w=size, dst_h=size))
         records.append(rec)
 
-    pairs = []
-    for prop in proposals_img:
-        try:
-            b1 = map_box(prop, transforms[0])
-            b2 = map_box(prop, transforms[1])
-        except ValueError:
-            continue
-        pairs.append((b1, b2))
-    if not pairs:
+    (p1, inside1), (p2, inside2) = (map_boxes(proposals_img, t) for t in transforms)
+    kept = np.flatnonzero(inside1 & inside2)
+    if not len(kept):
         raise ValueError("no proposal survived mapping into both views")
-    padded = len(pairs) < config.n_proposals
-    survivors = list(pairs)
-    while len(pairs) < config.n_proposals:
-        pairs.append(survivors[len(pairs) % len(survivors)])
-    pairs = pairs[:config.n_proposals]
-
-    p1, p2 = [b1 for b1, _ in pairs], [b2 for _, b2 in pairs]
-    if config.jitter > 0:
-        p1 = _jitter_boxes(p1, config.jitter, rng, size, size)
-        p2 = _jitter_boxes(p2, config.jitter, rng, size, size)
+    padded = len(kept) < cfg.view_n
+    rows = kept[np.arange(cfg.view_n) % len(kept)]  # survivors repeated cyclically
+    p1, p2 = p1[rows], p2[rows]
+    if cfg.view_jitter > 0:
+        p1 = _jitter_boxes(p1, cfg.view_jitter, rng, size, size)
+        p2 = _jitter_boxes(p2, cfg.view_jitter, rng, size, size)
 
     return ViewPair(view1=views[0], view2=views[1], t1=transforms[0], t2=transforms[1],
                     proposals1=p1, proposals2=p2, seed=seed, base_rect=base,

@@ -8,9 +8,11 @@ instead: the attention reference composes the library's generic primitives
 (themselves gradient-checked), the backbone reference runs each float32
 conv layer as one GEMM over the whole batch, the AP/AR reference scores
 each (detection, ground truth) pair with `geometry.box_iou` at every match,
-and the random-stream references (`scalar_normal`, `scalar_proposals`,
+the random-stream references (`scalar_normal`, `scalar_proposals`,
 `scalar_jitter_box`) make one draw at a time where the library draws a
-block.
+block, and `scalar_map_box` maps one box where the library maps a set.
+`same_bits` compares those against the library's box arrays by value and
+sign of zero.
 """
 
 import math
@@ -360,3 +362,32 @@ def scalar_jitter_box(box, amount, rng, frame_w, frame_h):
     x2 = max(min(frame_w, cx + w / 2), x1 + 2.0)
     y2 = max(min(frame_h, cy + h / 2), y1 + 2.0)
     return BoxXYXY(x1, y1, x2, y2)
+
+
+def scalar_map_box(box, t):
+    """`geometry.map_boxes` one `BoxXYXY` at a time: each corner through
+    x' = sx (x - dx) (mirrored as dst_w - x' when flipped), y' = sy (y - dy),
+    then ordered and clamped to the target frame with Python's `min` and
+    `max`. Raises ValueError when nothing of the box is left."""
+    def point(x, y):
+        xo = t.sx * (x - t.dx)
+        if t.flip:
+            xo = t.dst_w - xo
+        return xo, t.sy * (y - t.dy)
+
+    xa, ya = point(box.x1, box.y1)
+    xb, yb = point(box.x2, box.y2)
+    x1, x2 = (xa, xb) if xa <= xb else (xb, xa)
+    y1, y2 = (ya, yb) if ya <= yb else (yb, ya)
+    cx1, cy1 = max(0.0, x1), max(0.0, y1)
+    cx2, cy2 = min(t.dst_w, x2), min(t.dst_h, y2)
+    if cx2 <= cx1 or cy2 <= cy1:
+        raise ValueError(f"box {box} maps outside the {t.dst_w}x{t.dst_h} frame")
+    return BoxXYXY(cx1, cy1, cx2, cy2)
+
+
+def same_bits(got, want):
+    """Equal float64 values with equal signs of zero (an int corner counts as
+    its float value)."""
+    got, want = np.asarray(got, np.float64), np.asarray(want, np.float64)
+    return got.shape == want.shape and got.tobytes() == want.tobytes()

@@ -27,8 +27,7 @@ from mvdetr.optim import AdamW
 from mvdetr.rng import Rng, derive_seed
 from mvdetr.tensor import Tensor
 from mvdetr.training import (make_model, pretrain_step, run_finetune,
-                             run_pretrain, split_checkpoint, labeled_item,
-                             view_config_from)
+                             run_pretrain, split_checkpoint, labeled_item)
 
 from helpers import box_giou, grid_count_iou, dense_bilinear_average, numerical_gradient
 
@@ -129,7 +128,7 @@ def test_criterion_1_gradient_suite():
             break
 
     # roi_align gradient (feature input)
-    boxes = [BoxXYXY(0.4, 0.7, 3.1, 2.6), BoxXYXY(1.0, 0.0, 4.0, 4.0)]
+    boxes = np.array([[0.4, 0.7, 3.1, 2.6], [1.0, 0.0, 4.0, 4.0]])
     ok = ok and _check_case(lambda ts: T.tsum(roi_align(ts[0], boxes, (2, 2))),
                             [(4, 5, 3)], rng, False)
 
@@ -258,7 +257,8 @@ def test_criterion_3_geometry_oracle():
         y1 = float(rng.uniform(0.5, 2.0))
         box = BoxXYXY(x1, y1, x1 + float(rng.uniform(1.0, 3.0)),
                       y1 + float(rng.uniform(1.0, 3.0)))
-        out = roi_align(Tensor(feat.astype(np.float32)), [box], (2, 2))
+        out = roi_align(Tensor(feat.astype(np.float32)),
+                        np.array([[box.x1, box.y1, box.x2, box.y2]]), (2, 2))
         oracle = dense_bilinear_average(feat, (box.x1, box.y1, box.x2, box.y2), (2, 2))
         scale = max(1.0, float(np.abs(oracle).max()))
         if np.abs(out.data[0] - oracle).max() > 1e-3 * scale:
@@ -273,8 +273,8 @@ def test_criterion_3_geometry_oracle():
 def test_criterion_4_view_contract():
     spec = SceneSpec(image_size=160, seed=404)
     images = [render_scene(spec, i)[0] for i in range(20)]
-    cfg = V.ViewConfig(tau=0.5, n_proposals=10, view_size=128, jitter=0.1,
-                       proposal_mode="random")
+    cfg = parse_config("view.tau=0.5\nview.n=10\nview.size=128\nview.jitter=0.1\n"
+                       "proposals.mode=random\n")
     min_iou = 1.0
     ok = True
     for k in range(10_000):
@@ -312,8 +312,7 @@ def test_criterion_5_loss_identities():
     images = [render_scene(spec, i)[0] for i in range(2)]
     backbone = FrozenBackbone(cfg.backbone_seed)
     model = make_model(cfg, backbone)
-    vc = view_config_from(cfg)
-    pairs = [V.build_view_pair(V.Image(img), vc, derive_seed(505, i))
+    pairs = [V.build_view_pair(V.Image(img), cfg, derive_seed(505, i))
              for i, img in enumerate(images)]
     swapped = [V.ViewPair(view1=p.view2, view2=p.view1, t1=p.t2, t2=p.t1,
                           proposals1=p.proposals2, proposals2=p.proposals1,

@@ -72,8 +72,8 @@ class TestExtract:
         # plain arrays: nothing the backbone returns can join the tape
         img = _image(3)
         h = backbone.extract_batch(img[None])
-        box = [BoxXYXY(8, 8, 40, 40)]
-        for out in (h, backbone.object_level_features(h, [box]),
+        box = np.array([[8.0, 8.0, 40.0, 40.0]])
+        for out in (h, backbone.object_level_features(h, box[None]),
                     backbone.crop_features_multi([(img, box)])):
             assert type(out) is np.ndarray
 
@@ -81,23 +81,23 @@ class TestExtract:
 class TestObjectFeatures:
     def test_shape(self, backbone):
         h = backbone.extract_batch(_image(4)[None])
-        boxes = [BoxXYXY(8 * i, 8, 8 * i + 32, 56) for i in range(10)]
-        z = backbone.object_level_features(h, [boxes])
+        boxes = np.array([[8 * i, 8, 8 * i + 32, 56] for i in range(10)], dtype=np.float64)
+        z = backbone.object_level_features(h, boxes[None])
         assert z.shape == (1, 10, 64)
 
     def test_constant_map(self, backbone):
         h = np.full((1, 16, 16, 64), 3.0, dtype=np.float32)
-        z = backbone.object_level_features(h, [[BoxXYXY(10, 10, 90, 90)]])
+        z = backbone.object_level_features(h, np.array([[[10.0, 10.0, 90.0, 90.0]]]))
         np.testing.assert_allclose(z, 3.0, atol=1e-5)
 
     def test_rows_follow_maps_and_equal_roi_align_mean(self, backbone):
         maps = backbone.extract_batch(np.stack([_image(12 + i) for i in range(3)]))
-        groups = [[BoxXYXY(8 * i + k, 8, 8 * i + 40, 56 - k) for k in range(4)]
-                  for i in range(3)]
+        groups = np.array([[[8 * i + k, 8, 8 * i + 40, 56 - k] for k in range(4)]
+                           for i in range(3)], dtype=np.float64)
         z = backbone.object_level_features(maps, groups)
         assert z.shape == (3, 4, 64) and z.dtype == np.float32
         for i, boxes in enumerate(groups):
-            fboxes = [BoxXYXY(b.x1 / 8, b.y1 / 8, b.x2 / 8, b.y2 / 8) for b in boxes]
+            fboxes = np.array([[x1 / 8, y1 / 8, x2 / 8, y2 / 8] for x1, y1, x2, y2 in boxes])
             pooled = roi_align(Tensor(maps[i]), fboxes, (4, 4)).data.mean(axis=(1, 2))
             np.testing.assert_array_equal(z[i], pooled)
 
@@ -108,18 +108,18 @@ class TestObjectFeatures:
         ys, xs = np.mgrid[0:16, 0:16].astype(np.float64)
         coef = np_rng.uniform(-1, 1, (3, 64))
         h_lin = (coef[0] + coef[1] * xs[:, :, None] + coef[2] * ys[:, :, None])
-        box = BoxXYXY(16, 24, 80, 96)
-        z = backbone.object_level_features(h_lin.astype(np.float32)[None], [[box]])
-        fb = (box.x1 / 8, box.y1 / 8, box.x2 / 8, box.y2 / 8)
+        box = np.array([[[16.0, 24.0, 80.0, 96.0]]])
+        z = backbone.object_level_features(h_lin.astype(np.float32)[None], box)
+        fb = tuple(box[0, 0] / 8)
         oracle = dense_bilinear_average(h_lin, fb, (4, 4))
         np.testing.assert_allclose(z[0, 0], oracle.mean(axis=(0, 1)),
                                    atol=1e-3 * max(1, np.abs(oracle).max()))
 
     def test_near_dense_oracle_on_real_features(self, backbone):
         h = backbone.extract_batch(_image(5)[None])
-        box = BoxXYXY(16, 24, 80, 96)
-        z = backbone.object_level_features(h, [[box]])
-        fb = (box.x1 / 8, box.y1 / 8, box.x2 / 8, box.y2 / 8)
+        box = np.array([[[16.0, 24.0, 80.0, 96.0]]])
+        z = backbone.object_level_features(h, box)
+        fb = tuple(box[0, 0] / 8)
         oracle = dense_bilinear_average(h[0].astype(np.float64), fb, (4, 4))
         # non-linear field: 2x2 sampling only approximates the dense average
         np.testing.assert_allclose(z[0, 0], oracle.mean(axis=(0, 1)), atol=5e-2)
@@ -128,40 +128,39 @@ class TestObjectFeatures:
 class TestCropFeatures:
     def test_full_view_crop_reduces_to_extract(self, backbone):
         img = _image(6)
-        box = BoxXYXY(0, 0, 128, 128)
-        p = backbone.crop_features_multi([(img, [box])])
-        resized = crop_resize(img, box, 64, 64)
+        p = backbone.crop_features_multi([(img, np.array([[0.0, 0.0, 128.0, 128.0]]))])
+        resized = crop_resize(img, BoxXYXY(0, 0, 128, 128), 64, 64)
         direct = _extract(backbone, resized).mean(axis=(0, 1))
         np.testing.assert_allclose(p[0], direct, atol=1e-6)
 
     def test_constant_crops_identical(self, backbone):
         img = np.full((128, 128, 3), 0.4, dtype=np.float32)
-        p = backbone.crop_features_multi([(img, [BoxXYXY(0, 0, 30, 30),
-                                                 BoxXYXY(50, 60, 100, 90)])])
+        p = backbone.crop_features_multi([(img, np.array([[0.0, 0.0, 30.0, 30.0],
+                                                          [50.0, 60.0, 100.0, 90.0]]))])
         np.testing.assert_allclose(p[0], p[1], atol=1e-5)
 
     def test_crop_vs_object_features_differ_on_texture(self, backbone):
         img = _image(7)
         h = backbone.extract_batch(img[None])
-        box = BoxXYXY(20, 20, 52, 52)
-        z = backbone.object_level_features(h, [[box]])
-        p = backbone.crop_features_multi([(img, [box])])
+        box = np.array([[20.0, 20.0, 52.0, 52.0]])
+        z = backbone.object_level_features(h, box[None])
+        p = backbone.crop_features_multi([(img, box)])
         assert float(np.linalg.norm(p[0] - z[0, 0])) > 1e-3
 
     def test_degenerate_box_errors(self, backbone):
         with pytest.raises(ValueError):
-            backbone.crop_features_multi([(_image(8), [BoxXYXY(10, 10, 11, 30)])])
+            backbone.crop_features_multi([(_image(8), np.array([[10.0, 10.0, 11.0, 30.0]]))])
 
     def test_rows_follow_groups_and_match_one_box_path(self, backbone):
         # each row of a two-group call equals resizing that box alone through
         # crop_resize and pooling the extracted map
-        groups = [(_image(9), [BoxXYXY(3.5, 7.25, 60.0, 41.0),
-                               BoxXYXY(0, 0, 128, 128)]),
-                  (_image(10, h=96, w=160), [BoxXYXY(100.5, 2.0, 158.0, 90.5),
-                                             BoxXYXY(-4.0, 80.0, 30.0, 99.0),
-                                             BoxXYXY(20.0, 20.0, 24.0, 23.0)])]
+        groups = [(_image(9), np.array([[3.5, 7.25, 60.0, 41.0],
+                                        [0.0, 0.0, 128.0, 128.0]])),
+                  (_image(10, h=96, w=160), np.array([[100.5, 2.0, 158.0, 90.5],
+                                                      [-4.0, 80.0, 30.0, 99.0],
+                                                      [20.0, 20.0, 24.0, 23.0]]))]
         p = backbone.crop_features_multi(groups)
-        rows = [_extract(backbone, crop_resize(img, b, 64, 64)).mean(axis=(0, 1))
+        rows = [_extract(backbone, crop_resize(img, BoxXYXY(*b), 64, 64)).mean(axis=(0, 1))
                 for img, boxes in groups for b in boxes]
         assert p.shape == (5, backbone.out_channels)
         np.testing.assert_allclose(p, np.stack(rows), atol=1e-6)

@@ -108,6 +108,56 @@ class TestExitCodes:
         assert main(argv) == 1
         assert "epochs must be at least 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command,sets,message", [
+        ("pretrain", ["model.heads=3"], "model.d_model (32) must be divisible by "
+                                        "model.heads (3)"),
+        ("pretrain", ["model.heads=0"], "model.heads must be at least 1, got 0"),
+        ("pretrain", ["model.d_model=30"], "model.d_model (30) must be divisible by 4"),
+        ("pretrain", ["model.d_model=0"], "model.d_model must be at least 1, got 0"),
+        ("pretrain", ["view.n=0", "model.queries=0"], "view.n must be at least 1, got 0"),
+        ("pretrain", ["view.size=0"], "view.size must be at least 1, got 0"),
+        ("pretrain", ["train.batch_size=0", "loss.lambda_g=0"],
+         "train.batch_size must be at least 1, got 0"),
+        ("finetune", ["finetune.batch_size=0"],
+         "finetune.batch_size must be at least 1, got 0"),
+        ("finetune", ["data.classes=0"], "data.classes must be at least 1, got 0"),
+    ], ids=["heads_split_d_model", "no_heads", "d_model_by_4", "no_d_model", "no_proposals",
+            "no_view_size", "no_train_batch", "no_finetune_batch", "no_classes"])
+    def test_bad_sizes_are_config_errors(self, workspace, capsys, command, sets, message):
+        # rejected while parsing, before the output directory is touched
+        root, cfg, manifest = workspace
+        out = root / "bad_sizes"
+        argv = [command, "--config", cfg, "--data", manifest, "--out", str(out)]
+        for s in sets:
+            argv += ["--set", s]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and message in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["finetune", "eval", "probe"])
+    def test_label_outside_classes_is_two(self, workspace, tmp_path, capsys, monkeypatch,
+                                          command):
+        # the generated set labels shapes 0-2; two classes leave label 2 out
+        import mvdetr.training
+        finetunes = []
+        monkeypatch.setattr(mvdetr.training, "run_finetune",
+                            lambda *a, **kw: finetunes.append(a) or (None, []))
+        root, cfg, manifest = workspace
+        ckpt = _untrained_checkpoint(cfg, tmp_path / "init.ckpt")
+        out = tmp_path / "out"
+        argv = {"finetune": ["finetune", "--data", manifest, "--out", str(out)],
+                "eval": ["eval", "--data", manifest, "--checkpoint", ckpt,
+                         "--out", str(out)],
+                "probe": ["probe", "--data", manifest, "--eval-data", manifest,
+                          "--init", ckpt, "--out", str(out), "--epochs", "1",
+                          "--seeds", "1"]}[command]
+        assert main(argv + ["--config", cfg, "--set", "data.classes=2"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {manifest}:") and err.endswith(
+            ": label 2 is outside [0, 2) for data.classes=2\n")
+        assert finetunes == [] and not out.exists()
+
     @pytest.mark.parametrize("flag", ["--seeds", "--epochs"])
     def test_probe_count_below_one_is_one(self, workspace, capsys, flag):
         # rejected while parsing, before the (missing) checkpoint is read
@@ -177,6 +227,15 @@ class TestTooFewImages:
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "3 images" in err and f"{key}=4" in err
+
+    @pytest.mark.parametrize("command,key", [("pretrain", "train.batch_size"),
+                                             ("finetune", "finetune.batch_size")])
+    def test_rejected_run_writes_no_manifest(self, three_images, command, key):
+        root, cfg, manifest = three_images
+        out = root / f"{command}_unwritten"
+        assert main([command, "--config", cfg, "--data", manifest,
+                     "--out", str(out), "--set", f"{key}=4"]) == 2
+        assert not (out / "run.txt").exists()
 
 
 class TestPipeline:

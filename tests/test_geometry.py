@@ -2,11 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from mvdetr import geometry as G
 from mvdetr.tensor import Tensor, tsum
+from mvdetr.training import boxes_to_targets
 
-from helpers import box_giou, grid_count_iou, dense_bilinear_average, gradcheck
+from helpers import (box_giou, grid_count_iou, dense_bilinear_average, gradcheck,
+                     same_bits, scalar_map_box)
 
 
 def _rand_int_box(rng, extent=64):
@@ -102,17 +105,18 @@ class TestGIoU:
 
 
 class TestConvert:
+    # pixel corners to the normalized cxcywh rows of training targets
     def test_full_frame(self):
-        out = G.to_cxcywh(G.BoxXYXY(0, 0, 200, 100), 200, 100)
-        assert (out.cx, out.cy, out.w, out.h) == (0.5, 0.5, 1.0, 1.0)
+        out = boxes_to_targets(np.array([[0.0, 0.0, 200.0, 100.0]]), 200, 100)
+        assert out.tolist() == [[0.5, 0.5, 1.0, 1.0]]
 
     def test_round_trip(self):
         rng = np.random.default_rng(4)
         for _ in range(200):
             b = _rand_int_box(rng)
-            c = G.to_cxcywh(b, 64, 64)
-            back = ((c.cx - c.w / 2) * 64, (c.cy - c.h / 2) * 64,
-                    (c.cx + c.w / 2) * 64, (c.cy + c.h / 2) * 64)
+            cx, cy, w, h = (float(v) for v in boxes_to_targets(G.corners([b]), 64, 64)[0])
+            back = ((cx - w / 2) * 64, (cy - h / 2) * 64,
+                    (cx + w / 2) * 64, (cy + h / 2) * 64)
             for u, v in zip((b.x1, b.y1, b.x2, b.y2), back):
                 assert u == pytest.approx(v, abs=1e-5)
 
@@ -120,14 +124,14 @@ class TestConvert:
 class TestFrameTransform:
     def test_identity(self):
         t = G.FrameTransform(0.0, 0.0, 1.0, 1.0, False, 100, 80, 100, 80)
-        b = G.BoxXYXY(10, 20, 30, 40)
-        out = G.map_box(b, t)
-        assert (out.x1, out.y1, out.x2, out.y2) == (10, 20, 30, 40)
+        out, inside = G.map_boxes(np.array([[10.0, 20.0, 30.0, 40.0]]), t)
+        assert inside.tolist() == [True]
+        assert out.tolist() == [[10, 20, 30, 40]]
 
     def test_flip_reflection(self):
-        t = G.FrameTransform(0.0, 0.0, 1.0, 1.0, False, 100, 100, 100, 100).with_flip()
-        out = G.map_box(G.BoxXYXY(10, 0, 20, 10), t)
-        assert (out.x1, out.y1, out.x2, out.y2) == (80.0, 0.0, 90.0, 10.0)
+        t = G.FrameTransform(0.0, 0.0, 1.0, 1.0, True, 100, 100, 100, 100)
+        out, _ = G.map_boxes(np.array([[10.0, 0.0, 20.0, 10.0]]), t)
+        assert out.tolist() == [[80.0, 0.0, 90.0, 10.0]]
 
     def test_map_then_inverse_is_identity(self):
         rng = np.random.default_rng(5)
@@ -140,40 +144,74 @@ class TestFrameTransform:
             t = G.FrameTransform(dx, dy, sx, sy, flip, 200, 200, 128, 128)
             x1 = float(rng.uniform(dx + 1, dx + 30))
             y1 = float(rng.uniform(dy + 1, dy + 30))
-            b = G.BoxXYXY(x1, y1, x1 + float(rng.uniform(1, 20)), y1 + float(rng.uniform(1, 20)))
-            xa, ya = t.apply_point(b.x1, b.y1)
-            xb, yb = t.apply_point(b.x2, b.y2)
-            if not (0 <= min(xa, xb) and max(xa, xb) <= t.dst_w
-                    and 0 <= min(ya, yb) and max(ya, yb) <= t.dst_h):
+            b = np.array([[x1, y1, x1 + float(rng.uniform(1, 20)),
+                           y1 + float(rng.uniform(1, 20))]])
+            xs = t.sx * (b[0, ::2] - t.dx)
+            if t.flip:
+                xs = t.dst_w - xs
+            ys = t.sy * (b[0, 1::2] - t.dy)
+            if not (0 <= xs.min() and xs.max() <= t.dst_w
+                    and 0 <= ys.min() and ys.max() <= t.dst_h):
                 continue  # clamping would lose information; not a round-trip case
-            mapped = G.map_box(b, t)
-            back = G.map_box(mapped, t.inverse())
-            for u, v in zip((b.x1, b.y1, b.x2, b.y2), (back.x1, back.y1, back.x2, back.y2)):
-                assert u == pytest.approx(v, abs=1e-5)
+            mapped, _ = G.map_boxes(b, t)
+            back, _ = G.map_boxes(mapped, t.inverse())
+            np.testing.assert_allclose(back, b, rtol=0, atol=1e-5)
 
     def test_outside_frame_errors(self):
         t = G.FrameTransform(100, 100, 1.0, 1.0, False, 200, 200, 50, 50)
-        with pytest.raises(ValueError):
-            G.map_box(G.BoxXYXY(0, 0, 10, 10), t)
+        _, inside = G.map_boxes(np.array([[0.0, 0.0, 10.0, 10.0]]), t)
+        assert inside.tolist() == [False]
+
+    _ZERO = st.sampled_from([0.0, -0.0])
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(shift=st.tuples(st.one_of(_ZERO, st.floats(-60, 200)),
+                           st.one_of(_ZERO, st.floats(-60, 200))),
+           scale=st.tuples(st.floats(0.1, 4.0), st.floats(0.1, 4.0)),
+           flip=st.booleans(),
+           dst=st.sampled_from([(128, 128), (64, 48), (100.0, 37.5)]),
+           boxes=st.lists(st.tuples(st.one_of(_ZERO, st.floats(-80, 260)),
+                                    st.one_of(_ZERO, st.floats(-80, 260)),
+                                    st.one_of(_ZERO, st.floats(0, 120)),
+                                    st.one_of(_ZERO, st.floats(0, 120))),
+                          max_size=12))
+    @example(shift=(0.0, 0.0), scale=(1.0, 1.0), flip=False, dst=(128, 128),
+             boxes=[(-0.0, -0.0, 10.0, 10.0)])
+    def test_map_boxes_equals_scalar_oracle(self, shift, scale, flip, dst, boxes):
+        # boxes inside, across the border, wholly outside or empty, in
+        # integer frames (view sizes, where the scalar clamp returns an int)
+        # and float ones; a -0.0 corner at a zero shift clamps to +0.0
+        t = G.FrameTransform(shift[0], shift[1], scale[0], scale[1], flip,
+                             300.0, 300.0, dst[0], dst[1])
+        rows = [G.BoxXYXY(x, y, x + w, y + h) for x, y, w, h in boxes]
+        mapped, inside = G.map_boxes(G.corners(rows), t)
+        assert mapped.shape == (len(rows), 4) and inside.shape == (len(rows),)
+        for k, box in enumerate(rows):
+            try:
+                want = scalar_map_box(box, t)
+            except ValueError:
+                assert not inside[k]
+                continue
+            assert inside[k]
+            assert same_bits(mapped[k], G.corners([want])[0])
 
 
 class TestRoiAlign:
     def test_constant_map(self):
         feat = Tensor(np.full((8, 8, 3), 7.0, dtype=np.float32))
-        out = G.roi_align(feat, [G.BoxXYXY(1.3, 2.1, 6.7, 5.9)], (3, 3))
+        out = G.roi_align(feat, np.array([[1.3, 2.1, 6.7, 5.9]]), (3, 3))
         assert out.data.shape == (1, 3, 3, 3)
         np.testing.assert_allclose(out.data, 7.0, atol=1e-5)
 
     def test_single_cell(self):
         feat = Tensor(np.array([[[4.5]]], dtype=np.float32))
-        out = G.roi_align(feat, [G.BoxXYXY(0, 0, 1, 1)], (1, 1))
+        out = G.roi_align(feat, np.array([[0.0, 0.0, 1.0, 1.0]]), (1, 1))
         np.testing.assert_allclose(out.data, 4.5)
 
     def test_ramp_matches_dense_oracle(self):
         xs = np.arange(4, dtype=np.float32)
         feat = np.stack([np.tile(xs, (4, 1))] * 2, axis=-1)  # f(x, y) = x
-        box = G.BoxXYXY(0.5, 0.5, 3.5, 3.5)
-        out = G.roi_align(Tensor(feat), [box], (2, 2))
+        out = G.roi_align(Tensor(feat), np.array([[0.5, 0.5, 3.5, 3.5]]), (2, 2))
         oracle = dense_bilinear_average(feat.astype(np.float64),
                                         (0.5, 0.5, 3.5, 3.5), (2, 2))
         np.testing.assert_allclose(out.data[0], oracle, atol=1e-3)
@@ -184,19 +222,19 @@ class TestRoiAlign:
         for _ in range(10):
             x1 = float(rng.uniform(0, 3))
             y1 = float(rng.uniform(0, 4))
-            box = G.BoxXYXY(x1, y1, x1 + float(rng.uniform(0.5, 2)), y1 + float(rng.uniform(0.5, 2)))
-            out = G.roi_align(Tensor(feat.astype(np.float32)), [box], (2, 2))
-            oracle = dense_bilinear_average(feat, (box.x1, box.y1, box.x2, box.y2), (2, 2))
+            box = (x1, y1, x1 + float(rng.uniform(0.5, 2)), y1 + float(rng.uniform(0.5, 2)))
+            out = G.roi_align(Tensor(feat.astype(np.float32)), np.array([box]), (2, 2))
+            oracle = dense_bilinear_average(feat, box, (2, 2))
             # 2x2 sampling equals the dense average only for globally linear
             # fields; bins straddling cell boundaries see curvature error
             np.testing.assert_allclose(out.data[0], oracle, atol=0.15)
 
     def test_border_clamp_no_error(self):
         feat = Tensor(np.ones((4, 4, 1), dtype=np.float32))
-        out = G.roi_align(feat, [G.BoxXYXY(-2, -2, 8, 8)], (2, 2))
+        out = G.roi_align(feat, np.array([[-2.0, -2.0, 8.0, 8.0]]), (2, 2))
         np.testing.assert_allclose(out.data, 1.0)
 
     def test_gradient_wrt_features(self):
-        boxes = [G.BoxXYXY(0.4, 0.7, 3.1, 2.6), G.BoxXYXY(1.0, 0.0, 4.0, 4.0)]
+        boxes = np.array([[0.4, 0.7, 3.1, 2.6], [1.0, 0.0, 4.0, 4.0]])
         gradcheck(lambda ts: tsum(G.roi_align(ts[0], boxes, (2, 2))),
                   [(4, 5, 3)], np.random.default_rng(7))

@@ -21,18 +21,31 @@ def _gt(img, x1, y1, x2, y2, cls=0):
     return M.GroundTruth(img, BoxXYXY(x1, y1, x2, y2), cls)
 
 
+def _report_tuple(report):
+    return (report.ap, report.ap50, report.ap75, report.ar1, report.ar10)
+
+
+def _blind(dets, gts):
+    """Report of a class-blind scoring: every box in class 0 of one."""
+    return M.evaluate_detections(dets, gts, n_classes=1)
+
+
 class TestAveragePrecision:
     def test_perfect_duplicates_of_gt(self):
         gts = [_gt(0, 0, 0, 10, 10), _gt(0, 20, 20, 30, 30)]
         dets = [_det(0, 0, 0, 10, 10, 1.0), _det(0, 20, 20, 30, 30, 1.0)]
-        for thr in (0.5, 0.75, 0.95):
-            assert M.average_precision(dets, gts, thr) == pytest.approx(1.0)
+        report = _blind(dets, gts)
+        # ap is the mean over the grid up to 0.95, so every threshold scores 1
+        for value in (report.ap50, report.ap75, report.ap):
+            assert value == pytest.approx(1.0)
 
     def test_no_detections(self):
-        assert M.average_precision([], [_gt(0, 0, 0, 5, 5)], 0.5) == 0.0
+        assert _blind([], [_gt(0, 0, 0, 5, 5)]).ap50 == 0.0
 
     def test_empty_gt_no_dets_is_one(self):
-        assert M.average_precision([], [], 0.5) == 1.0
+        # AP skips a class without ground truth; recall keeps the convention
+        report = _blind([], [])
+        assert (report.ar1, report.ar10) == (1.0, 1.0)
 
     def test_one_correct_one_false(self):
         # 2 GT; correct det @0.9 then a false positive @0.8:
@@ -40,13 +53,15 @@ class TestAveragePrecision:
         # 51 of the 101 grid points score 1.0
         gts = [_gt(0, 0, 0, 10, 10), _gt(0, 50, 50, 60, 60)]
         dets = [_det(0, 0, 0, 10, 10, 0.9), _det(0, 80, 80, 90, 90, 0.8)]
-        ap = M.average_precision(dets, gts, 0.5)
+        ap = _blind(dets, gts).ap50
         assert ap == pytest.approx(51 / 101, abs=1e-9)
         assert ap == pytest.approx(0.5, abs=0.01)
 
     def test_monotone_in_threshold(self):
+        # the per-pair oracle gives AP at each grid threshold; the report's
+        # ap50, ap75 and grid mean are those same numbers
         rng = np.random.default_rng(0)
-        for _ in range(20)        :
+        for _ in range(20):
             gts, dets = [], []
             for img in range(3):
                 for _ in range(rng.integers(1, 4)):
@@ -57,37 +72,42 @@ class TestAveragePrecision:
                     x, y = rng.uniform(0, 40, 2)
                     w, h = rng.uniform(5, 20, 2)
                     dets.append(_det(img, x, y, x + w, y + h, float(rng.uniform(0, 1))))
-            values = [M.average_precision(dets, gts, t) for t in M.IOU_GRID]
+            values = [per_pair_average_precision(dets, gts, t) for t in M.IOU_GRID]
             assert all(a >= b - 1e-9 for a, b in zip(values, values[1:]))
+            report = _blind(dets, gts)
+            assert (report.ap50, report.ap75) == (values[0], values[5])
+            assert report.ap == float(np.mean(values))
 
     def test_order_invariance(self):
         rng = np.random.default_rng(1)
         gts = [_gt(0, 0, 0, 10, 10), _gt(1, 5, 5, 25, 25)]
         dets = [_det(0, 1, 1, 11, 11, 0.7), _det(1, 4, 4, 24, 24, 0.9),
                 _det(1, 40, 40, 50, 50, 0.3)]
-        base = M.average_precision(dets, gts, 0.5)
+        base = _report_tuple(_blind(dets, gts))
         for _ in range(5):
             perm = list(rng.permutation(len(gts)))
-            assert M.average_precision(dets, [gts[i] for i in perm], 0.5) == base
+            assert _report_tuple(_blind(dets, [gts[i] for i in perm])) == base
 
 
 class TestAverageRecall:
     def test_perfect_boxes(self):
         gts = [_gt(0, 0, 0, 10, 10)]
         dets = [_det(0, 0, 0, 10, 10, 0.9)]
-        assert M.average_recall_at_k(dets, gts, 1) == pytest.approx(1.0)
+        assert _blind(dets, gts).ar1 == pytest.approx(1.0)
 
     def test_no_overlap(self):
         gts = [_gt(0, 0, 0, 10, 10)]
         dets = [_det(0, 50, 50, 60, 60, 0.9)]
-        assert M.average_recall_at_k(dets, gts, 1) == 0.0
+        assert _blind(dets, gts).ar1 == 0.0
 
     def test_iou_point_six_passes_three_thresholds(self):
         gts = [_gt(0, 0, 0, 10, 10)]
         dets = [_det(0, 0, 0, 10, 6, 0.9)]  # IoU exactly 0.6
-        assert M.average_recall_at_k(dets, gts, 1) == pytest.approx(3 / 10)
+        assert _blind(dets, gts).ar1 == pytest.approx(3 / 10)
 
     def test_non_decreasing_in_k(self):
+        # the per-pair oracle gives AR at each k; the report's AR@1 and
+        # AR@10 are those same numbers
         rng = np.random.default_rng(2)
         gts, dets = [], []
         for img in range(4):
@@ -99,15 +119,19 @@ class TestAverageRecall:
                 x, y = rng.uniform(0, 30, 2)
                 w, h = rng.uniform(8, 25, 2)
                 dets.append(_det(img, x, y, x + w, y + h, float(rng.uniform(0, 1))))
-        values = [M.average_recall_at_k(dets, gts, k) for k in (1, 2, 5, 10, 20)]
+        values = [per_pair_average_recall_at_k(dets, gts, k) for k in (1, 2, 5, 10, 20)]
         assert all(b >= a - 1e-9 for a, b in zip(values, values[1:]))
+        report = _blind(dets, gts)
+        assert (report.ar1, report.ar10) == (values[0], values[3])
 
     def test_top_k_selection_respects_confidence(self):
         gts = [_gt(0, 0, 0, 10, 10)]
-        # the good box ranks second: with k=1 only the bad one is kept
+        # the good box ranks second: with k=1 only the bad one is kept, and
+        # k=10 keeps both detections, as k=2 would
         dets = [_det(0, 50, 50, 60, 60, 0.9), _det(0, 0, 0, 10, 10, 0.5)]
-        assert M.average_recall_at_k(dets, gts, 1) == 0.0
-        assert M.average_recall_at_k(dets, gts, 2) == pytest.approx(1.0)
+        report = _blind(dets, gts)
+        assert report.ar1 == 0.0
+        assert report.ar10 == pytest.approx(1.0)
 
 
 class TestReport:
@@ -133,10 +157,6 @@ class TestReport:
         lines = report.as_csv().strip().splitlines()
         assert lines[0] == "ap,ap50,ap75,ar1,ar10"
         assert len(lines[1].split(",")) == 5
-
-
-def _report_tuple(report):
-    return (report.ap, report.ap50, report.ap75, report.ar1, report.ar10)
 
 
 @st.composite
@@ -184,12 +204,9 @@ class TestAgainstPerPairOracle:
     @given(scene=scored_scenes())
     def test_class_blind_scores_equal_oracle(self, scene):
         dets, gts = scene
-        for thr in (0.0, 0.3) + M.IOU_GRID:
-            assert (M.average_precision(dets, gts, thr)
-                    == per_pair_average_precision(dets, gts, thr))
-        for k in (1, 2, 10):
-            assert (M.average_recall_at_k(dets, gts, k)
-                    == per_pair_average_recall_at_k(dets, gts, k))
+        dets = [M.Detection(d.image_id, d.box, 0, d.confidence) for d in dets]
+        gts = [M.GroundTruth(g.image_id, g.box, 0) for g in gts]
+        assert _report_tuple(_blind(dets, gts)) == per_pair_report(dets, gts, 1)
 
     def test_iou_exactly_on_threshold(self):
         gts = [_gt(0, 0, 0, 10, 10), _gt(0, 20, 0, 30, 10, cls=1)]
@@ -207,8 +224,8 @@ class TestAgainstPerPairOracle:
         # the wide box overlaps both by exactly 0.5 and takes the first, so
         # at 0.5 the second detection, which only fits the first, is a miss
         dets = [_det(0, 0, 0, 20, 10, 0.9), _det(0, 0, 0, 10, 10, 0.8)]
-        assert M.average_precision(dets, gts, 0.5) == pytest.approx(51 / 101)
         report = M.evaluate_detections(dets, gts, n_classes=1)
+        assert report.ap50 == pytest.approx(51 / 101)
         assert _report_tuple(report) == per_pair_report(dets, gts, 1)
 
     def test_images_without_detections_or_ground_truth(self):

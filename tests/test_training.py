@@ -56,8 +56,7 @@ def labeled(images):
 
 
 def _pairs(images, cfg, epoch=0):
-    vc = TR.view_config_from(cfg)
-    return [build_view_pair(Image(img), vc, derive_seed(cfg.seed, epoch, i))
+    return [build_view_pair(Image(img), cfg, derive_seed(cfg.seed, epoch, i))
             for i, img in enumerate(images[:cfg.train_batch_size])]
 
 

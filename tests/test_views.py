@@ -5,10 +5,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mvdetr import views as V
-from mvdetr.geometry import BoxXYXY, box_iou, map_box
+from mvdetr.config import RunConfig
+from mvdetr.geometry import BoxXYXY, box_iou, corners, map_boxes
 from mvdetr.rng import Rng
 
-from helpers import dense_bilinear_average, scalar_jitter_box, scalar_proposals
+from helpers import dense_bilinear_average, same_bits, scalar_jitter_box, scalar_proposals
+
+NO_AUGMENT = dict(aug_flip_p=0.0, aug_color_p=0.0, aug_grayscale_p=0.0, aug_blur_p=0.0)
 
 
 def _noise_image(seed=0, w=160, h=160):
@@ -87,26 +90,27 @@ class TestViewRects:
 class TestAugment:
     def test_all_probabilities_zero_is_identity(self):
         img = _noise_image(1)
-        out, rec, flipped = V.augment(img, Rng(5), V.AugmentConfig.disabled())
+        out, rec, flipped = V.augment(img, Rng(5), RunConfig(**NO_AUGMENT))
         assert not flipped and not rec.grayscale and rec.blur_sigma == 0.0
         np.testing.assert_array_equal(out.pixels, img.pixels)
 
     def test_double_flip_restores(self):
         img = _noise_image(2)
-        cfg = V.AugmentConfig(flip_p=1.0, color_p=0.0, grayscale_p=0.0, blur_p=0.0)
+        cfg = RunConfig(**{**NO_AUGMENT, "aug_flip_p": 1.0})
         once, _, _ = V.augment(img, Rng(0), cfg)
         twice, _, _ = V.augment(once, Rng(0), cfg)
         np.testing.assert_array_equal(twice.pixels, img.pixels)
 
     def test_grayscale_channels_equal(self):
-        cfg = V.AugmentConfig(flip_p=0.0, color_p=0.0, grayscale_p=1.0, blur_p=0.0)
+        cfg = RunConfig(**{**NO_AUGMENT, "aug_grayscale_p": 1.0})
         out, rec, _ = V.augment(_noise_image(3), Rng(0), cfg)
         assert rec.grayscale
         np.testing.assert_allclose(out.pixels[:, :, 0], out.pixels[:, :, 1], atol=1e-7)
         np.testing.assert_allclose(out.pixels[:, :, 1], out.pixels[:, :, 2], atol=1e-7)
 
     def test_range_preserved(self):
-        cfg = V.AugmentConfig(flip_p=1.0, color_p=1.0, grayscale_p=0.0, blur_p=1.0)
+        cfg = RunConfig(aug_flip_p=1.0, aug_color_p=1.0, aug_grayscale_p=0.0,
+                        aug_blur_p=1.0)
         out, _, _ = V.augment(_noise_image(4), Rng(9), cfg)
         assert out.pixels.min() >= 0.0 and out.pixels.max() <= 1.0
 
@@ -116,18 +120,18 @@ class TestProposals:
         img = _noise_image(5)
         overlap = BoxXYXY(20, 30, 120, 110)
         boxes = V.generate_proposals(img, overlap, "random", 20, Rng(8))
-        assert len(boxes) == 20
-        for b in boxes:
-            assert b.x1 >= overlap.x1 and b.y1 >= overlap.y1
-            assert b.x2 <= overlap.x2 + 1e-6 and b.y2 <= overlap.y2 + 1e-6
-            assert b.width >= 8.0 - 1e-6 and b.height >= 8.0 - 1e-6
+        assert boxes.shape == (20, 4)
+        for x1, y1, x2, y2 in boxes:
+            assert x1 >= overlap.x1 and y1 >= overlap.y1
+            assert x2 <= overlap.x2 + 1e-6 and y2 <= overlap.y2 + 1e-6
+            assert x2 - x1 >= 8.0 - 1e-6 and y2 - y1 >= 8.0 - 1e-6
 
     def test_random_mode_deterministic(self):
         img = _noise_image(5)
         overlap = BoxXYXY(10, 10, 100, 100)
         a = V.generate_proposals(img, overlap, "random", 5, Rng(3))
         b = V.generate_proposals(img, overlap, "random", 5, Rng(3))
-        assert a == b
+        assert same_bits(a, b)
 
     def test_uniform_image_objectness_ties_by_index(self):
         img = V.Image(np.full((128, 128, 3), 0.5, dtype=np.float32))
@@ -135,7 +139,7 @@ class TestProposals:
         # zero gradient everywhere: scores tie, candidates keep draw order
         ranked = V.generate_proposals(img, overlap, "objectness", 3, Rng(4))
         candidates = V.generate_proposals(img, overlap, "random", 12, Rng(4))
-        assert ranked == candidates[:3]
+        assert same_bits(ranked, candidates[:3])
 
     def test_objectness_finds_bright_square(self):
         pixels = np.zeros((128, 128, 3), dtype=np.float32)
@@ -144,11 +148,12 @@ class TestProposals:
         overlap = BoxXYXY(30, 30, 100, 100)
         square = BoxXYXY(50, 40, 90, 80)
         (best,) = V.generate_proposals(img, overlap, "objectness", 1, Rng(44))
-        assert box_iou(best, square) > 0.3
+        assert box_iou(BoxXYXY(*best), square) > 0.3
         # the scorer prefers boxes enclosing the square's edge contour: the
         # pick must match the best of the same 4 random candidates
         cands = V.generate_proposals(img, overlap, "random", 4, Rng(44))
-        assert box_iou(best, square) == max(box_iou(c, square) for c in cands)
+        assert box_iou(BoxXYXY(*best), square) == max(box_iou(BoxXYXY(*c), square)
+                                                      for c in cands)
 
     @settings(max_examples=120, deadline=None, derandomize=True)
     @given(seed=st.integers(0, 2**64 - 1), mode=st.sampled_from(["random", "objectness"]),
@@ -166,20 +171,23 @@ class TestProposals:
         got_rng, want_rng = Rng(seed), Rng(seed)
         got = V.generate_proposals(img, overlap, mode, count, got_rng, min_side)
         want = scalar_proposals(img, overlap, mode, count, want_rng, min_side)
-        assert [repr(b) for b in got] == [repr(b) for b in want]
+        assert same_bits(got, corners(want))
         assert got_rng.next_u64() == want_rng.next_u64()
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(seed=st.integers(0, 2**64 - 1), amount=st.sampled_from([0.05, 0.1, 0.5]),
-           corners=st.lists(st.tuples(st.floats(-4, 60), st.floats(-4, 60),
-                                      st.floats(0, 70), st.floats(0, 70)), max_size=12))
-    def test_jitter_equals_scalar_oracle(self, seed, amount, corners):
-        # boxes at and past the frame border are clamped the same way
-        boxes = [BoxXYXY(x, y, x + w, y + h) for x, y, w, h in corners]
+           sides=st.lists(st.tuples(*[st.one_of(st.sampled_from([0.0, -0.0]),
+                                                st.floats(lo, hi))
+                                      for lo, hi in ((-4, 60), (-4, 60), (0, 70), (0, 70))]),
+                          max_size=12))
+    def test_jitter_equals_scalar_oracle(self, seed, amount, sides):
+        # boxes at and past the frame border are clamped the same way; an
+        # empty box at -0.0 shifted left clamps to +0.0 as the scalar max does
+        boxes = [BoxXYXY(x, y, x + w, y + h) for x, y, w, h in sides]
         got_rng, want_rng = Rng(seed), Rng(seed)
-        got = V._jitter_boxes(boxes, amount, got_rng, 64.0, 48.0)
+        got = V._jitter_boxes(corners(boxes), amount, got_rng, 64.0, 48.0)
         want = [scalar_jitter_box(b, amount, want_rng, 64.0, 48.0) for b in boxes]
-        assert [repr(b) for b in got] == [repr(b) for b in want]
+        assert same_bits(got, corners(want))
         assert got_rng.next_u64() == want_rng.next_u64()
 
     def test_small_overlap_errors(self):
@@ -189,24 +197,21 @@ class TestProposals:
 
 class TestBuildViewPair:
     def _cfg(self, **kw):
-        defaults = dict(tau=0.5, n_proposals=10, view_size=128, jitter=0.1,
-                        proposal_mode="random")
-        defaults.update(kw)
-        return V.ViewConfig(**defaults)
+        return RunConfig(**{"proposals_mode": "random", **kw})
 
     def test_counts_and_alignment(self):
         img = _noise_image(7)
         pair = V.build_view_pair(img, self._cfg(), seed=123)
-        assert len(pair.proposals1) == len(pair.proposals2) == 10
+        assert pair.proposals1.shape == pair.proposals2.shape == (10, 4)
         assert box_iou(pair.rect1, pair.rect2) >= 0.5
 
     def test_proposals_inside_views(self):
         img = _noise_image(8)
         for seed in range(30):
             pair = V.build_view_pair(img, self._cfg(), seed=seed)
-            for b in pair.proposals1 + pair.proposals2:
-                assert -1e-6 <= b.x1 and b.x2 <= 128 + 1e-6
-                assert -1e-6 <= b.y1 and b.y2 <= 128 + 1e-6
+            for x1, y1, x2, y2 in np.concatenate([pair.proposals1, pair.proposals2]):
+                assert -1e-6 <= x1 and x2 <= 128 + 1e-6
+                assert -1e-6 <= y1 and y2 <= 128 + 1e-6
 
     def test_deterministic_across_runs(self):
         img = _noise_image(9)
@@ -214,25 +219,55 @@ class TestBuildViewPair:
         b = V.build_view_pair(img, self._cfg(), seed=55)
         assert np.array_equal(a.view1.pixels, b.view1.pixels)
         assert np.array_equal(a.view2.pixels, b.view2.pixels)
-        assert a.proposals1 == b.proposals1 and a.proposals2 == b.proposals2
+        assert same_bits(a.proposals1, b.proposals1)
+        assert same_bits(a.proposals2, b.proposals2)
 
     def test_zero_jitter_identity_augment_aligns_proposals(self):
         img = _noise_image(10)
-        cfg = self._cfg(jitter=0.0, augment=V.AugmentConfig.disabled())
+        cfg = self._cfg(view_jitter=0.0, **NO_AUGMENT)
         pair = V.build_view_pair(img, cfg, seed=77)
         # map view1 proposals back to the image frame and onto view2
-        for b1, b2 in zip(pair.proposals1, pair.proposals2):
-            img_box = map_box(b1, pair.t1.inverse())
-            expect = map_box(img_box, pair.t2)
-            for u, v in zip((b2.x1, b2.y1, b2.x2, b2.y2),
-                            (expect.x1, expect.y1, expect.x2, expect.y2)):
-                assert u == pytest.approx(v, abs=1e-4)
+        img_boxes, _ = map_boxes(pair.proposals1, pair.t1.inverse())
+        expect, _ = map_boxes(img_boxes, pair.t2)
+        np.testing.assert_allclose(pair.proposals2, expect, rtol=0, atol=1e-4)
 
     def test_identical_rects_zero_jitter_equal_lists(self):
         img = _noise_image(11)
-        cfg = self._cfg(tau=1.0, jitter=0.0, augment=V.AugmentConfig.disabled())
+        cfg = self._cfg(view_tau=1.0, view_jitter=0.0, **NO_AUGMENT)
         pair = V.build_view_pair(img, cfg, seed=13)
         assert pair.rect1 == pair.rect2
         for b1, b2 in zip(pair.proposals1, pair.proposals2):
-            assert b1.x1 == pytest.approx(b2.x1, abs=1e-4)
-            assert b1.y2 == pytest.approx(b2.y2, abs=1e-4)
+            assert b1[0] == pytest.approx(b2[0], abs=1e-4)
+            assert b1[3] == pytest.approx(b2[3], abs=1e-4)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**64 - 1), mode=st.sampled_from(["random", "objectness"]),
+           image=st.integers(0, 3), tau=st.sampled_from([0.3, 0.5, 0.9, 1.0]))
+    def test_proposals_lie_inside_both_views(self, seed, mode, image, tau):
+        # default augmentation and jitter: flips, padding and clamping all occur
+        cfg = RunConfig(proposals_mode=mode, view_tau=tau)
+        pair = V.build_view_pair(_noise_image(image), cfg, seed=seed)
+        for boxes in (pair.proposals1, pair.proposals2):
+            assert boxes.shape == (cfg.view_n, 4)
+            assert (boxes[:, :2] >= 0.0).all() and (boxes[:, 2:] <= cfg.view_size).all()
+            assert (boxes[:, 2:] > boxes[:, :2]).all()
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**64 - 1), mode=st.sampled_from(["random", "objectness"]))
+    def test_flip_mirrors_pixels_and_boxes(self, seed, mode):
+        # flip_p only changes what the flip draw decides, so both runs take
+        # the same random stream; jitter off keeps the boxes exact mirrors
+        img = _noise_image(12)
+        plain = V.build_view_pair(img, self._cfg(proposals_mode=mode, view_jitter=0.0,
+                                                 **NO_AUGMENT), seed=seed)
+        flipped = V.build_view_pair(img, self._cfg(proposals_mode=mode, view_jitter=0.0,
+                                                   **{**NO_AUGMENT, "aug_flip_p": 1.0}),
+                                    seed=seed)
+        size = plain.view1.width
+        for a, b, pa, pb in ((plain.view1, flipped.view1, plain.proposals1,
+                              flipped.proposals1),
+                             (plain.view2, flipped.view2, plain.proposals2,
+                              flipped.proposals2)):
+            np.testing.assert_array_equal(b.pixels, a.pixels[:, ::-1])
+            np.testing.assert_array_equal(pb[:, [1, 3]], pa[:, [1, 3]])
+            np.testing.assert_array_equal(pb[:, [0, 2]], size - pa[:, [2, 0]])
