@@ -165,6 +165,16 @@ def _validate(cfg: RunConfig, problems: list[str]) -> None:
     if cfg.model_queries != cfg.view_n:
         problems.append(f"model.queries ({cfg.model_queries}) must equal view.n "
                         f"({cfg.view_n}) for pretraining")
+    # a jitter of 1 or more can draw a brightness factor of 0 or below
+    for key, value in (("aug.color_jitter", cfg.aug_color_jitter),
+                       ("view.jitter", cfg.view_jitter)):
+        if not 0.0 <= value < 1.0:
+            problems.append(f"{key} must be in [0, 1), got {value}")
+    for key, value in (("aug.flip_p", cfg.aug_flip_p), ("aug.color_p", cfg.aug_color_p),
+                       ("aug.grayscale_p", cfg.aug_grayscale_p),
+                       ("aug.blur_p", cfg.aug_blur_p)):
+        if not 0.0 <= value <= 1.0:
+            problems.append(f"{key} is a probability and must be in [0, 1], got {value}")
     if min(cfg.loss_lambda_r, cfg.loss_lambda_g, cfg.loss_lambda_loc) < 0:
         problems.append("loss weights must be non-negative")
     if cfg.view_size % 8 or cfg.data_image_size % 8:

@@ -6,6 +6,10 @@ per image separated by blank lines; each block line reads
 `<image_path> <x1> <y1> <x2> <y2> <label>`. Loading rejects a manifest whose
 count is not an integer or differs from the number of image blocks. Generation is a pure function of
 (spec, seed) down to the file bytes.
+
+Loaded pixels stay 8-bit, a quarter of float32: `read_ppm`, and so every
+`load_dataset` triple, holds the file's (H, W, 3) uint8 bytes.
+`as_float_pixels` makes float32 in [0, 1] of one image where it is used.
 """
 
 from __future__ import annotations
@@ -133,6 +137,7 @@ def write_ppm(path: str, pixels: np.ndarray) -> None:
 
 
 def read_ppm(path: str) -> np.ndarray:
+    """The (H, W, 3) uint8 pixels of a binary PPM, read-only."""
     with open(path, "rb") as f:
         blob = f.read()
     if not blob.startswith(b"P6"):
@@ -162,8 +167,14 @@ def read_ppm(path: str) -> np.ndarray:
     if len(raw) != expected:
         raise ValueError(f"{path}: truncated pixel data "
                          f"({len(raw)} of {expected} bytes)")
-    arr = np.frombuffer(raw, dtype=np.uint8).reshape(h, w, 3)
-    return (arr.astype(np.float32) / 255.0)
+    return np.frombuffer(raw, dtype=np.uint8).reshape(h, w, 3)
+
+
+def as_float_pixels(pixels: np.ndarray) -> np.ndarray:
+    """uint8 pixels as float32 in [0, 1]; any other dtype is returned as is."""
+    if pixels.dtype == np.uint8:
+        return pixels.astype(np.float32) / 255.0
+    return pixels
 
 
 # -- dataset ---------------------------------------------------------------------------

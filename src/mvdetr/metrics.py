@@ -197,18 +197,17 @@ def evaluate_detections(detections: list[Detection], ground_truth: list[GroundTr
 
 
 def detect_batch(model: Detr, backbone: FrozenBackbone,
-                 images: list[tuple[int, np.ndarray]], score_source: str = "class",
-                 view_size: int | None = None) -> list[Detection]:
+                 images: list[tuple[int, np.ndarray]], score_source: str = "class", *,
+                 view_size: int) -> list[Detection]:
     """Set prediction over a batch of (image_id, pixels); no NMS.
 
     score_source "class": confidence is the best foreground-class softmax
     probability (requires the class head). "match": confidence is the binary
-    match score (pretraining checkpoints, no classes). view_size, when set,
-    resizes inputs to the training geometry; predicted boxes stay in each
+    match score (pretraining checkpoints, no classes). Inputs are resized to
+    the training geometry, `view_size` square; predicted boxes stay in each
     image's original pixel frame (they are normalized).
     """
-    inputs = [pixels if view_size is None else resize_to_view(pixels, view_size)
-              for _, pixels in images]
+    inputs = [resize_to_view(pixels, view_size) for _, pixels in images]
     with T.no_grad():
         h = Tensor(backbone.extract_batch(np.stack(inputs)))
         c, hw = model.encode(h)
@@ -248,8 +247,8 @@ def check_eval_set(dataset: list[tuple[np.ndarray, list[BoxXYXY], list[int]]]) -
 
 def evaluate_model(model: Detr, backbone: FrozenBackbone,
                    dataset: list[tuple[np.ndarray, list[BoxXYXY], list[int]]],
-                   n_classes: int, score_source: str = "class",
-                   view_size: int | None = None, batch: int = 16) -> MetricReport:
+                   n_classes: int, score_source: str = "class", *,
+                   view_size: int, batch: int = 16) -> MetricReport:
     check_eval_set(dataset)
     detections: list[Detection] = []
     ground_truth: list[GroundTruth] = []
@@ -258,13 +257,13 @@ def evaluate_model(model: Detr, backbone: FrozenBackbone,
         pending.append((image_id, pixels))
         if len(pending) == batch:
             detections.extend(detect_batch(model, backbone, pending, score_source,
-                                           view_size))
+                                           view_size=view_size))
             pending = []
         for b, lab in zip(boxes, labels):
             ground_truth.append(GroundTruth(image_id, b, lab))
     if pending:
         detections.extend(detect_batch(model, backbone, pending, score_source,
-                                       view_size))
+                                       view_size=view_size))
     return evaluate_detections(detections, ground_truth, n_classes)
 
 
@@ -279,13 +278,13 @@ def write_pgm(path: str, gray: np.ndarray) -> None:
 
 
 def export_attention(model: Detr, backbone: FrozenBackbone, pixels: np.ndarray,
-                     out_dir: str, prefix: str = "query",
-                     view_size: int | None = None) -> list[str]:
+                     out_dir: str, prefix: str = "query", *,
+                     view_size: int) -> list[str]:
     """Final-decoder-layer cross-attention per query as 8-bit PGM maps, plus
-    a sidecar listing predicted boxes and match scores."""
+    a sidecar listing predicted boxes and match scores; the image is resized
+    to `view_size` square first."""
     os.makedirs(out_dir, exist_ok=True)
-    if view_size is not None:
-        pixels = resize_to_view(pixels, view_size)
+    pixels = resize_to_view(pixels, view_size)
     with T.no_grad():
         c, hw = model.encode(Tensor(backbone.extract_batch(pixels[None])))  # a batch of one
         q_hat, attn = model.decode(c, hw, z=None)

@@ -12,6 +12,10 @@ weights drop into finetuning unchanged.
 
 Parameters live in an insertion-ordered dict with stable dotted names
 (e.g. decoder.layer0.cross.f_q.weight); checkpoints rely on those names.
+
+The model keeps no forward state: everything a forward pass makes goes back
+to its caller, so a training step's tape dies with the step. Attention
+weights a layer does not return are dropped as soon as `mha` returns.
 """
 
 from __future__ import annotations
@@ -191,20 +195,22 @@ class Detr:
         for i in range(self.config.enc_layers):
             p = f"encoder.layer{i}"
             xq = T.add(x, pos)
-            a, _ = self.mha(f"{p}.self", xq, xq, x)
+            a = self.mha(f"{p}.self", xq, xq, x)[0]
             x = self._ln(f"{p}.norm1", T.add(x, a))
             f = self._lin(f"{p}.ffn.fc2", T.relu(self._lin(f"{p}.ffn.fc1", x)))
             x = self._ln(f"{p}.norm2", T.add(x, f))
         return x, (hh, ww)
 
-    def decode(self, context: Tensor, hw: tuple[int, int],
-               z: Tensor | None = None) -> tuple[Tensor, Tensor]:
+    def decode(self, context: Tensor, hw: tuple[int, int], z: Tensor | None = None,
+               layers: list[Tensor] | None = None) -> tuple[Tensor, Tensor]:
         """Query decoding against (B, L, C) view context.
 
         z, when given, holds the other view's pooled region features, (B, N,
         Cb) with one row per query; they are projected and added to the
         object queries. Returns (decoded queries (B, N, C), final layer
-        cross-attention weights (B, heads, N, L)).
+        cross-attention weights (B, heads, N, L)). `layers`, when given, gets
+        every decoder layer's (B, N, C) output appended, the last one being
+        the decoded queries.
         """
         n_q = self.config.n_queries
         phi_q = self.params["query_embed.weight"]
@@ -219,17 +225,17 @@ class Detr:
         y = Tensor(np.zeros((context.data.shape[0], n_q, self.config.d_model),
                             dtype=context.data.dtype))
         attn = None
-        self.decoder_layer_outputs: list[Tensor] = []
         for i in range(self.config.dec_layers):
             p = f"decoder.layer{i}"
             yq = T.add(y, qpos)
-            a, _ = self.mha(f"{p}.self", yq, yq, y)
+            a = self.mha(f"{p}.self", yq, yq, y)[0]
             y = self._ln(f"{p}.norm1", T.add(y, a))
             a, attn = self.mha(f"{p}.cross", T.add(y, qpos), kv, context)
             y = self._ln(f"{p}.norm2", T.add(y, a))
             f = self._lin(f"{p}.ffn.fc2", T.relu(self._lin(f"{p}.ffn.fc1", y)))
             y = self._ln(f"{p}.norm3", T.add(y, f))
-            self.decoder_layer_outputs.append(y)
+            if layers is not None:
+                layers.append(y)
         return y, attn
 
     def predict(self, q_hat: Tensor) -> tuple[Tensor, Tensor, Tensor]:

@@ -9,6 +9,13 @@ order, so every parameter reachable from the loss accumulates its gradient
 exactly once per call. A node keeps parents and a closure only if some input
 requires a gradient, so backward rules test `requires_grad` alone.
 
+A graph supports one `backward()`, which frees it as it walks: once a
+node's rule has run, the node drops its gradient, closure and parents, so
+the buffers only that rule read (attention probabilities, saved inputs) go
+at once rather than when the caller lets go of the loss. Leaf gradients, the
+ones an optimizer reads, stay. Walking a freed node again raises
+`GraphFreedError`.
+
 Inside `with no_grad():` nothing is recorded at all: every primitive still
 computes the same values, but its output keeps no parents or closure and does
 not require a gradient, whatever its inputs. Inference (detection, attention
@@ -52,8 +59,18 @@ class ShapeError(ValueError):
     """Raised when operand shapes do not conform for a primitive."""
 
 
+class GraphFreedError(RuntimeError):
+    """Raised when `backward()` reaches a node an earlier `backward()` freed."""
+
+
+def _freed(g):
+    raise GraphFreedError("backward() through a graph that an earlier backward() "
+                          "already freed; a graph supports one backward()")
+
+
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_op")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_op",
+                 "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data)
@@ -102,6 +119,8 @@ class Tensor:
             self.grad = self.grad + g
 
     def backward(self) -> None:
+        """Accumulate d(self)/d(leaf) into every leaf that requires a gradient,
+        freeing each interior node once its rule has run."""
         if self.data.size != 1:
             raise ShapeError(f"backward requires a scalar loss, got shape {self.data.shape}")
         topo: list[Tensor] = []
@@ -120,9 +139,15 @@ class Tensor:
                 if id(parent) not in visited:
                     stack.append((parent, False))
         self.grad = np.ones_like(self.data)
-        for node in reversed(topo):
-            if node._backward is not None and node.grad is not None:
+        while topo:
+            node = topo.pop()  # reverse topological order; the walk keeps no reference
+            if node._backward is None:  # a leaf
+                continue
+            if node.grad is not None:
                 node._backward(node.grad)
+            node.grad = None
+            node._backward = _freed
+            node._parents = ()
 
 
 _recording = True  # False inside `no_grad`

@@ -190,13 +190,11 @@ def finetune_step(model: Detr, optimizer: AdamW, features: np.ndarray,
     """One supervised set-prediction step over the batch's cached (B, H1, W1,
     C) backbone features, transformer trainable."""
     c, hw = model.encode(Tensor(features))
-    q_hat, _ = model.decode(c, hw, z=None)
-    if cfg.model_aux_loss:
-        # deep supervision: the set loss on every decoder layer's output
-        total = _sum_tensors([_batched_set_loss(model, layer_q, items, cfg)
-                              for layer_q in model.decoder_layer_outputs])
-    else:
-        total = _batched_set_loss(model, q_hat, items, cfg)
+    layers: list[Tensor] = []
+    model.decode(c, hw, z=None, layers=layers)
+    # deep supervision (aux loss): the set loss on every decoder layer's output
+    supervised = layers if cfg.model_aux_loss else layers[-1:]
+    total = _sum_tensors([_batched_set_loss(model, q, items, cfg) for q in supervised])
     return _update(model, optimizer, total, cfg)
 
 
@@ -325,17 +323,33 @@ def run_pretrain(cfg: RunConfig, images: list[np.ndarray], out_dir: str,
                 pairs = [build_view_pair(Image(images[i]), cfg,
                                          derive_seed(cfg.seed, epoch, i))
                          for i in order[lo:lo + batch]]
-                bd = pretrain_step(model, backbone, optimizer, pairs, cfg)
+                try:
+                    bd = pretrain_step(model, backbone, optimizer, pairs, cfg)
+                except FloatingPointError as e:
+                    raise FloatingPointError(
+                        f"{e} in epoch {epoch + 1}; {_resume_hint(out_dir, epoch)}") from e
                 writer.writerow([step, epoch, _fmt(optimizer.lr), _fmt(bd.total),
                                  _fmt(bd.loc), _fmt(bd.global_disc), _fmt(bd.region_disc)])
                 step += 1
             f.flush()
-            final_path = os.path.join(out_dir, f"epoch_{epoch + 1:04d}.ckpt")
+            final_path = _epoch_path(out_dir, epoch + 1)
             save_checkpoint(final_path, checkpoint_entries(model, optimizer, cfg, epoch + 1))
             if log:
                 log(f"epoch {epoch + 1}/{cfg.train_epochs} done; "
                     f"last total {bd.total:.4f}")
     return final_path, csv_path
+
+
+def _epoch_path(out_dir: str, epochs_done: int) -> str:
+    return os.path.join(out_dir, f"epoch_{epochs_done:04d}.ckpt")
+
+
+def _resume_hint(out_dir: str, epochs_done: int) -> str:
+    """The newest checkpoint in out_dir from at most `epochs_done` epochs."""
+    for done in range(epochs_done, 0, -1):
+        if os.path.exists(_epoch_path(out_dir, done)):
+            return f"resume from {_epoch_path(out_dir, done)}"
+    return f"no epoch_*.ckpt in {out_dir} yet"
 
 
 def _drop_rows_from(csv_path: str, first_step: int) -> None:
@@ -403,11 +417,14 @@ def run_finetune(cfg: RunConfig, items: list[LabeledItem], seed: int,
         for lo in range(0, len(order) - batch + 1, batch):
             idx = order[lo:lo + batch]
             batch_items = [items[i] for i in idx]
-            if cached_q is not None:
-                loss = finetune_step_cached(model, optimizer, cached_q[idx],
-                                            batch_items, cfg)
-            else:
-                loss = finetune_step(model, optimizer, features[idx], batch_items, cfg)
+            try:
+                if cached_q is not None:
+                    loss = finetune_step_cached(model, optimizer, cached_q[idx],
+                                                batch_items, cfg)
+                else:
+                    loss = finetune_step(model, optimizer, features[idx], batch_items, cfg)
+            except FloatingPointError as e:
+                raise FloatingPointError(f"{e} in epoch {epoch + 1}") from e
             losses.append(loss)
         if log:
             log(f"finetune epoch {epoch + 1}/{n_epochs}; loss {losses[-1]:.4f}")

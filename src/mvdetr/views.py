@@ -5,6 +5,10 @@ Single rectangles (base, view rects, overlap) are `BoxXYXY`; every proposal
 set, from `generate_proposals` to `ViewPair.proposals1`/`proposals2`, is an
 (n, 4) float64 array of xyxy rows. Settings come straight from `RunConfig`.
 
+Images arrive as the uint8 pixels `data.load_dataset` holds. `Image` and
+`resize_to_view`, the one way into finetuning and inference, make them
+float32 in [0, 1] (`data.as_float_pixels`) only while they are used.
+
 Everything here is a pure function of (image bytes, seed, config); the full
 pipeline is deterministic across runs and platforms.
 """
@@ -17,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import RunConfig
+from .data import as_float_pixels
 from .geometry import (BoxXYXY, FrameTransform, bilinear_taps, box_iou, corners,
                        map_boxes, py_max, py_min, resample)
 from .rng import Rng
@@ -31,11 +36,13 @@ BLUR_SIGMA = (0.1, 2.0)
 
 @dataclass
 class Image:
-    """RGB float32 buffer in [0, 1], shape (height, width, 3)."""
+    """RGB float32 buffer in [0, 1], shape (height, width, 3); uint8 pixels
+    are converted on construction."""
 
     pixels: np.ndarray
 
     def __post_init__(self):
+        self.pixels = as_float_pixels(self.pixels)
         if self.pixels.ndim != 3 or self.pixels.shape[2] != 3:
             raise ValueError(f"expected (H, W, 3) pixels, got {self.pixels.shape}")
         if self.pixels.dtype != np.float32:
@@ -88,11 +95,13 @@ def crop_resize(pixels: np.ndarray, rect: BoxXYXY, out_h: int, out_w: int) -> np
 
 
 def resize_to_view(pixels: np.ndarray, view_size: int) -> np.ndarray:
-    """Resize an image to the square view size the model was pretrained on.
+    """Resize an image to the square view size the model was pretrained on,
+    as float32 in [0, 1] (uint8 pixels are converted, whatever their size).
 
     Normalized box targets are unaffected, and positional-embedding geometry
     then matches pretraining exactly.
     """
+    pixels = as_float_pixels(pixels)
     H, W = pixels.shape[:2]
     if H == view_size and W == view_size:
         return pixels

@@ -135,6 +135,23 @@ class TestExitCodes:
         assert err.startswith("config error: ") and message in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("key,value,bounds", [
+        ("aug.color_jitter", "2", "[0, 1)"), ("aug.color_jitter", "1", "[0, 1)"),
+        ("aug.color_jitter", "-0.1", "[0, 1)"), ("view.jitter", "-1", "[0, 1)"),
+        ("view.jitter", "1", "[0, 1)"), ("aug.flip_p", "1.5", "[0, 1]"),
+        ("aug.color_p", "-0.2", "[0, 1]"), ("aug.grayscale_p", "2", "[0, 1]"),
+        ("aug.blur_p", "nan", "[0, 1]"),
+    ])
+    def test_augmentation_out_of_range_is_one(self, workspace, capsys, key, value, bounds):
+        root, cfg, manifest = workspace
+        out = root / "bad_aug"
+        assert main(["pretrain", "--config", cfg, "--data", manifest, "--out", str(out),
+                     "--set", f"{key}={value}"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and f"{key} " in err
+        assert f"must be in {bounds}, got {float(value)}" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["finetune", "eval", "probe"])
     def test_label_outside_classes_is_two(self, workspace, tmp_path, capsys, monkeypatch,
                                           command):
@@ -206,6 +223,34 @@ class TestExitCodes:
         rc = main(["pretrain", "--config", cfg, "--data",
                    str(root / "nope" / "manifest.txt"), "--out", str(root / "x")])
         assert rc == 2
+
+
+class TestNonFiniteGradient:
+    @pytest.mark.parametrize("command,bad_step,epoch,hint", [
+        ("pretrain", 3, 1, "; no epoch_*.ckpt in {out} yet"),
+        ("pretrain", 6, 2, "; resume from {out}/epoch_0001.ckpt"),
+        ("finetune", 6, 2, ""),  # finetune saves no checkpoint until it ends
+    ], ids=["pretrain_first_epoch", "pretrain_second_epoch", "finetune"])
+    def test_error_names_epoch_and_checkpoint(self, workspace, tmp_path, capsys, monkeypatch,
+                                              command, bad_step, epoch, hint):
+        # 8 images at batch 2: four optimizer steps per epoch
+        from mvdetr.optim import AdamW
+        step = AdamW.step
+
+        def poisoned(self):
+            if self.t + 1 == bad_step:
+                self.params[self.names[0]].grad[...] = np.nan
+            step(self)
+
+        monkeypatch.setattr(AdamW, "step", poisoned)
+        root, cfg, manifest = workspace
+        out = tmp_path / "run"
+        assert main([command, "--config", cfg, "--data", manifest, "--out", str(out),
+                     "--set", "train.epochs=2", "--set", "train.decay_epoch=1"]) == 2
+        err = capsys.readouterr().err
+        assert err == (f"error: non-finite gradient in parameter 'input_proj.weight' "
+                       f"at optimizer step {bad_step} in epoch {epoch}"
+                       + hint.format(out=out) + "\n")
 
 
 class TestTooFewImages:

@@ -167,6 +167,33 @@ def test_ppm_round_trip(tmp_path):
     pixels = rng.uniform(0, 1, (24, 16, 3)).astype(np.float32)
     path = str(tmp_path / "x.ppm")
     D.write_ppm(path, pixels)
-    back = D.read_ppm(path)
+    back = D.as_float_pixels(D.read_ppm(path))
     assert back.shape == (24, 16, 3)
     assert np.abs(back - pixels).max() <= 0.5 / 255 + 1e-6
+
+
+def test_loaded_pixels_stay_8_bit(tmp_path):
+    manifest = D.generate_dataset(3, D.SceneSpec(seed=2), str(tmp_path))
+    for pixels, _, _ in D.load_dataset(manifest):
+        assert pixels.dtype == np.uint8 and pixels.shape == (160, 160, 3)
+
+
+def test_float_pixels_equal_the_float_read_bit_for_bit(tmp_path):
+    # every byte value, and a whole image, against the float32 read the
+    # loader did before it kept bytes: arr.astype(np.float32) / 255.0
+    levels = np.arange(256, dtype=np.uint8).reshape(16, 16, 1).repeat(3, axis=2)
+    scalar = np.array([np.float32(v) / np.float32(255.0) for v in range(256)])
+    assert D.as_float_pixels(levels)[:, :, 1].ravel().tobytes() == scalar.tobytes()
+
+    rng = np.random.default_rng(4)
+    path = str(tmp_path / "x.ppm")
+    D.write_ppm(path, rng.uniform(0, 1, (20, 12, 3)))
+    raw = open(path, "rb").read()[-20 * 12 * 3:]
+    old = np.frombuffer(raw, dtype=np.uint8).reshape(20, 12, 3).astype(np.float32) / 255.0
+    new = D.as_float_pixels(D.read_ppm(path))
+    assert new.dtype == np.float32 and new.tobytes() == old.tobytes()
+
+
+def test_float_pixels_pass_through():
+    pixels = np.full((2, 2, 3), 0.5, np.float32)
+    assert D.as_float_pixels(pixels) is pixels

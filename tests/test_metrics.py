@@ -245,7 +245,7 @@ class TestEvaluateModel:
     ], ids=["no_images", "boxless_images"])
     def test_no_ground_truth_is_an_error(self, dataset):
         with pytest.raises(ValueError) as exc:
-            M.evaluate_model(None, None, dataset, n_classes=3)
+            M.evaluate_model(None, None, dataset, n_classes=3, view_size=64)
         assert str(exc.value) == (
             f"eval set has no ground-truth boxes ({len(dataset)} images)")
 
@@ -269,7 +269,7 @@ class TestAttentionExport:
         model = Detr(cfg, seed=3)
         backbone = FrozenBackbone(7)
         pixels = np.random.default_rng(0).uniform(0, 1, (64, 64, 3)).astype(np.float32)
-        paths = M.export_attention(model, backbone, pixels, str(tmp_path))
+        paths = M.export_attention(model, backbone, pixels, str(tmp_path), view_size=64)
         pgms = [p for p in paths if p.endswith(".pgm")]
         assert len(pgms) == 5
         blob = open(pgms[0], "rb").read()
@@ -329,10 +329,10 @@ class TestInferenceTape:
         rng = np.random.default_rng(5)
         images = [(i, rng.uniform(0, 1, (64, 64, 3)).astype(np.float32)) for i in range(3)]
         recorded = self._count_tape(monkeypatch)
-        untaped = M.detect_batch(model, backbone, images, score_source)
+        untaped = M.detect_batch(model, backbone, images, score_source, view_size=64)
         assert recorded == []
         monkeypatch.setattr(T, "no_grad", contextlib.nullcontext)
-        taped = M.detect_batch(model, backbone, images, score_source)
+        taped = M.detect_batch(model, backbone, images, score_source, view_size=64)
         assert recorded  # the taped run really recorded nodes
         assert untaped and untaped == taped
 
@@ -340,10 +340,12 @@ class TestInferenceTape:
         model, backbone = self._model()
         pixels = np.random.default_rng(6).uniform(0, 1, (64, 64, 3)).astype(np.float32)
         recorded = self._count_tape(monkeypatch)
-        untaped = M.export_attention(model, backbone, pixels, str(tmp_path / "a"))
+        untaped = M.export_attention(model, backbone, pixels, str(tmp_path / "a"),
+                                     view_size=64)
         assert recorded == []
         monkeypatch.setattr(T, "no_grad", contextlib.nullcontext)
-        taped = M.export_attention(model, backbone, pixels, str(tmp_path / "b"))
+        taped = M.export_attention(model, backbone, pixels, str(tmp_path / "b"),
+                                   view_size=64)
         assert recorded
         assert len(untaped) == len(taped) == 6
         for a, b in zip(untaped, taped):

@@ -1,5 +1,7 @@
 """Tensor engine: forward semantics, stop-gradient, and gradient checks."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -349,6 +351,56 @@ class TestBackward:
             return x.grad.tobytes()
 
         assert run() == run()
+
+
+class TestBackwardFreesGraph:
+    """One backward per graph; interior nodes are released as the walk passes."""
+
+    @staticmethod
+    def _graph():
+        # loss = sum(relu(x W + b)^2); pre-activation [-4.5, 3.5]
+        w = Tensor(np.array([[1.0, 2.0], [3.0, -1.0]]), requires_grad=True)
+        b = Tensor(np.array([0.5, -0.5]), requires_grad=True)
+        pre = T.affine(Tensor(np.array([[1.0, -2.0]])), w, b)
+        h = T.relu(pre)
+        return w, b, pre, h, T.tsum(T.mul(h, h))
+
+    def test_interior_nodes_dropped_leaf_grads_kept(self):
+        w, b, pre, h, loss = self._graph()
+        unheld = weakref.ref(pre)
+        del pre  # now only the tape refers to it
+        assert unheld() is not None
+        loss.backward()
+        assert unheld() is None  # freed during the walk, the loss still alive
+        for node in (h, loss):
+            assert node.grad is None and node._parents == ()
+            assert node._backward is T._freed  # no closure, no saved buffers
+        np.testing.assert_array_equal(h.data, [[0.0, 3.5]])
+        assert float(loss.data) == 12.25
+        np.testing.assert_array_equal(w.grad, [[0.0, 7.0], [0.0, -14.0]])
+        np.testing.assert_array_equal(b.grad, [0.0, 7.0])
+
+    def test_second_backward_raises(self):
+        w, b, _, _, loss = self._graph()
+        loss.backward()
+        grads = w.grad.copy(), b.grad.copy()
+        with pytest.raises(T.GraphFreedError):
+            loss.backward()
+        np.testing.assert_array_equal(w.grad, grads[0])  # nothing added twice
+        np.testing.assert_array_equal(b.grad, grads[1])
+
+    def test_backward_through_a_freed_subgraph_raises(self):
+        w, _, _, h, loss = self._graph()
+        loss.backward()
+        with pytest.raises(T.GraphFreedError):
+            T.tsum(h).backward()
+
+    def test_leaf_loss_can_repeat(self):
+        # a leaf has no graph to free
+        x = Tensor(np.array([2.0]), requires_grad=True)
+        x.backward()
+        x.backward()
+        np.testing.assert_array_equal(x.grad, [1.0])
 
 
 class TestGradients:

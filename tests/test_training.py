@@ -1,11 +1,14 @@
 """Training runtime: step semantics, determinism, checkpoints, resume."""
 
+import gc
 import os
+import weakref
 
 import numpy as np
 import pytest
 
 from mvdetr import losses as L
+from mvdetr import tensor as T
 from mvdetr import training as TR
 from mvdetr.backbone import FrozenBackbone
 from mvdetr.checkpoint import load_checkpoint, save_checkpoint
@@ -15,6 +18,7 @@ from mvdetr.geometry import BoxXYXY
 from mvdetr.model import Detr
 from mvdetr.optim import AdamW
 from mvdetr.rng import derive_seed
+from mvdetr.tensor import Tensor
 from mvdetr.views import Image, build_view_pair, resize_to_view
 
 
@@ -58,6 +62,29 @@ def labeled(images):
 def _pairs(images, cfg, epoch=0):
     return [build_view_pair(Image(img), cfg, derive_seed(cfg.seed, epoch, i))
             for i, img in enumerate(images[:cfg.train_batch_size])]
+
+
+def _tape_left_by(step, monkeypatch) -> tuple[int, int]:
+    """Run step() and count the tape nodes it made and those still alive once
+    it has returned. The cycle collector is off, so only reference counts
+    can free a node."""
+    refs = []
+    make = T._make
+
+    def recording(*args):
+        out = make(*args)
+        if out._parents:
+            refs.append(weakref.ref(out))
+        return out
+
+    monkeypatch.setattr(T, "_make", recording)
+    gc.disable()
+    try:
+        step()
+        alive = sum(r() is not None for r in refs)
+    finally:
+        gc.enable()
+    return len(refs), alive
 
 
 class TestPretrainStep:
@@ -125,6 +152,16 @@ class TestPretrainStep:
         opt = AdamW(model.params, lr=cfg.train_lr)
         bd = TR.pretrain_step(model, backbone, opt, _pairs(images, cfg), cfg)
         assert bd.region_disc > 0.0
+
+    def test_no_tape_outlives_the_step(self, images, monkeypatch):
+        cfg = small_cfg()
+        backbone = FrozenBackbone(cfg.backbone_seed)
+        model = TR.make_model(cfg, backbone)
+        opt = AdamW(model.params, lr=cfg.train_lr)
+        pairs = _pairs(images, cfg)
+        made, alive = _tape_left_by(
+            lambda: TR.pretrain_step(model, backbone, opt, pairs, cfg), monkeypatch)
+        assert made > 0 and alive == 0
 
     def test_empty_batch_rejected(self, images):
         cfg = small_cfg()
@@ -329,11 +366,14 @@ class TestFinetune:
             feats = backbone.extract_batch(
                 np.stack([resize_to_view(it.pixels, cfg.view_size) for it in items]))
             opt = AdamW(model.params, lr=lr, weight_decay=0.0)
-            return model, TR.finetune_step(model, opt, feats, items, cfg)
+            return model, feats, TR.finetune_step(model, opt, feats, items, cfg)
 
-        # lr 0 leaves the parameters as they were for the step's forward
-        model, total = step(0.0)
-        layers = model.decoder_layer_outputs
+        # lr 0 leaves the parameters as they were for the step's forward, so
+        # a second forward gives every decoder layer's output as the step saw it
+        model, feats, total = step(0.0)
+        c, hw = model.encode(Tensor(feats))
+        layers = []
+        model.decode(c, hw, layers=layers)
         assert len(layers) == 2
         targets = [(it.boxes, it.labels) for it in items]
         per_layer = [L.set_loss(model.class_logits(q), model.predict(q)[0], targets,
@@ -341,11 +381,25 @@ class TestFinetune:
         assert total == float(per_layer[0] + per_layer[1])
         assert total != float(per_layer[1])
 
-        model_a, total_a = step(cfg.train_lr)
-        model_b, total_b = step(cfg.train_lr)
+        model_a, _, total_a = step(cfg.train_lr)
+        model_b, _, total_b = step(cfg.train_lr)
         assert total_a == total_b
         for name, p in model_a.params.items():
             assert p.data.tobytes() == model_b.params[name].data.tobytes(), name
+
+    @pytest.mark.parametrize("aux_loss", ["false", "true"])
+    def test_no_tape_outlives_the_step(self, labeled, monkeypatch, aux_loss):
+        cfg = small_cfg(**{"model.aux_loss": aux_loss, "model.dec_layers": 2})
+        items = labeled[:cfg.finetune_batch_size]
+        backbone = FrozenBackbone(cfg.backbone_seed)
+        model = TR.make_model(cfg, backbone)
+        model.add_class_head(cfg.data_classes, seed=1)
+        feats = backbone.extract_batch(
+            np.stack([resize_to_view(it.pixels, cfg.view_size) for it in items]))
+        opt = AdamW(model.params, lr=cfg.train_lr)
+        made, alive = _tape_left_by(
+            lambda: TR.finetune_step(model, opt, feats, items, cfg), monkeypatch)
+        assert made > 0 and alive == 0
 
     def test_finetune_deterministic(self, labeled):
         cfg = small_cfg()
