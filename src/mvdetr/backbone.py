@@ -58,15 +58,15 @@ def _conv_forward(x: np.ndarray, weight: np.ndarray, bias: np.ndarray) -> np.nda
 # stay inside a 2 MiB L2 cache through all three layers.
 _BLOCK_PIXELS = 1 << 14
 
+CROP_SIZE = 64  # side of the square each crop-level target is resized to
+
 
 class FrozenBackbone:
     stride = 8
 
-    def __init__(self, seed: int, channels: tuple[int, ...] = (16, 32, 64),
-                 crop_size: int = 64):
+    def __init__(self, seed: int, channels: tuple[int, ...] = (16, 32, 64)):
         self.seed = seed
         self.channels = tuple(channels)
-        self.crop_size = crop_size
         self.out_channels = self.channels[-1]
         rng = Rng(seed)
         self.weights: list[np.ndarray] = []
@@ -109,12 +109,12 @@ class FrozenBackbone:
 
     def crop_features_multi(self, groups: list[tuple[np.ndarray, np.ndarray]]
                             ) -> np.ndarray:
-        """Crop each box from its image, resize to crop_size, extract, pool.
+        """Crop each box from its image, resize to CROP_SIZE, extract, pool.
 
         Each group is an image and its (n, 4) boxes, resampled in one call
         into a shared crop buffer; all crops go through one `extract_batch`
         call, and rows follow group order."""
-        size = self.crop_size
+        size = CROP_SIZE
         crops = np.empty((sum(len(boxes) for _, boxes in groups), size, size, 3),
                          dtype=np.float32)
         start = 0

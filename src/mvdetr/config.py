@@ -15,7 +15,6 @@ from dataclasses import dataclass, fields
 class RunConfig:
     seed: int = 0
 
-    data_image_size: int = 160
     data_classes: int = 3
 
     view_tau: float = 0.5
@@ -38,7 +37,6 @@ class RunConfig:
     model_enc_layers: int = 2
     model_dec_layers: int = 2
     model_ffn_dim: int = 128
-    model_queries: int = 10
     model_aux_loss: bool = False  # set-loss on every decoder layer's output
 
     # a weight of 0 is the way to switch a term off
@@ -162,9 +160,6 @@ def _validate(cfg: RunConfig, problems: list[str]) -> None:
     if cfg.train_decay_epoch >= cfg.train_epochs:
         problems.append(f"train.decay_epoch ({cfg.train_decay_epoch}) must be "
                         f"below train.epochs ({cfg.train_epochs})")
-    if cfg.model_queries != cfg.view_n:
-        problems.append(f"model.queries ({cfg.model_queries}) must equal view.n "
-                        f"({cfg.view_n}) for pretraining")
     # a jitter of 1 or more can draw a brightness factor of 0 or below
     for key, value in (("aug.color_jitter", cfg.aug_color_jitter),
                        ("view.jitter", cfg.view_jitter)):
@@ -177,8 +172,8 @@ def _validate(cfg: RunConfig, problems: list[str]) -> None:
             problems.append(f"{key} is a probability and must be in [0, 1], got {value}")
     if min(cfg.loss_lambda_r, cfg.loss_lambda_g, cfg.loss_lambda_loc) < 0:
         problems.append("loss weights must be non-negative")
-    if cfg.view_size % 8 or cfg.data_image_size % 8:
-        problems.append("view.size and data.image_size must be divisible by 8")
+    if cfg.view_size % 8:
+        problems.append(f"view.size must be divisible by 8, got {cfg.view_size}")
     if cfg.train_batch_size < 2 and cfg.loss_lambda_g > 0:
         problems.append("global discrimination needs train.batch_size >= 2 "
                         "(batch norm in the projector)")

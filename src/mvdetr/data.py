@@ -3,13 +3,17 @@ backgrounds, stored as binary PPM (P6) plus a line-oriented manifest.
 
 Manifest layout: a header line `manifest v1 <image count>`, then one block
 per image separated by blank lines; each block line reads
-`<image_path> <x1> <y1> <x2> <y2> <label>`. Loading rejects a manifest whose
-count is not an integer or differs from the number of image blocks. Generation is a pure function of
+`<image_path> <x1> <y1> <x2> <y2> <label>`, and an image with no objects is a
+block of one line holding only its path. Loading rejects a manifest whose
+count is not an integer or differs from the number of image blocks, and names
+the file and line of a malformed, non-finite or inside-out box, or of a bare
+path next to box lines of the same image. Generation is a pure function of
 (spec, seed) down to the file bytes.
 
-Loaded pixels stay 8-bit, a quarter of float32: `read_ppm`, and so every
-`load_dataset` triple, holds the file's (H, W, 3) uint8 bytes.
-`as_float_pixels` makes float32 in [0, 1] of one image where it is used.
+`load_dataset` yields one (pixels, boxes, labels) triple per image: the
+file's (H, W, 3) uint8 bytes (8-bit, a quarter of float32; `as_float_pixels`
+makes float32 in [0, 1] of one image where it is used), an (m, 4) float64
+array of xyxy rows, and an (m,) int64 array; m is 0 for a bare-path block.
 """
 
 from __future__ import annotations
@@ -203,6 +207,8 @@ def generate_dataset(count: int, spec: SceneSpec, out_dir: str) -> str:
             write_ppm(os.path.join(out_dir, name), pixels)
             written.append(os.path.join(out_dir, name))
             lines.append("")
+            if not objects:
+                lines.append(name)
             for obj in objects:
                 b = obj.bbox()
                 lines.append(f"{name} {b.x1:.2f} {b.y1:.2f} {b.x2:.2f} {b.y2:.2f} "
@@ -222,7 +228,7 @@ def generate_dataset(count: int, spec: SceneSpec, out_dir: str) -> str:
 
 
 def load_dataset(manifest_path: str, classes: int | None = None
-                 ) -> list[tuple[np.ndarray, list[BoxXYXY], list[int]]]:
+                 ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Read the manifest into (pixels, boxes, labels) triples. With `classes`
     given, a label outside [0, classes) is an error."""
     base = os.path.dirname(manifest_path)
@@ -236,35 +242,43 @@ def load_dataset(manifest_path: str, classes: int | None = None
     except ValueError:
         raise ValueError(f"{manifest_path}:1: image count {header[2]!r} "
                          "is not an integer") from None
-    blocks: dict[str, tuple[list[BoxXYXY], list[int]]] = {}
-    order: list[str] = []
+    # per image, in manifest order: its (x1, y1, x2, y2, label) rows, or
+    # None for a bare-path block
+    blocks: dict[str, list[tuple[float, float, float, float, int]] | None] = {}
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
-        parts = line.split()
-        if len(parts) != 6:
-            raise ValueError(f"{manifest_path}:{lineno}: expected 6 fields, "
-                             f"got {len(parts)}")
-        name = parts[0]
+        where = f"{manifest_path}:{lineno}"
+        name, *fields = line.split()
+        if name in blocks and (blocks[name] is None or not fields):
+            raise ValueError(f"{where}: a bare path must be the only line of "
+                             f"its image, {name}")
+        if not fields:
+            blocks[name] = None
+            continue
+        if len(fields) != 5:
+            raise ValueError(f"{where}: expected 6 fields, got {len(fields) + 1}")
         try:
-            x1, y1, x2, y2 = (float(v) for v in parts[1:5])
-            label = int(parts[5])
+            x1, y1, x2, y2 = (float(v) for v in fields[:4])
+            label = int(fields[4])
         except ValueError:
-            raise ValueError(f"{manifest_path}:{lineno}: malformed numbers") from None
+            raise ValueError(f"{where}: malformed numbers") from None
         if classes is not None and not 0 <= label < classes:
-            raise ValueError(f"{manifest_path}:{lineno}: label {label} is outside "
+            raise ValueError(f"{where}: label {label} is outside "
                              f"[0, {classes}) for data.classes={classes}")
-        if name not in blocks:
-            blocks[name] = ([], [])
-            order.append(name)
-        blocks[name][0].append(BoxXYXY(x1, y1, x2, y2))
-        blocks[name][1].append(label)
-    if len(order) != declared:
+        if not all(math.isfinite(v) for v in (x1, y1, x2, y2)):
+            raise ValueError(f"{where}: non-finite box ({x1}, {y1}, {x2}, {y2})")
+        if x2 < x1 or y2 < y1:
+            raise ValueError(f"{where}: box corners out of order "
+                             f"({x1}, {y1}, {x2}, {y2})")
+        blocks.setdefault(name, []).append((x1, y1, x2, y2, label))
+    if len(blocks) != declared:
         raise ValueError(f"{manifest_path}: header declares {declared} images, "
-                         f"found {len(order)} image blocks")
+                         f"found {len(blocks)} image blocks")
     out = []
-    for name in order:
-        pixels = read_ppm(os.path.join(base, name))
-        boxes, labels = blocks[name]
-        out.append((pixels, boxes, labels))
+    for name, rows in blocks.items():
+        rows = rows or []
+        boxes = np.array([r[:4] for r in rows], dtype=np.float64).reshape(-1, 4)
+        labels = np.array([r[4] for r in rows], dtype=np.int64)
+        out.append((read_ppm(os.path.join(base, name)), boxes, labels))
     return out

@@ -1,12 +1,12 @@
 """Box algebra, overlap metrics, frame transforms, resampling and RoIAlign.
 
 Boxes are half-open intervals in continuous pixel coordinates. A single
-rectangle (a view rect, an overlap, a ground-truth box) is a `BoxXYXY`; a box
-set (proposals, crop and RoIAlign boxes) is an (n, 4) float64 array of
-(x1, y1, x2, y2) rows, which `map_boxes`, `bilinear_taps` and `roi_align`
-take whole. Model-side boxes use center-size (cxcywh) rows normalized to
-[0, 1] relative to their view. Division guards use 1e-9 and degenerate boxes
-report IoU 0 instead of NaN.
+rectangle (a view rect, an overlap, a scene object) is a `BoxXYXY`; a box set
+(ground truth and detections, proposals, crop and RoIAlign boxes) is an
+(n, 4) float64 array of (x1, y1, x2, y2) rows, which `pairwise_iou`,
+`map_boxes`, `bilinear_taps` and `roi_align` take whole. Model-side boxes use
+center-size (cxcywh) rows normalized to [0, 1] relative to their view.
+Division guards use 1e-9 and degenerate boxes report IoU 0 instead of NaN.
 
 Every box resample (view crops, crop-level targets, RoIAlign) goes through
 one separable bilinear sampler: per-axis tap matrices with half-pixel

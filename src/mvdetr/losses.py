@@ -202,24 +202,23 @@ def giou_matrix(a_xyxy: np.ndarray, b_xyxy: np.ndarray) -> np.ndarray:
 
 
 def matching_cost(pred_boxes: np.ndarray, pred_match: np.ndarray,
-                  target_boxes: np.ndarray,
-                  coef: tuple[float, float, float] = MATCH_COEF) -> np.ndarray:
+                  target_boxes: np.ndarray) -> np.ndarray:
     """(m, N) matching cost; boxes in normalized cxcywh.
 
     cost[i][j] = -c0 log k_j + c1 (1 - GIoU(pred_j, tgt_i)) + c2 |pred_j - tgt_i|_1
     with k clamped away from {0, 1}.
     """
     k = np.clip(pred_match.reshape(-1), K_CLAMP, 1.0 - K_CLAMP)
-    return _box_cost(-coef[0] * np.log(k)[None, :], pred_boxes, target_boxes, coef)
+    return _box_cost(-MATCH_COEF[0] * np.log(k)[None, :], pred_boxes, target_boxes)
 
 
-def _box_cost(score: np.ndarray, pred_boxes: np.ndarray, target_boxes: np.ndarray,
-              coef: tuple[float, float, float]) -> np.ndarray:
+def _box_cost(score: np.ndarray, pred_boxes: np.ndarray,
+              target_boxes: np.ndarray) -> np.ndarray:
     """score + c1 (1 - GIoU) + c2 L1 for every (target, prediction) pair."""
     giou = giou_matrix(cxcywh_to_xyxy_array(target_boxes),
                        cxcywh_to_xyxy_array(pred_boxes))
     l1 = np.abs(target_boxes[:, None, :] - pred_boxes[None, :, :]).sum(axis=-1)
-    return score + coef[1] * (1.0 - giou) + coef[2] * l1
+    return score + MATCH_COEF[1] * (1.0 - giou) + MATCH_COEF[2] * l1
 
 
 # -- differentiable loss pieces --------------------------------------------------------
@@ -347,12 +346,12 @@ def total_loss(loc: Tensor, glob: Tensor | None, region: Tensor | None,
 
 
 def finetune_matching_cost(pred_boxes: np.ndarray, class_probs: np.ndarray,
-                           target_boxes: np.ndarray, target_labels: np.ndarray,
-                           coef: tuple[float, float, float] = MATCH_COEF) -> np.ndarray:
+                           target_boxes: np.ndarray, target_labels: np.ndarray
+                           ) -> np.ndarray:
     """Finetuning cost: the probability of the true class stands in for the
     match score."""
     p_true = np.clip(class_probs[:, target_labels].T, K_CLAMP, 1.0)  # (m, N)
-    return _box_cost(-coef[0] * np.log(p_true), pred_boxes, target_boxes, coef)
+    return _box_cost(-MATCH_COEF[0] * np.log(p_true), pred_boxes, target_boxes)
 
 
 NO_OBJECT_WEIGHT = 0.1

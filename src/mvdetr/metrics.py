@@ -5,6 +5,9 @@ greedy confidence-ordered matching (ties by detection index) with each
 ground-truth box matched at most once. AR@K averages recall over the IoU
 grid 0.50:0.05:0.95 with the top K detections per image.
 
+Detections are one record array of dtype `DETECTION` (image, xyxy box,
+label, score); ground truth is the dataset's per-image (boxes, labels), an
+(m, 4) float64 xyxy array and an (m,) int64 array for image i at index i.
 Scoring computes one IoU matrix per image, its detections against its
 ground truth, and keeps each detection's overlapping boxes best first.
 Detections are ranked once; every IoU threshold, each class's AP (the rows
@@ -22,7 +25,7 @@ import numpy as np
 
 from . import tensor as T
 from .backbone import FrozenBackbone
-from .geometry import BoxXYXY, corners, pairwise_iou
+from .geometry import pairwise_iou, py_max, py_min
 from .model import Detr
 from .tensor import Tensor
 from .views import resize_to_view
@@ -30,27 +33,11 @@ from .views import resize_to_view
 IOU_GRID = tuple(round(0.5 + 0.05 * i, 2) for i in range(10))
 RECALL_GRID = np.linspace(0.0, 1.0, 101)
 
+DETECTION = np.dtype([("image", np.int64), ("box", np.float64, (4,)),
+                      ("label", np.int64), ("score", np.float64)])
+
 # per detection, its (IoU, ground-truth index) pairs in the order it prefers them
 _Candidates = list[Sequence[tuple[float, int]]]
-
-
-@dataclass(frozen=True)
-class Detection:
-    image_id: int
-    box: BoxXYXY
-    class_id: int
-    confidence: float
-
-    def __post_init__(self):
-        if not (0.0 <= self.confidence <= 1.0):
-            raise ValueError(f"confidence out of range: {self.confidence}")
-
-
-@dataclass(frozen=True)
-class GroundTruth:
-    image_id: int
-    box: BoxXYXY
-    class_id: int
 
 
 @dataclass
@@ -67,35 +54,27 @@ class MetricReport:
                 f"{self.ar1:.6f},{self.ar10:.6f}\n")
 
 
-def _rank(dets: list[Detection]) -> list[int]:
-    """Detection indices by descending confidence, ties by index."""
-    return sorted(range(len(dets)), key=lambda i: (-dets[i].confidence, i))
-
-
-def _candidates(dets: list[Detection], gts: list[GroundTruth],
+def _candidates(detections: np.ndarray,
+                ground_truth: Sequence[tuple[np.ndarray, np.ndarray]],
                 min_iou: float) -> _Candidates:
     """Per detection, (IoU, ground-truth index) for each ground-truth box of
     its image that it overlaps by at least min_iou, in the order greedy
-    matching prefers them: highest IoU first, ties by index. One IoU matrix
-    per image."""
-    gt_rows: dict[int, list[int]] = {}
-    for gi, gt in enumerate(gts):
-        gt_rows.setdefault(gt.image_id, []).append(gi)
-    det_rows: dict[int, list[int]] = {}
-    for di, det in enumerate(dets):
-        det_rows.setdefault(det.image_id, []).append(di)
-    det_xyxy = corners(d.box for d in dets)
-    gt_xyxy = corners(g.box for g in gts)
-    cands: _Candidates = [()] * len(dets)
-    for image_id, dis in det_rows.items():
-        gis = gt_rows.get(image_id)
-        if gis is None:
-            continue
-        iou, _ = pairwise_iou(det_xyxy[dis], gt_xyxy[gis])
-        for di, row in zip(dis, iou.tolist()):
-            cands[di] = sorted(((v, gi) for v, gi in zip(row, gis)
-                                if v >= min_iou and v > 0.0),
-                               key=lambda c: (-c[0], c[1]))
+    matching prefers them: highest IoU first, ties by index. Ground-truth
+    boxes are indexed image after image; one IoU matrix per image."""
+    images = detections["image"]
+    by_image = np.argsort(images, kind="stable")
+    bounds = np.searchsorted(images[by_image], np.arange(len(ground_truth) + 1))
+    cands: _Candidates = [()] * len(detections)
+    first = 0
+    for image, (boxes, _) in enumerate(ground_truth):
+        dis = by_image[bounds[image]:bounds[image + 1]]
+        if len(dis) and len(boxes):
+            iou, _ = pairwise_iou(detections["box"][dis], boxes)
+            for di, row in zip(dis.tolist(), iou.tolist()):
+                cands[di] = sorted(((v, first + j) for j, v in enumerate(row)
+                                    if v >= min_iou and v > 0.0),
+                                   key=lambda c: (-c[0], c[1]))
+        first += len(boxes)
     return cands
 
 
@@ -145,17 +124,18 @@ def _precision(hits: list[int], n_dets: int, n_gt: int) -> float:
     return ap / len(RECALL_GRID)
 
 
-def _recall_at_k(dets: list[Detection], ranked: list[int],
+def _recall_at_k(images: list[int], ranked: list[int],
                  cands: _Candidates, n_gt: int, k: int) -> float:
-    """Recall of the top-k detections per image, averaged over the IoU grid."""
+    """Recall of the top-k detections per image, averaged over the IoU grid;
+    `images` holds each detection's image."""
     if not n_gt:
-        return 1.0 if not dets else 0.0
+        return 1.0 if not images else 0.0
     per_image: dict[int, int] = {}
     kept = []
     for di in ranked:
-        image_id = dets[di].image_id
-        if per_image.get(image_id, 0) < k:
-            per_image[image_id] = per_image.get(image_id, 0) + 1
+        image = images[di]
+        if per_image.get(image, 0) < k:
+            per_image[image] = per_image.get(image, 0) + 1
             kept.append(di)
     total = 0.0
     for hits in _hits(kept, cands, IOU_GRID):
@@ -163,33 +143,39 @@ def _recall_at_k(dets: list[Detection], ranked: list[int],
     return total / len(IOU_GRID)
 
 
-def evaluate_detections(detections: list[Detection], ground_truth: list[GroundTruth],
+def evaluate_detections(detections: np.ndarray,
+                        ground_truth: Sequence[tuple[np.ndarray, np.ndarray]],
                         n_classes: int) -> MetricReport:
-    """Class-mean AP over the IoU grid plus class-agnostic AR@1/AR@10.
+    """Class-mean AP over the IoU grid plus class-agnostic AR@1/AR@10 of a
+    `DETECTION` record array against per-image (boxes, labels).
 
     One ranking and one IoU matrix per image serve every number.
     """
-    ranked = _rank(detections)
+    ranked = np.argsort(-detections["score"], kind="stable")
     cands = _candidates(detections, ground_truth, IOU_GRID[0])
+    gt_labels = np.concatenate([np.zeros(0, np.int64)]
+                               + [labels for _, labels in ground_truth])
     # a class's AP matches its detections against its ground truth only
-    own_class = [[c for c in cs if ground_truth[c[1]].class_id == det.class_id]
-                 for det, cs in zip(detections, cands)]
+    gt_label_list = gt_labels.tolist()
+    own_class = [[c for c in cs if gt_label_list[c[1]] == label]
+                 for label, cs in zip(detections["label"].tolist(), cands)]
+    ranked_labels = detections["label"][ranked]
     ap_per_thr: dict[float, list[float]] = {thr: [] for thr in IOU_GRID}
     for cls in range(n_classes):
-        n_gt = sum(g.class_id == cls for g in ground_truth)
+        n_gt = int((gt_labels == cls).sum())
         if not n_gt:
             continue
-        cls_ranked = [di for di in ranked if detections[di].class_id == cls]
+        cls_ranked = ranked[ranked_labels == cls].tolist()
         for thr, hits in zip(IOU_GRID, _hits(cls_ranked, own_class, IOU_GRID)):
             ap_per_thr[thr].append(_precision(hits, len(cls_ranked), n_gt))
     means = {thr: (float(np.mean(v)) if v else 0.0) for thr, v in ap_per_thr.items()}
-    n_gt = len(ground_truth)
+    images, ranked = detections["image"].tolist(), ranked.tolist()
     return MetricReport(
         ap=float(np.mean(list(means.values()))),
         ap50=means[0.5],
         ap75=means[0.75],
-        ar1=_recall_at_k(detections, ranked, cands, n_gt, 1),
-        ar10=_recall_at_k(detections, ranked, cands, n_gt, 10),
+        ar1=_recall_at_k(images, ranked, cands, len(gt_labels), 1),
+        ar10=_recall_at_k(images, ranked, cands, len(gt_labels), 10),
     )
 
 
@@ -198,14 +184,16 @@ def evaluate_detections(detections: list[Detection], ground_truth: list[GroundTr
 
 def detect_batch(model: Detr, backbone: FrozenBackbone,
                  images: list[tuple[int, np.ndarray]], score_source: str = "class", *,
-                 view_size: int) -> list[Detection]:
+                 view_size: int) -> np.ndarray:
     """Set prediction over a batch of (image_id, pixels); no NMS.
 
-    score_source "class": confidence is the best foreground-class softmax
-    probability (requires the class head). "match": confidence is the binary
-    match score (pretraining checkpoints, no classes). Inputs are resized to
-    the training geometry, `view_size` square; predicted boxes stay in each
-    image's original pixel frame (they are normalized).
+    Returns a `DETECTION` record array, one record per query whose box keeps
+    a positive width and height once clamped to its image, in (image, query)
+    order. score_source "class": the score is the best foreground-class
+    softmax probability (requires the class head). "match": the score is the
+    binary match score (pretraining checkpoints, no classes). Inputs are
+    resized to the training geometry, `view_size` square; predicted boxes
+    stay in each image's original pixel frame (they are normalized).
     """
     inputs = [resize_to_view(pixels, view_size) for _, pixels in images]
     with T.no_grad():
@@ -222,49 +210,41 @@ def detect_batch(model: Detr, backbone: FrozenBackbone,
             scores = match.data[:, :, 0]
         else:
             raise ValueError(f"unknown score source {score_source!r}")
-    out = []
-    for bi, (image_id, pixels) in enumerate(images):
-        height, width = pixels.shape[:2]
-        for i in range(boxes.data.shape[1]):
-            cx, cy, w, bh = (float(v) for v in boxes.data[bi, i])
-            x1 = max(0.0, (cx - w / 2) * width)
-            y1 = max(0.0, (cy - bh / 2) * height)
-            x2 = min(float(width), (cx + w / 2) * width)
-            y2 = min(float(height), (cy + bh / 2) * height)
-            if x2 <= x1 or y2 <= y1:
-                continue
-            out.append(Detection(image_id, BoxXYXY(x1, y1, x2, y2),
-                                 int(labels[bi, i]),
-                                 float(np.clip(scores[bi, i], 0.0, 1.0))))
+    # cxcywh -> xyxy in float64 pixels, clamped to each image's frame
+    size = np.array([pixels.shape[1::-1] for _, pixels in images],
+                    dtype=np.float64)[:, None, :]  # (B, 1, 2): width, height
+    center, extent = np.split(boxes.data.astype(np.float64), 2, axis=-1)
+    lo = py_max(0.0, (center - extent / 2) * size)
+    hi = py_min(size, (center + extent / 2) * size)
+    keep = ~(hi <= lo).any(axis=-1)
+    out = np.empty(int(keep.sum()), DETECTION)
+    out["image"] = np.repeat([image_id for image_id, _ in images], keep.sum(axis=1))
+    out["box"] = np.concatenate([lo, hi], axis=-1)[keep]
+    out["label"] = labels[keep]
+    out["score"] = np.clip(scores, 0.0, 1.0)[keep]
+    if np.isnan(out["score"]).any():
+        raise ValueError("confidence out of range: nan")
     return out
 
 
-def check_eval_set(dataset: list[tuple[np.ndarray, list[BoxXYXY], list[int]]]) -> None:
+def check_eval_set(dataset: list[tuple[np.ndarray, np.ndarray, np.ndarray]]) -> None:
     """Reject an eval set that AP/AR cannot score: one with no ground-truth box."""
-    if not any(boxes for _, boxes, _ in dataset):
+    if not any(len(boxes) for _, boxes, _ in dataset):
         raise ValueError(f"eval set has no ground-truth boxes ({len(dataset)} images)")
 
 
 def evaluate_model(model: Detr, backbone: FrozenBackbone,
-                   dataset: list[tuple[np.ndarray, list[BoxXYXY], list[int]]],
+                   dataset: list[tuple[np.ndarray, np.ndarray, np.ndarray]],
                    n_classes: int, score_source: str = "class", *,
                    view_size: int, batch: int = 16) -> MetricReport:
     check_eval_set(dataset)
-    detections: list[Detection] = []
-    ground_truth: list[GroundTruth] = []
-    pending: list[tuple[int, np.ndarray]] = []
-    for image_id, (pixels, boxes, labels) in enumerate(dataset):
-        pending.append((image_id, pixels))
-        if len(pending) == batch:
-            detections.extend(detect_batch(model, backbone, pending, score_source,
-                                           view_size=view_size))
-            pending = []
-        for b, lab in zip(boxes, labels):
-            ground_truth.append(GroundTruth(image_id, b, lab))
-    if pending:
-        detections.extend(detect_batch(model, backbone, pending, score_source,
-                                       view_size=view_size))
-    return evaluate_detections(detections, ground_truth, n_classes)
+    images = [(image_id, pixels) for image_id, (pixels, _, _) in enumerate(dataset)]
+    detections = [detect_batch(model, backbone, images[lo:lo + batch], score_source,
+                               view_size=view_size)
+                  for lo in range(0, len(images), batch)]
+    return evaluate_detections(np.concatenate(detections),
+                               [(boxes, labels) for _, boxes, labels in dataset],
+                               n_classes)
 
 
 # -- attention export ---------------------------------------------------------------------
@@ -278,7 +258,7 @@ def write_pgm(path: str, gray: np.ndarray) -> None:
 
 
 def export_attention(model: Detr, backbone: FrozenBackbone, pixels: np.ndarray,
-                     out_dir: str, prefix: str = "query", *,
+                     out_dir: str, *,
                      view_size: int) -> list[str]:
     """Final-decoder-layer cross-attention per query as 8-bit PGM maps, plus
     a sidecar listing predicted boxes and match scores; the image is resized
@@ -298,10 +278,10 @@ def export_attention(model: Detr, backbone: FrozenBackbone, pixels: np.ndarray,
             gray = np.full(hw, 128, dtype=np.uint8)  # uniform attention
         else:
             gray = np.rint((amap - lo) / (hi - lo) * 255.0).astype(np.uint8)
-        path = os.path.join(out_dir, f"{prefix}_{qi:03d}.pgm")
+        path = os.path.join(out_dir, f"query_{qi:03d}.pgm")
         write_pgm(path, gray)
         paths.append(path)
-    sidecar = os.path.join(out_dir, f"{prefix}_boxes.txt")
+    sidecar = os.path.join(out_dir, "query_boxes.txt")
     with open(sidecar, "w", encoding="ascii") as f:
         for qi in range(boxes.data.shape[1]):
             cx, cy, w, bh = (float(v) for v in boxes.data[0, qi])

@@ -29,6 +29,8 @@ from . import tensor as T
 from .rng import Rng
 from .tensor import Tensor
 
+SINE_TEMPERATURE = 10000.0  # wavelength base of the positional embedding
+
 
 @dataclass
 class TransformerConfig:
@@ -51,13 +53,12 @@ class TransformerConfig:
 
 
 def sine_positional_embedding(h: int, w: int, dim: int,
-                              temperature: float = 10000.0,
                               dtype=np.float32) -> np.ndarray:
     """Fixed 2d sine/cosine map, (h*w, dim); dim/2 channels per axis."""
     half = dim // 2
     ys = (np.arange(h, dtype=np.float64) + 1.0) / h * (2 * math.pi)
     xs = (np.arange(w, dtype=np.float64) + 1.0) / w * (2 * math.pi)
-    freq = temperature ** (2.0 * (np.arange(half) // 2) / half)
+    freq = SINE_TEMPERATURE ** (2.0 * (np.arange(half) // 2) / half)
 
     def encode(pos):
         ang = pos[:, None] / freq[None, :]

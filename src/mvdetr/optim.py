@@ -8,6 +8,8 @@ import numpy as np
 
 from .tensor import Tensor
 
+BETAS = (0.9, 0.999)
+
 
 class AdamW:
     """Decoupled weight decay: w <- w - lr*wd*w, applied separately from the
@@ -16,13 +18,11 @@ class AdamW:
     """
 
     def __init__(self, params: dict[str, Tensor], lr: float = 1e-4,
-                 weight_decay: float = 1e-4,
-                 betas: tuple[float, float] = (0.9, 0.999), eps: float = 1e-8):
+                 weight_decay: float = 1e-4, eps: float = 1e-8):
         self.names = list(params)
         self.params = dict(params)
         self.lr = lr
         self.weight_decay = weight_decay
-        self.betas = betas
         self.eps = eps
         self.t = 0
         self.m = {n: np.zeros_like(params[n].data) for n in self.names}
@@ -37,7 +37,7 @@ class AdamW:
                 raise FloatingPointError(f"non-finite gradient in parameter {name!r} "
                                          f"at optimizer step {self.t + 1}")
         self.t += 1
-        b1, b2 = self.betas
+        b1, b2 = BETAS
         bc1 = 1.0 - b1 ** self.t
         bc2 = 1.0 - b2 ** self.t
         for name in self.names:

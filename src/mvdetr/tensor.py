@@ -601,11 +601,13 @@ def batch_norm_1d(x: Tensor, scale: Tensor, shift: Tensor, eps: float = 1e-5) ->
 
 # -- similarity ----------------------------------------------------------------------
 
+ZERO_NORM = 1e-12  # a row norm at or below this is a zero row
 
-def l2_normalize(x: Tensor, eps_check: float = 1e-12) -> Tensor:
+
+def l2_normalize(x: Tensor) -> Tensor:
     """Unit-normalize rows over the last dimension; zero rows are an error."""
     norms = np.sqrt((x.data.astype(np.float64) ** 2).sum(axis=-1, keepdims=True))
-    bad = np.argwhere(norms <= eps_check)
+    bad = np.argwhere(norms <= ZERO_NORM)
     if bad.size:
         raise ValueError(f"l2_normalize: zero-norm row at index {tuple(bad[0][:-1])}")
     inv = (1.0 / norms).astype(x.data.dtype)

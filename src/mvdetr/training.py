@@ -19,7 +19,6 @@ from . import tensor as T
 from .backbone import FrozenBackbone
 from .checkpoint import array_to_text, load_checkpoint, save_checkpoint, text_to_array
 from .config import RunConfig
-from .geometry import BoxXYXY, corners
 from .losses import LossBreakdown
 from .model import Detr, TransformerConfig
 from .optim import AdamW, clip_global_norm
@@ -35,7 +34,7 @@ def model_config_from(cfg: RunConfig, backbone: FrozenBackbone) -> TransformerCo
     return TransformerConfig(
         d_model=cfg.model_d_model, heads=cfg.model_heads,
         enc_layers=cfg.model_enc_layers, dec_layers=cfg.model_dec_layers,
-        ffn_dim=cfg.model_ffn_dim, n_queries=cfg.model_queries,
+        ffn_dim=cfg.model_ffn_dim, n_queries=cfg.view_n,
         in_channels=backbone.out_channels, sem_dim=backbone.out_channels,
     )
 
@@ -179,10 +178,10 @@ class LabeledItem:
     labels: np.ndarray  # (m,) int64
 
 
-def labeled_item(pixels: np.ndarray, boxes: list[BoxXYXY], labels: list[int]) -> LabeledItem:
+def labeled_item(pixels: np.ndarray, boxes: np.ndarray, labels: np.ndarray) -> LabeledItem:
+    """A `data.load_dataset` triple: (m, 4) xyxy pixel boxes become targets."""
     h, w = pixels.shape[:2]
-    return LabeledItem(pixels=pixels, boxes=boxes_to_targets(corners(boxes), w, h),
-                       labels=np.asarray(labels, dtype=np.int64))
+    return LabeledItem(pixels=pixels, boxes=boxes_to_targets(boxes, w, h), labels=labels)
 
 
 def finetune_step(model: Detr, optimizer: AdamW, features: np.ndarray,
@@ -248,7 +247,7 @@ def split_checkpoint(entries: dict[str, np.ndarray]):
 
 
 ARCHITECTURE_KEYS = ("model.d_model", "model.heads", "model.enc_layers",
-                     "model.dec_layers", "model.ffn_dim", "model.queries",
+                     "model.dec_layers", "model.ffn_dim", "view.n",
                      "backbone.seed", "view.size")
 
 

@@ -32,6 +32,7 @@ _LUMA = np.array([0.299, 0.587, 0.114], dtype=np.float32)
 MIN_PROPOSAL_SIDE = 8.0
 BASE_AREA_RANGE = (0.5, 1.0)  # of the image area, for the base rectangle
 BLUR_SIGMA = (0.1, 2.0)
+VIEW_RECT_TRIES = 100  # IoU-rejected draws before the full-base fallback
 
 
 @dataclass
@@ -163,21 +164,20 @@ def sample_base_rect(width: int, height: int, rng: Rng,
     return BoxXYXY(x1, y1, x1 + rw, y1 + rh)
 
 
-def sample_view_rects(base: BoxXYXY, tau: float, rng: Rng,
-                      max_tries: int = 100) -> tuple[BoxXYXY, BoxXYXY]:
+def sample_view_rects(base: BoxXYXY, tau: float, rng: Rng) -> tuple[BoxXYXY, BoxXYXY]:
     """Two center-anchored rectangles inside `base` with IoU >= tau.
 
     Each rectangle spans from one base corner toward the opposite corner;
     its far corner sits on the base diagonal, pulled in from the full extent
     by a uniformly sampled fraction. Sampling rejects pairs below the IoU
     threshold and falls back to identical full-base rectangles after
-    max_tries.
+    VIEW_RECT_TRIES.
     """
     if not (0.0 < tau <= 1.0):
         raise ValueError(f"tau must be in (0, 1], got {tau}")
     cx, cy = base.center()
     hw, hh = base.width / 2.0, base.height / 2.0
-    for _ in range(max_tries):
+    for _ in range(VIEW_RECT_TRIES):
         pull1 = rng.uniform(0.0, 1.0)
         pull2 = rng.uniform(0.0, 1.0)
         r1 = BoxXYXY(base.x1, base.y1, cx + (1.0 - pull1) * hw, cy + (1.0 - pull1) * hh)

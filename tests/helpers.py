@@ -16,6 +16,7 @@ sign of zero.
 """
 
 import math
+from collections import namedtuple
 
 import numpy as np
 
@@ -206,6 +207,21 @@ def dense_bilinear_average(feat, box, out_hw, samples_per_bin=100):
     return out
 
 
+_Det = namedtuple("_Det", "image box label score")
+_Gt = namedtuple("_Gt", "image box label")
+
+
+def _per_pair_lists(detections, ground_truth):
+    """The scorer's inputs one box at a time: a `DETECTION` record array and
+    per-image (boxes, labels) as lists of records holding a `BoxXYXY` each."""
+    dets = [_Det(int(d["image"]), BoxXYXY(*d["box"].tolist()), int(d["label"]),
+                 float(d["score"])) for d in detections]
+    gts = [_Gt(image, BoxXYXY(*box), label)
+           for image, (boxes, labels) in enumerate(ground_truth)
+           for box, label in zip(np.asarray(boxes).tolist(), np.asarray(labels).tolist())]
+    return dets, gts
+
+
 def per_pair_greedy_match(dets, gts, iou_threshold):
     """Matching oracle: true-positive flags for detections already sorted by
     rank, scoring each (detection, ground truth) pair of an image with
@@ -213,12 +229,12 @@ def per_pair_greedy_match(dets, gts, iou_threshold):
     image with the highest IoU at or above the threshold (first on ties)."""
     by_image = {}
     for gi, gt in enumerate(gts):
-        by_image.setdefault(gt.image_id, []).append(gi)
+        by_image.setdefault(gt.image, []).append(gi)
     taken = [False] * len(gts)
     flags = []
     for det in dets:
         best_iou, best_gi = 0.0, -1
-        for gi in by_image.get(det.image_id, ()):
+        for gi in by_image.get(det.image, ()):
             if taken[gi]:
                 continue
             iou = box_iou(det.box, gts[gi].box)
@@ -234,12 +250,10 @@ def per_pair_greedy_match(dets, gts, iou_threshold):
 
 def _per_pair_ranked(dets):
     return [dets[i] for i in sorted(range(len(dets)),
-                                    key=lambda i: (-dets[i].confidence, i))]
+                                    key=lambda i: (-dets[i].score, i))]
 
 
-def per_pair_average_precision(dets, gts, iou_threshold):
-    """AP oracle: 101-point interpolation over the per-pair matching, one
-    `searchsorted` per recall grid point."""
+def _average_precision(dets, gts, iou_threshold):
     if not gts:
         return 1.0 if not dets else 0.0
     if not dets:
@@ -257,13 +271,18 @@ def per_pair_average_precision(dets, gts, iou_threshold):
     return float(ap / len(RECALL_GRID))
 
 
-def per_pair_average_recall_at_k(dets, gts, k):
-    """AR@k oracle: per-pair matching of the top-k detections per image."""
+def per_pair_average_precision(detections, ground_truth, iou_threshold):
+    """AP oracle, class-blind: 101-point interpolation over the per-pair
+    matching, one `searchsorted` per recall grid point."""
+    return _average_precision(*_per_pair_lists(detections, ground_truth), iou_threshold)
+
+
+def _average_recall_at_k(dets, gts, k):
     if not gts:
         return 1.0 if not dets else 0.0
     per_image = {}
     for det in _per_pair_ranked(dets):
-        bucket = per_image.setdefault(det.image_id, [])
+        bucket = per_image.setdefault(det.image, [])
         if len(bucket) < k:
             bucket.append(det)
     kept = _per_pair_ranked([d for bucket in per_image.values() for d in bucket])
@@ -273,21 +292,26 @@ def per_pair_average_recall_at_k(dets, gts, k):
     return total / len(IOU_GRID)
 
 
-def per_pair_report(dets, gts, n_classes):
+def per_pair_average_recall_at_k(detections, ground_truth, k):
+    """AR@k oracle: per-pair matching of the top-k detections per image."""
+    return _average_recall_at_k(*_per_pair_lists(detections, ground_truth), k)
+
+
+def per_pair_report(detections, ground_truth, n_classes):
     """(ap, ap50, ap75, ar1, ar10) oracle: per-class AP calls on filtered
     lists, class-agnostic AR."""
+    dets, gts = _per_pair_lists(detections, ground_truth)
     ap_per_thr = {thr: [] for thr in IOU_GRID}
     for cls in range(n_classes):
-        cls_gt = [g for g in gts if g.class_id == cls]
+        cls_gt = [g for g in gts if g.label == cls]
         if not cls_gt:
             continue
-        cls_det = [d for d in dets if d.class_id == cls]
+        cls_det = [d for d in dets if d.label == cls]
         for thr in IOU_GRID:
-            ap_per_thr[thr].append(per_pair_average_precision(cls_det, cls_gt, thr))
+            ap_per_thr[thr].append(_average_precision(cls_det, cls_gt, thr))
     means = {thr: (float(np.mean(v)) if v else 0.0) for thr, v in ap_per_thr.items()}
     return (float(np.mean(list(means.values()))), means[0.5], means[0.75],
-            per_pair_average_recall_at_k(dets, gts, 1),
-            per_pair_average_recall_at_k(dets, gts, 10))
+            _average_recall_at_k(dets, gts, 1), _average_recall_at_k(dets, gts, 10))
 
 
 def scalar_normal(rng, mean=0.0, std=1.0):

@@ -299,9 +299,9 @@ def test_criterion_4_view_contract():
 def _small_cfg(**overrides):
     text = "\n".join([
         "train.batch_size=2", "train.epochs=2", "train.decay_epoch=1",
-        "view.size=64", "data.image_size=96", "model.d_model=32",
+        "view.size=64", "model.d_model=32",
         "model.heads=2", "model.enc_layers=1", "model.dec_layers=1",
-        "model.ffn_dim=32", "model.queries=6", "view.n=6",
+        "model.ffn_dim=32", "view.n=6",
     ] + [f"{k}={v}" for k, v in overrides.items()])
     return parse_config(text)
 

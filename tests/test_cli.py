@@ -9,9 +9,9 @@ from mvdetr.cli import main
 
 CFG_SMALL = "\n".join([
     "train.batch_size=2", "train.epochs=1", "train.decay_epoch=0",
-    "view.size=64", "data.image_size=96",
+    "view.size=64",
     "model.d_model=32", "model.heads=2", "model.enc_layers=1",
-    "model.dec_layers=1", "model.ffn_dim=32", "model.queries=6", "view.n=6",
+    "model.dec_layers=1", "model.ffn_dim=32", "view.n=6",
     "finetune.epochs=2", "finetune.batch_size=2",
 ]) + "\n"
 
@@ -114,7 +114,7 @@ class TestExitCodes:
         ("pretrain", ["model.heads=0"], "model.heads must be at least 1, got 0"),
         ("pretrain", ["model.d_model=30"], "model.d_model (30) must be divisible by 4"),
         ("pretrain", ["model.d_model=0"], "model.d_model must be at least 1, got 0"),
-        ("pretrain", ["view.n=0", "model.queries=0"], "view.n must be at least 1, got 0"),
+        ("pretrain", ["view.n=0"], "view.n must be at least 1, got 0"),
         ("pretrain", ["view.size=0"], "view.size must be at least 1, got 0"),
         ("pretrain", ["train.batch_size=0", "loss.lambda_g=0"],
          "train.batch_size must be at least 1, got 0"),
@@ -217,6 +217,24 @@ class TestExitCodes:
         assert capsys.readouterr().err == (
             "error: eval set has no ground-truth boxes (0 images)\n")
         assert finetunes == []
+
+    @pytest.mark.parametrize("box,problem", [
+        ("nan 2 30 40", "non-finite box (nan, 2.0, 30.0, 40.0)"),
+        ("30 2 1 40", "box corners out of order (30.0, 2.0, 1.0, 40.0)"),
+    ], ids=["non_finite", "out_of_order"])
+    def test_bad_box_names_manifest_line_and_is_two(self, workspace, tmp_path, capsys,
+                                                    box, problem):
+        root, cfg, manifest = workspace
+        lines = open(manifest).read().splitlines()
+        lines[2] = " ".join([lines[2].split()[0], box, "1"])
+        bad = os.path.join(os.path.dirname(manifest), "bad_box.txt")
+        with open(bad, "w") as f:
+            f.write("\n".join(lines) + "\n")
+        rc = main(["finetune", "--config", cfg, "--data", bad,
+                   "--out", str(tmp_path / "run")])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {bad}:3: {problem}\n"
+        assert not (tmp_path / "run").exists()
 
     def test_missing_data_is_two(self, workspace):
         root, cfg, _ = workspace
@@ -336,6 +354,39 @@ class TestPipeline:
         rc = main(["finetune", "--config", cfg, "--data", manifest,
                    "--out", str(root / "ft_scratch"), "--seed", "1"])
         assert rc == 0
+
+    def test_image_without_objects_pretrains_and_finetunes(self, workspace):
+        # the last image's block becomes its bare path: a (0, 4) box set
+        root, cfg, manifest = workspace
+        header, *blocks = open(manifest).read().rstrip("\n").split("\n\n")
+        blocks[-1] = blocks[-1].split()[0]
+        bare = os.path.join(os.path.dirname(manifest), "bare_path.txt")
+        with open(bare, "w") as f:
+            f.write("\n\n".join([header] + blocks) + "\n")
+        from mvdetr.data import load_dataset
+        assert [len(b) for _, b, _ in load_dataset(bare)][-1] == 0
+        assert main(["pretrain", "--config", cfg, "--data", bare,
+                     "--out", str(root / "bare_pre")]) == 0
+        assert main(["finetune", "--config", cfg, "--data", bare, "--set",
+                     "finetune.epochs=1", "--out", str(root / "bare_ft")]) == 0
+        assert os.path.exists(root / "bare_ft" / "finetuned.ckpt")
+
+    def test_checkpoint_naming_removed_keys_still_loads(self, workspace, tmp_path):
+        # checkpoints written while model.queries and data.image_size were
+        # keys store them beside view.n; only view.n is compared now
+        from mvdetr.checkpoint import (array_to_text, load_checkpoint, save_checkpoint,
+                                       text_to_array)
+        root, cfg, manifest = workspace
+        entries = load_checkpoint(_untrained_checkpoint(cfg, tmp_path / "new.ckpt"))
+        text = array_to_text(entries["__meta__.config"])
+        entries["__meta__.config"] = text_to_array(
+            text + "data.image_size=96\nmodel.queries=6\n")
+        old = str(tmp_path / "old.ckpt")
+        save_checkpoint(old, entries)
+        assert main(["eval", "--config", cfg, "--data", manifest, "--checkpoint", old,
+                     "--score", "match"]) == 0
+        assert main(["eval", "--config", cfg, "--data", manifest, "--checkpoint", old,
+                     "--score", "match", "--set", "view.n=5"]) == 2
 
     def test_incompatible_checkpoint_rejected(self, workspace):
         root, cfg, manifest = workspace

@@ -43,9 +43,11 @@ def test_unknown_keys_all_reported():
     assert "bogus.key" in msg and "another.one" in msg
 
 
-def test_validation_queries_must_match_proposals():
-    with pytest.raises(ConfigError, match="model.queries"):
-        parse_config("model.queries=20\n")
+def test_removed_size_keys_rejected():
+    # the query count is view.n, and no run reads a data image size
+    for key in ("model.queries", "data.image_size"):
+        with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
+            parse_config(f"{key}=10\n")
 
 
 def test_validation_decay_before_end():
@@ -82,4 +84,4 @@ def test_every_field_reachable_by_key():
     assert "loss.lambda_r" in mapping
     assert "finetune.freeze_transformer" in mapping
     assert len(mapping) == len(set(mapping.values()))
-    assert len(mapping) == 34
+    assert len(mapping) == 32

@@ -35,10 +35,11 @@ def test_round_trip_boxes_within_half_pixel(tmp_path):
         assert pixels.shape == (160, 160, 3)
         expected = D.sample_scene(spec, i)
         assert len(boxes) == len(expected)
-        for b, obj in zip(boxes, expected):
+        assert boxes.dtype == np.float64 and labels.dtype == np.int64
+        for (x1, _, _, y2), obj in zip(boxes.tolist(), expected):
             ref = obj.bbox()
-            assert abs(b.x1 - ref.x1) <= 0.5 and abs(b.y2 - ref.y2) <= 0.5
-        assert labels == [o.label for o in expected]
+            assert abs(x1 - ref.x1) <= 0.5 and abs(y2 - ref.y2) <= 0.5
+        assert labels.tolist() == [o.label for o in expected]
 
 
 def test_scene_invariants():
@@ -126,6 +127,76 @@ def test_malformed_manifest_line_reports_location(tmp_path):
     with pytest.raises(ValueError) as exc:
         D.load_dataset(str(manifest))
     assert ":3:" in str(exc.value)
+
+
+@pytest.mark.parametrize("line,problem", [
+    ("img_00000.ppm nan 2 30 40 1", "non-finite box (nan, 2.0, 30.0, 40.0)"),
+    ("img_00000.ppm 1 2 inf 40 1", "non-finite box (1.0, 2.0, inf, 40.0)"),
+    ("img_00000.ppm 30 2 1 40 1", "box corners out of order (30.0, 2.0, 1.0, 40.0)"),
+    ("img_00000.ppm 1 40 30 2 1", "box corners out of order (1.0, 40.0, 30.0, 2.0)"),
+], ids=["nan", "inf", "x_swapped", "y_swapped"])
+def test_bad_box_names_manifest_line(tmp_path, line, problem):
+    manifest = D.generate_dataset(1, D.SceneSpec(image_size=64, seed=6), str(tmp_path))
+    lines = open(manifest).read().splitlines()
+    lines[3] = line  # the second box of the first image
+    with open(manifest, "w") as f:
+        f.write("\n".join(lines) + "\n")
+    with pytest.raises(ValueError) as exc:
+        D.load_dataset(manifest)
+    assert str(exc.value) == f"{manifest}:4: {problem}"
+
+
+def _bare_path_manifest(tmp_path):
+    """Two generated images plus a third listed by its bare path."""
+    manifest = D.generate_dataset(3, D.SceneSpec(image_size=64, seed=6), str(tmp_path))
+    header, *blocks = open(manifest).read().rstrip("\n").split("\n\n")
+    with open(manifest, "w") as f:
+        f.write("\n\n".join([header] + blocks[:2] + ["img_00002.ppm"]) + "\n")
+    return manifest
+
+
+def test_bare_path_block_is_an_image_without_objects(tmp_path):
+    loaded = D.load_dataset(_bare_path_manifest(tmp_path))
+    assert len(loaded) == 3  # the header's count includes the bare-path image
+    pixels, boxes, labels = loaded[2]
+    assert pixels.shape == (64, 64, 3)
+    assert boxes.shape == (0, 4) and boxes.dtype == np.float64
+    assert labels.shape == (0,) and labels.dtype == np.int64
+    assert all(len(b) == len(l) > 0 for _, b, l in loaded[:2])
+
+
+@pytest.mark.parametrize("extra,lineno", [
+    ("img_00002.ppm 1 2 30 40 1", 12), ("img_00002.ppm", 12)],
+    ids=["box_after_bare_path", "second_bare_path"])
+def test_bare_path_must_be_alone(tmp_path, extra, lineno):
+    manifest = _bare_path_manifest(tmp_path)
+    lines = open(manifest).read().splitlines()
+    assert lines[lineno - 2] == "img_00002.ppm"
+    lines.insert(lineno - 1, extra)
+    with open(manifest, "w") as f:
+        f.write("\n".join(lines) + "\n")
+    with pytest.raises(ValueError) as exc:
+        D.load_dataset(manifest)
+    assert str(exc.value) == (f"{manifest}:{lineno}: a bare path must be the only "
+                              "line of its image, img_00002.ppm")
+
+
+def test_bare_path_after_box_lines_is_an_error(tmp_path):
+    manifest = D.generate_dataset(1, D.SceneSpec(image_size=64, seed=6), str(tmp_path))
+    with open(manifest, "a") as f:
+        f.write("img_00000.ppm\n")
+    n_lines = len(open(manifest).read().splitlines())
+    with pytest.raises(ValueError) as exc:
+        D.load_dataset(manifest)
+    assert str(exc.value) == (f"{manifest}:{n_lines}: a bare path must be the only "
+                              "line of its image, img_00000.ppm")
+
+
+def test_image_without_objects_is_written_as_a_bare_path(tmp_path):
+    spec = D.SceneSpec(image_size=64, seed=6, min_objects=0, max_objects=0)
+    manifest = D.generate_dataset(2, spec, str(tmp_path))
+    assert open(manifest).read() == "manifest v1 2\n\nimg_00000.ppm\n\nimg_00001.ppm\n"
+    assert [len(boxes) for _, boxes, _ in D.load_dataset(manifest)] == [0, 0]
 
 
 def _manifest_with_blocks(tmp_path, keep):

@@ -14,7 +14,7 @@ from mvdetr.backbone import FrozenBackbone
 from mvdetr.checkpoint import load_checkpoint, save_checkpoint
 from mvdetr.config import parse_config
 from mvdetr.data import SceneSpec, render_scene
-from mvdetr.geometry import BoxXYXY
+from mvdetr.geometry import BoxXYXY, corners
 from mvdetr.model import Detr
 from mvdetr.optim import AdamW
 from mvdetr.rng import derive_seed
@@ -28,13 +28,11 @@ def small_cfg(**overrides):
         "train.epochs=2",
         "train.decay_epoch=1",
         "view.size=64",
-        "data.image_size=96",
         "model.d_model=32",
         "model.heads=2",
         "model.enc_layers=1",
         "model.dec_layers=1",
         "model.ffn_dim=32",
-        "model.queries=6",
         "view.n=6",
         "finetune.epochs=2",
         "finetune.batch_size=2",
@@ -54,8 +52,8 @@ def labeled(images):
     items = []
     for i in range(len(images)):
         pixels, objs = render_scene(spec, i)
-        items.append(TR.labeled_item(pixels, [o.bbox() for o in objs],
-                                     [o.label for o in objs]))
+        items.append(TR.labeled_item(pixels, corners(o.bbox() for o in objs),
+                                     np.array([o.label for o in objs], np.int64)))
     return items
 
 
