@@ -31,7 +31,7 @@ def save_checkpoint(path: str, entries: dict[str, np.ndarray]) -> None:
     blob += struct.pack("<I", VERSION)
     blob += struct.pack("<Q", len(entries))
     for name, arr in entries.items():
-        data = np.ascontiguousarray(arr, dtype="<f4")
+        data = np.asarray(arr, dtype="<f4")  # keeps rank 0; tobytes() is C order
         encoded = name.encode("utf-8")
         blob += struct.pack("<I", len(encoded))
         blob += encoded

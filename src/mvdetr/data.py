@@ -164,6 +164,8 @@ def read_ppm(path: str) -> np.ndarray:
         w, h, maxval = (int(v) for v in fields)
     except ValueError:
         raise ValueError(f"{path}: malformed PPM header") from None
+    if w < 1 or h < 1:
+        raise ValueError(f"{path}: image size must be positive, got {w}x{h}")
     if maxval != 255:
         raise ValueError(f"{path}: unsupported maxval {maxval}")
     expected = w * h * 3

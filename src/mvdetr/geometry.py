@@ -96,11 +96,10 @@ def pairwise_iou(a_xyxy: np.ndarray, b_xyxy: np.ndarray) -> tuple[np.ndarray, np
 
 @dataclass(frozen=True)
 class FrameTransform:
-    """Affine crop/scale (plus optional horizontal flip) between two frames.
+    """Affine crop/scale (plus optional horizontal flip) into a target frame.
 
     Points map as x' = sx * (x - dx), then x' -> dst_w - x' when flipped;
-    y' = sy * (y - dy). Frame dims are carried so flips and clamping are
-    well defined in both directions.
+    y' = sy * (y - dy). The target frame's dims define the flip and the clamp.
     """
 
     dx: float
@@ -108,21 +107,8 @@ class FrameTransform:
     sx: float
     sy: float
     flip: bool
-    src_w: float
-    src_h: float
     dst_w: float
     dst_h: float
-
-    def inverse(self) -> "FrameTransform":
-        sx2, sy2 = 1.0 / self.sx, 1.0 / self.sy
-        if self.flip:
-            # derived so that apply(inverse) == identity with the same op order
-            dx2 = self.sx * (self.dx - self.src_w) + self.dst_w
-        else:
-            dx2 = -self.dx * self.sx
-        dy2 = -self.dy * self.sy
-        return FrameTransform(dx2, dy2, sx2, sy2, self.flip,
-                              self.dst_w, self.dst_h, self.src_w, self.src_h)
 
 
 # Python's min(a, b) and max(a, b), elementwise: a unless b is below (above)

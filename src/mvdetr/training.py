@@ -24,7 +24,7 @@ from .model import Detr, TransformerConfig
 from .optim import AdamW, clip_global_norm
 from .rng import Rng, derive_seed
 from .tensor import Tensor
-from .views import Image, ViewPair, build_view_pair, resize_to_view
+from .views import ViewPair, build_view_pair, resize_to_view
 
 META_PREFIX = "__meta__."
 CSV_COLUMNS = ("step", "epoch", "lr", "loss_total", "loss_loc", "loss_g", "loss_r")
@@ -79,8 +79,7 @@ def pretrain_step(model: Detr, backbone: FrozenBackbone, optimizer: AdamW,
     b = len(pairs)
     n_q = model.config.n_queries
 
-    all_views = np.stack([p.view1.pixels for p in pairs]
-                         + [p.view2.pixels for p in pairs])
+    all_views = np.stack([p.view1 for p in pairs] + [p.view2 for p in pairs])
     h_all = backbone.extract_batch(all_views)  # (2B, H1, W1, Cb), frozen
     ctx_all, hw = model.encode(Tensor(h_all))  # (2B, L, C)
 
@@ -92,8 +91,8 @@ def pretrain_step(model: Detr, backbone: FrozenBackbone, optimizer: AdamW,
     if need_region:
         if cfg.loss_region_target == "crop":
             flat = backbone.crop_features_multi(
-                [(p.view1.pixels, p.proposals1) for p in pairs]
-                + [(p.view2.pixels, p.proposals2) for p in pairs])
+                [(p.view1, p.proposals1) for p in pairs]
+                + [(p.view2, p.proposals2) for p in pairs])
             r_src1 = flat[:b * n_q].reshape(b, n_q, -1)
             r_src2 = flat[b * n_q:].reshape(b, n_q, -1)
         else:  # object-level targets reuse z
@@ -319,8 +318,7 @@ def run_pretrain(cfg: RunConfig, images: list[np.ndarray], out_dir: str,
             order = list(range(len(images)))
             Rng(derive_seed(cfg.seed, 0xD5, epoch)).shuffle(order)
             for lo in range(0, len(order) - batch + 1, batch):
-                pairs = [build_view_pair(Image(images[i]), cfg,
-                                         derive_seed(cfg.seed, epoch, i))
+                pairs = [build_view_pair(images[i], cfg, derive_seed(cfg.seed, epoch, i))
                          for i in order[lo:lo + batch]]
                 try:
                     bd = pretrain_step(model, backbone, optimizer, pairs, cfg)

@@ -5,9 +5,10 @@ Single rectangles (base, view rects, overlap) are `BoxXYXY`; every proposal
 set, from `generate_proposals` to `ViewPair.proposals1`/`proposals2`, is an
 (n, 4) float64 array of xyxy rows. Settings come straight from `RunConfig`.
 
-Images arrive as the uint8 pixels `data.load_dataset` holds. `Image` and
-`resize_to_view`, the one way into finetuning and inference, make them
-float32 in [0, 1] (`data.as_float_pixels`) only while they are used.
+Images arrive as the (H, W, 3) uint8 pixels `data.load_dataset` holds.
+`build_view_pair` and `resize_to_view`, the one way into finetuning and
+inference, make them float32 in [0, 1] (`data.as_float_pixels`) only while
+they are used; from there on every image and view is a plain float32 array.
 
 Everything here is a pure function of (image bytes, seed, config); the full
 pipeline is deterministic across runs and platforms.
@@ -36,29 +37,6 @@ VIEW_RECT_TRIES = 100  # IoU-rejected draws before the full-base fallback
 
 
 @dataclass
-class Image:
-    """RGB float32 buffer in [0, 1], shape (height, width, 3); uint8 pixels
-    are converted on construction."""
-
-    pixels: np.ndarray
-
-    def __post_init__(self):
-        self.pixels = as_float_pixels(self.pixels)
-        if self.pixels.ndim != 3 or self.pixels.shape[2] != 3:
-            raise ValueError(f"expected (H, W, 3) pixels, got {self.pixels.shape}")
-        if self.pixels.dtype != np.float32:
-            self.pixels = self.pixels.astype(np.float32)
-
-    @property
-    def width(self) -> int:
-        return self.pixels.shape[1]
-
-    @property
-    def height(self) -> int:
-        return self.pixels.shape[0]
-
-
-@dataclass
 class AugmentRecord:
     flipped: bool = False
     brightness: float = 1.0
@@ -70,18 +48,15 @@ class AugmentRecord:
 
 @dataclass
 class ViewPair:
-    view1: Image
-    view2: Image
+    view1: np.ndarray  # (size, size, 3) float32
+    view2: np.ndarray
     t1: FrameTransform
     t2: FrameTransform
     proposals1: np.ndarray  # (n, 4) xyxy in view 1 pixels
     proposals2: np.ndarray  # (n, 4) xyxy in view 2 pixels
-    seed: int
     base_rect: BoxXYXY
     rect1: BoxXYXY
     rect2: BoxXYXY
-    record1: AugmentRecord
-    record2: AugmentRecord
     padded: bool = False  # proposals repeated cyclically to reach n
 
 
@@ -204,8 +179,9 @@ def apply_photometrics(pixels: np.ndarray, rec: AugmentRecord) -> np.ndarray:
     return out.astype(np.float32)
 
 
-def augment(view: Image, rng: Rng, cfg: RunConfig) -> tuple[Image, AugmentRecord, bool]:
-    """Photometric + flip augmentation by the `aug.*` keys: (image, record, flipped)."""
+def augment(pixels: np.ndarray, rng: Rng,
+            cfg: RunConfig) -> tuple[np.ndarray, AugmentRecord]:
+    """Photometric + flip augmentation by the `aug.*` keys: (pixels, record)."""
     rec = AugmentRecord()
     rec.flipped = rng.uniform() < cfg.aug_flip_p
     if rng.uniform() < cfg.aug_color_p:
@@ -216,14 +192,12 @@ def augment(view: Image, rng: Rng, cfg: RunConfig) -> tuple[Image, AugmentRecord
     rec.grayscale = rng.uniform() < cfg.aug_grayscale_p
     if rng.uniform() < cfg.aug_blur_p:
         rec.blur_sigma = rng.uniform(BLUR_SIGMA[0], BLUR_SIGMA[1])
-    pixels = view.pixels
     if rec.flipped:
         pixels = pixels[:, ::-1, :].copy()
-    pixels = apply_photometrics(pixels, rec)
-    return Image(pixels), rec, rec.flipped
+    return apply_photometrics(pixels, rec), rec
 
 
-def generate_proposals(image: Image, overlap: BoxXYXY, mode: str, count: int,
+def generate_proposals(pixels: np.ndarray, overlap: BoxXYXY, mode: str, count: int,
                        rng: Rng, min_side: float = MIN_PROPOSAL_SIDE) -> np.ndarray:
     """(count, 4) boxes inside `overlap` (image frame); objectness mode ranks
     random candidates by interior-vs-border Sobel gradient contrast."""
@@ -241,7 +215,7 @@ def generate_proposals(image: Image, overlap: BoxXYXY, mode: str, count: int,
     boxes = np.stack([x1, y1, x2, y2], axis=1)
     if mode == "objectness":
         # stable, so tied scores keep draw order
-        order = np.argsort(-_edge_contrast(image.pixels, boxes), kind="stable")
+        order = np.argsort(-_edge_contrast(pixels, boxes), kind="stable")
         boxes = boxes[order[:count]]
     return boxes
 
@@ -291,13 +265,17 @@ def _jitter_boxes(boxes: np.ndarray, amount: float, rng: Rng,
     return np.concatenate([x1y1, x2y2], axis=1)
 
 
-def build_view_pair(image: Image, cfg: RunConfig, seed: int) -> ViewPair:
-    """Full two-view construction for one image (the `view.*`, `proposals.*`
-    and `aug.*` keys), driven entirely by `seed`."""
+def build_view_pair(pixels: np.ndarray, cfg: RunConfig, seed: int) -> ViewPair:
+    """Full two-view construction for one (H, W, 3) uint8 or float image (the
+    `view.*`, `proposals.*` and `aug.*` keys), driven entirely by `seed`."""
+    if pixels.ndim != 3 or pixels.shape[2] != 3:
+        raise ValueError(f"expected (H, W, 3) pixels, got {pixels.shape}")
+    pixels = as_float_pixels(pixels).astype(np.float32, copy=False)
+    height, width = pixels.shape[:2]
     rng = Rng(seed)
     size = cfg.view_size
     for _ in range(20):
-        base = sample_base_rect(image.width, image.height, rng)
+        base = sample_base_rect(width, height, rng)
         rect1, rect2 = sample_view_rects(base, cfg.view_tau, rng)
         overlap = rect1.intersection(rect2)
         if overlap is not None and overlap.width >= MIN_PROPOSAL_SIDE \
@@ -306,18 +284,15 @@ def build_view_pair(image: Image, cfg: RunConfig, seed: int) -> ViewPair:
     else:
         raise ValueError("could not sample view rectangles with a usable overlap")
 
-    proposals_img = generate_proposals(image, overlap, cfg.proposals_mode, cfg.view_n, rng)
+    proposals_img = generate_proposals(pixels, overlap, cfg.proposals_mode, cfg.view_n, rng)
 
-    views, transforms, records = [], [], []
+    views, transforms = [], []
     for rect in (rect1, rect2):
-        view, rec, flipped = augment(Image(crop_resize(image.pixels, rect, size, size)),
-                                     rng, cfg)
+        view, rec = augment(crop_resize(pixels, rect, size, size), rng, cfg)
         views.append(view)
         transforms.append(FrameTransform(dx=rect.x1, dy=rect.y1,
                                          sx=size / rect.width, sy=size / rect.height,
-                                         flip=flipped, src_w=image.width,
-                                         src_h=image.height, dst_w=size, dst_h=size))
-        records.append(rec)
+                                         flip=rec.flipped, dst_w=size, dst_h=size))
 
     (p1, inside1), (p2, inside2) = (map_boxes(proposals_img, t) for t in transforms)
     kept = np.flatnonzero(inside1 & inside2)
@@ -331,6 +306,5 @@ def build_view_pair(image: Image, cfg: RunConfig, seed: int) -> ViewPair:
         p2 = _jitter_boxes(p2, cfg.view_jitter, rng, size, size)
 
     return ViewPair(view1=views[0], view2=views[1], t1=transforms[0], t2=transforms[1],
-                    proposals1=p1, proposals2=p2, seed=seed, base_rect=base,
-                    rect1=rect1, rect2=rect2, record1=records[0], record2=records[1],
-                    padded=padded)
+                    proposals1=p1, proposals2=p2, base_rect=base,
+                    rect1=rect1, rect2=rect2, padded=padded)

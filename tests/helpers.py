@@ -329,7 +329,7 @@ def scalar_normal(rng, mean=0.0, std=1.0):
     return mean + std * r * math.cos(2.0 * math.pi * u2)
 
 
-def scalar_proposals(image, overlap, mode, count, rng, min_side=8.0):
+def scalar_proposals(pixels, overlap, mode, count, rng, min_side=8.0):
     """`views.generate_proposals` one candidate at a time: four `uniform`
     calls per box, integral-image sums per box, then a sort on
     (-contrast, draw index)."""
@@ -346,7 +346,7 @@ def scalar_proposals(image, overlap, mode, count, rng, min_side=8.0):
     if mode == "random":
         return random_boxes(count)
     candidates = random_boxes(4 * count)
-    mag = sobel_magnitude(image.pixels).astype(np.float64)
+    mag = sobel_magnitude(pixels).astype(np.float64)
     ii = np.zeros((mag.shape[0] + 1, mag.shape[1] + 1))
     ii[1:, 1:] = mag.cumsum(0).cumsum(1)
 

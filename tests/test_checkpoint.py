@@ -4,6 +4,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from mvdetr import checkpoint as C
 
@@ -23,6 +25,32 @@ def test_round_trip_bitwise(tmp_path):
     for name in entries:
         assert back[name].shape == entries[name].shape
         assert back[name].tobytes() == entries[name].tobytes()
+
+
+# float32 bit patterns: any uint32, plus ±0, ±inf, quiet and signalling NaNs
+# with and without payload bits, and the smallest subnormal
+_BITS = st.one_of(st.integers(0, 2**32 - 1),
+                  st.sampled_from([0x00000000, 0x80000000, 0x7F800000, 0xFF800000,
+                                   0x7FC00000, 0xFFC00001, 0x7F800001, 0x7FBFFFFF,
+                                   0x00000001]))
+_ENTRY = hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4).flatmap(
+    lambda shape: hnp.arrays(np.uint32, shape, elements=_BITS))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(entries=st.lists(st.tuples(st.text(max_size=12), _ENTRY), max_size=5,
+                        unique_by=lambda e: e[0]))
+@example(entries=[("scalar", np.array(0x7FC00001, dtype=np.uint32)),
+                  ("empty", np.zeros((2, 0, 3), dtype=np.uint32))])
+def test_round_trip_keeps_bits_shape_and_order(tmp_path_factory, entries):
+    # ranks 0-3 with zero-size dimensions, UTF-8 names of any script
+    path = str(tmp_path_factory.getbasetemp() / "property.ckpt")
+    C.save_checkpoint(path, {name: bits.view(np.float32) for name, bits in entries})
+    back = C.load_checkpoint(path)
+    assert list(back) == [name for name, _ in entries]
+    for name, bits in entries:
+        assert back[name].dtype == np.float32 and back[name].shape == bits.shape
+        assert back[name].tobytes() == bits.tobytes()
 
 
 def test_header_layout(tmp_path):

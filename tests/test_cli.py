@@ -218,6 +218,17 @@ class TestExitCodes:
             "error: eval set has no ground-truth boxes (0 images)\n")
         assert finetunes == []
 
+    def test_zero_size_image_names_the_file_and_is_two(self, workspace, tmp_path, capsys):
+        root, cfg, _ = workspace
+        (tmp_path / "empty.ppm").write_bytes(b"P6 0 0 255\n")
+        manifest = tmp_path / "manifest.txt"
+        manifest.write_text("manifest v1 1\n\nempty.ppm 1 2 30 40 1\n")
+        ckpt = _untrained_checkpoint(cfg, tmp_path / "init.ckpt")
+        assert main(["eval", "--config", cfg, "--data", str(manifest),
+                     "--checkpoint", ckpt]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {tmp_path / 'empty.ppm'}: image size must be positive, got 0x0\n")
+
     @pytest.mark.parametrize("box,problem", [
         ("nan 2 30 40", "non-finite box (nan, 2.0, 30.0, 40.0)"),
         ("30 2 1 40", "box corners out of order (30.0, 2.0, 1.0, 40.0)"),

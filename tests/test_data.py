@@ -121,6 +121,16 @@ def test_truncated_ppm_errors(tmp_path):
     assert "truncated" in str(exc.value)
 
 
+@pytest.mark.parametrize("size", ["0 0", "0 4", "4 0", "-2 3"])
+def test_ppm_without_pixels_names_the_file(tmp_path, size):
+    path = tmp_path / "empty.ppm"
+    path.write_bytes(f"P6 {size} 255\n".encode() + bytes(12))
+    with pytest.raises(ValueError) as exc:
+        D.read_ppm(str(path))
+    w, h = size.split()
+    assert str(exc.value) == f"{path}: image size must be positive, got {w}x{h}"
+
+
 def test_malformed_manifest_line_reports_location(tmp_path):
     manifest = tmp_path / "manifest.txt"
     manifest.write_text("manifest v1 1\n\nimg.ppm 1 2 3\n")

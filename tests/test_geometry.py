@@ -123,42 +123,18 @@ class TestConvert:
 
 class TestFrameTransform:
     def test_identity(self):
-        t = G.FrameTransform(0.0, 0.0, 1.0, 1.0, False, 100, 80, 100, 80)
+        t = G.FrameTransform(0.0, 0.0, 1.0, 1.0, False, 100, 80)
         out, inside = G.map_boxes(np.array([[10.0, 20.0, 30.0, 40.0]]), t)
         assert inside.tolist() == [True]
         assert out.tolist() == [[10, 20, 30, 40]]
 
     def test_flip_reflection(self):
-        t = G.FrameTransform(0.0, 0.0, 1.0, 1.0, True, 100, 100, 100, 100)
+        t = G.FrameTransform(0.0, 0.0, 1.0, 1.0, True, 100, 100)
         out, _ = G.map_boxes(np.array([[10.0, 0.0, 20.0, 10.0]]), t)
         assert out.tolist() == [[80.0, 0.0, 90.0, 10.0]]
 
-    def test_map_then_inverse_is_identity(self):
-        rng = np.random.default_rng(5)
-        for _ in range(300):
-            sx = float(rng.uniform(0.3, 3.0))
-            sy = float(rng.uniform(0.3, 3.0))
-            dx = float(rng.uniform(0, 40))
-            dy = float(rng.uniform(0, 40))
-            flip = bool(rng.integers(0, 2))
-            t = G.FrameTransform(dx, dy, sx, sy, flip, 200, 200, 128, 128)
-            x1 = float(rng.uniform(dx + 1, dx + 30))
-            y1 = float(rng.uniform(dy + 1, dy + 30))
-            b = np.array([[x1, y1, x1 + float(rng.uniform(1, 20)),
-                           y1 + float(rng.uniform(1, 20))]])
-            xs = t.sx * (b[0, ::2] - t.dx)
-            if t.flip:
-                xs = t.dst_w - xs
-            ys = t.sy * (b[0, 1::2] - t.dy)
-            if not (0 <= xs.min() and xs.max() <= t.dst_w
-                    and 0 <= ys.min() and ys.max() <= t.dst_h):
-                continue  # clamping would lose information; not a round-trip case
-            mapped, _ = G.map_boxes(b, t)
-            back, _ = G.map_boxes(mapped, t.inverse())
-            np.testing.assert_allclose(back, b, rtol=0, atol=1e-5)
-
     def test_outside_frame_errors(self):
-        t = G.FrameTransform(100, 100, 1.0, 1.0, False, 200, 200, 50, 50)
+        t = G.FrameTransform(100, 100, 1.0, 1.0, False, 50, 50)
         _, inside = G.map_boxes(np.array([[0.0, 0.0, 10.0, 10.0]]), t)
         assert inside.tolist() == [False]
 
@@ -181,8 +157,7 @@ class TestFrameTransform:
         # boxes inside, across the border, wholly outside or empty, in
         # integer frames (view sizes, where the scalar clamp returns an int)
         # and float ones; a -0.0 corner at a zero shift clamps to +0.0
-        t = G.FrameTransform(shift[0], shift[1], scale[0], scale[1], flip,
-                             300.0, 300.0, dst[0], dst[1])
+        t = G.FrameTransform(shift[0], shift[1], scale[0], scale[1], flip, dst[0], dst[1])
         rows = [G.BoxXYXY(x, y, x + w, y + h) for x, y, w, h in boxes]
         mapped, inside = G.map_boxes(G.corners(rows), t)
         assert mapped.shape == (len(rows), 4) and inside.shape == (len(rows),)

@@ -19,7 +19,7 @@ from mvdetr.model import Detr
 from mvdetr.optim import AdamW
 from mvdetr.rng import derive_seed
 from mvdetr.tensor import Tensor
-from mvdetr.views import Image, build_view_pair, resize_to_view
+from mvdetr.views import build_view_pair, resize_to_view
 
 
 def small_cfg(**overrides):
@@ -58,7 +58,7 @@ def labeled(images):
 
 
 def _pairs(images, cfg, epoch=0):
-    return [build_view_pair(Image(img), cfg, derive_seed(cfg.seed, epoch, i))
+    return [build_view_pair(img, cfg, derive_seed(cfg.seed, epoch, i))
             for i, img in enumerate(images[:cfg.train_batch_size])]
 
 
@@ -133,8 +133,7 @@ class TestPretrainStep:
         pairs = _pairs(images, cfg)
         swapped = [type(p)(view1=p.view2, view2=p.view1, t1=p.t2, t2=p.t1,
                            proposals1=p.proposals2, proposals2=p.proposals1,
-                           seed=p.seed, base_rect=p.base_rect, rect1=p.rect2,
-                           rect2=p.rect1, record1=p.record2, record2=p.record1,
+                           base_rect=p.base_rect, rect1=p.rect2, rect2=p.rect1,
                            padded=p.padded)
                    for p in pairs]
         opt_a = AdamW(model.params, lr=0.0)  # lr 0: no parameter drift

@@ -16,7 +16,7 @@ NO_AUGMENT = dict(aug_flip_p=0.0, aug_color_p=0.0, aug_grayscale_p=0.0, aug_blur
 
 def _noise_image(seed=0, w=160, h=160):
     rng = np.random.default_rng(seed)
-    return V.Image(rng.uniform(0, 1, size=(h, w, 3)).astype(np.float32))
+    return rng.uniform(0, 1, size=(h, w, 3)).astype(np.float32)
 
 
 class TestCropResize:
@@ -30,7 +30,7 @@ class TestCropResize:
         ((5.0, 17.5, 150.0, 60.0), (24, 80)),       # non-square output
     ])
     def test_matches_dense_oracle_one_sample_per_bin(self, rect, out_hw):
-        pixels = _noise_image(41).pixels
+        pixels = _noise_image(41)
         out = V.crop_resize(pixels, BoxXYXY(*rect), *out_hw)
         assert out.dtype == np.float32 and out.shape == (*out_hw, 3)
         oracle = dense_bilinear_average(pixels.astype(np.float64), rect, out_hw,
@@ -90,29 +90,29 @@ class TestViewRects:
 class TestAugment:
     def test_all_probabilities_zero_is_identity(self):
         img = _noise_image(1)
-        out, rec, flipped = V.augment(img, Rng(5), RunConfig(**NO_AUGMENT))
-        assert not flipped and not rec.grayscale and rec.blur_sigma == 0.0
-        np.testing.assert_array_equal(out.pixels, img.pixels)
+        out, rec = V.augment(img, Rng(5), RunConfig(**NO_AUGMENT))
+        assert not rec.flipped and not rec.grayscale and rec.blur_sigma == 0.0
+        np.testing.assert_array_equal(out, img)
 
     def test_double_flip_restores(self):
         img = _noise_image(2)
         cfg = RunConfig(**{**NO_AUGMENT, "aug_flip_p": 1.0})
-        once, _, _ = V.augment(img, Rng(0), cfg)
-        twice, _, _ = V.augment(once, Rng(0), cfg)
-        np.testing.assert_array_equal(twice.pixels, img.pixels)
+        once, _ = V.augment(img, Rng(0), cfg)
+        twice, _ = V.augment(once, Rng(0), cfg)
+        np.testing.assert_array_equal(twice, img)
 
     def test_grayscale_channels_equal(self):
         cfg = RunConfig(**{**NO_AUGMENT, "aug_grayscale_p": 1.0})
-        out, rec, _ = V.augment(_noise_image(3), Rng(0), cfg)
+        out, rec = V.augment(_noise_image(3), Rng(0), cfg)
         assert rec.grayscale
-        np.testing.assert_allclose(out.pixels[:, :, 0], out.pixels[:, :, 1], atol=1e-7)
-        np.testing.assert_allclose(out.pixels[:, :, 1], out.pixels[:, :, 2], atol=1e-7)
+        np.testing.assert_allclose(out[:, :, 0], out[:, :, 1], atol=1e-7)
+        np.testing.assert_allclose(out[:, :, 1], out[:, :, 2], atol=1e-7)
 
     def test_range_preserved(self):
         cfg = RunConfig(aug_flip_p=1.0, aug_color_p=1.0, aug_grayscale_p=0.0,
                         aug_blur_p=1.0)
-        out, _, _ = V.augment(_noise_image(4), Rng(9), cfg)
-        assert out.pixels.min() >= 0.0 and out.pixels.max() <= 1.0
+        out, _ = V.augment(_noise_image(4), Rng(9), cfg)
+        assert out.min() >= 0.0 and out.max() <= 1.0
 
 
 class TestProposals:
@@ -134,7 +134,7 @@ class TestProposals:
         assert same_bits(a, b)
 
     def test_uniform_image_objectness_ties_by_index(self):
-        img = V.Image(np.full((128, 128, 3), 0.5, dtype=np.float32))
+        img = np.full((128, 128, 3), 0.5, dtype=np.float32)
         overlap = BoxXYXY(10, 10, 110, 110)
         # zero gradient everywhere: scores tie, candidates keep draw order
         ranked = V.generate_proposals(img, overlap, "objectness", 3, Rng(4))
@@ -142,9 +142,8 @@ class TestProposals:
         assert same_bits(ranked, candidates[:3])
 
     def test_objectness_finds_bright_square(self):
-        pixels = np.zeros((128, 128, 3), dtype=np.float32)
-        pixels[40:80, 50:90] = 1.0
-        img = V.Image(pixels)
+        img = np.zeros((128, 128, 3), dtype=np.float32)
+        img[40:80, 50:90] = 1.0
         overlap = BoxXYXY(30, 30, 100, 100)
         square = BoxXYXY(50, 40, 90, 80)
         (best,) = V.generate_proposals(img, overlap, "objectness", 1, Rng(44))
@@ -165,7 +164,8 @@ class TestProposals:
         # piecewise-constant images of few blocks give many tied scores and
         # empty interiors; overlaps reach the image border
         cells = np.random.default_rng(seed % 1000).uniform(0, 1, (blocks, blocks, 3))
-        img = V.Image(np.kron(cells, np.ones((64 // blocks + 1,) * 2 + (1,)))[:64, :64])
+        img = np.kron(cells, np.ones((64 // blocks + 1,) * 2 + (1,)))[:64, :64]
+        img = img.astype(np.float32)
         overlap = BoxXYXY(corner[0], corner[1], min(64.0, corner[0] + size[0]),
                           min(64.0, corner[1] + size[1]))
         got_rng, want_rng = Rng(seed), Rng(seed)
@@ -217,8 +217,8 @@ class TestBuildViewPair:
         img = _noise_image(9)
         a = V.build_view_pair(img, self._cfg(), seed=55)
         b = V.build_view_pair(img, self._cfg(), seed=55)
-        assert np.array_equal(a.view1.pixels, b.view1.pixels)
-        assert np.array_equal(a.view2.pixels, b.view2.pixels)
+        assert np.array_equal(a.view1, b.view1)
+        assert np.array_equal(a.view2, b.view2)
         assert same_bits(a.proposals1, b.proposals1)
         assert same_bits(a.proposals2, b.proposals2)
 
@@ -226,8 +226,10 @@ class TestBuildViewPair:
         img = _noise_image(10)
         cfg = self._cfg(view_jitter=0.0, **NO_AUGMENT)
         pair = V.build_view_pair(img, cfg, seed=77)
-        # map view1 proposals back to the image frame and onto view2
-        img_boxes, _ = map_boxes(pair.proposals1, pair.t1.inverse())
+        # map view1 proposals back to the image frame (no flip without
+        # augmentation, so only t1's scale and shift) and onto view2
+        t1 = pair.t1
+        img_boxes = pair.proposals1 / [t1.sx, t1.sy, t1.sx, t1.sy] + [t1.dx, t1.dy] * 2
         expect, _ = map_boxes(img_boxes, pair.t2)
         np.testing.assert_allclose(pair.proposals2, expect, rtol=0, atol=1e-4)
 
@@ -263,11 +265,11 @@ class TestBuildViewPair:
         flipped = V.build_view_pair(img, self._cfg(proposals_mode=mode, view_jitter=0.0,
                                                    **{**NO_AUGMENT, "aug_flip_p": 1.0}),
                                     seed=seed)
-        size = plain.view1.width
+        size = plain.view1.shape[1]
         for a, b, pa, pb in ((plain.view1, flipped.view1, plain.proposals1,
                               flipped.proposals1),
                              (plain.view2, flipped.view2, plain.proposals2,
                               flipped.proposals2)):
-            np.testing.assert_array_equal(b.pixels, a.pixels[:, ::-1])
+            np.testing.assert_array_equal(b, a[:, ::-1])
             np.testing.assert_array_equal(pb[:, [1, 3]], pa[:, [1, 3]])
             np.testing.assert_array_equal(pb[:, [0, 2]], size - pa[:, [2, 0]])
