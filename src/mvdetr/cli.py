@@ -133,9 +133,6 @@ def _cmd_pretrain(args, argv) -> int:
     from .training import run_pretrain
     cfg = _load_config(args)
     images = [pixels for pixels, _, _ in load_dataset(args.data)]
-    if not images:
-        print("error: dataset is empty", file=sys.stderr)
-        return 2
     notes = [f"data: {args.data}", f"resume: {args.resume or 'none'}"]
     ckpt, csv_path = run_pretrain(
         cfg, images, args.out, resume_from=args.resume,
@@ -193,10 +190,14 @@ def _load_model_from_checkpoint(path, cfg):
 
 def _cmd_eval(args, argv) -> int:
     from .data import load_dataset
-    from .metrics import evaluate_model
+    from .metrics import check_eval_set, evaluate_model
     cfg = _load_config(args)
     model, backbone = _load_model_from_checkpoint(args.checkpoint, cfg)
     dataset = load_dataset(args.data, cfg.data_classes)
+    check_eval_set(dataset)  # reported ahead of a missing class head
+    if args.score == "class" and "class_head.weight" not in model.params:
+        raise ValueError(f"checkpoint {args.checkpoint} has no class head; "
+                         "score it with --score match")
     report = evaluate_model(model, backbone, dataset, cfg.data_classes,
                             score_source=args.score, view_size=cfg.view_size)
     print(report.as_csv(), end="")

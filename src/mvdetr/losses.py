@@ -43,7 +43,6 @@ class LossBreakdown:
     global_disc: float
     region_disc: float
     total: float
-    lambdas: tuple[float, float, float]  # (region, global, loc)
 
 
 # -- Hungarian matching ------------------------------------------------------------
@@ -183,6 +182,19 @@ def hungarian(cost_matrix) -> MatchAssignment:
     return MatchAssignment(tuple(col_of[:m]))
 
 
+def matched_rows(costs, n_pred: int) -> np.ndarray:
+    """Hungarian-match each item's (m_i, n_pred) cost matrix; return the flat
+    prediction row (item * n_pred + column) of every target as a (k,) int64
+    array, item after item and target after target within an item.
+
+    Every target is matched, so row k pairs with the k-th row of the items'
+    targets concatenated in order.
+    """
+    rows = [i * n_pred + np.asarray(hungarian(cost).target_to_pred, dtype=np.int64)
+            for i, cost in enumerate(costs)]
+    return np.concatenate(rows) if rows else np.zeros(0, dtype=np.int64)
+
+
 # -- box math on arrays (matching costs; gradient-free) -------------------------------
 
 
@@ -257,12 +269,12 @@ def giou_pairs(pred_boxes: Tensor, target_boxes: np.ndarray) -> Tensor:
     return T.reshape(giou, (-1,))
 
 
-def box_regression(pred_flat: Tensor, rows: list[int], targets: np.ndarray) -> Tensor:
+def box_regression(pred_flat: Tensor, rows: np.ndarray, targets: np.ndarray) -> Tensor:
     """Mean over matched rows of 2 (1 - GIoU) + 5 |pred - tgt|_1.
 
     pred_flat is (R, 4) cxcywh; rows[t] is the row matched to targets[t].
     """
-    if not rows:
+    if not len(rows):
         raise ValueError("box regression needs at least one matched pair")
     dt = pred_flat.data.dtype
     matched = T.gather_rows(pred_flat, rows)
@@ -301,14 +313,14 @@ def global_disc_loss(project_fn, pooled1: Tensor, pooled2: Tensor) -> Tensor:
     return T.sub(Tensor(np.zeros((), dtype=pooled1.data.dtype)), T.add(a, b))
 
 
-def region_disc(sem_flat: Tensor, rows: list[int], target_features: np.ndarray) -> Tensor:
+def region_disc(sem_flat: Tensor, rows: np.ndarray, target_features: np.ndarray) -> Tensor:
     """Normalized-L2 reconstruction of region features over matched rows.
 
     D(a, b) = |a/|a| - b/|b||^2 = 2 - 2 cos(a, b), averaged over pairs;
     rows[t] is the row of sem_flat matched to target_features[t]. Targets
     come from the frozen backbone and carry no gradient.
     """
-    if not rows:
+    if not len(rows):
         raise ValueError("region discrimination needs at least one matched pair")
     dt = sem_flat.data.dtype
     matched = T.gather_rows(sem_flat, rows)
@@ -337,8 +349,7 @@ def total_loss(loc: Tensor, glob: Tensor | None, region: Tensor | None,
             total = T.add(total, T.mul(term, Tensor(np.asarray(lam, dtype=dt))))
         values.append(0.0 if term is None else float(term.data))
     breakdown = LossBreakdown(loc=float(loc.data), global_disc=values[0],
-                              region_disc=values[1], total=float(total.data),
-                              lambdas=lambdas)
+                              region_disc=values[1], total=float(total.data))
     return total, breakdown
 
 
@@ -373,28 +384,21 @@ def set_loss(logits: Tensor, boxes: Tensor,
     logits_flat = T.reshape(logits, (b * n_q, n_classes + 1))
     probs = T.softmax(logits_flat, axis=-1)
     probs_np = probs.data.reshape(b, n_q, n_classes + 1)
-    classes = np.full((b, n_q), n_classes, dtype=np.int64)
+    tgt_boxes, tgt_labels = zip(*targets)
+    rows = matched_rows([finetune_matching_cost(boxes.data[i], probs_np[i], tb, tl)
+                         for i, (tb, tl) in enumerate(targets)], n_q)
+    classes = np.full(b * n_q, n_classes, dtype=np.int64)
+    classes[rows] = np.concatenate(tgt_labels)
     weights = np.full((b * n_q, 1), NO_OBJECT_WEIGHT, dtype=dt)
-    rows: list[int] = []
-    tgt_boxes: list[np.ndarray] = []
-    for i, (t_boxes, t_labels) in enumerate(targets):
-        if not len(t_labels):
-            continue
-        assignment = hungarian(finetune_matching_cost(boxes.data[i], probs_np[i],
-                                                      t_boxes, t_labels))
-        for t, j in enumerate(assignment.target_to_pred):
-            classes[i, j] = t_labels[t]
-            weights[i * n_q + j, 0] = 1.0
-            rows.append(i * n_q + j)
-            tgt_boxes.append(t_boxes[t])
+    weights[rows] = 1.0
 
     onehot = np.zeros((b * n_q, n_classes + 1), dtype=dt)
-    onehot[np.arange(b * n_q), classes.reshape(-1)] = 1.0
+    onehot[np.arange(b * n_q), classes] = 1.0
     logp = T.log(T.clamp(probs, 1e-9, 1.0))
     per_query = T.sub(Tensor(np.zeros((b * n_q, 1), dtype=dt)),
                       T.tsum(T.mul(logp, Tensor(onehot)), axis=-1, keepdims=True))
     total = T.tmean(T.mul(per_query, Tensor(weights)))
-    if rows:
+    if len(rows):
         total = T.add(total, box_regression(T.reshape(boxes, (b * n_q, 4)), rows,
-                                            np.stack(tgt_boxes)))
+                                            np.concatenate(tgt_boxes)))
     return total

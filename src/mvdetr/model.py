@@ -272,9 +272,6 @@ class Detr:
         for p in self.params.values():
             p.grad = None
 
-    def state_arrays(self) -> dict[str, np.ndarray]:
-        return {name: p.data for name, p in self.params.items()}
-
     def load_state(self, arrays: dict[str, np.ndarray]) -> None:
         missing = [n for n in self.params if n not in arrays]
         extra = [n for n in arrays if n not in self.params and not n.startswith("class_head")]

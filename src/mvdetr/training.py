@@ -78,28 +78,24 @@ def pretrain_step(model: Detr, backbone: FrozenBackbone, optimizer: AdamW,
     size = float(cfg.view_size)
     b = len(pairs)
     n_q = model.config.n_queries
+    n_rows = 2 * b * n_q
 
     all_views = np.stack([p.view1 for p in pairs] + [p.view2 for p in pairs])
     h_all = backbone.extract_batch(all_views)  # (2B, H1, W1, Cb), frozen
     ctx_all, hw = model.encode(Tensor(h_all))  # (2B, L, C)
 
-    # pooled region features z of [view1 x B, view2 x B] (no tape: h is frozen)
-    z_all = backbone.object_level_features(
-        h_all, np.stack([p.proposals1 for p in pairs] + [p.proposals2 for p in pairs]))
-    z1s, z2s = z_all[:b], z_all[b:]
+    # proposals and their pooled region features z, both [view1 x B, view2 x B]
+    # (no tape: h is frozen)
+    proposals = np.stack([p.proposals1 for p in pairs] + [p.proposals2 for p in pairs])
+    z_all = backbone.object_level_features(h_all, proposals)
 
+    # direction d reconstructs the region features of the view it is
+    # conditioned on, in the same [view1 x B, view2 x B] order
     if need_region:
         if cfg.loss_region_target == "crop":
-            flat = backbone.crop_features_multi(
-                [(p.view1, p.proposals1) for p in pairs]
-                + [(p.view2, p.proposals2) for p in pairs])
-            r_src1 = flat[:b * n_q].reshape(b, n_q, -1)
-            r_src2 = flat[b * n_q:].reshape(b, n_q, -1)
+            region_targets = backbone.crop_features_multi(list(zip(all_views, proposals)))
         else:  # object-level targets reuse z
-            r_src1, r_src2 = z1s, z2s
-
-    targets1 = [boxes_to_targets(p.proposals1, size, size) for p in pairs]
-    targets2 = [boxes_to_targets(p.proposals2, size, size) for p in pairs]
+            region_targets = z_all.reshape(n_rows, -1)
 
     # decode: directions 1->2 use (c2, z1), then 2->1 use (c1, z2)
     ctx_dec = T.concatenate([T.narrow(ctx_all, 0, b, b),
@@ -107,36 +103,25 @@ def pretrain_step(model: Detr, backbone: FrozenBackbone, optimizer: AdamW,
     q_hat, _ = model.decode(ctx_dec, hw, z=Tensor(z_all))
     boxes, sem, match = model.predict(q_hat)
 
-    dir_targets = targets2 + targets1
-    dir_region = ([r_src1[i] for i in range(b)] + [r_src2[i] for i in range(b)]
-                  if need_region else None)
-    flat_rows: list[int] = []
-    tgt_boxes: list[np.ndarray] = []
-    tgt_feats: list[np.ndarray] = []
-    n_rows = 2 * b * n_q
+    # direction d < B predicts view 2's proposals, d >= B view 1's
+    box_targets = boxes_to_targets(np.roll(proposals, b, axis=0).reshape(-1, 4),
+                                   size, size)
+    dir_targets = box_targets.reshape(2 * b, n_q, 4)
+    rows = L.matched_rows([L.matching_cost(boxes.data[d], match.data[d], dir_targets[d])
+                           for d in range(2 * b)], n_q)
     match_targets = np.zeros((n_rows, 1), dtype=np.float32)
-    for d in range(2 * b):
-        targets = dir_targets[d]
-        cost = L.matching_cost(boxes.data[d], match.data[d], targets)
-        assignment = L.hungarian(cost)
-        for t, j in enumerate(assignment.target_to_pred):
-            flat_rows.append(d * n_q + j)
-            match_targets[d * n_q + j, 0] = 1.0
-            tgt_boxes.append(targets[t])
-            if need_region:
-                tgt_feats.append(dir_region[d][t])
+    match_targets[rows] = 1.0
 
     # x2: each direction contributes its own mean in the symmetric sum
     two = Tensor(np.float32(2.0))
     loc_total = T.mul(T.add(L.box_regression(T.reshape(boxes, (n_rows, 4)),
-                                             flat_rows, np.stack(tgt_boxes)),
+                                             rows, box_targets),
                             L.match_bce(match, match_targets)), two)
 
     region_total = None
     if need_region:
         sem_flat = T.reshape(sem, (n_rows, sem.data.shape[-1]))
-        region_total = T.mul(L.region_disc(sem_flat, flat_rows, np.stack(tgt_feats)),
-                             two)
+        region_total = T.mul(L.region_disc(sem_flat, rows, region_targets), two)
 
     global_total = None
     if need_global:

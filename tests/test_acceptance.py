@@ -322,9 +322,9 @@ def test_criterion_5_loss_identities():
     bd_b = pretrain_step(model, backbone, frozen_opt, swapped, cfg)
     swap_ok = abs(bd_a.total - bd_b.total) < 1e-5
 
-    identity_ok = abs(bd_a.total - (bd_a.lambdas[0] * bd_a.region_disc
-                                    + bd_a.lambdas[1] * bd_a.global_disc
-                                    + bd_a.lambdas[2] * bd_a.loc)) < 1e-6
+    identity_ok = abs(bd_a.total - (cfg.loss_lambda_r * bd_a.region_disc
+                                    + cfg.loss_lambda_g * bd_a.global_disc
+                                    + cfg.loss_lambda_loc * bd_a.loc)) < 1e-6
 
     # stop-gradient: detached context branch receives exactly zero gradient
     rng = np.random.default_rng(0)

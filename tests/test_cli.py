@@ -218,6 +218,14 @@ class TestExitCodes:
             "error: eval set has no ground-truth boxes (0 images)\n")
         assert finetunes == []
 
+    def test_class_score_without_class_head_is_two(self, workspace, tmp_path, capsys):
+        root, cfg, manifest = workspace
+        ckpt = _untrained_checkpoint(cfg, tmp_path / "pre.ckpt")  # no class head
+        assert main(["eval", "--config", cfg, "--data", manifest,
+                     "--checkpoint", ckpt]) == 2
+        assert capsys.readouterr().err == (
+            f"error: checkpoint {ckpt} has no class head; score it with --score match\n")
+
     def test_zero_size_image_names_the_file_and_is_two(self, workspace, tmp_path, capsys):
         root, cfg, _ = workspace
         (tmp_path / "empty.ppm").write_bytes(b"P6 0 0 255\n")
@@ -309,6 +317,20 @@ class TestTooFewImages:
         out = root / f"{command}_unwritten"
         assert main([command, "--config", cfg, "--data", manifest,
                      "--out", str(out), "--set", f"{key}=4"]) == 2
+        assert not (out / "run.txt").exists()
+
+    @pytest.mark.parametrize("command,key", [("pretrain", "train.batch_size"),
+                                             ("finetune", "finetune.batch_size")])
+    def test_empty_manifest_is_two_and_names_batch_key(self, three_images, capsys,
+                                                        command, key):
+        root, cfg, _ = three_images
+        empty = root / "empty.txt"
+        empty.write_text("manifest v1 0\n")
+        out = root / f"{command}_empty"
+        assert main([command, "--config", cfg, "--data", str(empty),
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: 0 images cannot fill one batch of {key}=2\n")
         assert not (out / "run.txt").exists()
 
 

@@ -123,6 +123,27 @@ class TestHungarianProperties:
         assert solve.call_count == 1
 
 
+class TestMatchedRows:
+    def test_rows_are_per_item_assignments_item_then_target(self):
+        rng = np.random.default_rng(17)
+        n_pred = 5
+        costs = [rng.random((3, n_pred)), np.zeros((0, n_pred)), rng.random((5, n_pred)),
+                 rng.random((1, n_pred))]
+        rows = L.matched_rows(costs, n_pred)
+        assert rows.dtype == np.int64
+        # the empty item 1 adds no row, so item 2's rows follow item 0's
+        assert len(rows) == 3 + 0 + 5 + 1
+        assert rows[:3].tolist() == list(L.hungarian(costs[0]).target_to_pred)
+        assert rows[3:8].tolist() == [2 * n_pred + j
+                                      for j in L.hungarian(costs[2]).target_to_pred]
+        assert rows[8:].tolist() == [3 * n_pred + j
+                                     for j in L.hungarian(costs[3]).target_to_pred]
+
+    def test_only_empty_items_give_no_rows(self):
+        rows = L.matched_rows([np.zeros((0, 4)), np.zeros((0, 4))], 4)
+        assert rows.dtype == np.int64 and rows.shape == (0,)
+
+
 class TestMatchingCost:
     def test_perfect_box_half_score(self):
         b = np.array([[0.5, 0.5, 0.2, 0.3]])
@@ -245,11 +266,11 @@ class TestTotalLoss:
 
     def test_weighted_sum(self):
         loc, g, r = self._scalars(1.0, 1.0, 1.0)
-        total, bd = L.total_loss(loc, g, r, lambdas=(0.3, 3.0, 1.0))
+        lam_r, lam_g, lam_loc = 0.3, 3.0, 1.0
+        total, bd = L.total_loss(loc, g, r, lambdas=(lam_r, lam_g, lam_loc))
         assert float(total.data) == pytest.approx(4.3, abs=1e-6)
         assert bd.total == pytest.approx(
-            bd.lambdas[0] * bd.region_disc + bd.lambdas[1] * bd.global_disc
-            + bd.lambdas[2] * bd.loc, abs=1e-6)
+            lam_r * bd.region_disc + lam_g * bd.global_disc + lam_loc * bd.loc, abs=1e-6)
 
     def test_loc_only_configuration(self):
         loc, g, r = self._scalars(2.5, 7.0, 9.0)

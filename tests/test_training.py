@@ -85,7 +85,66 @@ def _tape_left_by(step, monkeypatch) -> tuple[int, int]:
     return len(refs), alive
 
 
+def _direction_oracle(model, backbone, pairs, cfg) -> tuple[float, float]:
+    """(loc, region_disc) of one pretraining step, rebuilt one direction at a
+    time: direction d < B is conditioned on view 1 of pair d, matches view 2's
+    proposals and reconstructs view 1's region features; d >= B is the
+    reverse for pair d - B. The forward runs in the step's own batch layout
+    so the float32 values compare exactly."""
+    b, n_q, size = len(pairs), cfg.view_n, cfg.view_size
+    views = np.stack([p.view1 for p in pairs] + [p.view2 for p in pairs])
+    proposals = np.stack([p.proposals1 for p in pairs] + [p.proposals2 for p in pairs])
+    h = backbone.extract_batch(views)
+    ctx, hw = model.encode(Tensor(h))
+    ctx_dec = T.concatenate([T.narrow(ctx, 0, b, b), T.narrow(ctx, 0, 0, b)], axis=0)
+    q_hat, _ = model.decode(ctx_dec, hw,
+                            z=Tensor(backbone.object_level_features(h, proposals)))
+    boxes, sem, match = model.predict(q_hat)
+
+    def region_features(view, boxes_xyxy):
+        if cfg.loss_region_target == "crop":
+            return backbone.crop_features_multi([(view, boxes_xyxy)])
+        maps = backbone.extract_batch(view[None])
+        return backbone.object_level_features(maps, boxes_xyxy[None])[0]
+
+    rows, tgt_boxes, tgt_feats = [], [], []
+    match_targets = np.zeros((2 * b * n_q, 1), np.float32)
+    for d in range(2 * b):
+        p = pairs[d % b]
+        if d < b:
+            predicted, source, source_boxes = p.proposals2, p.view1, p.proposals1
+        else:
+            predicted, source, source_boxes = p.proposals1, p.view2, p.proposals2
+        targets = TR.boxes_to_targets(predicted, size, size)
+        feats = region_features(source, source_boxes)
+        cost = L.matching_cost(boxes.data[d], match.data[d], targets)
+        for t, j in enumerate(L.hungarian(cost).target_to_pred):
+            rows.append(d * n_q + j)
+            match_targets[d * n_q + j, 0] = 1.0
+            tgt_boxes.append(targets[t])
+            tgt_feats.append(feats[t])
+    two = Tensor(np.float32(2.0))
+    loc = T.mul(T.add(L.box_regression(T.reshape(boxes, (2 * b * n_q, 4)), rows,
+                                       np.stack(tgt_boxes)),
+                      L.match_bce(match, match_targets)), two)
+    sem_flat = T.reshape(sem, (2 * b * n_q, sem.data.shape[-1]))
+    region = T.mul(L.region_disc(sem_flat, rows, np.stack(tgt_feats)), two)
+    return float(loc.data), float(region.data)
+
+
 class TestPretrainStep:
+    @pytest.mark.parametrize("region_target", ["crop", "object"])
+    def test_directions_match_other_view_and_reconstruct_own(self, images,
+                                                              region_target):
+        cfg = small_cfg(**{"loss.region_target": region_target})
+        backbone = FrozenBackbone(cfg.backbone_seed)
+        model = TR.make_model(cfg, backbone)
+        pairs = _pairs(images, cfg)
+        expected = _direction_oracle(model, backbone, pairs, cfg)
+        opt = AdamW(model.params, lr=0.0)
+        bd = TR.pretrain_step(model, backbone, opt, pairs, cfg)
+        assert (bd.loc, bd.region_disc) == expected
+
     def test_breakdown_identity(self, images):
         cfg = small_cfg(**{"loss.lambda_r": 0.7, "loss.lambda_g": 1.3})
         backbone = FrozenBackbone(cfg.backbone_seed)
@@ -94,7 +153,8 @@ class TestPretrainStep:
         bd = TR.pretrain_step(model, backbone, opt, _pairs(images, cfg), cfg)
         # recomputed in total_loss's own float32 order, so the check is exact
         f32 = np.float32
-        lam_r, lam_g, lam_loc = (f32(lam) for lam in bd.lambdas)
+        lam_r, lam_g, lam_loc = (f32(cfg.loss_lambda_r), f32(cfg.loss_lambda_g),
+                                 f32(cfg.loss_lambda_loc))
         expected = (f32(f32(f32(bd.loc) * lam_loc) + f32(f32(bd.global_disc) * lam_g))
                     + f32(f32(bd.region_disc) * lam_r))
         assert bd.total == float(expected)
