@@ -147,10 +147,14 @@ def _validate(cfg: RunConfig, problems: list[str]) -> None:
                        ("train.batch_size", cfg.train_batch_size),
                        ("finetune.batch_size", cfg.finetune_batch_size),
                        ("model.d_model", cfg.model_d_model),
-                       ("model.heads", cfg.model_heads), ("view.n", cfg.view_n),
+                       ("model.heads", cfg.model_heads),
+                       ("model.dec_layers", cfg.model_dec_layers),
+                       ("model.ffn_dim", cfg.model_ffn_dim), ("view.n", cfg.view_n),
                        ("view.size", cfg.view_size), ("data.classes", cfg.data_classes)):
         if count < 1:
             problems.append(f"{key} must be at least 1, got {count}")
+    if cfg.model_enc_layers < 0:
+        problems.append(f"model.enc_layers must be at least 0, got {cfg.model_enc_layers}")
     if cfg.model_heads >= 1 and cfg.model_d_model % cfg.model_heads:
         problems.append(f"model.d_model ({cfg.model_d_model}) must be divisible by "
                         f"model.heads ({cfg.model_heads})")

@@ -1,4 +1,4 @@
-"""COCO-style AP/AR, detection running, attention export, frozen-head probe.
+"""COCO-style AP/AR, detection running and attention export.
 
 AP uses 101-point interpolation over the recall grid {0, 0.01, ..., 1} and
 greedy confidence-ordered matching (ties by detection index) with each

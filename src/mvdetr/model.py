@@ -21,35 +21,15 @@ weights a layer does not return are dropped as soon as `mha` returns.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import tensor as T
+from .config import RunConfig
 from .rng import Rng
 from .tensor import Tensor
 
 SINE_TEMPERATURE = 10000.0  # wavelength base of the positional embedding
-
-
-@dataclass
-class TransformerConfig:
-    d_model: int = 64
-    heads: int = 4
-    enc_layers: int = 2
-    dec_layers: int = 2
-    ffn_dim: int = 128
-    n_queries: int = 10
-    in_channels: int = 64   # backbone feature channels
-    sem_dim: int = 64       # semantic head output width (matches in_channels)
-
-    def __post_init__(self):
-        if self.d_model % self.heads:
-            raise ValueError(f"d_model {self.d_model} not divisible by heads {self.heads}")
-        if self.d_model % 4:
-            raise ValueError("d_model must be divisible by 4 for 2d sine embeddings")
-        if self.n_queries < 1:
-            raise ValueError("need at least one object query")
 
 
 def sine_positional_embedding(h: int, w: int, dim: int,
@@ -79,23 +59,26 @@ def sine_positional_embedding(h: int, w: int, dim: int,
 class Detr:
     """Encoder/decoder transformer plus prediction heads and projector."""
 
-    def __init__(self, config: TransformerConfig, seed: int, dtype=np.float32):
-        self.config = config
+    def __init__(self, cfg: RunConfig, in_channels: int, seed: int, dtype=np.float32):
+        """Reads the `model.*` sizes and `view.n` (one object query per
+        region) from cfg; in_channels is the backbone's feature width, which
+        the semantic head also predicts."""
+        self.cfg = cfg
         self.dtype = dtype
         self.params: dict[str, Tensor] = {}
         self._rng = Rng(seed)
         self._pos_cache: dict[tuple[int, int], np.ndarray] = {}
-        c, ffn = config.d_model, config.ffn_dim
+        c, ffn = cfg.model_d_model, cfg.model_ffn_dim
 
-        self._linear("input_proj", config.in_channels, c)
-        for i in range(config.enc_layers):
+        self._linear("input_proj", in_channels, c)
+        for i in range(cfg.model_enc_layers):
             p = f"encoder.layer{i}"
             self._attention(f"{p}.self", c)
             self._norm(f"{p}.norm1", c)
             self._linear(f"{p}.ffn.fc1", c, ffn)
             self._linear(f"{p}.ffn.fc2", ffn, c)
             self._norm(f"{p}.norm2", c)
-        for i in range(config.dec_layers):
+        for i in range(cfg.model_dec_layers):
             p = f"decoder.layer{i}"
             self._attention(f"{p}.self", c)
             self._norm(f"{p}.norm1", c)
@@ -104,14 +87,13 @@ class Detr:
             self._linear(f"{p}.ffn.fc1", c, ffn)
             self._linear(f"{p}.ffn.fc2", ffn, c)
             self._norm(f"{p}.norm3", c)
-        self._param("query_embed.weight", (config.n_queries, c), scale=1.0)
+        self._param("query_embed.weight", (cfg.view_n, c), scale=1.0)
         # bias-free so zero region features reduce exactly to the plain path
-        self._param("z_proj.weight", (config.in_channels, c),
-                    scale=1.0 / math.sqrt(config.in_channels))
+        self._param("z_proj.weight", (in_channels, c), scale=1.0 / math.sqrt(in_channels))
         self._linear("head.box.fc0", c, c)
         self._linear("head.box.fc1", c, c)
         self._linear("head.box.fc2", c, 4)
-        self._linear("head.sem", c, config.sem_dim)
+        self._linear("head.sem", c, in_channels)
         self._linear("head.match", c, 1)
         self._linear("projector.fc0", c, c)
         self._norm("projector.bn0", c)
@@ -139,12 +121,8 @@ class Detr:
 
     def add_class_head(self, n_classes: int, seed: int) -> None:
         """Fresh (K+1)-way classification head for finetuning."""
-        rng, keep = Rng(seed), self._rng
-        self._rng = rng
-        try:
-            self._linear("class_head", self.config.d_model, n_classes + 1)
-        finally:
-            self._rng = keep
+        self._rng = Rng(seed)  # nothing draws from the init stream after __init__
+        self._linear("class_head", self.cfg.model_d_model, n_classes + 1)
 
     def _lin(self, name: str, x: Tensor) -> Tensor:
         return T.affine(x, self.params[f"{name}.weight"], self.params[f"{name}.bias"])
@@ -166,13 +144,9 @@ class Detr:
         weights are the buffer the attention backward reads: they are
         read-only and carry no gradient.
         """
-        c = self.config.d_model
-        if q_in.data.shape[-1] != c or k_in.data.shape[-1] != c:
-            raise T.ShapeError(f"mha: inputs must have width {c}, got "
-                               f"{q_in.data.shape} / {k_in.data.shape}")
         mixed, attn = T.attention(self._lin(f"{prefix}.f_q", q_in),
                                   self._lin(f"{prefix}.f_k", k_in),
-                                  self._lin(f"{prefix}.f_v", v_in), self.config.heads)
+                                  self._lin(f"{prefix}.f_v", v_in), self.cfg.model_heads)
         return self._lin(f"{prefix}.out", mixed), Tensor(attn)
 
     # -- positional embedding --------------------------------------------------------
@@ -181,7 +155,7 @@ class Detr:
         key = (h, w)
         if key not in self._pos_cache:
             self._pos_cache[key] = sine_positional_embedding(
-                h, w, self.config.d_model, dtype=self.dtype)
+                h, w, self.cfg.model_d_model, dtype=self.dtype)
         return self._pos_cache[key]
 
     # -- forward paths -----------------------------------------------------------------
@@ -193,7 +167,7 @@ class Detr:
         b, hh, ww, cb = h.data.shape
         pos = Tensor(self.positional(hh, ww))  # (L, C): broadcasts over the batch dim
         x = self._lin("input_proj", T.reshape(h, (b, hh * ww, cb)))
-        for i in range(self.config.enc_layers):
+        for i in range(self.cfg.model_enc_layers):
             p = f"encoder.layer{i}"
             xq = T.add(x, pos)
             a = self.mha(f"{p}.self", xq, xq, x)[0]
@@ -213,7 +187,7 @@ class Detr:
         every decoder layer's (B, N, C) output appended, the last one being
         the decoded queries.
         """
-        n_q = self.config.n_queries
+        n_q = self.cfg.view_n
         phi_q = self.params["query_embed.weight"]
         if z is not None:
             if z.data.ndim != 3 or z.data.shape[1] != n_q:
@@ -223,10 +197,10 @@ class Detr:
         else:
             qpos = phi_q
         kv = T.add(context, Tensor(self.positional(*hw)))
-        y = Tensor(np.zeros((context.data.shape[0], n_q, self.config.d_model),
+        y = Tensor(np.zeros((context.data.shape[0], n_q, self.cfg.model_d_model),
                             dtype=context.data.dtype))
         attn = None
-        for i in range(self.config.dec_layers):
+        for i in range(self.cfg.model_dec_layers):
             p = f"decoder.layer{i}"
             yq = T.add(y, qpos)
             a = self.mha(f"{p}.self", yq, yq, y)[0]
@@ -256,8 +230,6 @@ class Detr:
 
     def project_context(self, pooled: Tensor) -> Tensor:
         """Projector MLP on pooled (B, C) contexts: FC-BN-ReLU x2 then FC."""
-        if pooled.data.ndim != 2:
-            raise T.ShapeError(f"projector expects (B, C), got {pooled.data.shape}")
         x = self._lin("projector.fc0", pooled)
         x = T.relu(T.batch_norm_1d(x, self.params["projector.bn0.scale"],
                                    self.params["projector.bn0.shift"]))

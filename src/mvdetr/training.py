@@ -20,7 +20,7 @@ from .backbone import FrozenBackbone
 from .checkpoint import array_to_text, load_checkpoint, save_checkpoint, text_to_array
 from .config import RunConfig
 from .losses import LossBreakdown
-from .model import Detr, TransformerConfig
+from .model import Detr
 from .optim import AdamW, clip_global_norm
 from .rng import Rng, derive_seed
 from .tensor import Tensor
@@ -30,17 +30,8 @@ META_PREFIX = "__meta__."
 CSV_COLUMNS = ("step", "epoch", "lr", "loss_total", "loss_loc", "loss_g", "loss_r")
 
 
-def model_config_from(cfg: RunConfig, backbone: FrozenBackbone) -> TransformerConfig:
-    return TransformerConfig(
-        d_model=cfg.model_d_model, heads=cfg.model_heads,
-        enc_layers=cfg.model_enc_layers, dec_layers=cfg.model_dec_layers,
-        ffn_dim=cfg.model_ffn_dim, n_queries=cfg.view_n,
-        in_channels=backbone.out_channels, sem_dim=backbone.out_channels,
-    )
-
-
 def make_model(cfg: RunConfig, backbone: FrozenBackbone) -> Detr:
-    return Detr(model_config_from(cfg, backbone), seed=derive_seed(cfg.seed, 11))
+    return Detr(cfg, backbone.out_channels, seed=derive_seed(cfg.seed, 11))
 
 
 def boxes_to_targets(boxes: np.ndarray, frame_w: float, frame_h: float) -> np.ndarray:
@@ -77,7 +68,7 @@ def pretrain_step(model: Detr, backbone: FrozenBackbone, optimizer: AdamW,
     need_global = lam_g > 0
     size = float(cfg.view_size)
     b = len(pairs)
-    n_q = model.config.n_queries
+    n_q = cfg.view_n
     n_rows = 2 * b * n_q
 
     all_views = np.stack([p.view1 for p in pairs] + [p.view2 for p in pairs])
@@ -253,8 +244,9 @@ def check_architecture(meta: dict[str, np.ndarray], cfg: RunConfig) -> None:
 # -- schedules -------------------------------------------------------------------------
 
 
-def lr_at_epoch(cfg: RunConfig, epoch: int) -> float:
-    return cfg.train_lr * (0.1 if epoch >= cfg.train_decay_epoch else 1.0)
+def lr_at_epoch(lr: float, epoch: int, decay_epoch: int) -> float:
+    """Step schedule: lr until decay_epoch, a tenth of it from then on."""
+    return lr * (0.1 if epoch >= decay_epoch else 1.0)
 
 
 def _require_full_batch(count: int, batch: int, key: str) -> None:
@@ -299,7 +291,7 @@ def run_pretrain(cfg: RunConfig, images: list[np.ndarray], out_dir: str,
         if mode == "w":
             writer.writerow(CSV_COLUMNS)
         for epoch in range(start_epoch, cfg.train_epochs):
-            optimizer.lr = lr_at_epoch(cfg, epoch)
+            optimizer.lr = lr_at_epoch(cfg.train_lr, epoch, cfg.train_decay_epoch)
             order = list(range(len(images)))
             Rng(derive_seed(cfg.seed, 0xD5, epoch)).shuffle(order)
             for lo in range(0, len(order) - batch + 1, batch):
@@ -393,7 +385,7 @@ def run_finetune(cfg: RunConfig, items: list[LabeledItem], seed: int,
     losses: list[float] = []
     decay_at = max(1, int(round(n_epochs * 0.7)))  # same decay ratio as pretraining
     for epoch in range(n_epochs):
-        optimizer.lr = cfg.train_lr * (0.1 if epoch >= decay_at else 1.0)
+        optimizer.lr = lr_at_epoch(cfg.train_lr, epoch, decay_at)
         order = list(range(len(items)))
         Rng(derive_seed(seed, 0xF7, epoch)).shuffle(order)
         for lo in range(0, len(order) - batch + 1, batch):

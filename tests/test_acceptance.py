@@ -18,11 +18,11 @@ from mvdetr import tensor as T
 from mvdetr import views as V
 from mvdetr.backbone import FrozenBackbone
 from mvdetr.checkpoint import load_checkpoint
-from mvdetr.config import parse_config
+from mvdetr.config import RunConfig, parse_config
 from mvdetr.data import SceneSpec, render_scene
 from mvdetr.geometry import BoxXYXY, box_iou, roi_align
 from mvdetr.metrics import evaluate_model
-from mvdetr.model import Detr, TransformerConfig
+from mvdetr.model import Detr
 from mvdetr.optim import AdamW
 from mvdetr.rng import Rng, derive_seed
 from mvdetr.tensor import Tensor
@@ -136,12 +136,12 @@ def test_criterion_1_gradient_suite():
     # rotating quarter of the parameter tensors (full coverage across runs),
     # h=1e-6 in float64 (see tests/test_model.py for the rationale and the
     # full-coverage variant)
-    tiny = TransformerConfig(d_model=8, heads=2, enc_layers=1, dec_layers=1,
-                             ffn_dim=8, n_queries=2, in_channels=8, sem_dim=8)
-    model_probe = Detr(tiny, seed=0, dtype=np.float64)
+    tiny = RunConfig(model_d_model=8, model_heads=2, model_enc_layers=1,
+                     model_dec_layers=1, model_ffn_dim=8, view_n=2)
+    model_probe = Detr(tiny, 8, seed=0, dtype=np.float64)
     names = list(model_probe.params)
     for trial in range(20):
-        model = Detr(tiny, seed=500 + trial, dtype=np.float64)
+        model = Detr(tiny, 8, seed=500 + trial, dtype=np.float64)
         h_in = rng.standard_normal((1, 2, 2, 8))
         z_in = rng.standard_normal((1, 2, 8))
         w_in = rng.standard_normal((1, 2, 4))

@@ -121,8 +121,12 @@ class TestExitCodes:
         ("finetune", ["finetune.batch_size=0"],
          "finetune.batch_size must be at least 1, got 0"),
         ("finetune", ["data.classes=0"], "data.classes must be at least 1, got 0"),
+        ("finetune", ["model.dec_layers=0"], "model.dec_layers must be at least 1, got 0"),
+        ("finetune", ["model.ffn_dim=0"], "model.ffn_dim must be at least 1, got 0"),
+        ("pretrain", ["model.enc_layers=-1"], "model.enc_layers must be at least 0, got -1"),
     ], ids=["heads_split_d_model", "no_heads", "d_model_by_4", "no_d_model", "no_proposals",
-            "no_view_size", "no_train_batch", "no_finetune_batch", "no_classes"])
+            "no_view_size", "no_train_batch", "no_finetune_batch", "no_classes",
+            "no_decoder", "no_ffn", "negative_encoder"])
     def test_bad_sizes_are_config_errors(self, workspace, capsys, command, sets, message):
         # rejected while parsing, before the output directory is touched
         root, cfg, manifest = workspace

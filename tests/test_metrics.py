@@ -279,11 +279,12 @@ class TestPgm:
 class TestAttentionExport:
     def test_files_and_sidecar(self, tmp_path):
         from mvdetr.backbone import FrozenBackbone
-        from mvdetr.model import Detr, TransformerConfig
+        from mvdetr.config import RunConfig
+        from mvdetr.model import Detr
 
-        cfg = TransformerConfig(d_model=32, heads=2, enc_layers=1, dec_layers=1,
-                                ffn_dim=32, n_queries=5, in_channels=64, sem_dim=64)
-        model = Detr(cfg, seed=3)
+        cfg = RunConfig(model_d_model=32, model_heads=2, model_enc_layers=1,
+                        model_dec_layers=1, model_ffn_dim=32, view_n=5)
+        model = Detr(cfg, 64, seed=3)
         backbone = FrozenBackbone(7)
         pixels = np.random.default_rng(0).uniform(0, 1, (64, 64, 3)).astype(np.float32)
         paths = M.export_attention(model, backbone, pixels, str(tmp_path), view_size=64)
@@ -318,11 +319,12 @@ class TestInferenceTape:
     @staticmethod
     def _model():
         from mvdetr.backbone import FrozenBackbone
-        from mvdetr.model import Detr, TransformerConfig
+        from mvdetr.config import RunConfig
+        from mvdetr.model import Detr
 
-        cfg = TransformerConfig(d_model=32, heads=2, enc_layers=1, dec_layers=1,
-                                ffn_dim=32, n_queries=5, in_channels=64, sem_dim=64)
-        model = Detr(cfg, seed=3)
+        cfg = RunConfig(model_d_model=32, model_heads=2, model_enc_layers=1,
+                        model_dec_layers=1, model_ffn_dim=32, view_n=5)
+        model = Detr(cfg, 64, seed=3)
         model.add_class_head(3, seed=4)
         return model, FrozenBackbone(7)
 

@@ -6,28 +6,26 @@ import numpy as np
 import pytest
 
 from mvdetr import tensor as T
-from mvdetr.model import Detr, TransformerConfig, sine_positional_embedding
+from mvdetr.config import RunConfig
+from mvdetr.model import Detr, sine_positional_embedding
 from mvdetr.tensor import Tensor
 
 from helpers import composed_attention, numerical_gradient
 
 
+TINY_CHANNELS = 8   # backbone feature width the tiny model reads
+DESK_CHANNELS = 64  # the default backbone's feature width (RunConfig() is desk scale)
+
+
 def tiny_config(**kw):
-    base = dict(d_model=8, heads=2, enc_layers=1, dec_layers=1, ffn_dim=8,
-                n_queries=2, in_channels=8, sem_dim=8)
+    base = dict(model_d_model=8, model_heads=2, model_enc_layers=1, model_dec_layers=1,
+                model_ffn_dim=8, view_n=2)
     base.update(kw)
-    return TransformerConfig(**base)
-
-
-def desk_config(**kw):
-    base = dict(d_model=64, heads=4, enc_layers=2, dec_layers=2, ffn_dim=128,
-                n_queries=10, in_channels=64, sem_dim=64)
-    base.update(kw)
-    return TransformerConfig(**base)
+    return RunConfig(**base)
 
 
 def _set_identity_attention(model, prefix):
-    c = model.config.d_model
+    c = model.cfg.model_d_model
     eye = np.eye(c, dtype=model.dtype)
     for part in ("f_q", "f_k", "f_v", "out"):
         model.params[f"{prefix}.{part}.weight"].data = eye.copy()
@@ -36,7 +34,7 @@ def _set_identity_attention(model, prefix):
 
 class TestMha:
     def test_single_key_ignores_query(self):
-        model = Detr(tiny_config(), seed=0)
+        model = Detr(tiny_config(), TINY_CHANNELS, seed=0)
         k = Tensor(np.random.default_rng(0).standard_normal((1, 1, 8)).astype(np.float32))
         out1, attn = model.mha("encoder.layer0.self",
                                Tensor(np.zeros((1, 3, 8), np.float32)), k, k)
@@ -46,8 +44,8 @@ class TestMha:
         np.testing.assert_allclose(attn.data, 1.0)
 
     def test_identical_keys_average_values(self):
-        cfg = tiny_config(heads=1)
-        model = Detr(cfg, seed=1)
+        cfg = tiny_config(model_heads=1)
+        model = Detr(cfg, TINY_CHANNELS, seed=1)
         _set_identity_attention(model, "encoder.layer0.self")
         key = np.ones((1, 1, 8), dtype=np.float32)
         keys = Tensor(np.repeat(key, 2, axis=1))
@@ -59,9 +57,9 @@ class TestMha:
         np.testing.assert_allclose(out.data[0, 0, :2], [0.5, 0.5], atol=1e-6)
 
     def test_hand_computed_two_dim(self):
-        cfg = TransformerConfig(d_model=4, heads=1, enc_layers=1, dec_layers=1,
-                                ffn_dim=4, n_queries=1, in_channels=4, sem_dim=4)
-        model = Detr(cfg, seed=2)
+        cfg = RunConfig(model_d_model=4, model_heads=1, model_enc_layers=1,
+                        model_dec_layers=1, model_ffn_dim=4, view_n=1)
+        model = Detr(cfg, 4, seed=2)
         _set_identity_attention(model, "encoder.layer0.self")
         q = np.array([[1.0, 0.0, 0.0, 0.0]], dtype=np.float32)
         k = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]], dtype=np.float32)
@@ -76,13 +74,13 @@ class TestMha:
         np.testing.assert_allclose(out.data[0, 0], expected, atol=1e-5)
 
     def test_dim_mismatch(self):
-        model = Detr(tiny_config(), seed=0)
+        model = Detr(tiny_config(), TINY_CHANNELS, seed=0)
         with pytest.raises(T.ShapeError):
             model.mha("encoder.layer0.self", Tensor(np.zeros((1, 2, 5))),
                       Tensor(np.zeros((1, 3, 8))), Tensor(np.zeros((1, 3, 8))))
 
     def test_attention_rows_sum_to_one(self):
-        model = Detr(desk_config(), seed=3)
+        model = Detr(RunConfig(), DESK_CHANNELS, seed=3)
         rng = np.random.default_rng(4)
         q = Tensor(rng.standard_normal((1, 5, 64)).astype(np.float32))
         kv = Tensor(rng.standard_normal((1, 12, 64)).astype(np.float32))
@@ -94,7 +92,7 @@ def composed_mha(model, prefix, q_in, k_in, v_in):
     """Reference: Detr.mha with attention built from generic tape nodes."""
     merged, attn = composed_attention(model._lin(f"{prefix}.f_q", q_in),
                                       model._lin(f"{prefix}.f_k", k_in),
-                                      model._lin(f"{prefix}.f_v", v_in), model.config.heads)
+                                      model._lin(f"{prefix}.f_v", v_in), model.cfg.model_heads)
     return model._lin(f"{prefix}.out", merged), attn
 
 
@@ -119,7 +117,7 @@ class TestMhaMatchesComposed:
         ("decoder.layer0.cross", (1,), 10, False),
     ], ids=["encoder_batched", "decoder_batched", "decoder_single"])
     def test_bit_identical(self, prefix, batch, nq, shared_qk):
-        model = Detr(desk_config(), seed=41)
+        model = Detr(RunConfig(), DESK_CHANNELS, seed=41)
         rng = np.random.default_rng(42)
         q = rng.standard_normal(batch + (nq, 64)).astype(np.float32)
         kv = [rng.standard_normal(batch + (64, 64)).astype(np.float32) for _ in range(2)]
@@ -134,7 +132,7 @@ class TestMhaMatchesComposed:
             np.testing.assert_array_equal(gf, gr)
 
     def test_batched_call_records_five_tape_nodes(self, monkeypatch):
-        model = Detr(desk_config(), seed=43)
+        model = Detr(RunConfig(), DESK_CHANNELS, seed=43)
         x = Tensor(np.random.default_rng(44).standard_normal((2, 16, 64)).astype(np.float32),
                    requires_grad=True)
         ops = []
@@ -149,7 +147,7 @@ class TestMhaMatchesComposed:
         assert ops == ["affine"] * 3 + ["attention", "affine"]
 
     def test_weights_read_only(self):
-        model = Detr(desk_config(), seed=45)
+        model = Detr(RunConfig(), DESK_CHANNELS, seed=45)
         rng = np.random.default_rng(46)
         kv = Tensor(rng.standard_normal((2, 12, 64)).astype(np.float32))
         q = Tensor(rng.standard_normal((2, 5, 64)).astype(np.float32))
@@ -165,20 +163,20 @@ class TestMhaMatchesComposed:
 
 class TestEncode:
     def test_output_shape(self):
-        model = Detr(desk_config(), seed=5)
+        model = Detr(RunConfig(), DESK_CHANNELS, seed=5)
         h = Tensor(np.random.default_rng(6).standard_normal((1, 16, 16, 64)).astype(np.float32))
         c, hw = model.encode(h)
         assert c.data.shape == (1, 256, 64)
         assert hw == (16, 16)
 
     def test_unbatched_features_rejected(self):
-        model = Detr(desk_config(), seed=5)
+        model = Detr(RunConfig(), DESK_CHANNELS, seed=5)
         h = Tensor(np.zeros((16, 16, 64), np.float32))
         with pytest.raises(T.ShapeError, match=r"\(B, H, W, C\)"):
             model.encode(h)
 
     def test_zero_layers_reduces_to_projection(self):
-        model = Detr(desk_config(enc_layers=0), seed=7)
+        model = Detr(RunConfig(model_enc_layers=0), DESK_CHANNELS, seed=7)
         h = Tensor(np.random.default_rng(8).standard_normal((1, 4, 4, 64)).astype(np.float32))
         c, _ = model.encode(h)
         expected = T.affine(T.reshape(h, (1, 16, 64)), model.params["input_proj.weight"],
@@ -186,7 +184,7 @@ class TestEncode:
         np.testing.assert_array_equal(c.data, expected.data)
 
     def test_joint_permutation_equivariance(self, monkeypatch):
-        model = Detr(desk_config(enc_layers=2), seed=9)
+        model = Detr(RunConfig(model_enc_layers=2), DESK_CHANNELS, seed=9)
         rng = np.random.default_rng(10)
         h = rng.standard_normal((1, 4, 4, 64)).astype(np.float32)
         pos = model.positional(4, 4)
@@ -201,7 +199,7 @@ class TestEncode:
 
 class TestDecode:
     def test_zero_region_features_bitwise_equal_plain(self):
-        model = Detr(desk_config(), seed=11)
+        model = Detr(RunConfig(), DESK_CHANNELS, seed=11)
         rng = np.random.default_rng(12)
         h = Tensor(rng.standard_normal((1, 8, 8, 64)).astype(np.float32))
         c, hw = model.encode(h)
@@ -210,7 +208,7 @@ class TestDecode:
         assert q_plain.data.tobytes() == q_zero.data.tobytes()
 
     def test_shapes(self):
-        model = Detr(desk_config(), seed=13)
+        model = Detr(RunConfig(), DESK_CHANNELS, seed=13)
         rng = np.random.default_rng(14)
         c, hw = model.encode(Tensor(rng.standard_normal((1, 16, 16, 64)).astype(np.float32)))
         z = Tensor(rng.standard_normal((1, 10, 64)).astype(np.float32))
@@ -220,21 +218,21 @@ class TestDecode:
         np.testing.assert_allclose(attn.data.sum(axis=-1), 1.0, atol=1e-6)
 
     def test_region_feature_count_must_match_queries(self):
-        model = Detr(desk_config(), seed=15)
+        model = Detr(RunConfig(), DESK_CHANNELS, seed=15)
         rng = np.random.default_rng(16)
         c, hw = model.encode(Tensor(rng.standard_normal((1, 8, 8, 64)).astype(np.float32)))
         with pytest.raises(T.ShapeError):
             model.decode(c, hw, z=Tensor(np.zeros((1, 7, 64), np.float32)))
 
     def test_unbatched_region_features_rejected(self):
-        model = Detr(desk_config(), seed=15)
+        model = Detr(RunConfig(), DESK_CHANNELS, seed=15)
         rng = np.random.default_rng(16)
         c, hw = model.encode(Tensor(rng.standard_normal((1, 8, 8, 64)).astype(np.float32)))
         with pytest.raises(T.ShapeError, match=r"\(B, 10, C\)"):
             model.decode(c, hw, z=Tensor(np.zeros((10, 64), np.float32)))
 
     def test_joint_row_permutation_equivariance(self):
-        model = Detr(desk_config(), seed=17)
+        model = Detr(RunConfig(), DESK_CHANNELS, seed=17)
         rng = np.random.default_rng(18)
         c, hw = model.encode(Tensor(rng.standard_normal((1, 8, 8, 64)).astype(np.float32)))
         z = rng.standard_normal((1, 10, 64)).astype(np.float32)
@@ -250,7 +248,7 @@ class TestDecode:
 
 class TestHeads:
     def test_zeroed_box_head_centers(self):
-        model = Detr(desk_config(), seed=19)
+        model = Detr(RunConfig(), DESK_CHANNELS, seed=19)
         model.params["head.box.fc2.weight"].data[:] = 0
         model.params["head.box.fc2.bias"].data[:] = 0
         boxes, _, _ = model.predict(Tensor(np.random.default_rng(20)
@@ -258,7 +256,7 @@ class TestHeads:
         np.testing.assert_allclose(boxes.data, 0.5, atol=1e-7)
 
     def test_shapes_and_ranges(self):
-        model = Detr(desk_config(), seed=21)
+        model = Detr(RunConfig(), DESK_CHANNELS, seed=21)
         q = Tensor(np.random.default_rng(22).standard_normal((10, 64)).astype(np.float32))
         boxes, sem, match = model.predict(q)
         assert boxes.data.shape == (10, 4) and sem.data.shape == (10, 64)
@@ -267,7 +265,7 @@ class TestHeads:
         assert ((match.data > 0) & (match.data < 1)).all()
 
     def test_gradients_reach_queries_from_all_heads(self):
-        model = Detr(desk_config(), seed=23)
+        model = Detr(RunConfig(), DESK_CHANNELS, seed=23)
         rng = np.random.default_rng(24)
         c, hw = model.encode(Tensor(rng.standard_normal((1, 8, 8, 64)).astype(np.float32)))
         z = Tensor(rng.standard_normal((1, 10, 64)).astype(np.float32))
@@ -279,7 +277,7 @@ class TestHeads:
         assert phi.grad is not None and float(np.abs(phi.grad).max()) > 0
 
     def test_class_head_requires_init(self):
-        model = Detr(desk_config(), seed=25)
+        model = Detr(RunConfig(), DESK_CHANNELS, seed=25)
         with pytest.raises(KeyError):
             model.class_logits(Tensor(np.zeros((10, 64), np.float32)))
         model.add_class_head(3, seed=1)
@@ -289,12 +287,12 @@ class TestHeads:
 
 class TestProjector:
     def test_output_dim(self):
-        model = Detr(desk_config(), seed=28)
+        model = Detr(RunConfig(), DESK_CHANNELS, seed=28)
         x = Tensor(np.random.default_rng(29).standard_normal((4, 64)).astype(np.float32))
         assert model.project_context(x).data.shape == (4, 64)
 
     def test_batch_one_rejected(self):
-        model = Detr(desk_config(), seed=30)
+        model = Detr(RunConfig(), DESK_CHANNELS, seed=30)
         with pytest.raises(T.ShapeError):
             model.project_context(Tensor(np.ones((1, 64), np.float32)))
 
@@ -325,7 +323,7 @@ class TestEndToEndGradient:
         """
         rng = np.random.default_rng(31)
         for trial in range(3):
-            model = Detr(tiny_config(), seed=100 + trial, dtype=np.float64)
+            model = Detr(tiny_config(), TINY_CHANNELS, seed=100 + trial, dtype=np.float64)
             h = rng.standard_normal((1, 2, 2, 8))
             z = rng.standard_normal((1, 2, 8))
             w = rng.standard_normal((1, 2, 4))

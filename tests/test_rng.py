@@ -5,7 +5,8 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from mvdetr.backbone import FrozenBackbone
-from mvdetr.model import Detr, TransformerConfig
+from mvdetr.config import RunConfig
+from mvdetr.model import Detr
 from mvdetr.rng import Rng
 
 from helpers import scalar_normal
@@ -69,7 +70,7 @@ def _scalar_normals(self, count, mean=0.0, std=1.0):
 
 
 def _init_arrays():
-    model = Detr(TransformerConfig(), seed=3)
+    model = Detr(RunConfig(), 64, seed=3)
     model.add_class_head(3, seed=4)
     # 7 and 9 channels make odd draw counts, so the spare carries between layers
     backbones = [FrozenBackbone(seed=7), FrozenBackbone(seed=7, channels=(7, 9))]

@@ -132,6 +132,22 @@ def _direction_oracle(model, backbone, pairs, cfg) -> tuple[float, float]:
     return float(loc.data), float(region.data)
 
 
+def test_make_model_reads_each_size_key():
+    # every key distinct, so swapping two of them changes some shape or name
+    cfg = parse_config("model.d_model=24\nmodel.heads=3\nmodel.enc_layers=3\n"
+                       "model.dec_layers=1\nmodel.ffn_dim=40\nview.n=5\n")
+    backbone = FrozenBackbone(cfg.backbone_seed)
+    params = TR.make_model(cfg, backbone).params
+    layers = {".".join(n.split(".")[:2]) for n in params
+              if n.startswith(("encoder.", "decoder."))}
+    assert layers == {"encoder.layer0", "encoder.layer1", "encoder.layer2",
+                      "decoder.layer0"}
+    for prefix in ("encoder.layer0", "encoder.layer2", "decoder.layer0"):
+        assert params[f"{prefix}.ffn.fc1.weight"].data.shape == (24, 40)
+    assert params["query_embed.weight"].data.shape == (5, 24)
+    assert params["head.sem.weight"].data.shape == (24, 64)  # backbone width
+
+
 class TestPretrainStep:
     @pytest.mark.parametrize("region_target", ["crop", "object"])
     def test_directions_match_other_view_and_reconstruct_own(self, images,
