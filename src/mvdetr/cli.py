@@ -40,6 +40,11 @@ def _positive_int(text: str) -> int:
 def _build_parser() -> _Parser:
     parser = _Parser(prog="mvdetr", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    # the config flags every command that builds a RunConfig takes
+    config_flags = _Parser(add_help=False)
+    config_flags.add_argument("--config", help="key=value config file")
+    config_flags.add_argument("--set", action="append", default=[], dest="overrides",
+                              metavar="KEY=VALUE")
 
     p = sub.add_parser("gen-data", help="generate a synthetic detection dataset")
     p.add_argument("--count", type=_positive_int, required=True)
@@ -48,12 +53,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--size", type=int, default=160)
 
     for name in ("pretrain", "finetune"):
-        p = sub.add_parser(name, help=f"run {name}ing")
-        p.add_argument("--config", help="key=value config file")
+        p = sub.add_parser(name, help=f"run {name}ing", parents=[config_flags])
         p.add_argument("--data", required=True, help="dataset manifest")
         p.add_argument("--out", required=True)
-        p.add_argument("--set", action="append", default=[], dest="overrides",
-                       metavar="KEY=VALUE")
         if name == "pretrain":
             p.add_argument("--resume", help="checkpoint to resume from")
         else:
@@ -62,40 +64,36 @@ def _build_parser() -> _Parser:
             p.add_argument("--seed", type=int, default=0,
                            help="finetuning seed (class head, data order)")
 
-    p = sub.add_parser("eval", help="COCO-style metrics for a checkpoint")
-    p.add_argument("--config", help="key=value config file")
+    p = sub.add_parser("eval", help="COCO-style metrics for a checkpoint",
+                       parents=[config_flags])
     p.add_argument("--data", required=True)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--out")
     p.add_argument("--score", choices=("class", "match"), default="class")
-    p.add_argument("--set", action="append", default=[], dest="overrides")
 
-    p = sub.add_parser("probe", help="frozen-head AR@K comparison")
-    p.add_argument("--config", help="key=value config file")
+    p = sub.add_parser("probe", help="frozen-head AR@K comparison", parents=[config_flags])
     p.add_argument("--data", required=True, help="labeled training manifest")
     p.add_argument("--eval-data", required=True, help="labeled eval manifest")
     p.add_argument("--init", required=True, help="pretraining checkpoint")
     p.add_argument("--out")
     p.add_argument("--epochs", type=_positive_int, default=10)
     p.add_argument("--seeds", type=_positive_int, default=3)
-    p.add_argument("--set", action="append", default=[], dest="overrides")
 
-    p = sub.add_parser("export-attn", help="write per-query attention PGMs")
-    p.add_argument("--config", help="key=value config file")
+    p = sub.add_parser("export-attn", help="write per-query attention PGMs",
+                       parents=[config_flags])
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--image", required=True, help="PPM image path")
     p.add_argument("--out", required=True)
-    p.add_argument("--set", action="append", default=[], dest="overrides")
     return parser
 
 
 def _load_config(args):
     from .config import parse_config
     text = ""
-    if getattr(args, "config", None):
+    if args.config:
         with open(args.config, encoding="utf-8") as f:
             text = f.read()
-    return parse_config(text, getattr(args, "overrides", []))
+    return parse_config(text, args.overrides)
 
 
 def _numerics_notes() -> list[str]:

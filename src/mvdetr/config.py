@@ -8,6 +8,7 @@ config and checkpoints embed it for compatibility checks.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 
@@ -174,8 +175,16 @@ def _validate(cfg: RunConfig, problems: list[str]) -> None:
                        ("aug.blur_p", cfg.aug_blur_p)):
         if not 0.0 <= value <= 1.0:
             problems.append(f"{key} is a probability and must be in [0, 1], got {value}")
-    if min(cfg.loss_lambda_r, cfg.loss_lambda_g, cfg.loss_lambda_loc) < 0:
-        problems.append("loss weights must be non-negative")
+    # written so that NaN fails too
+    for key, value in (("loss.lambda_r", cfg.loss_lambda_r),
+                       ("loss.lambda_g", cfg.loss_lambda_g),
+                       ("loss.lambda_loc", cfg.loss_lambda_loc),
+                       ("train.weight_decay", cfg.train_weight_decay),
+                       ("train.clip_norm", cfg.train_clip_norm)):
+        if not 0.0 <= value < math.inf:
+            problems.append(f"{key} must be finite and at least 0, got {value}")
+    if not 0.0 < cfg.train_lr < math.inf:
+        problems.append(f"train.lr must be finite and above 0, got {cfg.train_lr}")
     if cfg.view_size % 8:
         problems.append(f"view.size must be divisible by 8, got {cfg.view_size}")
     if cfg.train_batch_size < 2 and cfg.loss_lambda_g > 0:

@@ -1,17 +1,18 @@
-"""Bipartite matching and the pretraining/finetuning losses.
+"""Bipartite matching and the pretraining/finetuning loss terms.
 
 Matching runs on detached prediction values (the assignment is an argmin and
-carries no gradient); the box/semantic/match losses are then built from tape
-primitives on the matched rows of a whole batch, flattened to one row per
-(item, query). Costs combine a match-score term, a generalized-IoU term, and
-an L1 term with coefficients (1, 2, 5); the same (2, 5) pair weights the
-GIoU/L1 parts of the box regression loss.
+carries no gradient): `hungarian` gives each target's prediction column as a
+tuple, and `matched_rows` flattens a batch of them to row indices. The
+box/semantic/match losses are built from tape primitives on those rows of a
+whole batch, one row per (item, query). Costs combine a match-score term, a
+generalized-IoU term, and an L1 term with coefficients (1, 2, 5); the same
+(2, 5) pair weights the GIoU/L1 parts of the box regression loss. The lambda
+weights are applied where the terms are summed, in `training.pretrain_step`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,28 +22,6 @@ from .tensor import Tensor
 
 MATCH_COEF = (1.0, 2.0, 5.0)  # match-score, giou, l1
 K_CLAMP = 1e-7
-
-
-@dataclass(frozen=True)
-class MatchAssignment:
-    """Injective map target index -> prediction index."""
-
-    target_to_pred: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(set(self.target_to_pred)) != len(self.target_to_pred):
-            raise ValueError(f"assignment not injective: {self.target_to_pred}")
-
-    def __len__(self) -> int:
-        return len(self.target_to_pred)
-
-
-@dataclass
-class LossBreakdown:
-    loc: float
-    global_disc: float
-    region_disc: float
-    total: float
 
 
 # -- Hungarian matching ------------------------------------------------------------
@@ -105,8 +84,9 @@ def _solve_lap(cost: np.ndarray) -> tuple[list[int], float, list[float], list[fl
     return cols, total, u[1:], v[1:]
 
 
-def hungarian(cost_matrix) -> MatchAssignment:
-    """Minimum-cost injective assignment of rows (targets) to columns.
+def hungarian(cost_matrix) -> tuple[int, ...]:
+    """Minimum-cost injective assignment of rows (targets) to columns: the
+    prediction column of each target row, in row order.
 
     Requires m <= n (pad predictions, never targets). Among cost-optimal
     assignments, returns the lexicographically smallest vector
@@ -136,7 +116,7 @@ def hungarian(cost_matrix) -> MatchAssignment:
     if not np.isfinite(cost).all():
         raise ValueError("cost matrix contains non-finite entries")
     if m == 0:
-        return MatchAssignment(())
+        return ()
     base_cols, best, u, v = _solve_lap(cost)
     tol = 1e-9 * (1.0 + abs(best))
     # tight columns of each row, ascending; the n - m dummy rows share one list
@@ -179,7 +159,7 @@ def hungarian(cost_matrix) -> MatchAssignment:
             col_of[i] = j
             owner[j] = i
             break
-    return MatchAssignment(tuple(col_of[:m]))
+    return tuple(col_of[:m])
 
 
 def matched_rows(costs, n_pred: int) -> np.ndarray:
@@ -190,7 +170,7 @@ def matched_rows(costs, n_pred: int) -> np.ndarray:
     Every target is matched, so row k pairs with the k-th row of the items'
     targets concatenated in order.
     """
-    rows = [i * n_pred + np.asarray(hungarian(cost).target_to_pred, dtype=np.int64)
+    rows = [i * n_pred + np.asarray(hungarian(cost), dtype=np.int64)
             for i, cost in enumerate(costs)]
     return np.concatenate(rows) if rows else np.zeros(0, dtype=np.int64)
 
@@ -331,26 +311,6 @@ def region_disc(sem_flat: Tensor, rows: np.ndarray, target_features: np.ndarray)
     tgt_unit = Tensor((tgt / norms).astype(dt))
     diff = T.sub(T.l2_normalize(matched), tgt_unit)
     return T.tmean(T.tsum(T.mul(diff, diff), axis=-1))
-
-
-def total_loss(loc: Tensor, glob: Tensor | None, region: Tensor | None,
-               lambdas: tuple[float, float, float]) -> tuple[Tensor, LossBreakdown]:
-    """Weighted sum; lambdas = (region, global, loc) following the loss form
-    lambda0 * L_r + lambda1 * L_g + lambda2 * L_loc. A global or region term
-    with weight 0 is reported but left out of the sum."""
-    lam_r, lam_g, lam_loc = lambdas
-    if lam_r < 0 or lam_g < 0 or lam_loc < 0:
-        raise ValueError(f"negative loss weight: {lambdas}")
-    dt = loc.data.dtype
-    total = T.mul(loc, Tensor(np.asarray(lam_loc, dtype=dt)))
-    values = []
-    for term, lam in ((glob, lam_g), (region, lam_r)):
-        if term is not None and lam > 0:
-            total = T.add(total, T.mul(term, Tensor(np.asarray(lam, dtype=dt))))
-        values.append(0.0 if term is None else float(term.data))
-    breakdown = LossBreakdown(loc=float(loc.data), global_disc=values[0],
-                              region_disc=values[1], total=float(total.data))
-    return total, breakdown
 
 
 # -- finetuning set-prediction loss ------------------------------------------------------

@@ -19,7 +19,6 @@ from . import tensor as T
 from .backbone import FrozenBackbone
 from .checkpoint import array_to_text, load_checkpoint, save_checkpoint, text_to_array
 from .config import RunConfig
-from .losses import LossBreakdown
 from .model import Detr
 from .optim import AdamW, clip_global_norm
 from .rng import Rng, derive_seed
@@ -49,6 +48,14 @@ def boxes_to_targets(boxes: np.ndarray, frame_w: float, frame_h: float) -> np.nd
 
 
 # -- pretraining step ---------------------------------------------------------------
+
+
+@dataclass
+class LossBreakdown:
+    loc: float
+    global_disc: float
+    region_disc: float
+    total: float
 
 
 def pretrain_step(model: Detr, backbone: FrozenBackbone, optimizer: AdamW,
@@ -109,20 +116,25 @@ def pretrain_step(model: Detr, backbone: FrozenBackbone, optimizer: AdamW,
                                              rows, box_targets),
                             L.match_bce(match, match_targets)), two)
 
-    region_total = None
-    if need_region:
-        sem_flat = T.reshape(sem, (n_rows, sem.data.shape[-1]))
-        region_total = T.mul(L.region_disc(sem_flat, rows, region_targets), two)
-
-    global_total = None
+    # lambda_loc L_loc (+ lambda_g L_g) (+ lambda_r L_r); a term of weight 0
+    # is never built
+    dt = loc_total.data.dtype
+    total = T.mul(loc_total, Tensor(np.asarray(lam_loc, dtype=dt)))
+    breakdown = LossBreakdown(loc=float(loc_total.data), global_disc=0.0,
+                              region_disc=0.0, total=0.0)
     if need_global:
         pooled = T.tmean(ctx_all, axis=1)  # (2B, C)
         global_total = L.global_disc_loss(model.project_context,
                                           T.narrow(pooled, 0, 0, b),
                                           T.narrow(pooled, 0, b, b))
-
-    total, breakdown = L.total_loss(loc_total, global_total, region_total,
-                                    (lam_r, lam_g, lam_loc))
+        total = T.add(total, T.mul(global_total, Tensor(np.asarray(lam_g, dtype=dt))))
+        breakdown.global_disc = float(global_total.data)
+    if need_region:
+        sem_flat = T.reshape(sem, (n_rows, sem.data.shape[-1]))
+        region_total = T.mul(L.region_disc(sem_flat, rows, region_targets), two)
+        total = T.add(total, T.mul(region_total, Tensor(np.asarray(lam_r, dtype=dt))))
+        breakdown.region_disc = float(region_total.data)
+    breakdown.total = float(total.data)
     _update(model, optimizer, total, cfg)
     return breakdown
 
@@ -134,13 +146,6 @@ def _update(model: Detr, optimizer: AdamW, total: Tensor, cfg: RunConfig) -> flo
     clip_global_norm(optimizer.params, cfg.train_clip_norm)
     optimizer.step()
     return float(total.data)
-
-
-def _sum_tensors(ts: list[Tensor]) -> Tensor:
-    out = ts[0]
-    for t in ts[1:]:
-        out = T.add(out, t)
-    return out
 
 
 # -- finetuning step -----------------------------------------------------------------
@@ -167,23 +172,20 @@ def finetune_step(model: Detr, optimizer: AdamW, features: np.ndarray,
     layers: list[Tensor] = []
     model.decode(c, hw, z=None, layers=layers)
     # deep supervision (aux loss): the set loss on every decoder layer's output
-    supervised = layers if cfg.model_aux_loss else layers[-1:]
-    total = _sum_tensors([_batched_set_loss(model, q, items, cfg) for q in supervised])
+    return _set_loss_update(model, optimizer, layers if cfg.model_aux_loss else layers[-1:],
+                            items, cfg)
+
+
+def _set_loss_update(model: Detr, optimizer: AdamW, layers: list[Tensor],
+                     items: list[LabeledItem], cfg: RunConfig) -> float:
+    """Sum the set loss over the decoded-query layers and take one step."""
+    targets = [(item.boxes, item.labels) for item in items]
+    total = None
+    for q_hat in layers:
+        boxes, _, _ = model.predict(q_hat)
+        loss = L.set_loss(model.class_logits(q_hat), boxes, targets, cfg.data_classes)
+        total = loss if total is None else T.add(total, loss)
     return _update(model, optimizer, total, cfg)
-
-
-def finetune_step_cached(model: Detr, optimizer: AdamW, q_rows: np.ndarray,
-                         items: list[LabeledItem], cfg: RunConfig) -> float:
-    """Head-only step on precomputed decoded queries (frozen transformer)."""
-    total = _batched_set_loss(model, Tensor(q_rows), items, cfg)
-    return _update(model, optimizer, total, cfg)
-
-
-def _batched_set_loss(model: Detr, q_hat: Tensor, items: list[LabeledItem],
-                      cfg: RunConfig) -> Tensor:
-    boxes, _, _ = model.predict(q_hat)
-    return L.set_loss(model.class_logits(q_hat), boxes,
-                      [(item.boxes, item.labels) for item in items], cfg.data_classes)
 
 
 FROZEN_HEAD_PREFIXES = ("head.box.", "class_head.")
@@ -271,6 +273,9 @@ def run_pretrain(cfg: RunConfig, images: list[np.ndarray], out_dir: str,
     if resume_from is not None:
         entries = load_checkpoint(resume_from)
         params, opt_state, meta = split_checkpoint(entries)
+        if not opt_state:
+            raise ValueError(f"{resume_from} holds no optimizer state; "
+                             "resume needs an epoch_*.ckpt written by pretrain")
         check_architecture(meta, cfg)
         model.load_state(params)
         optimizer.load_state(opt_state)
@@ -392,9 +397,9 @@ def run_finetune(cfg: RunConfig, items: list[LabeledItem], seed: int,
             idx = order[lo:lo + batch]
             batch_items = [items[i] for i in idx]
             try:
-                if cached_q is not None:
-                    loss = finetune_step_cached(model, optimizer, cached_q[idx],
-                                                batch_items, cfg)
+                if cached_q is not None:  # head-only step on the cached queries
+                    loss = _set_loss_update(model, optimizer, [Tensor(cached_q[idx])],
+                                            batch_items, cfg)
                 else:
                     loss = finetune_step(model, optimizer, features[idx], batch_items, cfg)
             except FloatingPointError as e:

@@ -4,6 +4,8 @@ photometric/geometric augmentation, proposals in the overlap, and box jitter.
 Single rectangles (base, view rects, overlap) are `BoxXYXY`; every proposal
 set, from `generate_proposals` to `ViewPair.proposals1`/`proposals2`, is an
 (n, 4) float64 array of xyxy rows. Settings come straight from `RunConfig`.
+`augment` applies each effect right after its draw and reports only the
+flip, the one effect the view's `FrameTransform` needs.
 
 Images arrive as the (H, W, 3) uint8 pixels `data.load_dataset` holds.
 `build_view_pair` and `resize_to_view`, the one way into finetuning and
@@ -34,16 +36,6 @@ MIN_PROPOSAL_SIDE = 8.0
 BASE_AREA_RANGE = (0.5, 1.0)  # of the image area, for the base rectangle
 BLUR_SIGMA = (0.1, 2.0)
 VIEW_RECT_TRIES = 100  # IoU-rejected draws before the full-base fallback
-
-
-@dataclass
-class AugmentRecord:
-    flipped: bool = False
-    brightness: float = 1.0
-    contrast: float = 1.0
-    saturation: float = 1.0
-    grayscale: bool = False
-    blur_sigma: float = 0.0
 
 
 @dataclass
@@ -162,39 +154,31 @@ def sample_view_rects(base: BoxXYXY, tau: float, rng: Rng) -> tuple[BoxXYXY, Box
     return base, base
 
 
-def apply_photometrics(pixels: np.ndarray, rec: AugmentRecord) -> np.ndarray:
+def augment(pixels: np.ndarray, rng: Rng, cfg: RunConfig) -> tuple[np.ndarray, bool]:
+    """Flip, color jitter, grayscale and blur by the `aug.*` keys, each
+    applied right after its draw: (float32 pixels, whether flipped)."""
     out = pixels
-    if rec.brightness != 1.0:
-        out = np.clip(out * rec.brightness, 0.0, 1.0)
-    if rec.contrast != 1.0:
-        mean = float((out @ _LUMA).mean())
-        out = np.clip((out - mean) * rec.contrast + mean, 0.0, 1.0)
-    if rec.saturation != 1.0:
-        luma = (out @ _LUMA)[:, :, None]
-        out = np.clip((out - luma) * rec.saturation + luma, 0.0, 1.0)
-    if rec.grayscale:
-        out = np.repeat((out @ _LUMA)[:, :, None], 3, axis=2)
-    if rec.blur_sigma > 0.0:
-        out = np.clip(gaussian_blur(out, rec.blur_sigma), 0.0, 1.0)
-    return out.astype(np.float32)
-
-
-def augment(pixels: np.ndarray, rng: Rng,
-            cfg: RunConfig) -> tuple[np.ndarray, AugmentRecord]:
-    """Photometric + flip augmentation by the `aug.*` keys: (pixels, record)."""
-    rec = AugmentRecord()
-    rec.flipped = rng.uniform() < cfg.aug_flip_p
+    flipped = rng.uniform() < cfg.aug_flip_p
+    if flipped:
+        out = out[:, ::-1, :].copy()
     if rng.uniform() < cfg.aug_color_p:
         j = cfg.aug_color_jitter
-        rec.brightness = rng.uniform(1.0 - j, 1.0 + j)
-        rec.contrast = rng.uniform(1.0 - j, 1.0 + j)
-        rec.saturation = rng.uniform(1.0 - j, 1.0 + j)
-    rec.grayscale = rng.uniform() < cfg.aug_grayscale_p
+        brightness = rng.uniform(1.0 - j, 1.0 + j)
+        if brightness != 1.0:
+            out = np.clip(out * brightness, 0.0, 1.0)
+        contrast = rng.uniform(1.0 - j, 1.0 + j)
+        if contrast != 1.0:
+            mean = float((out @ _LUMA).mean())
+            out = np.clip((out - mean) * contrast + mean, 0.0, 1.0)
+        saturation = rng.uniform(1.0 - j, 1.0 + j)
+        if saturation != 1.0:
+            luma = (out @ _LUMA)[:, :, None]
+            out = np.clip((out - luma) * saturation + luma, 0.0, 1.0)
+    if rng.uniform() < cfg.aug_grayscale_p:
+        out = np.repeat((out @ _LUMA)[:, :, None], 3, axis=2)
     if rng.uniform() < cfg.aug_blur_p:
-        rec.blur_sigma = rng.uniform(BLUR_SIGMA[0], BLUR_SIGMA[1])
-    if rec.flipped:
-        pixels = pixels[:, ::-1, :].copy()
-    return apply_photometrics(pixels, rec), rec
+        out = np.clip(gaussian_blur(out, rng.uniform(*BLUR_SIGMA)), 0.0, 1.0)
+    return out.astype(np.float32), flipped
 
 
 def generate_proposals(pixels: np.ndarray, overlap: BoxXYXY, mode: str, count: int,
@@ -288,11 +272,11 @@ def build_view_pair(pixels: np.ndarray, cfg: RunConfig, seed: int) -> ViewPair:
 
     views, transforms = [], []
     for rect in (rect1, rect2):
-        view, rec = augment(crop_resize(pixels, rect, size, size), rng, cfg)
+        view, flipped = augment(crop_resize(pixels, rect, size, size), rng, cfg)
         views.append(view)
         transforms.append(FrameTransform(dx=rect.x1, dy=rect.y1,
                                          sx=size / rect.width, sy=size / rect.height,
-                                         flip=rec.flipped, dst_w=size, dst_h=size))
+                                         flip=flipped, dst_w=size, dst_h=size))
 
     (p1, inside1), (p2, inside2) = (map_boxes(proposals_img, t) for t in transforms)
     kept = np.flatnonzero(inside1 & inside2)

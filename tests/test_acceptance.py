@@ -195,11 +195,11 @@ def test_criterion_2_hungarian_oracle():
         totals = cost[np.arange(m)[None, :], perms].sum(axis=1)
         oracle = float(totals.min())
         a = L.hungarian(cost)
-        got = float(cost[np.arange(m), list(a.target_to_pred)].sum())
+        got = float(cost[np.arange(m), list(a)].sum())
         if abs(got - oracle) > 1e-9:
             ok = False
             break
-        if L.hungarian(cost).target_to_pred != a.target_to_pred:
+        if L.hungarian(cost) != a:
             ok = False
             break
     # deterministic lexicographic ties
@@ -213,7 +213,7 @@ def test_criterion_2_hungarian_oracle():
         best = totals.min()
         optimal = perms[totals <= best + 1e-12]
         lex = min(map(tuple, optimal.tolist()))
-        if a.target_to_pred != lex:
+        if a != lex:
             ok = False
             break
     elapsed = time.time() - t0

@@ -1,21 +1,31 @@
-"""The names the benchmark's tracer wraps still exist where it looks them up.
+"""The benchmark's view of `mvdetr` still matches the package.
 
-`perfbench/spans.py` patches functions and methods of `mvdetr` from outside
-the package, by module and attribute name. A rename or removal breaks only
-traced benchmark runs, so this test installs every patch and takes it out
-again.
+`perfbench/` drives `mvdetr` from outside: `spans.py` patches functions and
+methods by module and attribute name, `workloads.py` names config overrides
+and the call each operation is timed around, and `worker.py` and
+`workloads.py` import names from the package. A renamed or removed name or
+key breaks only a benchmark run, so these tests read those files (without
+changing them) and check every name and key against the package.
 """
 
+import ast
+import importlib
 import importlib.util
+import inspect
 import os
 import sys
 
-SPANS_PATH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                          "perfbench", "spans.py")
+import pytest
+
+from mvdetr.config import parse_config
+
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                         "perfbench")
 
 
-def _load_spans(monkeypatch):
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS_PATH)
+def _load(monkeypatch, name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  os.path.join(PERFBENCH, f"{name}.py"))
     module = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, module)  # dataclasses look it up
     spec.loader.exec_module(module)
@@ -23,7 +33,7 @@ def _load_spans(monkeypatch):
 
 
 def test_every_patched_name_exists_and_is_restored(monkeypatch):
-    spans = _load_spans(monkeypatch)
+    spans = _load(monkeypatch, "spans")
     points = [(module, path) for module, path, _, _ in spans.SPAN_POINTS + spans.COUNT_POINTS]
 
     def current():
@@ -43,3 +53,45 @@ def test_every_patched_name_exists_and_is_restored(monkeypatch):
         patches.restore()
     assert all(w is not o for w, o in zip(wrapped, originals))
     assert all(r is o for r, o in zip(current(), originals))
+
+
+def test_every_workload_config_parses(monkeypatch):
+    for w in _load(monkeypatch, "workloads").WORKLOADS.values():
+        parse_config("", list(w.overrides))
+        parse_config("", list(w.ckpt_overrides))
+
+
+def test_each_timed_call_takes_a_batch_list_at_size_arg(monkeypatch):
+    for w in _load(monkeypatch, "workloads").WORKLOADS.values():
+        module, attr = w.op.split(".")
+        fn = getattr(importlib.import_module("mvdetr." + module), attr)
+        param = list(inspect.signature(fn).parameters.values())[w.size_arg]
+        assert param.kind is inspect.Parameter.POSITIONAL_OR_KEYWORD, (w.op, param)
+        assert str(param.annotation).startswith("list["), (w.op, param)
+
+
+def _mvdetr_names(path):
+    """(module, name) for every `from mvdetr... import name` in a file, and
+    for every attribute it reads off a submodule imported that way."""
+    with open(path, encoding="utf-8") as f:
+        tree = ast.parse(f.read())
+    names = [(node.module, alias.name) for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) and node.level == 0
+             and node.module.split(".")[0] == "mvdetr" for alias in node.names]
+    submodules = {name for module, name in names if module == "mvdetr"}
+    names += [(f"mvdetr.{node.value.id}", node.attr) for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id in submodules]
+    return names
+
+
+@pytest.mark.parametrize("script", ["worker.py", "workloads.py"])
+def test_every_imported_name_exists(script):
+    names = _mvdetr_names(os.path.join(PERFBENCH, script))
+    assert names
+    for module, name in names:
+        owner = importlib.import_module(module)
+        found = hasattr(owner, name) or (  # a submodule not imported yet
+            hasattr(owner, "__path__")
+            and importlib.util.find_spec(f"{module}.{name}") is not None)
+        assert found, f"{script}: from {module} import {name}"

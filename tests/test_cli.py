@@ -124,9 +124,22 @@ class TestExitCodes:
         ("finetune", ["model.dec_layers=0"], "model.dec_layers must be at least 1, got 0"),
         ("finetune", ["model.ffn_dim=0"], "model.ffn_dim must be at least 1, got 0"),
         ("pretrain", ["model.enc_layers=-1"], "model.enc_layers must be at least 0, got -1"),
+        ("pretrain", ["train.lr=nan"], "train.lr must be finite and above 0, got nan"),
+        ("finetune", ["train.lr=inf"], "train.lr must be finite and above 0, got inf"),
+        ("pretrain", ["train.lr=-1"], "train.lr must be finite and above 0, got -1.0"),
+        ("finetune", ["train.weight_decay=nan"],
+         "train.weight_decay must be finite and at least 0, got nan"),
+        ("pretrain", ["train.clip_norm=nan"],
+         "train.clip_norm must be finite and at least 0, got nan"),
+        ("pretrain", ["loss.lambda_g=inf"],
+         "loss.lambda_g must be finite and at least 0, got inf"),
+        ("pretrain", ["loss.lambda_r=nan"],
+         "loss.lambda_r must be finite and at least 0, got nan"),
     ], ids=["heads_split_d_model", "no_heads", "d_model_by_4", "no_d_model", "no_proposals",
             "no_view_size", "no_train_batch", "no_finetune_batch", "no_classes",
-            "no_decoder", "no_ffn", "negative_encoder"])
+            "no_decoder", "no_ffn", "negative_encoder", "nan_lr", "infinite_lr",
+            "negative_lr", "nan_weight_decay", "nan_clip_norm", "infinite_lambda_g",
+            "nan_lambda_r"])
     def test_bad_sizes_are_config_errors(self, workspace, capsys, command, sets, message):
         # rejected while parsing, before the output directory is touched
         root, cfg, manifest = workspace
@@ -258,6 +271,18 @@ class TestExitCodes:
         assert rc == 2
         assert capsys.readouterr().err == f"error: {bad}:3: {problem}\n"
         assert not (tmp_path / "run").exists()
+
+    def test_resume_without_optimizer_state_is_two(self, workspace, tmp_path, capsys):
+        # like finetune's finetuned.ckpt: model arrays, no opt.* entries
+        root, cfg, manifest = workspace
+        ckpt = _untrained_checkpoint(cfg, tmp_path / "no_opt.ckpt")
+        out = tmp_path / "resumed"
+        assert main(["pretrain", "--config", cfg, "--data", manifest, "--out", str(out),
+                     "--resume", ckpt]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {ckpt} holds no optimizer state; "
+            "resume needs an epoch_*.ckpt written by pretrain\n")
+        assert not out.exists()
 
     def test_missing_data_is_two(self, workspace):
         root, cfg, _ = workspace

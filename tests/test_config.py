@@ -65,6 +65,26 @@ def test_validation_epochs_at_least_one(text, key):
         parse_config(text)
 
 
+@pytest.mark.parametrize("key,value,bound", [
+    ("loss.lambda_r", "-1", "finite and at least 0"),
+    ("loss.lambda_g", "-0.5", "finite and at least 0"),
+    ("loss.lambda_loc", "nan", "finite and at least 0"),
+    ("train.weight_decay", "-1e-4", "finite and at least 0"),
+    ("train.lr", "0", "finite and above 0"),
+    ("train.lr", "-inf", "finite and above 0"),
+])
+def test_training_numbers_out_of_range(key, value, bound):
+    with pytest.raises(ConfigError, match=f"{key} must be {bound}, got {float(value)}"):
+        parse_config(f"{key}={value}\n")
+
+
+def test_training_numbers_at_their_bounds():
+    # a weight of 0 switches a term off; a clip norm of 0 switches clipping off
+    cfg = parse_config("loss.lambda_r=0\nloss.lambda_loc=0\ntrain.weight_decay=0\n"
+                       "train.clip_norm=0\ntrain.lr=1e-9\n")
+    assert (cfg.loss_lambda_r, cfg.train_clip_norm, cfg.train_lr) == (0.0, 0.0, 1e-9)
+
+
 def test_region_target_values():
     cfg = parse_config("loss.region_target=object\n")
     assert cfg.loss_region_target == "object"

@@ -118,7 +118,7 @@ def _direction_oracle(model, backbone, pairs, cfg) -> tuple[float, float]:
         targets = TR.boxes_to_targets(predicted, size, size)
         feats = region_features(source, source_boxes)
         cost = L.matching_cost(boxes.data[d], match.data[d], targets)
-        for t, j in enumerate(L.hungarian(cost).target_to_pred):
+        for t, j in enumerate(L.hungarian(cost)):
             rows.append(d * n_q + j)
             match_targets[d * n_q + j, 0] = 1.0
             tgt_boxes.append(targets[t])
@@ -162,12 +162,14 @@ class TestPretrainStep:
         assert (bd.loc, bd.region_disc) == expected
 
     def test_breakdown_identity(self, images):
-        cfg = small_cfg(**{"loss.lambda_r": 0.7, "loss.lambda_g": 1.3})
+        # distinct weights, none of them 1, so each term's weight shows
+        cfg = small_cfg(**{"loss.lambda_r": 0.7, "loss.lambda_g": 1.3,
+                           "loss.lambda_loc": 0.4})
         backbone = FrozenBackbone(cfg.backbone_seed)
         model = TR.make_model(cfg, backbone)
         opt = AdamW(model.params, lr=cfg.train_lr)
         bd = TR.pretrain_step(model, backbone, opt, _pairs(images, cfg), cfg)
-        # recomputed in total_loss's own float32 order, so the check is exact
+        # recomputed in pretrain_step's own float32 order, so the check is exact
         f32 = np.float32
         lam_r, lam_g, lam_loc = (f32(cfg.loss_lambda_r), f32(cfg.loss_lambda_g),
                                  f32(cfg.loss_lambda_loc))
@@ -193,14 +195,19 @@ class TestPretrainStep:
         assert a[0] == b[0]
         assert a[1] == b[1]
 
-    def test_loc_only_mode_skips_other_losses(self, images):
+    def test_loc_only_mode_skips_other_losses(self, images, monkeypatch):
         cfg = small_cfg(**{"loss.lambda_g": 0.0, "loss.lambda_r": 0.0})
         backbone = FrozenBackbone(cfg.backbone_seed)
         model = TR.make_model(cfg, backbone)
         opt = AdamW(model.params, lr=cfg.train_lr)
+
+        def not_built(*args):
+            raise AssertionError("a term of weight 0 was built")
+        monkeypatch.setattr(L, "global_disc_loss", not_built)
+        monkeypatch.setattr(L, "region_disc", not_built)
         bd = TR.pretrain_step(model, backbone, opt, _pairs(images, cfg), cfg)
         assert bd.global_disc == 0.0 and bd.region_disc == 0.0
-        assert bd.total == pytest.approx(bd.loc, abs=1e-6)
+        assert bd.total == bd.loc  # lambda_loc = 1 and no other term in the sum
 
     def test_view_swap_invariance(self, images):
         cfg = small_cfg()

@@ -90,28 +90,39 @@ class TestViewRects:
 class TestAugment:
     def test_all_probabilities_zero_is_identity(self):
         img = _noise_image(1)
-        out, rec = V.augment(img, Rng(5), RunConfig(**NO_AUGMENT))
-        assert not rec.flipped and not rec.grayscale and rec.blur_sigma == 0.0
+        out, flipped = V.augment(img, Rng(5), RunConfig(**NO_AUGMENT))
+        assert not flipped
+        assert out.dtype == np.float32 and out is not img
         np.testing.assert_array_equal(out, img)
 
     def test_double_flip_restores(self):
         img = _noise_image(2)
         cfg = RunConfig(**{**NO_AUGMENT, "aug_flip_p": 1.0})
-        once, _ = V.augment(img, Rng(0), cfg)
+        once, flipped = V.augment(img, Rng(0), cfg)
+        assert flipped
+        np.testing.assert_array_equal(once, img[:, ::-1])
         twice, _ = V.augment(once, Rng(0), cfg)
         np.testing.assert_array_equal(twice, img)
 
     def test_grayscale_channels_equal(self):
+        img = _noise_image(3)
         cfg = RunConfig(**{**NO_AUGMENT, "aug_grayscale_p": 1.0})
-        out, rec = V.augment(_noise_image(3), Rng(0), cfg)
-        assert rec.grayscale
+        out, _ = V.augment(img, Rng(0), cfg)
+        assert not np.array_equal(out, img)
         np.testing.assert_allclose(out[:, :, 0], out[:, :, 1], atol=1e-7)
         np.testing.assert_allclose(out[:, :, 1], out[:, :, 2], atol=1e-7)
+
+    def test_blur_smooths(self):
+        img = _noise_image(6)
+        out, flipped = V.augment(img, Rng(0), RunConfig(**{**NO_AUGMENT, "aug_blur_p": 1.0}))
+        assert not flipped
+        assert np.abs(np.diff(out, axis=1)).mean() < np.abs(np.diff(img, axis=1)).mean()
 
     def test_range_preserved(self):
         cfg = RunConfig(aug_flip_p=1.0, aug_color_p=1.0, aug_grayscale_p=0.0,
                         aug_blur_p=1.0)
         out, _ = V.augment(_noise_image(4), Rng(9), cfg)
+        assert out.dtype == np.float32
         assert out.min() >= 0.0 and out.max() <= 1.0
 
 
