@@ -59,20 +59,20 @@ def _conv_forward(x: np.ndarray, weight: np.ndarray, bias: np.ndarray) -> np.nda
 _BLOCK_PIXELS = 1 << 14
 
 CROP_SIZE = 64  # side of the square each crop-level target is resized to
+CHANNELS = (16, 32, 64)  # output channels of the three conv layers
 
 
 class FrozenBackbone:
     stride = 8
 
-    def __init__(self, seed: int, channels: tuple[int, ...] = (16, 32, 64)):
+    def __init__(self, seed: int):
         self.seed = seed
-        self.channels = tuple(channels)
-        self.out_channels = self.channels[-1]
+        self.out_channels = CHANNELS[-1]
         rng = Rng(seed)
         self.weights: list[np.ndarray] = []
         self.biases: list[np.ndarray] = []
         cin = 3
-        for cout in self.channels:
+        for cout in CHANNELS:
             fan_in = 9 * cin
             std = math.sqrt(2.0 / fan_in)
             w = rng.normals(fan_in * cout, 0.0, std).astype(np.float32).reshape(fan_in, cout)

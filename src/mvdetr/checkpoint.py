@@ -15,6 +15,7 @@ round trip stays bit-identical.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 
@@ -63,24 +64,31 @@ def load_checkpoint(path: str) -> dict[str, np.ndarray]:
     if declared_len != len(blob) - 8:
         raise ValueError(f"{path}: length check failed "
                          f"({declared_len} declared, {len(blob) - 8} actual)")
-    (count,) = struct.unpack_from("<Q", blob, 8)
+    body = memoryview(blob)[:-8]
+    (count,) = struct.unpack_from("<Q", body, 8)
     offset = 16
     entries: dict[str, np.ndarray] = {}
+
+    def take(n: int) -> memoryview:  # the next n bytes, never past the trailer
+        nonlocal offset
+        if n > len(body) - offset:
+            raise ValueError(f"{path}: entry {len(entries) + 1} of {count} runs "
+                             "past the end of the body")
+        offset += n
+        return body[offset - n:offset]
+
     for _ in range(count):
-        (name_len,) = struct.unpack_from("<I", blob, offset)
-        offset += 4
-        name = blob[offset:offset + name_len].decode("utf-8")
-        offset += name_len
-        dtype_tag, rank = struct.unpack_from("<BB", blob, offset)
-        offset += 2
+        (name_len,) = struct.unpack("<I", take(4))
+        name = bytes(take(name_len)).decode("utf-8")
+        dtype_tag, rank = struct.unpack("<BB", take(2))
         if dtype_tag != DTYPE_F32:
             raise ValueError(f"{path}: unknown dtype tag {dtype_tag} for {name!r}")
-        dims = struct.unpack_from(f"<{rank}Q", blob, offset) if rank else ()
-        offset += 8 * rank
-        size = int(np.prod(dims)) if rank else 1
-        arr = np.frombuffer(blob, dtype="<f4", count=size, offset=offset).reshape(dims)
-        offset += 4 * size
+        dims = struct.unpack(f"<{rank}Q", take(8 * rank))
+        arr = np.frombuffer(take(4 * math.prod(dims)), dtype="<f4").reshape(dims)
         entries[name] = arr.copy()
+    if offset != len(body):
+        raise ValueError(f"{path}: {len(body) - offset} bytes after the last of "
+                         f"{count} entries")
     return entries
 
 

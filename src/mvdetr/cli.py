@@ -88,11 +88,16 @@ def _build_parser() -> _Parser:
 
 
 def _load_config(args):
-    from .config import parse_config
+    from .config import ConfigError, parse_config
     text = ""
     if args.config:
-        with open(args.config, encoding="utf-8") as f:
-            text = f.read()
+        try:
+            with open(args.config, encoding="utf-8") as f:
+                text = f.read()
+        except OSError as e:
+            raise ConfigError(f"cannot read {args.config}: {e.strerror}") from None
+        except UnicodeDecodeError as e:
+            raise ConfigError(f"{args.config} is not UTF-8 text: {e}") from None
     return parse_config(text, args.overrides)
 
 
@@ -247,8 +252,7 @@ def _cmd_export_attn(args, argv) -> int:
     cfg = _load_config(args)
     model, backbone = _load_model_from_checkpoint(args.checkpoint, cfg)
     pixels = read_ppm(args.image)
-    paths = export_attention(model, backbone, pixels, args.out,
-                             view_size=cfg.view_size)
+    paths = export_attention(model, backbone, pixels, args.out)
     print(f"wrote {len(paths) - 1} attention maps + sidecar to {args.out}")
     return 0
 

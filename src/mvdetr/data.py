@@ -6,9 +6,9 @@ per image separated by blank lines; each block line reads
 `<image_path> <x1> <y1> <x2> <y2> <label>`, and an image with no objects is a
 block of one line holding only its path. Loading rejects a manifest whose
 count is not an integer or differs from the number of image blocks, and names
-the file and line of a malformed, non-finite or inside-out box, or of a bare
-path next to box lines of the same image. Generation is a pure function of
-(spec, seed) down to the file bytes.
+the file and line of a malformed, non-finite, inside-out or empty box, or of a
+bare path next to box lines of the same image. Generation is a pure function
+of `SceneSpec` (image size, seed) down to the file bytes.
 
 `load_dataset` yields one (pixels, boxes, labels) triple per image: the
 file's (H, W, 3) uint8 bytes (8-bit, a quarter of float32; `as_float_pixels`
@@ -31,26 +31,28 @@ from .rng import Rng, derive_seed
 MANIFEST_NAME = "manifest.txt"
 
 
+# fixed scene settings; sides and the margin around each object are in pixels
+MIN_OBJECTS = 2
+MAX_OBJECTS = 4
+MIN_SIDE = 24.0
+MAX_SIDE = 56.0
+MAX_PAIRWISE_IOU = 0.3
+MARGIN = 6.0
+NOISE_AMPLITUDE = 0.04
+
+
 @dataclass
 class SceneSpec:
     image_size: int = 160
-    min_objects: int = 2
-    max_objects: int = 4
-    min_side: float = 24.0
-    max_side: float = 56.0
-    max_pairwise_iou: float = 0.3
-    margin: float = 6.0
-    noise_amplitude: float = 0.04
     seed: int = 0
 
     def side_range(self) -> tuple[float, float]:
         """Object side lengths that fit inside the margins of the image."""
-        hi = min(self.max_side, self.image_size - 2 * self.margin)
-        if hi < self.min_side:
+        hi = min(MAX_SIDE, self.image_size - 2 * MARGIN)
+        if hi < MIN_SIDE:
             raise ValueError(f"image size {self.image_size} leaves no room for a "
-                             f"{self.min_side:g}-px object inside "
-                             f"{self.margin:g}-px margins")
-        return self.min_side, hi
+                             f"{MIN_SIDE:g}-px object inside {MARGIN:g}-px margins")
+        return MIN_SIDE, hi
 
 
 @dataclass
@@ -69,21 +71,21 @@ class SceneObject:
 def sample_scene(spec: SceneSpec, index: int) -> list[SceneObject]:
     """Object parameters for image `index`; pure function of (spec, index)."""
     rng = Rng(derive_seed(spec.seed, 0x5C, index))
-    count = rng.randint(spec.min_objects, spec.max_objects)
+    count = rng.randint(MIN_OBJECTS, MAX_OBJECTS)
     min_side, max_side = spec.side_range()
     objects: list[SceneObject] = []
     for _ in range(count):
         for _attempt in range(50):
             size = rng.uniform(min_side, max_side)
             half = size / 2.0
-            lo = spec.margin + half
-            hi = spec.image_size - spec.margin - half
+            lo = MARGIN + half
+            hi = spec.image_size - MARGIN - half
             cx, cy = rng.uniform(lo, hi), rng.uniform(lo, hi)
             color = (rng.uniform(0.35, 1.0), rng.uniform(0.35, 1.0),
                      rng.uniform(0.35, 1.0))
             label = rng.randint(0, 2)
             candidate = SceneObject(label, cx, cy, size, color)
-            if all(box_iou(candidate.bbox(), o.bbox()) <= spec.max_pairwise_iou
+            if all(box_iou(candidate.bbox(), o.bbox()) <= MAX_PAIRWISE_IOU
                    for o in objects):
                 objects.append(candidate)
                 break
@@ -101,7 +103,7 @@ def _background(spec: SceneSpec, rng: Rng) -> np.ndarray:
         color = np.array([rng.uniform(-1, 1) for _ in range(3)])
         img += ramp[:, :, None] * color[None, None, :] * rng.uniform(0.03, 0.10)
     noise = Rng(rng.next_u64()).uniforms(s * s, -1.0, 1.0).reshape(s, s)
-    img += noise[:, :, None] * spec.noise_amplitude
+    img += noise[:, :, None] * NOISE_AMPLITUDE
     return np.clip(img, 0.0, 1.0)
 
 
@@ -192,7 +194,7 @@ def generate_dataset(count: int, spec: SceneSpec, out_dir: str) -> str:
     Byte-identical for identical (count, spec). On I/O failure partial files
     are removed before the error propagates. A spec whose objects cannot fit
     is rejected before anything is written. Images that hold fewer than
-    `spec.min_objects` objects (no placement kept the overlap limit) are
+    MIN_OBJECTS objects (no placement kept the overlap limit) are
     counted on stderr.
     """
     spec.side_range()
@@ -204,7 +206,7 @@ def generate_dataset(count: int, spec: SceneSpec, out_dir: str) -> str:
         lines = [f"manifest v1 {count}"]
         for i in range(count):
             pixels, objects = render_scene(spec, i)
-            short += len(objects) < spec.min_objects
+            short += len(objects) < MIN_OBJECTS
             name = f"img_{i:05d}.ppm"
             write_ppm(os.path.join(out_dir, name), pixels)
             written.append(os.path.join(out_dir, name))
@@ -224,8 +226,8 @@ def generate_dataset(count: int, spec: SceneSpec, out_dir: str) -> str:
         raise
     if short:
         print(f"warning: {short} of {count} images hold fewer than "
-              f"{spec.min_objects} objects (no room for more at IoU <= "
-              f"{spec.max_pairwise_iou:g})", file=sys.stderr)
+              f"{MIN_OBJECTS} objects (no room for more at IoU <= "
+              f"{MAX_PAIRWISE_IOU:g})", file=sys.stderr)
     return manifest_path
 
 
@@ -273,6 +275,8 @@ def load_dataset(manifest_path: str, classes: int | None = None
         if x2 < x1 or y2 < y1:
             raise ValueError(f"{where}: box corners out of order "
                              f"({x1}, {y1}, {x2}, {y2})")
+        if x2 == x1 or y2 == y1:
+            raise ValueError(f"{where}: empty box ({x1}, {y1}, {x2}, {y2})")
         blocks.setdefault(name, []).append((x1, y1, x2, y2, label))
     if len(blocks) != declared:
         raise ValueError(f"{manifest_path}: header declares {declared} images, "

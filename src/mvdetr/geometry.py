@@ -1,4 +1,4 @@
-"""Box algebra, overlap metrics, frame transforms, resampling and RoIAlign.
+"""Box algebra, overlap metrics, box mapping into views, resampling and RoIAlign.
 
 Boxes are half-open intervals in continuous pixel coordinates. A single
 rectangle (a view rect, an overlap, a scene object) is a `BoxXYXY`; a box set
@@ -23,6 +23,7 @@ import numpy as np
 from .tensor import Tensor, _make
 
 _EPS = 1e-9
+ROI_SAMPLING = 2  # bilinear reads per output bin and axis in `roi_align`
 
 
 @dataclass(frozen=True)
@@ -94,23 +95,6 @@ def pairwise_iou(a_xyxy: np.ndarray, b_xyxy: np.ndarray) -> tuple[np.ndarray, np
     return iou, union
 
 
-@dataclass(frozen=True)
-class FrameTransform:
-    """Affine crop/scale (plus optional horizontal flip) into a target frame.
-
-    Points map as x' = sx * (x - dx), then x' -> dst_w - x' when flipped;
-    y' = sy * (y - dy). The target frame's dims define the flip and the clamp.
-    """
-
-    dx: float
-    dy: float
-    sx: float
-    sy: float
-    flip: bool
-    dst_w: float
-    dst_h: float
-
-
 # Python's min(a, b) and max(a, b), elementwise: a unless b is below (above)
 # it, so a tie such as 0.0 against -0.0 keeps a, where np.minimum may not
 def py_min(a, b) -> np.ndarray:
@@ -121,17 +105,19 @@ def py_max(a, b) -> np.ndarray:
     return np.where(b > a, b, a)
 
 
-def map_boxes(boxes: np.ndarray, t: FrameTransform) -> tuple[np.ndarray, np.ndarray]:
-    """Express an (n, 4) box set in the transform's target frame, clamped to
-    its bounds: (mapped, inside), where inside[k] is False for a box with no
-    intersection with the target frame (the caller drops those rows).
-    """
-    pts = np.array([t.sx, t.sy]) * (boxes.reshape(-1, 2, 2) - np.array([t.dx, t.dy]))
-    if t.flip:  # mirrors x, so the corners swap
-        pts[..., 0] = t.dst_w - pts[..., 0]
+def map_boxes(boxes: np.ndarray, rect: BoxXYXY, flip: bool,
+              size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Express an (n, 4) box set in the `size`-square view cropped from `rect`
+    (x' = size / rect.width * (x - rect.x1), mirrored as size - x' if `flip`),
+    clamped to the view: (mapped, inside), where inside[k] is False for a box
+    with no intersection with the view (the caller drops those rows)."""
+    scale = np.array([size / rect.width, size / rect.height])
+    pts = scale * (boxes.reshape(-1, 2, 2) - np.array([rect.x1, rect.y1]))
+    if flip:  # mirrors x, so the corners swap
+        pts[..., 0] = size - pts[..., 0]
     a, b = pts[:, 0], pts[:, 1]  # (n, 2) each: the (x, y) of either corner
     lo = py_max(0.0, py_min(a, b))
-    hi = py_min(np.array([t.dst_w, t.dst_h]), py_max(a, b))
+    hi = py_min(np.array([size, size]), py_max(a, b))
     return np.concatenate([lo, hi], axis=1), (hi > lo).all(axis=1)
 
 
@@ -184,8 +170,7 @@ def resample(source: np.ndarray, ay: np.ndarray, ax: np.ndarray,
     return np.matmul(ax[:, None], rows, out=out)
 
 
-def roi_align(features: Tensor, boxes: np.ndarray, out_hw: tuple[int, int],
-              sampling: int = 2) -> Tensor:
+def roi_align(features: Tensor, boxes: np.ndarray, out_hw: tuple[int, int]) -> Tensor:
     """Pool the regions of an (n, 4) box set on an (H, W, C) feature map to
     (n, h_out, w_out, C).
 
@@ -197,7 +182,7 @@ def roi_align(features: Tensor, boxes: np.ndarray, out_hw: tuple[int, int],
     H, W, C = features.data.shape
     if H == 0 or W == 0:
         raise ValueError("roi_align: empty feature map")
-    ay, ax = bilinear_taps(boxes, H, W, out_hw, sampling,
+    ay, ax = bilinear_taps(boxes, H, W, out_hw, ROI_SAMPLING,
                            np.result_type(features.data.dtype, np.float32))
     data = resample(features.data, ay, ax)
 

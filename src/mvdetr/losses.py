@@ -342,7 +342,7 @@ def set_loss(logits: Tensor, boxes: Tensor,
     b, n_q = logits.data.shape[:2]
     dt = logits.data.dtype
     logits_flat = T.reshape(logits, (b * n_q, n_classes + 1))
-    probs = T.softmax(logits_flat, axis=-1)
+    probs = T.softmax(logits_flat)
     probs_np = probs.data.reshape(b, n_q, n_classes + 1)
     tgt_boxes, tgt_labels = zip(*targets)
     rows = matched_rows([finetune_matching_cost(boxes.data[i], probs_np[i], tb, tl)

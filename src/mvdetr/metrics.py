@@ -258,13 +258,12 @@ def write_pgm(path: str, gray: np.ndarray) -> None:
 
 
 def export_attention(model: Detr, backbone: FrozenBackbone, pixels: np.ndarray,
-                     out_dir: str, *,
-                     view_size: int) -> list[str]:
+                     out_dir: str) -> list[str]:
     """Final-decoder-layer cross-attention per query as 8-bit PGM maps, plus
     a sidecar listing predicted boxes and match scores; the image is resized
-    to `view_size` square first."""
+    to the model's `view.size` square first."""
     os.makedirs(out_dir, exist_ok=True)
-    pixels = resize_to_view(pixels, view_size)
+    pixels = resize_to_view(pixels, model.cfg.view_size)
     with T.no_grad():
         c, hw = model.encode(Tensor(backbone.extract_batch(pixels[None])))  # a batch of one
         q_hat, attn = model.decode(c, hw, z=None)

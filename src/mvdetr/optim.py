@@ -9,21 +9,21 @@ import numpy as np
 from .tensor import Tensor
 
 BETAS = (0.9, 0.999)
+EPS = 1e-8  # added to the root of the second-moment estimate
 
 
 class AdamW:
     """Decoupled weight decay: w <- w - lr*wd*w, applied separately from the
-    moment update; betas (0.9, 0.999), epsilon 1e-8. Parameters with no
+    moment update; betas BETAS, epsilon EPS. Parameters with no
     gradient this step are treated as zero-gradient (decay still applies).
     """
 
     def __init__(self, params: dict[str, Tensor], lr: float = 1e-4,
-                 weight_decay: float = 1e-4, eps: float = 1e-8):
+                 weight_decay: float = 1e-4):
         self.names = list(params)
         self.params = dict(params)
         self.lr = lr
         self.weight_decay = weight_decay
-        self.eps = eps
         self.t = 0
         self.m = {n: np.zeros_like(params[n].data) for n in self.names}
         self.v = {n: np.zeros_like(params[n].data) for n in self.names}
@@ -51,7 +51,7 @@ class AdamW:
             self.v[name] = b2 * self.v[name] + (1.0 - b2) * (g * g)
             m_hat = self.m[name] / bc1
             v_hat = self.v[name] / bc2
-            p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + EPS)
 
     # -- checkpoint plumbing -----------------------------------------------------
 

@@ -436,29 +436,29 @@ def tsum(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     return _reduce("sum", x, x.data.sum(axis=axis, keepdims=keepdims), axis, keepdims)
 
 
-def tmean(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
+def tmean(x: Tensor, axis=None) -> Tensor:
     if axis is None:
         count = x.data.size
     elif isinstance(axis, tuple):
         count = int(np.prod([x.data.shape[a] for a in axis]))
     else:
         count = x.data.shape[axis]
-    return _reduce("mean", x, x.data.mean(axis=axis, keepdims=keepdims), axis, keepdims,
-                   count)
+    return _reduce("mean", x, x.data.mean(axis=axis), axis, False, count)
 
 
 # -- normalization and attention support -----------------------------------------
 
 
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    if x.data.shape == () or x.data.shape[axis] == 0:
-        raise ShapeError(f"softmax: empty axis {axis} in shape {x.data.shape}")
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
+def softmax(x: Tensor) -> Tensor:
+    """Softmax over the last axis."""
+    if x.data.shape == () or x.data.shape[-1] == 0:
+        raise ShapeError(f"softmax: empty last axis in shape {x.data.shape}")
+    shifted = x.data - x.data.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    data = e / e.sum(axis=axis, keepdims=True)
+    data = e / e.sum(axis=-1, keepdims=True)
 
     def backward(g):
-        dot = (g * data).sum(axis=axis, keepdims=True)
+        dot = (g * data).sum(axis=-1, keepdims=True)
         x.accumulate_grad((g - dot) * data)
 
     return _make(data, (x,), "softmax", backward)
@@ -467,6 +467,7 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
 # Probability bytes one block of batch items may hold in `attention`: a 1 MiB
 # block keeps its logits-to-probabilities passes inside a 2 MiB L2 cache.
 _ATTENTION_BLOCK_BYTES = 1 << 20
+NORM_EPS = 1e-5  # added to the variance in `layer_norm` and `batch_norm_1d`
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> tuple[Tensor, np.ndarray]:
@@ -557,13 +558,12 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> tuple[Tensor, np.n
     return _make(data, (q, k, v), "attention", backward), probs
 
 
-def _normalize(op: str, x: Tensor, scale: Tensor, shift: Tensor, axis: int,
-               eps: float) -> Tensor:
+def _normalize(op: str, x: Tensor, scale: Tensor, shift: Tensor, axis: int) -> Tensor:
     """Standardize x along axis, then apply the per-feature (last-axis) scale
     and shift."""
     mu = x.data.mean(axis=axis, keepdims=True)
     var = x.data.var(axis=axis, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + NORM_EPS)
     xhat = (x.data - mu) * inv
     data = xhat * scale.data + shift.data
 
@@ -581,12 +581,12 @@ def _normalize(op: str, x: Tensor, scale: Tensor, shift: Tensor, axis: int,
     return _make(data, (x, scale, shift), op, backward)
 
 
-def layer_norm(x: Tensor, scale: Tensor, shift: Tensor, eps: float = 1e-5) -> Tensor:
+def layer_norm(x: Tensor, scale: Tensor, shift: Tensor) -> Tensor:
     """Normalize over the last dimension, then apply elementwise scale/shift."""
-    return _normalize("layer_norm", x, scale, shift, -1, eps)
+    return _normalize("layer_norm", x, scale, shift, -1)
 
 
-def batch_norm_1d(x: Tensor, scale: Tensor, shift: Tensor, eps: float = 1e-5) -> Tensor:
+def batch_norm_1d(x: Tensor, scale: Tensor, shift: Tensor) -> Tensor:
     """Normalize a (batch, features) tensor over the batch axis.
 
     Current-batch statistics only (training-time usage); batch size 1 has
@@ -596,7 +596,7 @@ def batch_norm_1d(x: Tensor, scale: Tensor, shift: Tensor, eps: float = 1e-5) ->
         raise ShapeError(f"batch_norm_1d expects a 2-d input, got {x.data.shape}")
     if x.data.shape[0] < 2:
         raise ShapeError("batch_norm_1d requires batch size >= 2")
-    return _normalize("batch_norm_1d", x, scale, shift, 0, eps)
+    return _normalize("batch_norm_1d", x, scale, shift, 0)
 
 
 # -- similarity ----------------------------------------------------------------------

@@ -3,9 +3,9 @@ photometric/geometric augmentation, proposals in the overlap, and box jitter.
 
 Single rectangles (base, view rects, overlap) are `BoxXYXY`; every proposal
 set, from `generate_proposals` to `ViewPair.proposals1`/`proposals2`, is an
-(n, 4) float64 array of xyxy rows. Settings come straight from `RunConfig`.
-`augment` applies each effect right after its draw and reports only the
-flip, the one effect the view's `FrameTransform` needs.
+(n, 4) float64 array of xyxy rows. Settings come from `RunConfig` or are the
+constants below. A view's geometry is its source rect and whether `augment`
+flipped it (`ViewPair.rect1`, `flip1`), all that `geometry.map_boxes` needs.
 
 Images arrive as the (H, W, 3) uint8 pixels `data.load_dataset` holds.
 `build_view_pair` and `resize_to_view`, the one way into finetuning and
@@ -25,8 +25,8 @@ import numpy as np
 
 from .config import RunConfig
 from .data import as_float_pixels
-from .geometry import (BoxXYXY, FrameTransform, bilinear_taps, box_iou, corners,
-                       map_boxes, py_max, py_min, resample)
+from .geometry import (BoxXYXY, bilinear_taps, box_iou, corners, map_boxes, py_max,
+                       py_min, resample)
 from .rng import Rng
 
 _LUMA = np.array([0.299, 0.587, 0.114], dtype=np.float32)
@@ -42,14 +42,14 @@ VIEW_RECT_TRIES = 100  # IoU-rejected draws before the full-base fallback
 class ViewPair:
     view1: np.ndarray  # (size, size, 3) float32
     view2: np.ndarray
-    t1: FrameTransform
-    t2: FrameTransform
     proposals1: np.ndarray  # (n, 4) xyxy in view 1 pixels
     proposals2: np.ndarray  # (n, 4) xyxy in view 2 pixels
     base_rect: BoxXYXY
     rect1: BoxXYXY
     rect2: BoxXYXY
-    padded: bool = False  # proposals repeated cyclically to reach n
+    flip1: bool  # view 1 is mirrored left to right
+    flip2: bool
+    padded: bool  # proposals repeated cyclically to reach n
 
 
 # -- resampling helpers -------------------------------------------------------
@@ -108,16 +108,11 @@ def sobel_magnitude(pixels: np.ndarray) -> np.ndarray:
 # -- sampling stages ----------------------------------------------------------
 
 
-def sample_base_rect(width: int, height: int, rng: Rng,
-                     area_range: tuple[float, float] = BASE_AREA_RANGE) -> BoxXYXY:
-    """Random rectangle covering an area fraction drawn from area_range."""
+def sample_base_rect(width: int, height: int, rng: Rng) -> BoxXYXY:
+    """Random rectangle covering an area fraction drawn from BASE_AREA_RANGE."""
     if width < 32 or height < 32:
         raise ValueError(f"image too small for view construction: {width}x{height}")
-    lo, hi = area_range
-    ratio = lo if hi <= lo else rng.uniform(lo, hi)
-    if ratio >= 1.0:
-        return BoxXYXY(0.0, 0.0, float(width), float(height))
-    area = ratio * width * height
+    area = rng.uniform(*BASE_AREA_RANGE) * width * height
     aspect_lo = max(0.75, area / (height * height))
     aspect_hi = min(4.0 / 3.0, width * width / area)
     if aspect_lo >= aspect_hi:
@@ -182,9 +177,10 @@ def augment(pixels: np.ndarray, rng: Rng, cfg: RunConfig) -> tuple[np.ndarray, b
 
 
 def generate_proposals(pixels: np.ndarray, overlap: BoxXYXY, mode: str, count: int,
-                       rng: Rng, min_side: float = MIN_PROPOSAL_SIDE) -> np.ndarray:
+                       rng: Rng) -> np.ndarray:
     """(count, 4) boxes inside `overlap` (image frame); objectness mode ranks
     random candidates by interior-vs-border Sobel gradient contrast."""
+    min_side = MIN_PROPOSAL_SIDE
     if overlap.width < min_side or overlap.height < min_side or overlap.area < 64.0:
         raise ValueError(f"overlap too small for proposals: "
                          f"{overlap.width:.1f}x{overlap.height:.1f}")
@@ -270,15 +266,10 @@ def build_view_pair(pixels: np.ndarray, cfg: RunConfig, seed: int) -> ViewPair:
 
     proposals_img = generate_proposals(pixels, overlap, cfg.proposals_mode, cfg.view_n, rng)
 
-    views, transforms = [], []
-    for rect in (rect1, rect2):
-        view, flipped = augment(crop_resize(pixels, rect, size, size), rng, cfg)
-        views.append(view)
-        transforms.append(FrameTransform(dx=rect.x1, dy=rect.y1,
-                                         sx=size / rect.width, sy=size / rect.height,
-                                         flip=flipped, dst_w=size, dst_h=size))
-
-    (p1, inside1), (p2, inside2) = (map_boxes(proposals_img, t) for t in transforms)
+    view1, flip1 = augment(crop_resize(pixels, rect1, size, size), rng, cfg)
+    view2, flip2 = augment(crop_resize(pixels, rect2, size, size), rng, cfg)
+    p1, inside1 = map_boxes(proposals_img, rect1, flip1, size)
+    p2, inside2 = map_boxes(proposals_img, rect2, flip2, size)
     kept = np.flatnonzero(inside1 & inside2)
     if not len(kept):
         raise ValueError("no proposal survived mapping into both views")
@@ -289,6 +280,6 @@ def build_view_pair(pixels: np.ndarray, cfg: RunConfig, seed: int) -> ViewPair:
         p1 = _jitter_boxes(p1, cfg.view_jitter, rng, size, size)
         p2 = _jitter_boxes(p2, cfg.view_jitter, rng, size, size)
 
-    return ViewPair(view1=views[0], view2=views[1], t1=transforms[0], t2=transforms[1],
-                    proposals1=p1, proposals2=p2, base_rect=base,
-                    rect1=rect1, rect2=rect2, padded=padded)
+    return ViewPair(view1=view1, view2=view2, proposals1=p1, proposals2=p2,
+                    base_rect=base, rect1=rect1, rect2=rect2, flip1=flip1, flip2=flip2,
+                    padded=padded)

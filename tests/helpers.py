@@ -96,7 +96,7 @@ def composed_attention(q: Tensor, k: Tensor, v: Tensor, heads: int):
 
     logits = T.matmul(split(q, nq), T.transpose(split(k, lk), (0, 1, 3, 2)))
     scale = Tensor(np.asarray(1.0 / math.sqrt(dk), dtype=logits.data.dtype))
-    attn = T.softmax(T.mul(logits, scale), axis=-1)
+    attn = T.softmax(T.mul(logits, scale))
     mixed = T.matmul(attn, split(v, lk))
     return T.reshape(T.transpose(mixed, (0, 2, 1, 3)), (b, nq, c)), attn
 
@@ -388,25 +388,28 @@ def scalar_jitter_box(box, amount, rng, frame_w, frame_h):
     return BoxXYXY(x1, y1, x2, y2)
 
 
-def scalar_map_box(box, t):
+def scalar_map_box(box, rect, flip, size):
     """`geometry.map_boxes` one `BoxXYXY` at a time: each corner through
-    x' = sx (x - dx) (mirrored as dst_w - x' when flipped), y' = sy (y - dy),
-    then ordered and clamped to the target frame with Python's `min` and
+    x' = sx (x - rect.x1) (mirrored as size - x' when flipped),
+    y' = sy (y - rect.y1), with (sx, sy) = size / (rect.width, rect.height),
+    then ordered and clamped to the size-square view with Python's `min` and
     `max`. Raises ValueError when nothing of the box is left."""
+    sx, sy = size / rect.width, size / rect.height
+
     def point(x, y):
-        xo = t.sx * (x - t.dx)
-        if t.flip:
-            xo = t.dst_w - xo
-        return xo, t.sy * (y - t.dy)
+        xo = sx * (x - rect.x1)
+        if flip:
+            xo = size - xo
+        return xo, sy * (y - rect.y1)
 
     xa, ya = point(box.x1, box.y1)
     xb, yb = point(box.x2, box.y2)
     x1, x2 = (xa, xb) if xa <= xb else (xb, xa)
     y1, y2 = (ya, yb) if ya <= yb else (yb, ya)
     cx1, cy1 = max(0.0, x1), max(0.0, y1)
-    cx2, cy2 = min(t.dst_w, x2), min(t.dst_h, y2)
+    cx2, cy2 = min(size, x2), min(size, y2)
     if cx2 <= cx1 or cy2 <= cy1:
-        raise ValueError(f"box {box} maps outside the {t.dst_w}x{t.dst_h} frame")
+        raise ValueError(f"box {box} maps outside the {size}x{size} view")
     return BoxXYXY(cx1, cy1, cx2, cy2)
 
 

@@ -70,7 +70,7 @@ def _primitive_cases():
                                            T.maximum(ts[0], ts[1]))),
          [(5, 2), (5, 2)], False),
         ("clamp", lambda ts: T.tsum(T.clamp(ts[0], -0.5, 0.5)), [(6, 2)], False),
-        ("softmax", lambda ts: T.tsum(T.mul(T.softmax(ts[0], axis=-1), ts[1])),
+        ("softmax", lambda ts: T.tsum(T.mul(T.softmax(ts[0]), ts[1])),
          [(3, 5), (3, 5)], False),
         ("layer_norm", lambda ts: T.tsum(T.mul(T.layer_norm(ts[0], ts[1], ts[2]),
                                                ts[3])),
@@ -313,10 +313,10 @@ def test_criterion_5_loss_identities():
     model = make_model(cfg, backbone)
     pairs = [V.build_view_pair(img, cfg, derive_seed(505, i))
              for i, img in enumerate(images)]
-    swapped = [V.ViewPair(view1=p.view2, view2=p.view1, t1=p.t2, t2=p.t1,
+    swapped = [V.ViewPair(view1=p.view2, view2=p.view1,
                           proposals1=p.proposals2, proposals2=p.proposals1,
                           base_rect=p.base_rect, rect1=p.rect2, rect2=p.rect1,
-                          padded=p.padded) for p in pairs]
+                          flip1=p.flip2, flip2=p.flip1, padded=p.padded) for p in pairs]
     frozen_opt = AdamW(model.params, lr=0.0, weight_decay=0.0)
     bd_a = pretrain_step(model, backbone, frozen_opt, pairs, cfg)
     bd_b = pretrain_step(model, backbone, frozen_opt, swapped, cfg)

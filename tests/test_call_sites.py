@@ -3,9 +3,10 @@
 `perfbench/` drives `mvdetr` from outside: `spans.py` patches functions and
 methods by module and attribute name, `workloads.py` names config overrides
 and the call each operation is timed around, and `worker.py` and
-`workloads.py` import names from the package. A renamed or removed name or
-key breaks only a benchmark run, so these tests read those files (without
-changing them) and check every name and key against the package.
+`workloads.py` import names from the package and call them. A renamed or
+removed name, key or parameter breaks only a benchmark run, so these tests
+read those files (without changing them) and check every name, key and call
+against the package.
 """
 
 import ast
@@ -18,6 +19,7 @@ import sys
 import pytest
 
 from mvdetr.config import parse_config
+from mvdetr.model import Detr
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                          "perfbench")
@@ -95,3 +97,59 @@ def test_every_imported_name_exists(script):
             hasattr(owner, "__path__")
             and importlib.util.find_spec(f"{module}.{name}") is not None)
         assert found, f"{script}: from {module} import {name}"
+
+
+def _mvdetr_calls(path):
+    """(line, callee, positional count, keyword names) of every call in a file
+    to a name imported from `mvdetr`, to an attribute of an `mvdetr`
+    submodule imported by name, or to a method of the local `model` (a
+    `Detr`, whose `self` then counts as one more positional argument)."""
+    with open(path, encoding="utf-8") as f:
+        tree = ast.parse(f.read())
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 0 \
+                and node.module.split(".")[0] == "mvdetr":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = _import_name(node.module, alias.name)
+    calls = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func, extra = node.func, 0
+        if isinstance(func, ast.Name) and func.id in imported:
+            callee = imported[func.id]
+        elif isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
+            owner = func.value.id
+            if owner == "model":
+                callee, extra = getattr(Detr, func.attr), 1
+            elif inspect.ismodule(imported.get(owner)):
+                callee = getattr(imported[owner], func.attr)
+            else:
+                continue
+        else:
+            continue
+        assert not any(isinstance(a, ast.Starred) for a in node.args) \
+            and all(k.arg for k in node.keywords), f"{path}:{node.lineno}: unpacked arguments"
+        calls.append((node.lineno, callee, len(node.args) + extra,
+                      [k.arg for k in node.keywords]))
+    return calls
+
+
+def _import_name(module, name):
+    """`from module import name`: an attribute, or a submodule not imported yet."""
+    owner = importlib.import_module(module)
+    if hasattr(owner, name):
+        return getattr(owner, name)
+    return importlib.import_module(f"{module}.{name}")
+
+
+@pytest.mark.parametrize("script", ["worker.py", "workloads.py"])
+def test_every_call_into_the_package_binds(script):
+    calls = _mvdetr_calls(os.path.join(PERFBENCH, script))
+    assert calls
+    for line, callee, positional, keywords in calls:
+        try:
+            inspect.signature(callee).bind(*range(positional), **dict.fromkeys(keywords))
+        except TypeError as e:
+            pytest.fail(f"{script}:{line}: {callee.__qualname__}: {e}")

@@ -1,5 +1,6 @@
 """Checkpoint container: bit-exact round trips and format validation."""
 
+import re
 import struct
 
 import numpy as np
@@ -76,6 +77,49 @@ def test_truncation_detected(tmp_path):
     blob = open(path, "rb").read()
     open(path, "wb").write(blob[:-12])
     with pytest.raises(ValueError):
+        C.load_checkpoint(path)
+
+
+def _rewrite_body(path, body):
+    """Write `body` to `path` with a correct length trailer."""
+    with open(path, "wb") as f:
+        f.write(body + struct.pack("<Q", len(body)))
+
+
+def _saved_body(path):
+    C.save_checkpoint(path, {"a": np.arange(3, dtype=np.float32),
+                             "b": np.array([0.0, 1.0, 2.0, 3.0], dtype=np.float32)})
+    return open(path, "rb").read()[:-8]
+
+
+@pytest.mark.parametrize("cut,message", [
+    (lambda body: body[:-8], "entry 2 of 2 runs past the end of the body"),
+    (lambda body: body[:-12], "entry 2 of 2 runs past the end of the body"),
+    (lambda body: body + b"\0" * 4, "4 bytes after the last of 2 entries"),
+    (lambda body: body[:8] + struct.pack("<Q", 3) + body[16:],
+     "entry 3 of 3 runs past the end of the body"),
+], ids=["payload_2_floats_short", "payload_3_floats_short", "bytes_before_trailer",
+        "count_above_entries"])
+def test_malformed_body_names_the_file(tmp_path, cut, message):
+    # each file's trailer is correct, so only the body's own bounds catch these
+    path = str(tmp_path / "x.ckpt")
+    _rewrite_body(path, cut(_saved_body(path)))
+    with pytest.raises(ValueError) as exc:
+        C.load_checkpoint(path)
+    assert str(exc.value) == f"{path}: {message}"
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_every_prefix_or_extension_of_a_body_is_rejected(tmp_path_factory, data):
+    path = str(tmp_path_factory.getbasetemp() / "resized.ckpt")
+    body = _saved_body(path)
+    if data.draw(st.booleans(), label="extend"):
+        body += data.draw(st.binary(min_size=1, max_size=40), label="extra")
+    else:
+        body = body[:data.draw(st.integers(0, len(body) - 1), label="length")]
+    _rewrite_body(path, body)
+    with pytest.raises(ValueError, match=f"^{re.escape(path)}: "):
         C.load_checkpoint(path)
 
 

@@ -152,6 +152,20 @@ class TestExitCodes:
         assert err.startswith("config error: ") and message in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("content", [None, b"train.epochs=1\n\xff\xfe\n"],
+                             ids=["missing", "not_utf8"])
+    def test_unreadable_config_file_is_one(self, workspace, tmp_path, capsys, content):
+        _, _, manifest = workspace
+        cfg = tmp_path / "run.cfg"
+        if content is not None:
+            cfg.write_bytes(content)
+        out = tmp_path / "run"
+        assert main(["pretrain", "--config", str(cfg), "--data", manifest,
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and str(cfg) in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("key,value,bounds", [
         ("aug.color_jitter", "2", "[0, 1)"), ("aug.color_jitter", "1", "[0, 1)"),
         ("aug.color_jitter", "-0.1", "[0, 1)"), ("view.jitter", "-1", "[0, 1)"),
@@ -257,7 +271,8 @@ class TestExitCodes:
     @pytest.mark.parametrize("box,problem", [
         ("nan 2 30 40", "non-finite box (nan, 2.0, 30.0, 40.0)"),
         ("30 2 1 40", "box corners out of order (30.0, 2.0, 1.0, 40.0)"),
-    ], ids=["non_finite", "out_of_order"])
+        ("31.99 2 31.99 40", "empty box (31.99, 2.0, 31.99, 40.0)"),
+    ], ids=["non_finite", "out_of_order", "empty"])
     def test_bad_box_names_manifest_line_and_is_two(self, workspace, tmp_path, capsys,
                                                     box, problem):
         root, cfg, manifest = workspace

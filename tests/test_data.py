@@ -53,7 +53,7 @@ def test_scene_invariants():
             assert b.x2 <= spec.image_size and b.y2 <= spec.image_size
             assert b.width >= 8.0
             for other in objects[:k]:
-                assert box_iou(b, other.bbox()) <= spec.max_pairwise_iou + 1e-9
+                assert box_iou(b, other.bbox()) <= D.MAX_PAIRWISE_IOU + 1e-9
 
 
 @pytest.mark.parametrize("size", [36, 48, 68])
@@ -62,10 +62,10 @@ def test_small_images_keep_boxes_inside_margins(size):
     for i in range(20):
         for obj in D.sample_scene(spec, i):
             b = obj.bbox()
-            assert b.x1 >= spec.margin - 1e-9 and b.y1 >= spec.margin - 1e-9
-            assert b.x2 <= size - spec.margin + 1e-9
-            assert b.y2 <= size - spec.margin + 1e-9
-            assert b.width >= spec.min_side
+            assert b.x1 >= D.MARGIN - 1e-9 and b.y1 >= D.MARGIN - 1e-9
+            assert b.x2 <= size - D.MARGIN + 1e-9
+            assert b.y2 <= size - D.MARGIN + 1e-9
+            assert b.width >= D.MIN_SIDE
 
 
 def test_side_range_reaches_max_side_from_68_px():
@@ -144,7 +144,9 @@ def test_malformed_manifest_line_reports_location(tmp_path):
     ("img_00000.ppm 1 2 inf 40 1", "non-finite box (1.0, 2.0, inf, 40.0)"),
     ("img_00000.ppm 30 2 1 40 1", "box corners out of order (30.0, 2.0, 1.0, 40.0)"),
     ("img_00000.ppm 1 40 30 2 1", "box corners out of order (1.0, 40.0, 30.0, 2.0)"),
-], ids=["nan", "inf", "x_swapped", "y_swapped"])
+    ("img_00000.ppm 31.99 2 31.99 40 1", "empty box (31.99, 2.0, 31.99, 40.0)"),
+    ("img_00000.ppm 1 17.39 30 17.39 1", "empty box (1.0, 17.39, 30.0, 17.39)"),
+], ids=["nan", "inf", "x_swapped", "y_swapped", "zero_width", "zero_height"])
 def test_bad_box_names_manifest_line(tmp_path, line, problem):
     manifest = D.generate_dataset(1, D.SceneSpec(image_size=64, seed=6), str(tmp_path))
     lines = open(manifest).read().splitlines()
@@ -202,9 +204,10 @@ def test_bare_path_after_box_lines_is_an_error(tmp_path):
                               "line of its image, img_00000.ppm")
 
 
-def test_image_without_objects_is_written_as_a_bare_path(tmp_path):
-    spec = D.SceneSpec(image_size=64, seed=6, min_objects=0, max_objects=0)
-    manifest = D.generate_dataset(2, spec, str(tmp_path))
+def test_image_without_objects_is_written_as_a_bare_path(tmp_path, monkeypatch):
+    monkeypatch.setattr(D, "MIN_OBJECTS", 0)
+    monkeypatch.setattr(D, "MAX_OBJECTS", 0)
+    manifest = D.generate_dataset(2, D.SceneSpec(image_size=64, seed=6), str(tmp_path))
     assert open(manifest).read() == "manifest v1 2\n\nimg_00000.ppm\n\nimg_00001.ppm\n"
     assert [len(boxes) for _, boxes, _ in D.load_dataset(manifest)] == [0, 0]
 

@@ -122,48 +122,50 @@ class TestConvert:
 
 
 class TestFrameTransform:
+    """`map_boxes`: a box set into the frame of a view cropped from a rect."""
+
     def test_identity(self):
-        t = G.FrameTransform(0.0, 0.0, 1.0, 1.0, False, 100, 80)
-        out, inside = G.map_boxes(np.array([[10.0, 20.0, 30.0, 40.0]]), t)
+        rect = G.BoxXYXY(0.0, 0.0, 100.0, 100.0)
+        out, inside = G.map_boxes(np.array([[10.0, 20.0, 30.0, 40.0]]), rect, False, 100)
         assert inside.tolist() == [True]
         assert out.tolist() == [[10, 20, 30, 40]]
 
     def test_flip_reflection(self):
-        t = G.FrameTransform(0.0, 0.0, 1.0, 1.0, True, 100, 100)
-        out, _ = G.map_boxes(np.array([[10.0, 0.0, 20.0, 10.0]]), t)
+        rect = G.BoxXYXY(0.0, 0.0, 100.0, 100.0)
+        out, _ = G.map_boxes(np.array([[10.0, 0.0, 20.0, 10.0]]), rect, True, 100)
         assert out.tolist() == [[80.0, 0.0, 90.0, 10.0]]
 
     def test_outside_frame_errors(self):
-        t = G.FrameTransform(100, 100, 1.0, 1.0, False, 50, 50)
-        _, inside = G.map_boxes(np.array([[0.0, 0.0, 10.0, 10.0]]), t)
+        rect = G.BoxXYXY(100.0, 100.0, 150.0, 150.0)
+        _, inside = G.map_boxes(np.array([[0.0, 0.0, 10.0, 10.0]]), rect, False, 50)
         assert inside.tolist() == [False]
 
     _ZERO = st.sampled_from([0.0, -0.0])
 
     @settings(max_examples=150, deadline=None, derandomize=True)
-    @given(shift=st.tuples(st.one_of(_ZERO, st.floats(-60, 200)),
-                           st.one_of(_ZERO, st.floats(-60, 200))),
-           scale=st.tuples(st.floats(0.1, 4.0), st.floats(0.1, 4.0)),
+    @given(corner=st.tuples(st.one_of(_ZERO, st.floats(-60, 200)),
+                            st.one_of(_ZERO, st.floats(-60, 200))),
+           side=st.tuples(st.floats(10.0, 600.0), st.floats(10.0, 600.0)),
            flip=st.booleans(),
-           dst=st.sampled_from([(128, 128), (64, 48), (100.0, 37.5)]),
+           size=st.sampled_from([128, 64, 48]),
            boxes=st.lists(st.tuples(st.one_of(_ZERO, st.floats(-80, 260)),
                                     st.one_of(_ZERO, st.floats(-80, 260)),
                                     st.one_of(_ZERO, st.floats(0, 120)),
                                     st.one_of(_ZERO, st.floats(0, 120))),
                           max_size=12))
-    @example(shift=(0.0, 0.0), scale=(1.0, 1.0), flip=False, dst=(128, 128),
+    @example(corner=(0.0, 0.0), side=(128.0, 128.0), flip=False, size=128,
              boxes=[(-0.0, -0.0, 10.0, 10.0)])
-    def test_map_boxes_equals_scalar_oracle(self, shift, scale, flip, dst, boxes):
+    def test_map_boxes_equals_scalar_oracle(self, corner, side, flip, size, boxes):
         # boxes inside, across the border, wholly outside or empty, in
-        # integer frames (view sizes, where the scalar clamp returns an int)
-        # and float ones; a -0.0 corner at a zero shift clamps to +0.0
-        t = G.FrameTransform(shift[0], shift[1], scale[0], scale[1], flip, dst[0], dst[1])
+        # integer frames (view sizes, where the scalar clamp returns an int);
+        # a -0.0 corner at a zero shift clamps to +0.0
+        rect = G.BoxXYXY(corner[0], corner[1], corner[0] + side[0], corner[1] + side[1])
         rows = [G.BoxXYXY(x, y, x + w, y + h) for x, y, w, h in boxes]
-        mapped, inside = G.map_boxes(G.corners(rows), t)
+        mapped, inside = G.map_boxes(G.corners(rows), rect, flip, size)
         assert mapped.shape == (len(rows), 4) and inside.shape == (len(rows),)
         for k, box in enumerate(rows):
             try:
-                want = scalar_map_box(box, t)
+                want = scalar_map_box(box, rect, flip, size)
             except ValueError:
                 assert not inside[k]
                 continue

@@ -283,11 +283,11 @@ class TestAttentionExport:
         from mvdetr.model import Detr
 
         cfg = RunConfig(model_d_model=32, model_heads=2, model_enc_layers=1,
-                        model_dec_layers=1, model_ffn_dim=32, view_n=5)
+                        model_dec_layers=1, model_ffn_dim=32, view_n=5, view_size=64)
         model = Detr(cfg, 64, seed=3)
         backbone = FrozenBackbone(7)
         pixels = np.random.default_rng(0).uniform(0, 1, (64, 64, 3)).astype(np.float32)
-        paths = M.export_attention(model, backbone, pixels, str(tmp_path), view_size=64)
+        paths = M.export_attention(model, backbone, pixels, str(tmp_path))
         pgms = [p for p in paths if p.endswith(".pgm")]
         assert len(pgms) == 5
         blob = open(pgms[0], "rb").read()
@@ -323,7 +323,7 @@ class TestInferenceTape:
         from mvdetr.model import Detr
 
         cfg = RunConfig(model_d_model=32, model_heads=2, model_enc_layers=1,
-                        model_dec_layers=1, model_ffn_dim=32, view_n=5)
+                        model_dec_layers=1, model_ffn_dim=32, view_n=5, view_size=64)
         model = Detr(cfg, 64, seed=3)
         model.add_class_head(3, seed=4)
         return model, FrozenBackbone(7)
@@ -359,12 +359,10 @@ class TestInferenceTape:
         model, backbone = self._model()
         pixels = np.random.default_rng(6).uniform(0, 1, (64, 64, 3)).astype(np.float32)
         recorded = self._count_tape(monkeypatch)
-        untaped = M.export_attention(model, backbone, pixels, str(tmp_path / "a"),
-                                     view_size=64)
+        untaped = M.export_attention(model, backbone, pixels, str(tmp_path / "a"))
         assert recorded == []
         monkeypatch.setattr(T, "no_grad", contextlib.nullcontext)
-        taped = M.export_attention(model, backbone, pixels, str(tmp_path / "b"),
-                                   view_size=64)
+        taped = M.export_attention(model, backbone, pixels, str(tmp_path / "b"))
         assert recorded
         assert len(untaped) == len(taped) == 6
         for a, b in zip(untaped, taped):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from mvdetr.optim import AdamW, clip_global_norm
+from mvdetr.optim import EPS, AdamW, clip_global_norm
 from mvdetr.tensor import Tensor
 
 
@@ -32,7 +32,8 @@ class TestAdamW:
         w0, g, lr, eps = 3.0, 0.7, 0.01, 1e-8
         w = _param([w0])
         w.grad = np.array([g], dtype=np.float32)
-        opt = AdamW({"w": w}, lr=lr, weight_decay=0.0, eps=eps)
+        assert EPS == eps
+        opt = AdamW({"w": w}, lr=lr, weight_decay=0.0)
         opt.step()
         expected = w0 - lr * g / (abs(g) + eps)
         assert float(w.data[0]) == pytest.approx(expected, rel=1e-6)

@@ -67,20 +67,20 @@ class TestSoftmax:
     def test_rows_sum_to_one(self):
         rng = np.random.default_rng(7)
         x = Tensor(rng.standard_normal((5, 9)).astype(np.float32))
-        out = T.softmax(x, axis=-1)
+        out = T.softmax(x)
         np.testing.assert_allclose(out.data.sum(axis=-1), 1.0, atol=1e-6)
         assert (out.data >= 0).all()
 
     def test_shift_invariance(self):
         rng = np.random.default_rng(8)
         x = rng.standard_normal((4, 6)).astype(np.float32)
-        a = T.softmax(Tensor(x), axis=-1)
-        b = T.softmax(Tensor(x + 3.25), axis=-1)
+        a = T.softmax(Tensor(x))
+        b = T.softmax(Tensor(x + 3.25))
         np.testing.assert_allclose(a.data, b.data, atol=1e-6)
 
     def test_empty_axis_errors(self):
         with pytest.raises(T.ShapeError):
-            T.softmax(Tensor(np.zeros((3, 0))), axis=-1)
+            T.softmax(Tensor(np.zeros((3, 0))))
 
 
 class TestAttention:
@@ -346,7 +346,7 @@ class TestBackward:
 
         def run():
             x = Tensor(a.copy(), requires_grad=True)
-            loss = T.tsum(T.softmax(T.matmul(x, x), axis=-1))
+            loss = T.tsum(T.softmax(T.matmul(x, x)))
             loss.backward()
             return x.grad.tobytes()
 
@@ -466,7 +466,7 @@ class TestGradients:
         gradcheck(lambda ts: T.tsum(T.clamp(ts[0], -0.5, 0.5)), [(6, 2)], self._rng())
 
     def test_softmax(self):
-        gradcheck(lambda ts: T.tsum(T.mul(T.softmax(ts[0], axis=-1), ts[1])),
+        gradcheck(lambda ts: T.tsum(T.mul(T.softmax(ts[0]), ts[1])),
                   [(3, 5), (3, 5)], self._rng())
 
     def test_attention_self(self):

@@ -214,10 +214,10 @@ class TestPretrainStep:
         backbone = FrozenBackbone(cfg.backbone_seed)
         model = TR.make_model(cfg, backbone)
         pairs = _pairs(images, cfg)
-        swapped = [type(p)(view1=p.view2, view2=p.view1, t1=p.t2, t2=p.t1,
+        swapped = [type(p)(view1=p.view2, view2=p.view1,
                            proposals1=p.proposals2, proposals2=p.proposals1,
                            base_rect=p.base_rect, rect1=p.rect2, rect2=p.rect1,
-                           padded=p.padded)
+                           flip1=p.flip2, flip2=p.flip1, padded=p.padded)
                    for p in pairs]
         opt_a = AdamW(model.params, lr=0.0)  # lr 0: no parameter drift
         bd_a = TR.pretrain_step(model, backbone, opt_a, pairs, cfg)

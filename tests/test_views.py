@@ -1,5 +1,7 @@
 """View construction: IoU constraint, determinism, proposal contracts."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -46,10 +48,6 @@ class TestBaseRect:
             ratio = r.area / (256 * 256)
             assert 0.5 - 1e-9 <= ratio <= 1.0 + 1e-9
             assert r.x1 >= 0 and r.y1 >= 0 and r.x2 <= 256 and r.y2 <= 256
-
-    def test_degenerate_range_gives_full_image(self):
-        r = V.sample_base_rect(128, 96, Rng(1), area_range=(1.0, 1.0))
-        assert (r.x1, r.y1, r.x2, r.y2) == (0.0, 0.0, 128.0, 96.0)
 
     def test_deterministic(self):
         a = V.sample_base_rect(200, 150, Rng(42))
@@ -180,7 +178,8 @@ class TestProposals:
         overlap = BoxXYXY(corner[0], corner[1], min(64.0, corner[0] + size[0]),
                           min(64.0, corner[1] + size[1]))
         got_rng, want_rng = Rng(seed), Rng(seed)
-        got = V.generate_proposals(img, overlap, mode, count, got_rng, min_side)
+        with mock.patch.object(V, "MIN_PROPOSAL_SIDE", min_side):
+            got = V.generate_proposals(img, overlap, mode, count, got_rng)
         want = scalar_proposals(img, overlap, mode, count, want_rng, min_side)
         assert same_bits(got, corners(want))
         assert got_rng.next_u64() == want_rng.next_u64()
@@ -238,10 +237,12 @@ class TestBuildViewPair:
         cfg = self._cfg(view_jitter=0.0, **NO_AUGMENT)
         pair = V.build_view_pair(img, cfg, seed=77)
         # map view1 proposals back to the image frame (no flip without
-        # augmentation, so only t1's scale and shift) and onto view2
-        t1 = pair.t1
-        img_boxes = pair.proposals1 / [t1.sx, t1.sy, t1.sx, t1.sy] + [t1.dx, t1.dy] * 2
-        expect, _ = map_boxes(img_boxes, pair.t2)
+        # augmentation, so only rect1's scale and shift) and onto view2
+        r1 = pair.rect1
+        assert not pair.flip1 and not pair.flip2
+        sx, sy = cfg.view_size / r1.width, cfg.view_size / r1.height
+        img_boxes = pair.proposals1 / [sx, sy, sx, sy] + [r1.x1, r1.y1] * 2
+        expect, _ = map_boxes(img_boxes, pair.rect2, pair.flip2, cfg.view_size)
         np.testing.assert_allclose(pair.proposals2, expect, rtol=0, atol=1e-4)
 
     def test_identical_rects_zero_jitter_equal_lists(self):
