@@ -79,7 +79,11 @@ def load_checkpoint(path: str) -> dict[str, np.ndarray]:
 
     for _ in range(count):
         (name_len,) = struct.unpack("<I", take(4))
-        name = bytes(take(name_len)).decode("utf-8")
+        try:
+            name = bytes(take(name_len)).decode("utf-8")
+        except UnicodeDecodeError:
+            raise ValueError(f"{path}: entry {len(entries) + 1} of {count} has a name "
+                             "that is not UTF-8") from None
         dtype_tag, rank = struct.unpack("<BB", take(2))
         if dtype_tag != DTYPE_F32:
             raise ValueError(f"{path}: unknown dtype tag {dtype_tag} for {name!r}")

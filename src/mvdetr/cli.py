@@ -151,7 +151,10 @@ def _load_params(path, cfg):
     from .checkpoint import load_checkpoint
     from .training import check_architecture, split_checkpoint
     params, _, meta = split_checkpoint(load_checkpoint(path))
-    check_architecture(meta, cfg)
+    try:
+        check_architecture(meta, cfg)
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None
     return params
 
 

@@ -6,9 +6,9 @@ per image separated by blank lines; each block line reads
 `<image_path> <x1> <y1> <x2> <y2> <label>`, and an image with no objects is a
 block of one line holding only its path. Loading rejects a manifest whose
 count is not an integer or differs from the number of image blocks, and names
-the file and line of a malformed, non-finite, inside-out or empty box, or of a
-bare path next to box lines of the same image. Generation is a pure function
-of `SceneSpec` (image size, seed) down to the file bytes.
+the file and line of bytes not UTF-8, of a malformed, non-finite, inside-out or
+empty box, or of a bare path next to box lines of the same image. Generation
+is a pure function of `SceneSpec` (image size, seed) down to the file bytes.
 
 `load_dataset` yields one (pixels, boxes, labels) triple per image: the
 file's (H, W, 3) uint8 bytes (8-bit, a quarter of float32; `as_float_pixels`
@@ -236,8 +236,13 @@ def load_dataset(manifest_path: str, classes: int | None = None
     """Read the manifest into (pixels, boxes, labels) triples. With `classes`
     given, a label outside [0, classes) is an error."""
     base = os.path.dirname(manifest_path)
-    with open(manifest_path, encoding="ascii") as f:
-        lines = f.read().splitlines()
+    with open(manifest_path, "rb") as f:
+        raw = f.read()
+    try:
+        lines = raw.decode("utf-8").splitlines()
+    except UnicodeDecodeError as e:
+        lineno = raw.count(b"\n", 0, e.start) + 1
+        raise ValueError(f"{manifest_path}:{lineno}: not UTF-8 text") from None
     header = lines[0].split() if lines else []
     if header[:2] != ["manifest", "v1"] or len(header) != 3:
         raise ValueError(f"{manifest_path}:1: bad or missing manifest header")

@@ -25,7 +25,8 @@ one forward pass are freed as soon as the next op no longer needs them.
 Broadcasting is restricted to leading-dimension expansion: elementwise ops
 accept equal shapes, or one operand whose shape is a trailing suffix of the
 other's (the usual bias-add pattern). This keeps every backward rule a plain
-sum over the expanded axes; the two-operand ops share one rule (`_binary`).
+sum over the expanded axes. The one-operand ops share one rule (`_unary`)
+and the two-operand ops another (`_binary`).
 
 Multi-head attention is one fused primitive, `attention`, rather than a chain
 of generic nodes. Its forward computes softmax(Q K^T / sqrt(d_k)) in a single
@@ -83,14 +84,6 @@ class Tensor:
         self._backward = None
         self._op = "leaf"
 
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.data.shape
-
-    @property
-    def size(self) -> int:
-        return self.data.size
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, op={self._op}, grad={self.requires_grad})"
 
@@ -98,14 +91,7 @@ class Tensor:
 
     def detach(self) -> "Tensor":
         """Same values, no history: gradient never flows through the result."""
-        out = Tensor.__new__(Tensor)
-        out.data = self.data
-        out.grad = None
-        out.requires_grad = False
-        out._parents = ()
-        out._backward = None
-        out._op = "detach"
-        return out
+        return _make(self.data, (), "detach", None)
 
     def accumulate_grad(self, g: np.ndarray) -> None:
         """Add g to this tensor's gradient, adopting g itself when it is the first.
@@ -195,13 +181,15 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Sum gradient over the leading axes added by broadcasting."""
     if g.shape == shape:
         return g
-    extra = g.ndim - len(shape)
-    if extra > 0:
-        g = g.sum(axis=tuple(range(extra)))
-    return g
+    return g.sum(axis=tuple(range(g.ndim - len(shape))))
 
 
 # -- elementwise primitives ------------------------------------------------------
+
+
+def _unary(op: str, x: Tensor, data: np.ndarray, grad) -> Tensor:
+    """One-operand node; grad(g) is accumulated into x."""
+    return _make(data, (x,), op, lambda g: x.accumulate_grad(grad(g)))
 
 
 def _binary(op: str, a: Tensor, b: Tensor, data: np.ndarray, grad_a, grad_b) -> Tensor:
@@ -239,12 +227,7 @@ def div(a: Tensor, b: Tensor) -> Tensor:
 
 
 def relu(x: Tensor) -> Tensor:
-    data = np.maximum(x.data, 0)
-
-    def backward(g):
-        x.accumulate_grad(g * (x.data > 0))
-
-    return _make(data, (x,), "relu", backward)
+    return _unary("relu", x, np.maximum(x.data, 0), lambda g: g * (x.data > 0))
 
 
 def sigmoid(x: Tensor) -> Tensor:
@@ -253,29 +236,15 @@ def sigmoid(x: Tensor) -> Tensor:
     pos = d >= 0
     e = np.exp(np.where(pos, -d, d))
     data = np.where(pos, 1.0 / (1.0 + e), e / (1.0 + e)).astype(d.dtype)
-
-    def backward(g):
-        x.accumulate_grad(g * data * (1.0 - data))
-
-    return _make(data, (x,), "sigmoid", backward)
+    return _unary("sigmoid", x, data, lambda g: g * data * (1.0 - data))
 
 
 def log(x: Tensor) -> Tensor:
-    data = np.log(x.data)
-
-    def backward(g):
-        x.accumulate_grad(g / x.data)
-
-    return _make(data, (x,), "log", backward)
+    return _unary("log", x, np.log(x.data), lambda g: g / x.data)
 
 
 def absolute(x: Tensor) -> Tensor:
-    data = np.abs(x.data)
-
-    def backward(g):
-        x.accumulate_grad(g * np.sign(x.data))
-
-    return _make(data, (x,), "abs", backward)
+    return _unary("abs", x, np.abs(x.data), lambda g: g * np.sign(x.data))
 
 
 def minimum(a: Tensor, b: Tensor) -> Tensor:
@@ -293,13 +262,8 @@ def maximum(a: Tensor, b: Tensor) -> Tensor:
 
 
 def clamp(x: Tensor, lo: float, hi: float) -> Tensor:
-    data = np.clip(x.data, lo, hi)
     inside = (x.data > lo) & (x.data < hi)
-
-    def backward(g):
-        x.accumulate_grad(g * inside)
-
-    return _make(data, (x,), "clamp", backward)
+    return _unary("clamp", x, np.clip(x.data, lo, hi), lambda g: g * inside)
 
 
 # -- linear algebra ---------------------------------------------------------------
@@ -312,15 +276,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if len(sa) != len(sb) or sa[:-2] != sb[:-2]:
         if not (len(sa) == 2 and len(sb) == 2):
             raise ShapeError(f"matmul: batch dimensions of {sa} and {sb} must be equal")
-    data = a.data @ b.data
-
-    def backward(g):
-        if a.requires_grad:
-            a.accumulate_grad(g @ np.swapaxes(b.data, -1, -2))
-        if b.requires_grad:
-            b.accumulate_grad(np.swapaxes(a.data, -1, -2) @ g)
-
-    return _make(data, (a, b), "matmul", backward)
+    return _binary("matmul", a, b, a.data @ b.data,
+                   lambda g: g @ np.swapaxes(b.data, -1, -2),
+                   lambda g: np.swapaxes(a.data, -1, -2) @ g)
 
 
 def affine(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
@@ -350,22 +308,12 @@ def affine(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
 
 
 def reshape(x: Tensor, shape) -> Tensor:
-    data = x.data.reshape(shape)
-
-    def backward(g):
-        x.accumulate_grad(g.reshape(x.data.shape))
-
-    return _make(data, (x,), "reshape", backward)
+    return _unary("reshape", x, x.data.reshape(shape), lambda g: g.reshape(x.data.shape))
 
 
 def transpose(x: Tensor, axes: tuple[int, ...]) -> Tensor:
-    data = np.transpose(x.data, axes)
     inverse = tuple(np.argsort(axes))
-
-    def backward(g):
-        x.accumulate_grad(np.transpose(g, inverse))
-
-    return _make(data, (x,), "transpose", backward)
+    return _unary("transpose", x, np.transpose(x.data, axes), lambda g: np.transpose(g, inverse))
 
 
 def concatenate(tensors: list[Tensor], axis: int = 0) -> Tensor:
@@ -390,29 +338,26 @@ def concatenate(tensors: list[Tensor], axis: int = 0) -> Tensor:
 
 def narrow(x: Tensor, axis: int, start: int, length: int) -> Tensor:
     """Contiguous slice along one axis; backward scatters into zeros."""
-    index = [slice(None)] * x.data.ndim
-    index[axis] = slice(start, start + length)
-    data = x.data[tuple(index)].copy()
+    index = (slice(None),) * (axis % x.data.ndim) + (slice(start, start + length),)
 
-    def backward(g):
+    def scatter(g):
         full = np.zeros_like(x.data)
-        full[tuple(index)] = g
-        x.accumulate_grad(full)
+        full[index] = g
+        return full
 
-    return _make(data, (x,), "narrow", backward)
+    return _unary("narrow", x, x.data[index].copy(), scatter)
 
 
 def gather_rows(x: Tensor, indices) -> Tensor:
     """out[i] = x[indices[i]]; backward scatter-adds (indices may repeat)."""
     idx = np.asarray(indices, dtype=np.int64)
-    data = x.data[idx]
 
-    def backward(g):
+    def scatter_add(g):
         full = np.zeros_like(x.data)
         np.add.at(full, idx, g)
-        x.accumulate_grad(full)
+        return full
 
-    return _make(data, (x,), "gather_rows", backward)
+    return _unary("gather_rows", x, x.data[idx], scatter_add)
 
 
 # -- reductions ------------------------------------------------------------------
@@ -422,14 +367,14 @@ def _reduce(op: str, x: Tensor, data, axis, keepdims: bool, count=None) -> Tenso
     """Record a sum-like reduction; the backward divides by count (means only),
     restores the reduced axis and broadcasts back to x's shape."""
 
-    def backward(g):
+    def spread(g):
         if count is not None:
             g = g / count
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
-        x.accumulate_grad(np.broadcast_to(g, x.data.shape).copy())
+        return np.broadcast_to(g, x.data.shape).copy()
 
-    return _make(np.asarray(data), (x,), op, backward)
+    return _unary(op, x, np.asarray(data), spread)
 
 
 def tsum(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
@@ -456,12 +401,8 @@ def softmax(x: Tensor) -> Tensor:
     shifted = x.data - x.data.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     data = e / e.sum(axis=-1, keepdims=True)
-
-    def backward(g):
-        dot = (g * data).sum(axis=-1, keepdims=True)
-        x.accumulate_grad((g - dot) * data)
-
-    return _make(data, (x,), "softmax", backward)
+    return _unary("softmax", x, data,
+                  lambda g: (g - (g * data).sum(axis=-1, keepdims=True)) * data)
 
 
 # Probability bytes one block of batch items may hold in `attention`: a 1 MiB
@@ -612,13 +553,9 @@ def l2_normalize(x: Tensor) -> Tensor:
         raise ValueError(f"l2_normalize: zero-norm row at index {tuple(bad[0][:-1])}")
     inv = (1.0 / norms).astype(x.data.dtype)
     data = x.data * inv
-
-    def backward(g):
-        # d(x/|x|) = (g - y * sum(g*y)) / |x| per row
-        dot = (g * data).sum(axis=-1, keepdims=True)
-        x.accumulate_grad((g - data * dot) * inv)
-
-    return _make(data, (x,), "l2_normalize", backward)
+    # d(x/|x|) = (g - y * sum(g*y)) / |x| per row
+    return _unary("l2_normalize", x, data,
+                  lambda g: (g - data * (g * data).sum(axis=-1, keepdims=True)) * inv)
 
 
 def cosine(a: Tensor, b: Tensor) -> Tensor:

@@ -234,7 +234,12 @@ def _config_values(text: str) -> dict[str, str]:
 
 def check_architecture(meta: dict[str, np.ndarray], cfg: RunConfig) -> None:
     """Reject checkpoints whose architecture keys differ from the config."""
-    stored = _config_values(array_to_text(meta["config"]))
+    if "config" not in meta:
+        raise ValueError(f"no {META_PREFIX}config entry")
+    try:
+        stored = _config_values(array_to_text(meta["config"]))
+    except UnicodeDecodeError:
+        raise ValueError(f"{META_PREFIX}config is not UTF-8 text") from None
     current = _config_values(cfg.resolved_text())
     mismatched = [k for k in ARCHITECTURE_KEYS if stored.get(k) != current.get(k)]
     if mismatched:
@@ -271,12 +276,16 @@ def run_pretrain(cfg: RunConfig, images: list[np.ndarray], out_dir: str,
     optimizer = AdamW(model.params, lr=cfg.train_lr, weight_decay=cfg.train_weight_decay)
     start_epoch = 0
     if resume_from is not None:
-        entries = load_checkpoint(resume_from)
-        params, opt_state, meta = split_checkpoint(entries)
+        params, opt_state, meta = split_checkpoint(load_checkpoint(resume_from))
         if not opt_state:
             raise ValueError(f"{resume_from} holds no optimizer state; "
                              "resume needs an epoch_*.ckpt written by pretrain")
-        check_architecture(meta, cfg)
+        try:
+            check_architecture(meta, cfg)
+            if "epoch" not in meta:
+                raise ValueError(f"no {META_PREFIX}epoch entry")
+        except ValueError as e:
+            raise ValueError(f"{resume_from}: {e}") from None
         model.load_state(params)
         optimizer.load_state(opt_state)
         start_epoch = int(meta["epoch"][0])

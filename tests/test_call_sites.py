@@ -16,8 +16,10 @@ import inspect
 import os
 import sys
 
+import numpy as np
 import pytest
 
+from mvdetr import geometry as G, tensor as T
 from mvdetr.config import parse_config
 from mvdetr.model import Detr
 
@@ -55,6 +57,64 @@ def test_every_patched_name_exists_and_is_restored(monkeypatch):
         patches.restore()
     assert all(w is not o for w, o in zip(wrapped, originals))
     assert all(r is o for r, o in zip(current(), originals))
+
+
+def _loss_through_every_op():
+    """A scalar built from one call of every public op of `tensor`, of
+    `Tensor.detach` and of `geometry.roi_align`; every node recorded on the way
+    feeds it. Also returns the names of the ops called."""
+    rng = np.random.default_rng(0)
+    x = T.Tensor(rng.uniform(0.5, 2.0, (4, 4)), requires_grad=True)  # log needs x > 0
+    w = T.Tensor(rng.uniform(-1.0, 1.0, (4, 4)), requires_grad=True)
+    b = T.Tensor(rng.uniform(0.5, 2.0, 4), requires_grad=True)
+    q = T.Tensor(rng.uniform(-1.0, 1.0, (1, 4, 4)), requires_grad=True)
+    ops = {
+        "add": lambda: T.add(x, b), "sub": lambda: T.sub(x, b),
+        "mul": lambda: T.mul(x, b), "div": lambda: T.div(x, b),
+        "minimum": lambda: T.minimum(x, w), "maximum": lambda: T.maximum(x, w),
+        "relu": lambda: T.relu(w), "sigmoid": lambda: T.sigmoid(w),
+        "log": lambda: T.log(x), "absolute": lambda: T.absolute(w),
+        "clamp": lambda: T.clamp(x, 0.75, 1.5), "matmul": lambda: T.matmul(x, w),
+        "affine": lambda: T.affine(x, w, b), "reshape": lambda: T.reshape(x, (2, 8)),
+        "transpose": lambda: T.transpose(w, (1, 0)),
+        "concatenate": lambda: T.concatenate([x, w], axis=0),
+        "narrow": lambda: T.narrow(w, 0, 1, 2), "gather_rows": lambda: T.gather_rows(x, [3, 0, 3]),
+        "tsum": lambda: T.tsum(w, axis=0), "tmean": lambda: T.tmean(w, axis=1),
+        "softmax": lambda: T.softmax(w), "attention": lambda: T.attention(q, q, q, 2)[0],
+        "layer_norm": lambda: T.layer_norm(w, b, b),
+        "batch_norm_1d": lambda: T.batch_norm_1d(w, b, b),
+        "l2_normalize": lambda: T.l2_normalize(w), "cosine": lambda: T.cosine(x, w),
+        "detach": lambda: T.mul(x.detach(), x),
+        "roi_align": lambda: G.roi_align(T.reshape(w, (2, 2, 4)),
+                                         np.array([[0.0, 0.0, 1.5, 1.5]]), (2, 2)),
+    }
+    parts = [T.tmean(make()) for make in ops.values()]
+    loss = parts[0]
+    for part in parts[1:]:
+        loss = T.add(loss, part)
+    return loss, set(ops)
+
+
+def test_tape_node_count_sees_every_node(monkeypatch):
+    """perfbench's `tensor.tape_nodes` counts `_make` calls that record a node;
+    each op must reach `_make` through the module, where the count is patched."""
+    spans = _load(monkeypatch, "spans")
+    tracer, patches = spans.Tracer(), spans.Patches()
+    try:
+        spans.install(tracer, patches)
+        loss, called = _loss_through_every_op()
+    finally:
+        patches.restore()
+    public = {name for name, f in vars(T).items() if inspect.isfunction(f)
+              and f.__module__ == T.__name__ and not name.startswith("_")}
+    assert called == public - {"no_grad"} | {"detach", "roi_align"}
+    recorded, stack = set(), [loss]
+    while stack:
+        node = stack.pop()
+        if node._parents and id(node) not in recorded:
+            recorded.add(id(node))
+            stack.extend(node._parents)
+    assert tracer.counts["tensor.tape_nodes"] == len(recorded)
 
 
 def test_every_workload_config_parses(monkeypatch):

@@ -109,6 +109,16 @@ def test_malformed_body_names_the_file(tmp_path, cut, message):
     assert str(exc.value) == f"{path}: {message}"
 
 
+def test_name_not_utf8_names_the_file_and_entry(tmp_path):
+    path = str(tmp_path / "x.ckpt")
+    body = _saved_body(path)
+    at = body.rindex(struct.pack("<I", 1) + b"b") + 4  # the name of entry 2
+    _rewrite_body(path, body[:at] + b"\xff" + body[at + 1:])
+    with pytest.raises(ValueError) as exc:
+        C.load_checkpoint(path)
+    assert str(exc.value) == f"{path}: entry 2 of 2 has a name that is not UTF-8"
+
+
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_every_prefix_or_extension_of_a_body_is_rejected(tmp_path_factory, data):

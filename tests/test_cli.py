@@ -30,14 +30,23 @@ def workspace(tmp_path_factory):
     return root, str(cfg_path), str(data_dir / "manifest.txt")
 
 
-def _untrained_checkpoint(cfg_path, path) -> str:
+def _untrained_checkpoint(cfg_path, path, optimizer=False, meta=None) -> str:
+    """An untrained model's checkpoint, with optimizer state when `optimizer`;
+    each `meta` item replaces the entry `__meta__.<key>`, or drops it for None."""
     from mvdetr.backbone import FrozenBackbone
     from mvdetr.checkpoint import save_checkpoint
     from mvdetr.config import parse_config
+    from mvdetr.optim import AdamW
     from mvdetr.training import checkpoint_entries, make_model
     cfg = parse_config(open(cfg_path).read())
     model = make_model(cfg, FrozenBackbone(cfg.backbone_seed))
-    save_checkpoint(str(path), checkpoint_entries(model, None, cfg, 0))
+    opt = AdamW(model.params, lr=cfg.train_lr) if optimizer else None
+    entries = checkpoint_entries(model, opt, cfg, 0)
+    for key, value in (meta or {}).items():
+        entries.pop(f"__meta__.{key}")
+        if value is not None:
+            entries[f"__meta__.{key}"] = value
+    save_checkpoint(str(path), entries)
     return str(path)
 
 
@@ -297,6 +306,32 @@ class TestExitCodes:
         assert capsys.readouterr().err == (
             f"error: {ckpt} holds no optimizer state; "
             "resume needs an epoch_*.ckpt written by pretrain\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command,key,value,problem", [
+        ("eval", "config", None, "no __meta__.config entry"),
+        ("finetune", "config", None, "no __meta__.config entry"),
+        ("pretrain", "config", None, "no __meta__.config entry"),
+        ("pretrain", "epoch", None, "no __meta__.epoch entry"),
+        ("eval", "config", np.array([255.0], np.float32), "__meta__.config is not UTF-8 text"),
+        ("finetune", "config", np.array([255.0], np.float32),
+         "__meta__.config is not UTF-8 text"),
+        ("pretrain", "config", np.array([255.0], np.float32),
+         "__meta__.config is not UTF-8 text"),
+    ], ids=["eval_no_config", "finetune_no_config", "resume_no_config", "resume_no_epoch",
+            "eval_config_not_utf8", "finetune_config_not_utf8", "resume_config_not_utf8"])
+    def test_bad_checkpoint_meta_names_the_file_and_is_two(self, workspace, tmp_path, capsys,
+                                                           command, key, value, problem):
+        root, cfg, manifest = workspace
+        ckpt = _untrained_checkpoint(cfg, tmp_path / "bad.ckpt", optimizer=True,
+                                     meta={key: value})
+        out = tmp_path / "out"
+        flag = {"eval": "--checkpoint", "finetune": "--init", "pretrain": "--resume"}[command]
+        argv = [command, "--config", cfg, "--data", manifest, flag, ckpt]
+        if command != "eval":
+            argv += ["--out", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {ckpt}: {problem}\n"
         assert not out.exists()
 
     def test_missing_data_is_two(self, workspace):

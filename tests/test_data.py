@@ -158,6 +158,29 @@ def test_bad_box_names_manifest_line(tmp_path, line, problem):
     assert str(exc.value) == f"{manifest}:4: {problem}"
 
 
+def test_utf8_image_name_loads(tmp_path):
+    manifest = D.generate_dataset(1, D.SceneSpec(image_size=64, seed=6), str(tmp_path))
+    [(pixels, boxes, labels)] = D.load_dataset(manifest)
+    os.rename(tmp_path / "img_00000.ppm", tmp_path / "img\u00e9_00000.ppm")
+    text = open(manifest, encoding="ascii").read()
+    with open(manifest, "w", encoding="utf-8") as f:
+        f.write(text.replace("img_00000.ppm", "img\u00e9_00000.ppm"))
+    [(pixels2, boxes2, labels2)] = D.load_dataset(manifest)
+    assert np.array_equal(pixels2, pixels)
+    assert np.array_equal(boxes2, boxes) and np.array_equal(labels2, labels)
+
+
+def test_bytes_not_utf8_name_the_manifest_line(tmp_path):
+    manifest = D.generate_dataset(1, D.SceneSpec(image_size=64, seed=6), str(tmp_path))
+    lines = open(manifest, "rb").read().split(b"\n")
+    lines[3] = lines[3].replace(b"img_", b"img\xc3_")  # a lead byte with no continuation
+    with open(manifest, "wb") as f:
+        f.write(b"\n".join(lines))
+    with pytest.raises(ValueError) as exc:
+        D.load_dataset(manifest)
+    assert str(exc.value) == f"{manifest}:4: not UTF-8 text"
+
+
 def _bare_path_manifest(tmp_path):
     """Two generated images plus a third listed by its bare path."""
     manifest = D.generate_dataset(3, D.SceneSpec(image_size=64, seed=6), str(tmp_path))

@@ -254,6 +254,26 @@ class TestDetach:
         assert x.grad is None and y.grad is None
 
 
+# every one-operand op: its name on the tape and a call on a (2, 2) input
+UNARY_OPS = [
+    ("relu", T.relu), ("sigmoid", T.sigmoid), ("log", T.log), ("abs", T.absolute),
+    ("clamp", lambda x: T.clamp(x, 0.75, 2.5)), ("reshape", lambda x: T.reshape(x, (4,))),
+    ("transpose", lambda x: T.transpose(x, (1, 0))), ("narrow", lambda x: T.narrow(x, 1, 1, 1)),
+    ("gather_rows", lambda x: T.gather_rows(x, [1, 0, 1])), ("sum", T.tsum),
+    ("mean", lambda x: T.tmean(x, axis=0)), ("softmax", T.softmax),
+    ("l2_normalize", T.l2_normalize),
+]
+
+
+def _positive():
+    return np.array([[1.0, 2.0], [0.5, 3.0]])  # log needs positive inputs
+
+
+def _other_ops(a, b):
+    """The multi-operand ops besides the elementwise ones, on (2, 2) inputs."""
+    return [T.matmul(a, b), T.concatenate([a, b], axis=1), T.cosine(a, b)]
+
+
 class TestTapeRule:
     """A node is on the tape exactly when one of its inputs requires a gradient."""
 
@@ -269,7 +289,9 @@ class TestTapeRule:
                     T.affine(a, Tensor(np.eye(2)), b), T.layer_norm(a, b, b),
                     T.batch_norm_1d(a, b, b), T.attention(Tensor(a.data[None]),
                                                          Tensor(a.data[None]),
-                                                         Tensor(a.data[None]), 1)[0]):
+                                                         Tensor(a.data[None]), 1)[0],
+                    *(op(Tensor(_positive())) for _, op in UNARY_OPS),
+                    *_other_ops(a, Tensor(_positive()))):
             self._assert_off_tape(out)
 
     def test_detach_records_nothing(self):
@@ -285,6 +307,14 @@ class TestTapeRule:
         assert out.requires_grad and out._backward is not None
         assert out._parents == (c, x)
 
+    @pytest.mark.parametrize("name,op", UNARY_OPS, ids=[name for name, _ in UNARY_OPS])
+    def test_one_operand_op_records_its_input_and_name(self, name, op):
+        x = Tensor(_positive(), requires_grad=True)
+        out = op(x)
+        assert out.requires_grad and out._backward is not None
+        assert len(out._parents) == 1 and out._parents[0] is x
+        assert out._op == name
+
 
 class TestNoGrad:
     """Under `no_grad` no node is recorded, whatever its inputs."""
@@ -298,6 +328,8 @@ class TestNoGrad:
                     T.attention(Tensor(x.data[None], requires_grad=True),
                                 Tensor(x.data[None], requires_grad=True),
                                 Tensor(x.data[None], requires_grad=True), 1)[0]]
+            p = Tensor(_positive(), requires_grad=True)
+            outs += [op(p) for _, op in UNARY_OPS] + _other_ops(x, p)
             with T.no_grad():  # nesting keeps recording off
                 outs.append(T.mul(x, w))
             outs.append(T.add(x, w))
