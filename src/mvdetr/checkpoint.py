@@ -106,3 +106,11 @@ def text_to_array(text: str) -> np.ndarray:
 
 def array_to_text(arr: np.ndarray) -> str:
     return arr.astype(np.uint8).tobytes().decode("utf-8")
+
+
+def whole_count(arr: np.ndarray, name: str) -> int:
+    """The one whole number >= 0 of a counter entry, else ValueError naming it."""
+    values = np.asarray(arr, dtype=np.float64).reshape(-1)
+    if values.size != 1 or not (values[0] >= 0 and float(values[0]).is_integer()):
+        raise ValueError(f"{name} holds {values.tolist()}, not one whole number >= 0")
+    return int(values[0])

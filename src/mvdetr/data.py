@@ -14,6 +14,7 @@ is a pure function of `SceneSpec` (image size, seed) down to the file bytes.
 file's (H, W, 3) uint8 bytes (8-bit, a quarter of float32; `as_float_pixels`
 makes float32 in [0, 1] of one image where it is used), an (m, 4) float64
 array of xyxy rows, and an (m,) int64 array; m is 0 for a bare-path block.
+A scene object's box, `SceneObject.bbox()`, is one such (4,) row.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import BoxXYXY, box_iou
+from .geometry import pairwise_iou
 from .rng import Rng, derive_seed
 
 MANIFEST_NAME = "manifest.txt"
@@ -63,9 +64,9 @@ class SceneObject:
     size: float         # bounding-box side length
     color: tuple[float, float, float]
 
-    def bbox(self) -> BoxXYXY:
+    def bbox(self) -> np.ndarray:  # a (4,) float64 xyxy row
         half = self.size / 2.0
-        return BoxXYXY(self.cx - half, self.cy - half, self.cx + half, self.cy + half)
+        return np.array([self.cx - half, self.cy - half, self.cx + half, self.cy + half])
 
 
 def sample_scene(spec: SceneSpec, index: int) -> list[SceneObject]:
@@ -85,8 +86,8 @@ def sample_scene(spec: SceneSpec, index: int) -> list[SceneObject]:
                      rng.uniform(0.35, 1.0))
             label = rng.randint(0, 2)
             candidate = SceneObject(label, cx, cy, size, color)
-            if all(box_iou(candidate.bbox(), o.bbox()) <= MAX_PAIRWISE_IOU
-                   for o in objects):
+            placed = np.array([o.bbox() for o in objects]).reshape(-1, 4)
+            if (pairwise_iou(candidate.bbox()[None], placed)[0] <= MAX_PAIRWISE_IOU).all():
                 objects.append(candidate)
                 break
     return objects
@@ -214,9 +215,8 @@ def generate_dataset(count: int, spec: SceneSpec, out_dir: str) -> str:
             if not objects:
                 lines.append(name)
             for obj in objects:
-                b = obj.bbox()
-                lines.append(f"{name} {b.x1:.2f} {b.y1:.2f} {b.x2:.2f} {b.y2:.2f} "
-                             f"{obj.label}")
+                x1, y1, x2, y2 = obj.bbox()
+                lines.append(f"{name} {x1:.2f} {y1:.2f} {x2:.2f} {y2:.2f} {obj.label}")
         with open(manifest_path, "w", encoding="ascii") as f:
             f.write("\n".join(lines) + "\n")
     except OSError:

@@ -1,11 +1,12 @@
 """Box algebra, overlap metrics, box mapping into views, resampling and RoIAlign.
 
-Boxes are half-open intervals in continuous pixel coordinates. A single
-rectangle (a view rect, an overlap, a scene object) is a `BoxXYXY`; a box set
-(ground truth and detections, proposals, crop and RoIAlign boxes) is an
-(n, 4) float64 array of (x1, y1, x2, y2) rows, which `pairwise_iou`,
-`map_boxes`, `bilinear_taps` and `roi_align` take whole. Model-side boxes use
-center-size (cxcywh) rows normalized to [0, 1] relative to their view.
+Boxes are half-open intervals in continuous pixel coordinates, in one
+format: a box set (ground truth and detections, proposals, crop and RoIAlign
+boxes) is an (n, 4) float64 array of (x1, y1, x2, y2) rows, which
+`pairwise_iou`, `map_boxes`, `bilinear_taps` and `roi_align` take whole; a
+single rectangle (a view rect, an overlap, a scene object) is one (4,) row.
+Model-side boxes use center-size (cxcywh) rows normalized to [0, 1] relative
+to their view.
 Division guards use 1e-9 and degenerate boxes report IoU 0 instead of NaN.
 
 Every box resample (view crops, crop-level targets, RoIAlign) goes through
@@ -15,9 +16,6 @@ centres and a border clamp, applied as two matrix products.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 
 from .tensor import Tensor, _make
@@ -26,64 +24,9 @@ _EPS = 1e-9
 ROI_SAMPLING = 2  # bilinear reads per output bin and axis in `roi_align`
 
 
-@dataclass(frozen=True)
-class BoxXYXY:
-    x1: float
-    y1: float
-    x2: float
-    y2: float
-
-    def __post_init__(self):
-        if not all(math.isfinite(v) for v in (self.x1, self.y1, self.x2, self.y2)):
-            raise ValueError(f"non-finite box {self}")
-        if self.x2 < self.x1 or self.y2 < self.y1:
-            raise ValueError(f"box corners out of order: {self}")
-
-    @property
-    def width(self) -> float:
-        return self.x2 - self.x1
-
-    @property
-    def height(self) -> float:
-        return self.y2 - self.y1
-
-    @property
-    def area(self) -> float:
-        return self.width * self.height
-
-    def center(self) -> tuple[float, float]:
-        return (0.5 * (self.x1 + self.x2), 0.5 * (self.y1 + self.y2))
-
-    def intersection(self, other: "BoxXYXY") -> "BoxXYXY | None":
-        x1, y1 = max(self.x1, other.x1), max(self.y1, other.y1)
-        x2, y2 = min(self.x2, other.x2), min(self.y2, other.y2)
-        if x2 <= x1 or y2 <= y1:
-            return None
-        return BoxXYXY(x1, y1, x2, y2)
-
-
-def corners(boxes) -> np.ndarray:
-    """The box set of an iterable of `BoxXYXY`: an (n, 4) float64 array."""
-    return np.array([(b.x1, b.y1, b.x2, b.y2) for b in boxes],
-                    dtype=np.float64).reshape(-1, 4)
-
-
-def box_iou(a: BoxXYXY, b: BoxXYXY) -> float:
-    ix = max(0.0, min(a.x2, b.x2) - max(a.x1, b.x1))
-    iy = max(0.0, min(a.y2, b.y2) - max(a.y1, b.y1))
-    inter = ix * iy
-    union = a.area + b.area - inter
-    if union <= _EPS:
-        return 0.0
-    return inter / union
-
-
 def pairwise_iou(a_xyxy: np.ndarray, b_xyxy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """IoU and union of every pair, (m, 4) x (n, 4) -> two (m, n) arrays.
-
-    The arithmetic of `box_iou`, so each entry equals `box_iou(a_i, b_j)` bit
-    for bit.
-    """
+    """IoU and union of every pair, (m, 4) x (n, 4) -> two (m, n) arrays;
+    a pair whose union is at most 1e-9 has IoU 0."""
     area_a = (a_xyxy[:, 2] - a_xyxy[:, 0]) * (a_xyxy[:, 3] - a_xyxy[:, 1])
     area_b = (b_xyxy[:, 2] - b_xyxy[:, 0]) * (b_xyxy[:, 3] - b_xyxy[:, 1])
     lt = np.maximum(a_xyxy[:, None, :2], b_xyxy[None, :, :2])
@@ -105,14 +48,14 @@ def py_max(a, b) -> np.ndarray:
     return np.where(b > a, b, a)
 
 
-def map_boxes(boxes: np.ndarray, rect: BoxXYXY, flip: bool,
+def map_boxes(boxes: np.ndarray, rect: np.ndarray, flip: bool,
               size: int) -> tuple[np.ndarray, np.ndarray]:
-    """Express an (n, 4) box set in the `size`-square view cropped from `rect`
-    (x' = size / rect.width * (x - rect.x1), mirrored as size - x' if `flip`),
-    clamped to the view: (mapped, inside), where inside[k] is False for a box
-    with no intersection with the view (the caller drops those rows)."""
-    scale = np.array([size / rect.width, size / rect.height])
-    pts = scale * (boxes.reshape(-1, 2, 2) - np.array([rect.x1, rect.y1]))
+    """Express an (n, 4) box set in the `size`-square view cropped from the
+    xyxy row `rect` (x' = size / width * (x - x1), mirrored as size - x' if
+    `flip`), clamped to the view: (mapped, inside), where inside[k] is False
+    for a box with no intersection with the view (the caller drops those rows)."""
+    scale = size / (rect[2:] - rect[:2])
+    pts = scale * (boxes.reshape(-1, 2, 2) - rect[:2])
     if flip:  # mirrors x, so the corners swap
         pts[..., 0] = size - pts[..., 0]
     a, b = pts[:, 0], pts[:, 1]  # (n, 2) each: the (x, y) of either corner

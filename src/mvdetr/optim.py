@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 
+from .checkpoint import whole_count
 from .tensor import Tensor
 
 BETAS = (0.9, 0.999)
@@ -62,10 +63,22 @@ class AdamW:
         return out
 
     def load_state(self, arrays: dict[str, np.ndarray]) -> None:
+        """Moments and step count from `state_arrays` entries. A missing entry,
+        a moment not of its parameter's shape or a `t` that is not one whole
+        number >= 0 raises ValueError led by the entry's name, changing nothing."""
+        for n in self.names:
+            for key in (f"m.{n}", f"v.{n}"):
+                if key not in arrays:
+                    raise ValueError(f"{key} is missing")
+                if arrays[key].shape != self.params[n].data.shape:
+                    raise ValueError(f"{key} has shape {arrays[key].shape}, expected "
+                                     f"{self.params[n].data.shape}")
+        if "t" not in arrays:
+            raise ValueError("t is missing")
+        self.t = whole_count(arrays["t"], "t")
         for n in self.names:
             self.m[n] = arrays[f"m.{n}"].astype(self.params[n].data.dtype, copy=True)
             self.v[n] = arrays[f"v.{n}"].astype(self.params[n].data.dtype, copy=True)
-        self.t = int(arrays["t"][0])
 
 
 def clip_global_norm(params: dict[str, Tensor], max_norm: float) -> float:

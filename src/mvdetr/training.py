@@ -17,13 +17,14 @@ import numpy as np
 from . import losses as L
 from . import tensor as T
 from .backbone import FrozenBackbone
-from .checkpoint import array_to_text, load_checkpoint, save_checkpoint, text_to_array
+from .checkpoint import (array_to_text, load_checkpoint, save_checkpoint, text_to_array,
+                         whole_count)
 from .config import RunConfig
 from .model import Detr
 from .optim import AdamW, clip_global_norm
 from .rng import Rng, derive_seed
 from .tensor import Tensor
-from .views import ViewPair, build_view_pair, resize_to_view
+from .views import MIN_IMAGE_SIDE, ViewPair, build_view_pair, resize_to_view
 
 META_PREFIX = "__meta__."
 CSV_COLUMNS = ("step", "epoch", "lr", "loss_total", "loss_loc", "loss_g", "loss_r")
@@ -271,6 +272,10 @@ def run_pretrain(cfg: RunConfig, images: list[np.ndarray], out_dir: str,
     called once the inputs (images, resume checkpoint) pass their checks,
     before anything is written."""
     _require_full_batch(len(images), cfg.train_batch_size, "train.batch_size")
+    for i, pixels in enumerate(images):
+        if min(pixels.shape[:2]) < MIN_IMAGE_SIDE:
+            raise ValueError(f"image {i} is {pixels.shape[1]}x{pixels.shape[0]}; view "
+                             f"construction needs sides of at least {MIN_IMAGE_SIDE} px")
     backbone = FrozenBackbone(cfg.backbone_seed)
     model = make_model(cfg, backbone)
     optimizer = AdamW(model.params, lr=cfg.train_lr, weight_decay=cfg.train_weight_decay)
@@ -284,11 +289,14 @@ def run_pretrain(cfg: RunConfig, images: list[np.ndarray], out_dir: str,
             check_architecture(meta, cfg)
             if "epoch" not in meta:
                 raise ValueError(f"no {META_PREFIX}epoch entry")
+            start_epoch = whole_count(meta["epoch"], META_PREFIX + "epoch")
         except ValueError as e:
             raise ValueError(f"{resume_from}: {e}") from None
+        try:
+            optimizer.load_state(opt_state)
+        except ValueError as e:  # its messages lead with the entry name past "opt."
+            raise ValueError(f"{resume_from}: opt.{e}") from None
         model.load_state(params)
-        optimizer.load_state(opt_state)
-        start_epoch = int(meta["epoch"][0])
     if on_start:
         on_start()
     os.makedirs(out_dir, exist_ok=True)

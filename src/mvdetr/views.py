@@ -1,11 +1,12 @@
 """Two-view construction: base rectangle, IoU-constrained view rectangles,
 photometric/geometric augmentation, proposals in the overlap, and box jitter.
 
-Single rectangles (base, view rects, overlap) are `BoxXYXY`; every proposal
-set, from `generate_proposals` to `ViewPair.proposals1`/`proposals2`, is an
-(n, 4) float64 array of xyxy rows. Settings come from `RunConfig` or are the
-constants below. A view's geometry is its source rect and whether `augment`
-flipped it (`ViewPair.rect1`, `flip1`), all that `geometry.map_boxes` needs.
+A single rectangle (base, view rects, overlap) is a (4,) float64 xyxy row;
+every proposal set, from `generate_proposals` to `ViewPair.proposals1`/
+`proposals2`, is an (n, 4) float64 array of such rows. Settings come from
+`RunConfig` or are the constants below. A view's geometry is its source rect
+and whether `augment` flipped it (`ViewPair.rect1`, `flip1`), all that
+`geometry.map_boxes` needs.
 
 Images arrive as the (H, W, 3) uint8 pixels `data.load_dataset` holds.
 `build_view_pair` and `resize_to_view`, the one way into finetuning and
@@ -25,13 +26,13 @@ import numpy as np
 
 from .config import RunConfig
 from .data import as_float_pixels
-from .geometry import (BoxXYXY, bilinear_taps, box_iou, corners, map_boxes, py_max,
-                       py_min, resample)
+from .geometry import bilinear_taps, map_boxes, pairwise_iou, py_max, py_min, resample
 from .rng import Rng
 
 _LUMA = np.array([0.299, 0.587, 0.114], dtype=np.float32)
 
 # fixed settings with no config key
+MIN_IMAGE_SIDE = 32  # pixels, the smallest image side view construction takes
 MIN_PROPOSAL_SIDE = 8.0
 BASE_AREA_RANGE = (0.5, 1.0)  # of the image area, for the base rectangle
 BLUR_SIGMA = (0.1, 2.0)
@@ -44,9 +45,9 @@ class ViewPair:
     view2: np.ndarray
     proposals1: np.ndarray  # (n, 4) xyxy in view 1 pixels
     proposals2: np.ndarray  # (n, 4) xyxy in view 2 pixels
-    base_rect: BoxXYXY
-    rect1: BoxXYXY
-    rect2: BoxXYXY
+    base_rect: np.ndarray  # (4,) xyxy in image pixels
+    rect1: np.ndarray
+    rect2: np.ndarray
     flip1: bool  # view 1 is mirrored left to right
     flip2: bool
     padded: bool  # proposals repeated cyclically to reach n
@@ -55,10 +56,9 @@ class ViewPair:
 # -- resampling helpers -------------------------------------------------------
 
 
-def crop_resize(pixels: np.ndarray, rect: BoxXYXY, out_h: int, out_w: int) -> np.ndarray:
-    """Bilinearly resample a continuous source rectangle to (out_h, out_w)."""
-    ay, ax = bilinear_taps(corners([rect]), pixels.shape[0], pixels.shape[1],
-                           (out_h, out_w))
+def crop_resize(pixels: np.ndarray, rect: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
+    """Bilinearly resample a source rectangle, an xyxy row, to (out_h, out_w)."""
+    ay, ax = bilinear_taps(rect[None], pixels.shape[0], pixels.shape[1], (out_h, out_w))
     return resample(pixels, ay, ax)[0].astype(np.float32, copy=False)
 
 
@@ -73,7 +73,7 @@ def resize_to_view(pixels: np.ndarray, view_size: int) -> np.ndarray:
     H, W = pixels.shape[:2]
     if H == view_size and W == view_size:
         return pixels
-    return crop_resize(pixels, BoxXYXY(0, 0, W, H), view_size, view_size)
+    return crop_resize(pixels, np.array([0.0, 0.0, W, H]), view_size, view_size)
 
 
 def gaussian_blur(pixels: np.ndarray, sigma: float) -> np.ndarray:
@@ -108,9 +108,9 @@ def sobel_magnitude(pixels: np.ndarray) -> np.ndarray:
 # -- sampling stages ----------------------------------------------------------
 
 
-def sample_base_rect(width: int, height: int, rng: Rng) -> BoxXYXY:
+def sample_base_rect(width: int, height: int, rng: Rng) -> np.ndarray:
     """Random rectangle covering an area fraction drawn from BASE_AREA_RANGE."""
-    if width < 32 or height < 32:
+    if width < MIN_IMAGE_SIDE or height < MIN_IMAGE_SIDE:
         raise ValueError(f"image too small for view construction: {width}x{height}")
     area = rng.uniform(*BASE_AREA_RANGE) * width * height
     aspect_lo = max(0.75, area / (height * height))
@@ -123,10 +123,10 @@ def sample_base_rect(width: int, height: int, rng: Rng) -> BoxXYXY:
     rh = min(float(height), area / rw)
     x1 = rng.uniform(0.0, width - rw)
     y1 = rng.uniform(0.0, height - rh)
-    return BoxXYXY(x1, y1, x1 + rw, y1 + rh)
+    return np.array([x1, y1, x1 + rw, y1 + rh])
 
 
-def sample_view_rects(base: BoxXYXY, tau: float, rng: Rng) -> tuple[BoxXYXY, BoxXYXY]:
+def sample_view_rects(base: np.ndarray, tau: float, rng: Rng) -> tuple[np.ndarray, np.ndarray]:
     """Two center-anchored rectangles inside `base` with IoU >= tau.
 
     Each rectangle spans from one base corner toward the opposite corner;
@@ -137,14 +137,14 @@ def sample_view_rects(base: BoxXYXY, tau: float, rng: Rng) -> tuple[BoxXYXY, Box
     """
     if not (0.0 < tau <= 1.0):
         raise ValueError(f"tau must be in (0, 1], got {tau}")
-    cx, cy = base.center()
-    hw, hh = base.width / 2.0, base.height / 2.0
+    centre = 0.5 * (base[:2] + base[2:])
+    half = (base[2:] - base[:2]) / 2.0
     for _ in range(VIEW_RECT_TRIES):
         pull1 = rng.uniform(0.0, 1.0)
         pull2 = rng.uniform(0.0, 1.0)
-        r1 = BoxXYXY(base.x1, base.y1, cx + (1.0 - pull1) * hw, cy + (1.0 - pull1) * hh)
-        r2 = BoxXYXY(cx - (1.0 - pull2) * hw, cy - (1.0 - pull2) * hh, base.x2, base.y2)
-        if box_iou(r1, r2) >= tau:
+        r1 = np.concatenate([base[:2], centre + (1.0 - pull1) * half])
+        r2 = np.concatenate([centre - (1.0 - pull2) * half, base[2:]])
+        if pairwise_iou(r1[None], r2[None])[0][0, 0] >= tau:
             return r1, r2
     return base, base
 
@@ -176,22 +176,29 @@ def augment(pixels: np.ndarray, rng: Rng, cfg: RunConfig) -> tuple[np.ndarray, b
     return out.astype(np.float32), flipped
 
 
-def generate_proposals(pixels: np.ndarray, overlap: BoxXYXY, mode: str, count: int,
+def _holds_proposals(rect: np.ndarray) -> bool:
+    """Whether both sides are at least MIN_PROPOSAL_SIDE and the area 64 px²."""
+    w, h = rect[2:] - rect[:2]
+    return bool(w >= MIN_PROPOSAL_SIDE and h >= MIN_PROPOSAL_SIDE and w * h >= 64.0)
+
+
+def generate_proposals(pixels: np.ndarray, overlap: np.ndarray, mode: str, count: int,
                        rng: Rng) -> np.ndarray:
-    """(count, 4) boxes inside `overlap` (image frame); objectness mode ranks
-    random candidates by interior-vs-border Sobel gradient contrast."""
-    min_side = MIN_PROPOSAL_SIDE
-    if overlap.width < min_side or overlap.height < min_side or overlap.area < 64.0:
-        raise ValueError(f"overlap too small for proposals: "
-                         f"{overlap.width:.1f}x{overlap.height:.1f}")
+    """(count, 4) boxes inside the xyxy row `overlap` (image frame); objectness
+    mode ranks random candidates by interior-vs-border Sobel gradient contrast."""
+    if not _holds_proposals(overlap):
+        w, h = overlap[2:] - overlap[:2]
+        raise ValueError(f"overlap too small for proposals: {w:.1f}x{h:.1f}")
     if mode not in ("random", "objectness"):
         raise ValueError(f"unknown proposal mode: {mode!r}")
+    min_side = MIN_PROPOSAL_SIDE
+    ox1, oy1, ox2, oy2 = overlap
     k = count if mode == "random" else 4 * count
     u = rng.uniforms(4 * k).reshape(k, 4)  # x1, y1, w, h of each candidate
-    x1 = overlap.x1 + (overlap.x2 - min_side - overlap.x1) * u[:, 0]
-    y1 = overlap.y1 + (overlap.y2 - min_side - overlap.y1) * u[:, 1]
-    x2 = x1 + (min_side + (overlap.x2 - x1 - min_side) * u[:, 2])
-    y2 = y1 + (min_side + (overlap.y2 - y1 - min_side) * u[:, 3])
+    x1 = ox1 + (ox2 - min_side - ox1) * u[:, 0]
+    y1 = oy1 + (oy2 - min_side - oy1) * u[:, 1]
+    x2 = x1 + (min_side + (ox2 - x1 - min_side) * u[:, 2])
+    y2 = y1 + (min_side + (oy2 - y1 - min_side) * u[:, 3])
     boxes = np.stack([x1, y1, x2, y2], axis=1)
     if mode == "objectness":
         # stable, so tied scores keep draw order
@@ -257,9 +264,9 @@ def build_view_pair(pixels: np.ndarray, cfg: RunConfig, seed: int) -> ViewPair:
     for _ in range(20):
         base = sample_base_rect(width, height, rng)
         rect1, rect2 = sample_view_rects(base, cfg.view_tau, rng)
-        overlap = rect1.intersection(rect2)
-        if overlap is not None and overlap.width >= MIN_PROPOSAL_SIDE \
-                and overlap.height >= MIN_PROPOSAL_SIDE and overlap.area >= 64.0:
+        overlap = np.concatenate([py_max(rect1[:2], rect2[:2]),
+                                  py_min(rect1[2:], rect2[2:])])
+        if _holds_proposals(overlap):
             break
     else:
         raise ValueError("could not sample view rectangles with a usable overlap")

@@ -7,12 +7,13 @@ sampling. Oracles run in float64. Three exceptions are held to exact bits
 instead: the attention reference composes the library's generic primitives
 (themselves gradient-checked), the backbone reference runs each float32
 conv layer as one GEMM over the whole batch, the AP/AR reference scores
-each (detection, ground truth) pair with `geometry.box_iou` at every match,
+each (detection, ground truth) pair with `scalar_iou` at every match,
 the random-stream references (`scalar_normal`, `scalar_proposals`,
 `scalar_jitter_box`) make one draw at a time where the library draws a
 block, and `scalar_map_box` maps one box where the library maps a set.
 `same_bits` compares those against the library's box arrays by value and
-sign of zero.
+sign of zero. The one-box oracles take and return `Box` records, plain
+4-tuples that share no code with the library's (4,) xyxy rows.
 """
 
 import math
@@ -21,7 +22,6 @@ from collections import namedtuple
 import numpy as np
 
 from mvdetr import tensor as T
-from mvdetr.geometry import BoxXYXY, box_iou
 from mvdetr.metrics import IOU_GRID, RECALL_GRID
 from mvdetr.tensor import Tensor
 from mvdetr.views import sobel_magnitude
@@ -153,8 +153,43 @@ def grid_count_iou(a, b, cell=0.01):
     return iou, giou
 
 
+class Box(namedtuple("Box", "x1 y1 x2 y2")):
+    """A test-only (x1, y1, x2, y2) box record with its sides and area in
+    Python floats, for the one-box-at-a-time oracles."""
+    __slots__ = ()
+
+    @property
+    def width(self):
+        return self.x2 - self.x1
+
+    @property
+    def height(self):
+        return self.y2 - self.y1
+
+    @property
+    def area(self):
+        return self.width * self.height
+
+    def center(self):
+        return (0.5 * (self.x1 + self.x2), 0.5 * (self.y1 + self.y2))
+
+
+def scalar_iou(a, b):
+    """IoU of two (x1, y1, x2, y2) 4-tuples, one Python float operation at a
+    time; 0 when the union is at most 1e-9."""
+    ax1, ay1, ax2, ay2 = a
+    bx1, by1, bx2, by2 = b
+    ix = max(0.0, min(ax2, bx2) - max(ax1, bx1))
+    iy = max(0.0, min(ay2, by2) - max(ay1, by1))
+    inter = ix * iy
+    union = (ax2 - ax1) * (ay2 - ay1) + (bx2 - bx1) * (by2 - by1) - inter
+    if union <= 1e-9:
+        return 0.0
+    return inter / union
+
+
 def box_giou(a, b):
-    """GIoU oracle in closed form for two BoxXYXY: IoU minus the share of the
+    """GIoU oracle in closed form for two `Box` records: IoU minus the share of the
     enclosing hull that the union leaves empty; degenerate unions give 0."""
     ix = max(0.0, min(a.x2, b.x2) - max(a.x1, b.x1))
     iy = max(0.0, min(a.y2, b.y2) - max(a.y1, b.y1))
@@ -213,10 +248,10 @@ _Gt = namedtuple("_Gt", "image box label")
 
 def _per_pair_lists(detections, ground_truth):
     """The scorer's inputs one box at a time: a `DETECTION` record array and
-    per-image (boxes, labels) as lists of records holding a `BoxXYXY` each."""
-    dets = [_Det(int(d["image"]), BoxXYXY(*d["box"].tolist()), int(d["label"]),
+    per-image (boxes, labels) as lists of records holding a `Box` each."""
+    dets = [_Det(int(d["image"]), Box(*d["box"].tolist()), int(d["label"]),
                  float(d["score"])) for d in detections]
-    gts = [_Gt(image, BoxXYXY(*box), label)
+    gts = [_Gt(image, Box(*box), label)
            for image, (boxes, labels) in enumerate(ground_truth)
            for box, label in zip(np.asarray(boxes).tolist(), np.asarray(labels).tolist())]
     return dets, gts
@@ -225,7 +260,7 @@ def _per_pair_lists(detections, ground_truth):
 def per_pair_greedy_match(dets, gts, iou_threshold):
     """Matching oracle: true-positive flags for detections already sorted by
     rank, scoring each (detection, ground truth) pair of an image with
-    `box_iou` at every call. Each detection takes the untaken box of its
+    `scalar_iou` at every call. Each detection takes the untaken box of its
     image with the highest IoU at or above the threshold (first on ties)."""
     by_image = {}
     for gi, gt in enumerate(gts):
@@ -237,7 +272,7 @@ def per_pair_greedy_match(dets, gts, iou_threshold):
         for gi in by_image.get(det.image, ()):
             if taken[gi]:
                 continue
-            iou = box_iou(det.box, gts[gi].box)
+            iou = scalar_iou(det.box, gts[gi].box)
             if iou >= iou_threshold and iou > best_iou:
                 best_iou, best_gi = iou, gi
         if best_gi >= 0:
@@ -340,7 +375,7 @@ def scalar_proposals(pixels, overlap, mode, count, rng, min_side=8.0):
             y1 = rng.uniform(overlap.y1, overlap.y2 - min_side)
             w = rng.uniform(min_side, overlap.x2 - x1)
             h = rng.uniform(min_side, overlap.y2 - y1)
-            boxes.append(BoxXYXY(x1, y1, x1 + w, y1 + h))
+            boxes.append(Box(x1, y1, x1 + w, y1 + h))
         return boxes
 
     if mode == "random":
@@ -385,11 +420,11 @@ def scalar_jitter_box(box, amount, rng, frame_w, frame_h):
     y1 = min(max(0.0, cy - h / 2), frame_h - 2.0)
     x2 = max(min(frame_w, cx + w / 2), x1 + 2.0)
     y2 = max(min(frame_h, cy + h / 2), y1 + 2.0)
-    return BoxXYXY(x1, y1, x2, y2)
+    return Box(x1, y1, x2, y2)
 
 
 def scalar_map_box(box, rect, flip, size):
-    """`geometry.map_boxes` one `BoxXYXY` at a time: each corner through
+    """`geometry.map_boxes` one `Box` at a time: each corner through
     x' = sx (x - rect.x1) (mirrored as size - x' when flipped),
     y' = sy (y - rect.y1), with (sx, sy) = size / (rect.width, rect.height),
     then ordered and clamped to the size-square view with Python's `min` and
@@ -410,7 +445,7 @@ def scalar_map_box(box, rect, flip, size):
     cx2, cy2 = min(size, x2), min(size, y2)
     if cx2 <= cx1 or cy2 <= cy1:
         raise ValueError(f"box {box} maps outside the {size}x{size} view")
-    return BoxXYXY(cx1, cy1, cx2, cy2)
+    return Box(cx1, cy1, cx2, cy2)
 
 
 def same_bits(got, want):

@@ -20,7 +20,7 @@ from mvdetr.backbone import FrozenBackbone
 from mvdetr.checkpoint import load_checkpoint
 from mvdetr.config import RunConfig, parse_config
 from mvdetr.data import SceneSpec, render_scene
-from mvdetr.geometry import BoxXYXY, box_iou, roi_align
+from mvdetr.geometry import pairwise_iou, roi_align
 from mvdetr.metrics import evaluate_model
 from mvdetr.model import Detr
 from mvdetr.optim import AdamW
@@ -29,7 +29,8 @@ from mvdetr.tensor import Tensor
 from mvdetr.training import (make_model, pretrain_step, run_finetune,
                              run_pretrain, split_checkpoint, labeled_item)
 
-from helpers import box_giou, grid_count_iou, dense_bilinear_average, numerical_gradient
+from helpers import (Box, box_giou, grid_count_iou, dense_bilinear_average, numerical_gradient,
+                     scalar_iou)
 
 
 def report(criterion: int, passed: bool, detail: str) -> None:
@@ -230,20 +231,21 @@ def test_criterion_3_geometry_oracle():
     def rand_box():
         x1 = int(rng.integers(0, 63))
         y1 = int(rng.integers(0, 63))
-        return BoxXYXY(x1, y1, int(rng.integers(x1 + 1, 64)),
-                       int(rng.integers(y1 + 1, 64)))
+        return Box(x1, y1, int(rng.integers(x1 + 1, 64)), int(rng.integers(y1 + 1, 64)))
+
+    def iou(a, b):
+        return float(pairwise_iou(np.array([a], float), np.array([b], float))[0][0, 0])
 
     ok = True
     for _ in range(1000):
         a, b = rand_box(), rand_box()
-        iou_o, giou_o = grid_count_iou((a.x1, a.y1, a.x2, a.y2),
-                                       (b.x1, b.y1, b.x2, b.y2))
-        if abs(box_iou(a, b) - iou_o) > 2e-2 or abs(box_giou(a, b) - giou_o) > 2e-2:
+        iou_o, giou_o = grid_count_iou(a, b)
+        if abs(iou(a, b) - iou_o) > 2e-2 or abs(box_giou(a, b) - giou_o) > 2e-2:
             ok = False
             break
     for _ in range(10_000):
         a, b = rand_box(), rand_box()
-        if box_giou(a, b) > box_iou(a, b) + 1e-6:
+        if box_giou(a, b) > iou(a, b) + 1e-6:
             ok = False
             break
 
@@ -255,11 +257,9 @@ def test_criterion_3_geometry_oracle():
         feat = (coef[0] + coef[1] * xs + coef[2] * ys)[:, :, None].repeat(2, axis=2)
         x1 = float(rng.uniform(0.5, 3.0))
         y1 = float(rng.uniform(0.5, 2.0))
-        box = BoxXYXY(x1, y1, x1 + float(rng.uniform(1.0, 3.0)),
-                      y1 + float(rng.uniform(1.0, 3.0)))
-        out = roi_align(Tensor(feat.astype(np.float32)),
-                        np.array([[box.x1, box.y1, box.x2, box.y2]]), (2, 2))
-        oracle = dense_bilinear_average(feat, (box.x1, box.y1, box.x2, box.y2), (2, 2))
+        box = (x1, y1, x1 + float(rng.uniform(1.0, 3.0)), y1 + float(rng.uniform(1.0, 3.0)))
+        out = roi_align(Tensor(feat.astype(np.float32)), np.array([box]), (2, 2))
+        oracle = dense_bilinear_average(feat, box, (2, 2))
         scale = max(1.0, float(np.abs(oracle).max()))
         if np.abs(out.data[0] - oracle).max() > 1e-3 * scale:
             ok = False
@@ -279,9 +279,10 @@ def test_criterion_4_view_contract():
     ok = True
     for k in range(10_000):
         pair = V.build_view_pair(images[k % len(images)], cfg, seed=derive_seed(404, k))
-        iou = box_iou(pair.rect1, pair.rect2)
+        iou = scalar_iou(pair.rect1, pair.rect2)
         min_iou = min(min_iou, iou)
-        ratio = pair.base_rect.area / (160.0 * 160.0)
+        x1, y1, x2, y2 = pair.base_rect
+        ratio = (x2 - x1) * (y2 - y1) / (160.0 * 160.0)
         if iou < 0.5 or not (0.5 - 1e-9 <= ratio <= 1.0 + 1e-9):
             ok = False
             break

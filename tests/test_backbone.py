@@ -5,7 +5,7 @@ import pytest
 
 from mvdetr import backbone as B
 from mvdetr.backbone import FrozenBackbone
-from mvdetr.geometry import BoxXYXY, roi_align
+from mvdetr.geometry import roi_align
 from mvdetr.tensor import Tensor
 from mvdetr.views import crop_resize
 
@@ -129,7 +129,7 @@ class TestCropFeatures:
     def test_full_view_crop_reduces_to_extract(self, backbone):
         img = _image(6)
         p = backbone.crop_features_multi([(img, np.array([[0.0, 0.0, 128.0, 128.0]]))])
-        resized = crop_resize(img, BoxXYXY(0, 0, 128, 128), 64, 64)
+        resized = crop_resize(img, np.array([0.0, 0.0, 128.0, 128.0]), 64, 64)
         direct = _extract(backbone, resized).mean(axis=(0, 1))
         np.testing.assert_allclose(p[0], direct, atol=1e-6)
 
@@ -160,7 +160,7 @@ class TestCropFeatures:
                                                       [-4.0, 80.0, 30.0, 99.0],
                                                       [20.0, 20.0, 24.0, 23.0]]))]
         p = backbone.crop_features_multi(groups)
-        rows = [_extract(backbone, crop_resize(img, BoxXYXY(*b), 64, 64)).mean(axis=(0, 1))
+        rows = [_extract(backbone, crop_resize(img, b, 64, 64)).mean(axis=(0, 1))
                 for img, boxes in groups for b in boxes]
         assert p.shape == (5, backbone.out_channels)
         np.testing.assert_allclose(p, np.stack(rows), atol=1e-6)

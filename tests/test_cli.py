@@ -334,6 +334,53 @@ class TestExitCodes:
         assert capsys.readouterr().err == f"error: {ckpt}: {problem}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("entry,value,problem", [
+        ("__meta__.epoch", np.zeros(0, np.float32),
+         "__meta__.epoch holds [], not one whole number >= 0"),
+        ("__meta__.epoch", np.array([-1.0], np.float32),
+         "__meta__.epoch holds [-1.0], not one whole number >= 0"),
+        ("__meta__.epoch", np.array([1.5], np.float32),
+         "__meta__.epoch holds [1.5], not one whole number >= 0"),
+        ("opt.t", np.zeros(0, np.float32), "opt.t holds [], not one whole number >= 0"),
+        ("opt.m.input_proj.weight", None, "opt.m.input_proj.weight is missing"),
+        ("opt.m.input_proj.weight", np.zeros(1, np.float32),
+         "opt.m.input_proj.weight has shape (1,), expected (64, 32)"),
+        ("opt.v.head.match.bias", np.zeros(3, np.float32),
+         "opt.v.head.match.bias has shape (3,), expected (1,)"),
+    ], ids=["epoch_empty", "epoch_negative", "epoch_fractional", "t_empty",
+            "moment_missing", "moment_misshapen", "second_moment_misshapen"])
+    def test_bad_resume_state_names_the_file_and_is_two(self, workspace, tmp_path, capsys,
+                                                        entry, value, problem):
+        # each fault is caught before run.txt, metrics.csv or a checkpoint is written
+        from mvdetr.checkpoint import load_checkpoint, save_checkpoint
+        root, cfg, manifest = workspace
+        ckpt = _untrained_checkpoint(cfg, tmp_path / "bad.ckpt", optimizer=True)
+        entries = load_checkpoint(ckpt)
+        entries.pop(entry)
+        if value is not None:
+            entries[entry] = value
+        save_checkpoint(ckpt, entries)
+        out = tmp_path / "out"
+        assert main(["pretrain", "--config", cfg, "--data", manifest, "--out", str(out),
+                     "--resume", ckpt]) == 2
+        assert capsys.readouterr().err == f"error: {ckpt}: {problem}\n"
+        assert not out.exists()
+
+    def test_image_too_small_for_views_is_two(self, workspace, tmp_path, capsys):
+        # four 96-px images, then a 40x24 one: index 4 in dataset order
+        root, cfg, _ = workspace
+        from mvdetr.data import SceneSpec, generate_dataset, write_ppm
+        data = tmp_path / "data"
+        manifest = generate_dataset(4, SceneSpec(image_size=96, seed=3), str(data))
+        write_ppm(str(data / "small.ppm"), np.zeros((24, 40, 3), np.float32))
+        text = open(manifest).read().replace("manifest v1 4", "manifest v1 5")
+        open(manifest, "w").write(text + "\nsmall.ppm\n")
+        out = tmp_path / "out"
+        assert main(["pretrain", "--config", cfg, "--data", manifest, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: image 4 is 40x24; view construction needs sides of at least 32 px\n")
+        assert not out.exists()
+
     def test_missing_data_is_two(self, workspace):
         root, cfg, _ = workspace
         rc = main(["pretrain", "--config", cfg, "--data",

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from mvdetr import data as D
-from mvdetr.geometry import box_iou
+
+from helpers import scalar_iou
 
 
 def test_generate_twice_identical_bytes(tmp_path):
@@ -38,7 +39,7 @@ def test_round_trip_boxes_within_half_pixel(tmp_path):
         assert boxes.dtype == np.float64 and labels.dtype == np.int64
         for (x1, _, _, y2), obj in zip(boxes.tolist(), expected):
             ref = obj.bbox()
-            assert abs(x1 - ref.x1) <= 0.5 and abs(y2 - ref.y2) <= 0.5
+            assert abs(x1 - ref[0]) <= 0.5 and abs(y2 - ref[3]) <= 0.5
         assert labels.tolist() == [o.label for o in expected]
 
 
@@ -48,12 +49,13 @@ def test_scene_invariants():
         objects = D.sample_scene(spec, i)
         assert 1 <= len(objects) <= 4
         for k, obj in enumerate(objects):
-            b = obj.bbox()
-            assert b.x1 >= 0 and b.y1 >= 0
-            assert b.x2 <= spec.image_size and b.y2 <= spec.image_size
-            assert b.width >= 8.0
+            x1, y1, x2, y2 = b = obj.bbox()
+            assert b.dtype == np.float64 and b.shape == (4,)
+            assert x1 >= 0 and y1 >= 0
+            assert x2 <= spec.image_size and y2 <= spec.image_size
+            assert x2 - x1 >= 8.0
             for other in objects[:k]:
-                assert box_iou(b, other.bbox()) <= D.MAX_PAIRWISE_IOU + 1e-9
+                assert scalar_iou(b, other.bbox()) <= D.MAX_PAIRWISE_IOU + 1e-9
 
 
 @pytest.mark.parametrize("size", [36, 48, 68])
@@ -61,11 +63,11 @@ def test_small_images_keep_boxes_inside_margins(size):
     spec = D.SceneSpec(image_size=size, seed=1)
     for i in range(20):
         for obj in D.sample_scene(spec, i):
-            b = obj.bbox()
-            assert b.x1 >= D.MARGIN - 1e-9 and b.y1 >= D.MARGIN - 1e-9
-            assert b.x2 <= size - D.MARGIN + 1e-9
-            assert b.y2 <= size - D.MARGIN + 1e-9
-            assert b.width >= D.MIN_SIDE
+            x1, y1, x2, y2 = obj.bbox()
+            assert x1 >= D.MARGIN - 1e-9 and y1 >= D.MARGIN - 1e-9
+            assert x2 <= size - D.MARGIN + 1e-9
+            assert y2 <= size - D.MARGIN + 1e-9
+            assert x2 - x1 >= D.MIN_SIDE
 
 
 def test_side_range_reaches_max_side_from_68_px():
@@ -103,9 +105,9 @@ def test_boxes_cover_object_pixels(tmp_path):
                 mask = ((np.abs(xs - obj.cx) <= half) & (np.abs(ys - obj.cy) <= half)
                         & (np.abs(xs - obj.cx) <= rel * half))
             total = int(mask.sum())
-            b = obj.bbox()
-            inside = mask[int(np.floor(b.y1)):int(np.ceil(b.y2)),
-                          int(np.floor(b.x1)):int(np.ceil(b.x2))].sum()
+            x1, y1, x2, y2 = obj.bbox()
+            inside = mask[int(np.floor(y1)):int(np.ceil(y2)),
+                          int(np.floor(x1)):int(np.ceil(x2))].sum()
             assert total > 0
             assert inside / total >= 0.6
 

@@ -8,8 +8,8 @@ from mvdetr import geometry as G
 from mvdetr.tensor import Tensor, tsum
 from mvdetr.training import boxes_to_targets
 
-from helpers import (box_giou, grid_count_iou, dense_bilinear_average, gradcheck,
-                     same_bits, scalar_map_box)
+from helpers import (Box, box_giou, grid_count_iou, dense_bilinear_average, gradcheck,
+                     same_bits, scalar_iou, scalar_map_box)
 
 
 def _rand_int_box(rng, extent=64):
@@ -17,67 +17,75 @@ def _rand_int_box(rng, extent=64):
     y1 = rng.integers(0, extent - 1)
     x2 = rng.integers(x1 + 1, extent)
     y2 = rng.integers(y1 + 1, extent)
-    return G.BoxXYXY(float(x1), float(y1), float(x2), float(y2))
+    return Box(float(x1), float(y1), float(x2), float(y2))
+
+
+def _iou(a, b):
+    """`pairwise_iou` of two single boxes, each given as an xyxy 4-sequence."""
+    return float(G.pairwise_iou(np.array([a], float), np.array([b], float))[0][0, 0])
 
 
 class TestIoU:
     def test_identical(self):
-        b = G.BoxXYXY(3, 4, 10, 12)
-        assert G.box_iou(b, b) == pytest.approx(1.0)
+        b = (3, 4, 10, 12)
+        assert _iou(b, b) == pytest.approx(1.0)
 
     def test_disjoint(self):
-        assert G.box_iou(G.BoxXYXY(0, 0, 10, 10), G.BoxXYXY(20, 20, 30, 30)) == 0.0
+        assert _iou((0, 0, 10, 10), (20, 20, 30, 30)) == 0.0
 
     def test_one_third_overlap(self):
-        a, b = G.BoxXYXY(0, 0, 2, 2), G.BoxXYXY(1, 0, 3, 2)
-        oracle_iou, _ = grid_count_iou((0, 0, 2, 2), (1, 0, 3, 2))
-        assert G.box_iou(a, b) == pytest.approx(1 / 3, abs=2e-2)
-        assert G.box_iou(a, b) == pytest.approx(oracle_iou, abs=2e-2)
+        a, b = (0, 0, 2, 2), (1, 0, 3, 2)
+        oracle_iou, _ = grid_count_iou(a, b)
+        assert _iou(a, b) == pytest.approx(1 / 3, abs=2e-2)
+        assert _iou(a, b) == pytest.approx(oracle_iou, abs=2e-2)
 
     def test_degenerate_box_gives_zero(self):
-        assert G.box_iou(G.BoxXYXY(5, 5, 5, 5), G.BoxXYXY(0, 0, 10, 10)) == 0.0
+        assert _iou((5, 5, 5, 5), (0, 0, 10, 10)) == 0.0
 
     def test_symmetry_random(self):
         rng = np.random.default_rng(0)
         for _ in range(200):
             a, b = _rand_int_box(rng), _rand_int_box(rng)
-            assert G.box_iou(a, b) == G.box_iou(b, a)
+            assert _iou(a, b) == _iou(b, a)
             assert box_giou(a, b) == box_giou(b, a)
 
 
+_SIDE = st.one_of(st.just(0.0), st.integers(0, 40).map(float), st.floats(0.0, 60.0))
+_BOX = st.tuples(st.integers(-20, 60).map(float) | st.floats(-50.0, 100.0),
+                 st.integers(-20, 60).map(float) | st.floats(-50.0, 100.0),
+                 _SIDE, _SIDE).map(lambda t: Box(t[0], t[1], t[0] + t[2], t[1] + t[3]))
+
+
 class TestPairwiseIoU:
-    def test_equals_box_iou_bit_for_bit(self):
-        rng = np.random.default_rng(12)
-        boxes = [G.BoxXYXY(*(float(v) for v in (x, y, x + w, y + h)))
-                 for x, y, w, h in rng.uniform(0, 50, (40, 4))]
-        boxes += [
-            G.BoxXYXY(5, 5, 5, 5), G.BoxXYXY(5, 5, 5, 9),    # zero area
-            G.BoxXYXY(0, 0, 10, 10), G.BoxXYXY(10, 0, 20, 10),  # touching edge
-            G.BoxXYXY(10, 10, 20, 20),                        # touching corner
-            G.BoxXYXY(100, 100, 101, 101),                    # disjoint
-            G.BoxXYXY(0.1, 0.2, 10.3, 10.7), G.BoxXYXY(0.1, 0.2, 10.3, 10.7),
-        ]
-        xyxy = np.array([(b.x1, b.y1, b.x2, b.y2) for b in boxes])
-        iou, union = G.pairwise_iou(xyxy, xyxy[::-1])
-        expected = np.array([[G.box_iou(a, b) for b in boxes[::-1]] for a in boxes])
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(a=st.lists(_BOX, min_size=1, max_size=8), b=st.lists(_BOX, min_size=1, max_size=8))
+    @example(a=[Box(5.0, 5.0, 5.0, 5.0), Box(5.0, 5.0, 5.0, 9.0)],  # zero area
+             b=[Box(0.0, 0.0, 10.0, 10.0), Box(5.0, 5.0, 5.0, 5.0)])
+    @example(a=[Box(0.0, 0.0, 10.0, 10.0)], b=[Box(10.0, 0.0, 20.0, 10.0)])  # touching edge
+    @example(a=[Box(0.0, 0.0, 10.0, 10.0)], b=[Box(10.0, 10.0, 20.0, 20.0)])  # touching corner
+    @example(a=[Box(0.0, 0.0, 10.0, 10.0)], b=[Box(100.0, 100.0, 101.0, 101.0)])  # disjoint
+    @example(a=[Box(0.1, 0.2, 10.3, 10.7)], b=[Box(0.1, 0.2, 10.3, 10.7)])  # identical
+    def test_equals_scalar_iou_bit_for_bit(self, a, b):
+        iou, _ = G.pairwise_iou(np.array(a), np.array(b))
+        expected = np.array([[scalar_iou(p, q) for q in b] for p in a])
         assert iou.tobytes() == expected.tobytes()
-        assert union[0, -1] == boxes[0].area  # a box with itself
-        assert (iou == 0.0).sum() > len(boxes)  # zero-area, touching and disjoint pairs
+        _, union = G.pairwise_iou(np.array(a), np.array(a))
+        assert [union[k, k] for k in range(len(a))] == [p.area for p in a]  # box with itself
 
 
 class TestGIoU:
     def test_identical(self):
-        b = G.BoxXYXY(1, 1, 5, 7)
+        b = Box(1, 1, 5, 7)
         assert box_giou(b, b) == pytest.approx(1.0)
 
     def test_containment_equals_iou(self):
-        a, b = G.BoxXYXY(0, 0, 2, 2), G.BoxXYXY(0, 0, 1, 1)
+        a, b = Box(0, 0, 2, 2), Box(0, 0, 1, 1)
         assert box_giou(a, b) == pytest.approx(0.25)
-        assert box_giou(a, b) == pytest.approx(G.box_iou(a, b))
+        assert box_giou(a, b) == pytest.approx(_iou(a, b))
 
     def test_separated_negative(self):
         # hull area 3, union 2, iou 0 -> giou = -1/3
-        a, b = G.BoxXYXY(0, 0, 1, 1), G.BoxXYXY(2, 0, 3, 1)
+        a, b = Box(0, 0, 1, 1), Box(2, 0, 3, 1)
         assert box_giou(a, b) == pytest.approx(-1 / 3)
         _, oracle = grid_count_iou((0, 0, 1, 1), (2, 0, 3, 1))
         assert box_giou(a, b) == pytest.approx(oracle, abs=2e-2)
@@ -86,15 +94,14 @@ class TestGIoU:
         rng = np.random.default_rng(1)
         for _ in range(10_000):
             a, b = _rand_int_box(rng), _rand_int_box(rng)
-            assert box_giou(a, b) <= G.box_iou(a, b) + 1e-6
+            assert box_giou(a, b) <= _iou(a, b) + 1e-6
 
     def test_matches_grid_oracle(self):
         rng = np.random.default_rng(2)
         for _ in range(300):
             a, b = _rand_int_box(rng), _rand_int_box(rng)
-            iou_o, giou_o = grid_count_iou((a.x1, a.y1, a.x2, a.y2),
-                                           (b.x1, b.y1, b.x2, b.y2))
-            assert G.box_iou(a, b) == pytest.approx(iou_o, abs=2e-2)
+            iou_o, giou_o = grid_count_iou(a, b)
+            assert _iou(a, b) == pytest.approx(iou_o, abs=2e-2)
             assert box_giou(a, b) == pytest.approx(giou_o, abs=2e-2)
 
     def test_range(self):
@@ -114,10 +121,10 @@ class TestConvert:
         rng = np.random.default_rng(4)
         for _ in range(200):
             b = _rand_int_box(rng)
-            cx, cy, w, h = (float(v) for v in boxes_to_targets(G.corners([b]), 64, 64)[0])
+            cx, cy, w, h = (float(v) for v in boxes_to_targets(np.array([b]), 64, 64)[0])
             back = ((cx - w / 2) * 64, (cy - h / 2) * 64,
                     (cx + w / 2) * 64, (cy + h / 2) * 64)
-            for u, v in zip((b.x1, b.y1, b.x2, b.y2), back):
+            for u, v in zip(b, back):
                 assert u == pytest.approx(v, abs=1e-5)
 
 
@@ -125,18 +132,18 @@ class TestFrameTransform:
     """`map_boxes`: a box set into the frame of a view cropped from a rect."""
 
     def test_identity(self):
-        rect = G.BoxXYXY(0.0, 0.0, 100.0, 100.0)
+        rect = np.array([0.0, 0.0, 100.0, 100.0])
         out, inside = G.map_boxes(np.array([[10.0, 20.0, 30.0, 40.0]]), rect, False, 100)
         assert inside.tolist() == [True]
         assert out.tolist() == [[10, 20, 30, 40]]
 
     def test_flip_reflection(self):
-        rect = G.BoxXYXY(0.0, 0.0, 100.0, 100.0)
+        rect = np.array([0.0, 0.0, 100.0, 100.0])
         out, _ = G.map_boxes(np.array([[10.0, 0.0, 20.0, 10.0]]), rect, True, 100)
         assert out.tolist() == [[80.0, 0.0, 90.0, 10.0]]
 
     def test_outside_frame_errors(self):
-        rect = G.BoxXYXY(100.0, 100.0, 150.0, 150.0)
+        rect = np.array([100.0, 100.0, 150.0, 150.0])
         _, inside = G.map_boxes(np.array([[0.0, 0.0, 10.0, 10.0]]), rect, False, 50)
         assert inside.tolist() == [False]
 
@@ -159,9 +166,9 @@ class TestFrameTransform:
         # boxes inside, across the border, wholly outside or empty, in
         # integer frames (view sizes, where the scalar clamp returns an int);
         # a -0.0 corner at a zero shift clamps to +0.0
-        rect = G.BoxXYXY(corner[0], corner[1], corner[0] + side[0], corner[1] + side[1])
-        rows = [G.BoxXYXY(x, y, x + w, y + h) for x, y, w, h in boxes]
-        mapped, inside = G.map_boxes(G.corners(rows), rect, flip, size)
+        rect = Box(corner[0], corner[1], corner[0] + side[0], corner[1] + side[1])
+        rows = [Box(x, y, x + w, y + h) for x, y, w, h in boxes]
+        mapped, inside = G.map_boxes(np.array(rows).reshape(-1, 4), np.array(rect), flip, size)
         assert mapped.shape == (len(rows), 4) and inside.shape == (len(rows),)
         for k, box in enumerate(rows):
             try:
@@ -170,7 +177,7 @@ class TestFrameTransform:
                 assert not inside[k]
                 continue
             assert inside[k]
-            assert same_bits(mapped[k], G.corners([want])[0])
+            assert same_bits(mapped[k], want)
 
 
 class TestRoiAlign:

@@ -10,10 +10,9 @@ from hypothesis import given, settings, strategies as st
 
 from mvdetr import losses as L
 from mvdetr import tensor as T
-from mvdetr.geometry import BoxXYXY
 from mvdetr.tensor import Tensor
 
-from helpers import box_giou
+from helpers import Box, box_giou
 
 
 def brute_force_assignment(cost):
@@ -163,7 +162,7 @@ class TestMatchingCost:
         pred = np.array([[0.5, 0.5, 0.4, 0.4]])
         tgt = np.array([[0.3, 0.3, 0.2, 0.2]])
         cost = L.matching_cost(pred, np.array([0.5]), tgt)
-        g = box_giou(BoxXYXY(0.3, 0.3, 0.7, 0.7), BoxXYXY(0.2, 0.2, 0.4, 0.4))
+        g = box_giou(Box(0.3, 0.3, 0.7, 0.7), Box(0.2, 0.2, 0.4, 0.4))
         l1 = float(np.abs(pred - tgt).sum())
         expected = -math.log(0.5) + 2 * (1 - g) + 5 * l1
         assert cost[0, 0] == pytest.approx(expected, abs=1e-6)
@@ -188,7 +187,7 @@ class TestLocLoss:
         pred = Tensor(np.array([[0.5, 0.5, 0.4, 0.4]], dtype=np.float32))
         tgt = np.array([[0.5, 0.5, 0.2, 0.2]], dtype=np.float32)
         reg = L.box_regression(pred, [0], tgt)
-        g = box_giou(BoxXYXY(0.3, 0.3, 0.7, 0.7), BoxXYXY(0.4, 0.4, 0.6, 0.6))
+        g = box_giou(Box(0.3, 0.3, 0.7, 0.7), Box(0.4, 0.4, 0.6, 0.6))
         expected = 2 * (1 - g) + 5 * 0.4
         assert float(reg.data) == pytest.approx(expected, abs=1e-5)
 

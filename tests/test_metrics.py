@@ -207,7 +207,7 @@ def scored_scenes(draw):
 
 
 class TestAgainstPerPairOracle:
-    """The per-image IoU scorer reproduces per-pair `box_iou` matching exactly."""
+    """The per-image IoU scorer reproduces per-pair `scalar_iou` matching exactly."""
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(scene=scored_scenes())

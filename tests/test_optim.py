@@ -97,6 +97,18 @@ class TestAdamW:
         np.testing.assert_array_equal(opt2.v["w"], opt.v["w"])
 
 
+    def test_rejected_state_changes_nothing(self):
+        # `t` and the first moment are fine, the second moment of "w" is not
+        w = _param([1.0, 2.0])
+        opt = AdamW({"w": w}, lr=1e-2)
+        state = {"m.w": np.ones(2, np.float32), "v.w": np.ones(3, np.float32),
+                 "t": np.array([4.0], np.float32)}
+        with pytest.raises(ValueError, match=r"^v\.w has shape \(3,\), expected \(2,\)$"):
+            opt.load_state(state)
+        assert opt.t == 0
+        assert not opt.m["w"].any() and not opt.v["w"].any()
+
+
 class TestClip:
     def test_scales_down_large_gradients(self):
         a, b = _param([3.0]), _param([4.0])

@@ -14,7 +14,6 @@ from mvdetr.backbone import FrozenBackbone
 from mvdetr.checkpoint import load_checkpoint, save_checkpoint
 from mvdetr.config import parse_config
 from mvdetr.data import SceneSpec, render_scene
-from mvdetr.geometry import BoxXYXY, corners
 from mvdetr.model import Detr
 from mvdetr.optim import AdamW
 from mvdetr.rng import derive_seed
@@ -52,7 +51,7 @@ def labeled(images):
     items = []
     for i in range(len(images)):
         pixels, objs = render_scene(spec, i)
-        items.append(TR.labeled_item(pixels, corners(o.bbox() for o in objs),
+        items.append(TR.labeled_item(pixels, np.array([o.bbox() for o in objs]).reshape(-1, 4),
                                      np.array([o.label for o in objs], np.int64)))
     return items
 

@@ -8,10 +8,11 @@ from hypothesis import given, settings, strategies as st
 
 from mvdetr import views as V
 from mvdetr.config import RunConfig
-from mvdetr.geometry import BoxXYXY, box_iou, corners, map_boxes
+from mvdetr.geometry import map_boxes
 from mvdetr.rng import Rng
 
-from helpers import dense_bilinear_average, same_bits, scalar_jitter_box, scalar_proposals
+from helpers import (Box, dense_bilinear_average, same_bits, scalar_iou, scalar_jitter_box,
+                     scalar_proposals)
 
 NO_AUGMENT = dict(aug_flip_p=0.0, aug_color_p=0.0, aug_grayscale_p=0.0, aug_blur_p=0.0)
 
@@ -33,7 +34,7 @@ class TestCropResize:
     ])
     def test_matches_dense_oracle_one_sample_per_bin(self, rect, out_hw):
         pixels = _noise_image(41)
-        out = V.crop_resize(pixels, BoxXYXY(*rect), *out_hw)
+        out = V.crop_resize(pixels, np.array(rect), *out_hw)
         assert out.dtype == np.float32 and out.shape == (*out_hw, 3)
         oracle = dense_bilinear_average(pixels.astype(np.float64), rect, out_hw,
                                         samples_per_bin=1)
@@ -45,14 +46,16 @@ class TestBaseRect:
         rng = Rng(99)
         for _ in range(2000):
             r = V.sample_base_rect(256, 256, rng)
-            ratio = r.area / (256 * 256)
+            assert r.dtype == np.float64 and r.shape == (4,)
+            x1, y1, x2, y2 = r
+            ratio = (x2 - x1) * (y2 - y1) / (256 * 256)
             assert 0.5 - 1e-9 <= ratio <= 1.0 + 1e-9
-            assert r.x1 >= 0 and r.y1 >= 0 and r.x2 <= 256 and r.y2 <= 256
+            assert x1 >= 0 and y1 >= 0 and x2 <= 256 and y2 <= 256
 
     def test_deterministic(self):
         a = V.sample_base_rect(200, 150, Rng(42))
         b = V.sample_base_rect(200, 150, Rng(42))
-        assert a == b
+        assert same_bits(a, b)
 
     def test_too_small_image(self):
         with pytest.raises(ValueError):
@@ -62,27 +65,26 @@ class TestBaseRect:
 class TestViewRects:
     def test_iou_threshold_scan(self):
         rng = Rng(7)
-        base = BoxXYXY(10, 20, 200, 180)
+        base = np.array([10.0, 20.0, 200.0, 180.0])
         for _ in range(2000):
             r1, r2 = V.sample_view_rects(base, 0.5, rng)
-            assert box_iou(r1, r2) >= 0.5
+            assert scalar_iou(r1, r2) >= 0.5
 
     def test_tau_one_falls_back_to_identical(self):
-        base = BoxXYXY(0, 0, 100, 100)
+        base = np.array([0.0, 0.0, 100.0, 100.0])
         r1, r2 = V.sample_view_rects(base, 1.0, Rng(3))
-        assert r1 == r2 == base
+        assert same_bits(r1, base) and same_bits(r2, base)
 
     def test_rects_inside_base(self):
         rng = Rng(11)
-        base = BoxXYXY(5, 5, 155, 125)
+        base = np.array([5.0, 5.0, 155.0, 125.0])
         for _ in range(200):
             for r in V.sample_view_rects(base, 0.5, rng):
-                assert r.x1 >= base.x1 - 1e-9 and r.y1 >= base.y1 - 1e-9
-                assert r.x2 <= base.x2 + 1e-9 and r.y2 <= base.y2 + 1e-9
+                assert (r[:2] >= base[:2] - 1e-9).all() and (r[2:] <= base[2:] + 1e-9).all()
 
     def test_invalid_tau(self):
         with pytest.raises(ValueError):
-            V.sample_view_rects(BoxXYXY(0, 0, 10, 10), 0.0, Rng(0))
+            V.sample_view_rects(np.array([0.0, 0.0, 10.0, 10.0]), 0.0, Rng(0))
 
 
 class TestAugment:
@@ -127,24 +129,24 @@ class TestAugment:
 class TestProposals:
     def test_random_mode_inside_overlap(self):
         img = _noise_image(5)
-        overlap = BoxXYXY(20, 30, 120, 110)
+        overlap = np.array([20.0, 30.0, 120.0, 110.0])
         boxes = V.generate_proposals(img, overlap, "random", 20, Rng(8))
         assert boxes.shape == (20, 4)
         for x1, y1, x2, y2 in boxes:
-            assert x1 >= overlap.x1 and y1 >= overlap.y1
-            assert x2 <= overlap.x2 + 1e-6 and y2 <= overlap.y2 + 1e-6
+            assert x1 >= overlap[0] and y1 >= overlap[1]
+            assert x2 <= overlap[2] + 1e-6 and y2 <= overlap[3] + 1e-6
             assert x2 - x1 >= 8.0 - 1e-6 and y2 - y1 >= 8.0 - 1e-6
 
     def test_random_mode_deterministic(self):
         img = _noise_image(5)
-        overlap = BoxXYXY(10, 10, 100, 100)
+        overlap = np.array([10.0, 10.0, 100.0, 100.0])
         a = V.generate_proposals(img, overlap, "random", 5, Rng(3))
         b = V.generate_proposals(img, overlap, "random", 5, Rng(3))
         assert same_bits(a, b)
 
     def test_uniform_image_objectness_ties_by_index(self):
         img = np.full((128, 128, 3), 0.5, dtype=np.float32)
-        overlap = BoxXYXY(10, 10, 110, 110)
+        overlap = np.array([10.0, 10.0, 110.0, 110.0])
         # zero gradient everywhere: scores tie, candidates keep draw order
         ranked = V.generate_proposals(img, overlap, "objectness", 3, Rng(4))
         candidates = V.generate_proposals(img, overlap, "random", 12, Rng(4))
@@ -153,15 +155,14 @@ class TestProposals:
     def test_objectness_finds_bright_square(self):
         img = np.zeros((128, 128, 3), dtype=np.float32)
         img[40:80, 50:90] = 1.0
-        overlap = BoxXYXY(30, 30, 100, 100)
-        square = BoxXYXY(50, 40, 90, 80)
+        overlap = np.array([30.0, 30.0, 100.0, 100.0])
+        square = (50.0, 40.0, 90.0, 80.0)
         (best,) = V.generate_proposals(img, overlap, "objectness", 1, Rng(44))
-        assert box_iou(BoxXYXY(*best), square) > 0.3
+        assert scalar_iou(best, square) > 0.3
         # the scorer prefers boxes enclosing the square's edge contour: the
         # pick must match the best of the same 4 random candidates
         cands = V.generate_proposals(img, overlap, "random", 4, Rng(44))
-        assert box_iou(BoxXYXY(*best), square) == max(box_iou(BoxXYXY(*c), square)
-                                                      for c in cands)
+        assert scalar_iou(best, square) == max(scalar_iou(c, square) for c in cands)
 
     @settings(max_examples=120, deadline=None, derandomize=True)
     @given(seed=st.integers(0, 2**64 - 1), mode=st.sampled_from(["random", "objectness"]),
@@ -175,13 +176,13 @@ class TestProposals:
         cells = np.random.default_rng(seed % 1000).uniform(0, 1, (blocks, blocks, 3))
         img = np.kron(cells, np.ones((64 // blocks + 1,) * 2 + (1,)))[:64, :64]
         img = img.astype(np.float32)
-        overlap = BoxXYXY(corner[0], corner[1], min(64.0, corner[0] + size[0]),
-                          min(64.0, corner[1] + size[1]))
+        overlap = Box(corner[0], corner[1], min(64.0, corner[0] + size[0]),
+                      min(64.0, corner[1] + size[1]))
         got_rng, want_rng = Rng(seed), Rng(seed)
         with mock.patch.object(V, "MIN_PROPOSAL_SIDE", min_side):
-            got = V.generate_proposals(img, overlap, mode, count, got_rng)
+            got = V.generate_proposals(img, np.array(overlap), mode, count, got_rng)
         want = scalar_proposals(img, overlap, mode, count, want_rng, min_side)
-        assert same_bits(got, corners(want))
+        assert same_bits(got, want)
         assert got_rng.next_u64() == want_rng.next_u64()
 
     @settings(max_examples=60, deadline=None, derandomize=True)
@@ -193,16 +194,17 @@ class TestProposals:
     def test_jitter_equals_scalar_oracle(self, seed, amount, sides):
         # boxes at and past the frame border are clamped the same way; an
         # empty box at -0.0 shifted left clamps to +0.0 as the scalar max does
-        boxes = [BoxXYXY(x, y, x + w, y + h) for x, y, w, h in sides]
+        boxes = [Box(x, y, x + w, y + h) for x, y, w, h in sides]
         got_rng, want_rng = Rng(seed), Rng(seed)
-        got = V._jitter_boxes(corners(boxes), amount, got_rng, 64.0, 48.0)
+        got = V._jitter_boxes(np.array(boxes).reshape(-1, 4), amount, got_rng, 64.0, 48.0)
         want = [scalar_jitter_box(b, amount, want_rng, 64.0, 48.0) for b in boxes]
-        assert same_bits(got, corners(want))
+        assert same_bits(got, np.array(want).reshape(-1, 4))
         assert got_rng.next_u64() == want_rng.next_u64()
 
     def test_small_overlap_errors(self):
         with pytest.raises(ValueError):
-            V.generate_proposals(_noise_image(6), BoxXYXY(0, 0, 7, 7), "random", 4, Rng(0))
+            V.generate_proposals(_noise_image(6), np.array([0.0, 0.0, 7.0, 7.0]), "random", 4,
+                                 Rng(0))
 
 
 class TestBuildViewPair:
@@ -213,7 +215,7 @@ class TestBuildViewPair:
         img = _noise_image(7)
         pair = V.build_view_pair(img, self._cfg(), seed=123)
         assert pair.proposals1.shape == pair.proposals2.shape == (10, 4)
-        assert box_iou(pair.rect1, pair.rect2) >= 0.5
+        assert scalar_iou(pair.rect1, pair.rect2) >= 0.5
 
     def test_proposals_inside_views(self):
         img = _noise_image(8)
@@ -240,8 +242,8 @@ class TestBuildViewPair:
         # augmentation, so only rect1's scale and shift) and onto view2
         r1 = pair.rect1
         assert not pair.flip1 and not pair.flip2
-        sx, sy = cfg.view_size / r1.width, cfg.view_size / r1.height
-        img_boxes = pair.proposals1 / [sx, sy, sx, sy] + [r1.x1, r1.y1] * 2
+        sx, sy = cfg.view_size / (r1[2:] - r1[:2])
+        img_boxes = pair.proposals1 / [sx, sy, sx, sy] + [r1[0], r1[1]] * 2
         expect, _ = map_boxes(img_boxes, pair.rect2, pair.flip2, cfg.view_size)
         np.testing.assert_allclose(pair.proposals2, expect, rtol=0, atol=1e-4)
 
@@ -249,7 +251,7 @@ class TestBuildViewPair:
         img = _noise_image(11)
         cfg = self._cfg(view_tau=1.0, view_jitter=0.0, **NO_AUGMENT)
         pair = V.build_view_pair(img, cfg, seed=13)
-        assert pair.rect1 == pair.rect2
+        assert same_bits(pair.rect1, pair.rect2)
         for b1, b2 in zip(pair.proposals1, pair.proposals2):
             assert b1[0] == pytest.approx(b2[0], abs=1e-4)
             assert b1[3] == pytest.approx(b2[3], abs=1e-4)
