@@ -146,16 +146,25 @@ def _cmd_pretrain(args, argv) -> int:
     return 0
 
 
-def _load_params(path, cfg):
-    """Model arrays of a checkpoint whose architecture matches cfg."""
+def _load_model(path, cfg, class_head: bool):
+    """A model and backbone built from cfg, with a checkpoint's arrays loaded,
+    plus those arrays. The checkpoint's architecture keys and entries must
+    match cfg's model; its class head, if it has one, is loaded only with
+    `class_head`. Every fault names the file."""
+    from .backbone import FrozenBackbone
     from .checkpoint import load_checkpoint
-    from .training import check_architecture, split_checkpoint
+    from .training import check_architecture, make_model, split_checkpoint
     params, _, meta = split_checkpoint(load_checkpoint(path))
+    backbone = FrozenBackbone(cfg.backbone_seed)
+    model = make_model(cfg, backbone)
+    if class_head and any(n.startswith("class_head") for n in params):
+        model.add_class_head(cfg.data_classes, seed=0)
     try:
         check_architecture(meta, cfg)
+        model.load_state(params)
     except ValueError as e:
         raise ValueError(f"{path}: {e}") from None
-    return params
+    return model, backbone, params
 
 
 def _cmd_finetune(args, argv) -> int:
@@ -165,7 +174,8 @@ def _cmd_finetune(args, argv) -> int:
     cfg = _load_config(args)
     items = [labeled_item(px, boxes, labels)
              for px, boxes, labels in load_dataset(args.data, cfg.data_classes)]
-    init_arrays = None if args.init == "scratch" else _load_params(args.init, cfg)
+    init_arrays = (None if args.init == "scratch"
+                   else _load_model(args.init, cfg, class_head=False)[2])
     notes = [f"data: {args.data}", f"init: {args.init}", f"finetune_seed: {args.seed}"]
     model, losses = run_finetune(
         cfg, items, seed=args.seed, init_arrays=init_arrays,
@@ -181,24 +191,11 @@ def _cmd_finetune(args, argv) -> int:
     return 0
 
 
-def _load_model_from_checkpoint(path, cfg):
-    from .backbone import FrozenBackbone
-    from .training import make_model
-    params = _load_params(path, cfg)
-    backbone = FrozenBackbone(cfg.backbone_seed)
-    model = make_model(cfg, backbone)
-    has_class_head = any(n.startswith("class_head") for n in params)
-    if has_class_head:
-        model.add_class_head(cfg.data_classes, seed=0)
-    model.load_state(params)
-    return model, backbone
-
-
 def _cmd_eval(args, argv) -> int:
     from .data import load_dataset
     from .metrics import check_eval_set, evaluate_model
     cfg = _load_config(args)
-    model, backbone = _load_model_from_checkpoint(args.checkpoint, cfg)
+    model, backbone, _ = _load_model(args.checkpoint, cfg, class_head=True)
     dataset = load_dataset(args.data, cfg.data_classes)
     check_eval_set(dataset)  # reported ahead of a missing class head
     if args.score == "class" and "class_head.weight" not in model.params:
@@ -218,7 +215,6 @@ def _cmd_probe(args, argv) -> int:
     from .data import load_dataset
     from .metrics import check_eval_set, evaluate_model
     from .training import labeled_item, run_finetune
-    from .backbone import FrozenBackbone
     cfg = _load_config(args)
     cfg.finetune_freeze_transformer = True
     cfg.finetune_epochs = args.epochs
@@ -226,8 +222,7 @@ def _cmd_probe(args, argv) -> int:
                    for px, b, l in load_dataset(args.data, cfg.data_classes)]
     eval_set = load_dataset(args.eval_data, cfg.data_classes)
     check_eval_set(eval_set)  # before any training, not after the first run
-    params = _load_params(args.init, cfg)
-    backbone = FrozenBackbone(cfg.backbone_seed)
+    _, backbone, params = _load_model(args.init, cfg, class_head=False)
 
     rows = []
     for label, init_arrays in (("pretrained", params), ("random", None)):
@@ -253,7 +248,7 @@ def _cmd_export_attn(args, argv) -> int:
     from .data import read_ppm
     from .metrics import export_attention
     cfg = _load_config(args)
-    model, backbone = _load_model_from_checkpoint(args.checkpoint, cfg)
+    model, backbone, _ = _load_model(args.checkpoint, cfg, class_head=True)
     pixels = read_ppm(args.image)
     paths = export_attention(model, backbone, pixels, args.out)
     print(f"wrote {len(paths) - 1} attention maps + sidecar to {args.out}")

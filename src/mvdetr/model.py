@@ -137,17 +137,20 @@ class Detr:
             self._linear(f"{name}.{part}", c, c)
 
     def mha(self, prefix: str, q_in: Tensor, k_in: Tensor, v_in: Tensor
-            ) -> tuple[Tensor, Tensor]:
+            ) -> tuple[Tensor, Tensor | None]:
         """Multi-head attention of (B, Nq, C) queries over (B, L, C) keys/values.
 
         Returns (output (B, Nq, C), attention weights (B, heads, Nq, L)). The
-        weights are the buffer the attention backward reads: they are
-        read-only and carry no gradient.
+        weights are read-only and carry no gradient. They are None when the
+        batch spans more than one of `tensor.attention`'s 1 MiB blocks, as a
+        default encoder layer on more than one image does; a batch of one
+        always gets them. The backward never reads them: it keeps q, k, v and
+        the softmax row max and sum, and rebuilds the probabilities.
         """
         mixed, attn = T.attention(self._lin(f"{prefix}.f_q", q_in),
                                   self._lin(f"{prefix}.f_k", k_in),
                                   self._lin(f"{prefix}.f_v", v_in), self.cfg.model_heads)
-        return self._lin(f"{prefix}.out", mixed), Tensor(attn)
+        return self._lin(f"{prefix}.out", mixed), None if attn is None else Tensor(attn)
 
     # -- positional embedding --------------------------------------------------------
 
@@ -177,15 +180,18 @@ class Detr:
         return x, (hh, ww)
 
     def decode(self, context: Tensor, hw: tuple[int, int], z: Tensor | None = None,
-               layers: list[Tensor] | None = None) -> tuple[Tensor, Tensor]:
+               layers: list[Tensor] | None = None) -> tuple[Tensor, Tensor | None]:
         """Query decoding against (B, L, C) view context.
 
         z, when given, holds the other view's pooled region features, (B, N,
         Cb) with one row per query; they are projected and added to the
         object queries. Returns (decoded queries (B, N, C), final layer
-        cross-attention weights (B, heads, N, L)). `layers`, when given, gets
-        every decoder layer's (B, N, C) output appended, the last one being
-        the decoded queries.
+        cross-attention weights (B, heads, N, L)). The weights are None when
+        the batch spans more than one attention block (see `mha`): at L = 256
+        and the default N and heads, more than 25 items. The tape keeps no
+        attention weights for the backward either way. `layers`, when given,
+        gets every decoder layer's (B, N, C) output appended, the last one
+        being the decoded queries.
         """
         n_q = self.cfg.view_n
         phi_q = self.params["query_embed.weight"]
@@ -245,13 +251,18 @@ class Detr:
             p.grad = None
 
     def load_state(self, arrays: dict[str, np.ndarray]) -> None:
-        missing = [n for n in self.params if n not in arrays]
-        extra = [n for n in arrays if n not in self.params and not n.startswith("class_head")]
-        if missing or extra:
-            raise KeyError(f"checkpoint mismatch; missing={missing[:4]} extra={extra[:4]}")
+        """Parameter values from checkpoint arrays. A missing entry, one not
+        of its parameter's shape, or an entry the model does not have (a
+        class head aside) raises ValueError led by the entry's name, changing
+        nothing."""
         for name, p in self.params.items():
-            src = arrays[name]
-            if src.shape != p.data.shape:
-                raise ValueError(f"shape mismatch for {name}: "
-                                 f"{src.shape} vs {p.data.shape}")
-            p.data = src.astype(self.dtype, copy=True)
+            if name not in arrays:
+                raise ValueError(f"{name} is missing")
+            if arrays[name].shape != p.data.shape:
+                raise ValueError(f"{name} has shape {arrays[name].shape}, expected "
+                                 f"{p.data.shape}")
+        extra = [n for n in arrays if n not in self.params and not n.startswith("class_head")]
+        if extra:
+            raise ValueError(f"{extra[0]} is not a model parameter")
+        for name, p in self.params.items():
+            p.data = arrays[name].astype(self.dtype, copy=True)

@@ -11,7 +11,7 @@ requires a gradient, so backward rules test `requires_grad` alone.
 
 A graph supports one `backward()`, which frees it as it walks: once a
 node's rule has run, the node drops its gradient, closure and parents, so
-the buffers only that rule read (attention probabilities, saved inputs) go
+the buffers only that rule read (attention row statistics, saved inputs) go
 at once rather than when the caller lets go of the loss. Leaf gradients, the
 ones an optimizer reads, stay. Walking a freed node again raises
 `GraphFreedError`.
@@ -29,23 +29,25 @@ sum over the expanded axes. The one-operand ops share one rule (`_unary`)
 and the two-operand ops another (`_binary`).
 
 Multi-head attention is one fused primitive, `attention`, rather than a chain
-of generic nodes. Its forward computes softmax(Q K^T / sqrt(d_k)) in a single
-freshly allocated buffer, with scale, max-shift, exp and normalisation done in
-place, and its backward keeps only that probability buffer plus the q/k/v
-inputs it already references: no logits or scaled logits stay alive on the
-tape. Forward and backward both walk the batch one block of items at a time,
-sized so that a block's probabilities fit 1 MiB: a default encoder layer's
-(16, 4, 256, 256) float32 probabilities are 16 MiB, and passing them whole
-through each elementwise step streams them through L3, while one block stays
-in a 2 MiB L2 from its Q K^T matmul to its product with V. Every arithmetic
-step runs in the order of the composed ops (the same matmuls on the same
-per-item matrices, the float32 scale applied after Q K^T, and the softmax
-backward (g - sum(g * p)) * p followed by the scale); a batched matmul is one
-independent GEMM per (item, head) and every reduction runs along the last
-axis of one row, so splitting the batch changes no operand or summation
-order, and numpy's elementwise kernels give the same bits in place as out of
-place. Outputs, probabilities and gradients are therefore bit-identical to
-building attention from `matmul`, `transpose`, `mul` and `softmax`.
+of generic nodes. Its forward computes softmax(Q K^T / sqrt(d_k)) one block of
+batch items at a time in one reused block buffer, with scale, max-shift, exp
+and normalisation done in place, and keeps each softmax row's max and sum. Its
+backward keeps only those two (B, heads, Nq, 1) arrays plus the q/k/v inputs
+it already references: no logits or probabilities stay alive on the tape, and
+the backward rebuilds each block's probabilities with the forward's
+operations (the recomputation of arXiv 2112.05682 and 2205.14135). A block is sized so that its probabilities fit 1 MiB:
+a default encoder layer's (16, 4, 256, 256) float32 probabilities would be 16
+MiB, and passing them whole through each elementwise step streams them
+through L3, while one block stays in a 2 MiB L2 from its Q K^T matmul to its
+product with V. Every arithmetic step runs in the order of the composed ops
+(the same matmuls on the same per-item matrices, the float32 scale applied
+after Q K^T, and the softmax backward (g - sum(g * p)) * p followed by the
+scale); a batched matmul is one independent GEMM per (item, head) and every
+reduction runs along the last axis of one row, so splitting the batch
+changes no operand or summation order, and numpy's elementwise kernels give
+the same bits in place as out of place. Outputs, rebuilt probabilities and
+gradients are therefore bit-identical to building attention from `matmul`,
+`transpose`, `mul` and `softmax`.
 """
 
 from __future__ import annotations
@@ -411,18 +413,23 @@ _ATTENTION_BLOCK_BYTES = 1 << 20
 NORM_EPS = 1e-5  # added to the variance in `layer_norm` and `batch_norm_1d`
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> tuple[Tensor, np.ndarray]:
+def attention(q: Tensor, k: Tensor, v: Tensor, heads: int
+              ) -> tuple[Tensor, np.ndarray | None]:
     """Multi-head scaled dot-product attention, recorded as one tape node.
 
     q is (B, Nq, C), k and v are (B, L, C), and heads divides C. The heads are
     split from C, softmax(Q K^T / sqrt(C / heads)) V is computed per head and
     the heads are merged back. Returns the (B, Nq, C) output and the
-    (B, heads, Nq, L) probabilities. The probabilities are the buffer the
-    backward reads, so they are returned read-only and carry no gradient.
+    (B, heads, Nq, L) probabilities, read-only and carrying no gradient, when
+    the batch fits in one block; a batch that spans several blocks gets None,
+    since its probabilities never exist whole.
 
-    The backward works in place only on buffers it allocates itself; it never
-    writes into the incoming gradient or into an array already handed to
-    `accumulate_grad`, which adopts arrays without copying.
+    For the backward the node keeps q, k, v and each softmax row's max and
+    sum, two (B, heads, Nq, 1) arrays, not the probabilities: the backward
+    rebuilds them block by block with the forward's operations. It works in
+    place only on buffers it allocates itself; it never writes into the
+    incoming gradient or into an array already handed to `accumulate_grad`,
+    which adopts arrays without copying.
     """
     sq, sk, sv = q.data.shape, k.data.shape, v.data.shape
     if len(sq) != 3 or len(sk) != 3 or sk != sv or sq[0] != sk[0] or sq[2] != sk[2]:
@@ -437,22 +444,35 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> tuple[Tensor, np.n
     k4 = k.data.reshape(b, lk, heads, dk).transpose(0, 2, 1, 3)
     v4 = v.data.reshape(b, lk, heads, dk).transpose(0, 2, 1, 3)
     k4t, v4t = np.swapaxes(k4, -1, -2), np.swapaxes(v4, -1, -2)
-    probs = np.empty((b, heads, nq, lk), np.result_type(q.data, k.data))
-    scale = probs.dtype.type(1.0 / math.sqrt(dk))
-    # the per-head outputs are written straight into the merged (B, Nq, C) layout
-    mixed = np.empty((b, nq, heads, dk), np.result_type(probs, v.data))
-    mixed4 = mixed.transpose(0, 2, 1, 3)
-    step = max(1, _ATTENTION_BLOCK_BYTES // max(1, heads * nq * lk * probs.itemsize))
-    for lo in range(0, b, step):
-        s = slice(lo, lo + step)
-        p = probs[s]
+    dtype = np.result_type(q.data, k.data)
+    scale = dtype.type(1.0 / math.sqrt(dk))
+    step = max(1, _ATTENTION_BLOCK_BYTES // max(1, heads * nq * lk * dtype.itemsize))
+    block = (min(step, b), heads, nq, lk)
+    # each softmax row's max (of the scaled logits) and sum (of their exps)
+    row_max = np.empty((b, heads, nq, 1), dtype)
+    row_sum = np.empty((b, heads, nq, 1), dtype)
+
+    def scaled_logits(s, buf):
+        p = buf[:len(row_max[s])]
         np.matmul(q4[s], k4t[s], out=p)
         p *= scale
-        p -= p.max(axis=-1, keepdims=True)
+        return p
+
+    # the per-head outputs are written straight into the merged (B, Nq, C) layout
+    mixed = np.empty((b, nq, heads, dk), np.result_type(dtype, v.data))
+    mixed4 = mixed.transpose(0, 2, 1, 3)
+    buf = np.empty(block, dtype)  # one block's probabilities, reused by every block
+    for lo in range(0, b, step):
+        s = slice(lo, lo + step)
+        p = scaled_logits(s, buf)
+        np.max(p, axis=-1, keepdims=True, out=row_max[s])
+        p -= row_max[s]
         np.exp(p, out=p)
-        p /= p.sum(axis=-1, keepdims=True)
+        np.sum(p, axis=-1, keepdims=True, out=row_sum[s])
+        p /= row_sum[s]
         np.matmul(p, v4[s], out=mixed4[s])
-    probs.flags.writeable = False
+    buf.flags.writeable = False
+    probs = buf if b <= step else None
     data = mixed.reshape(b, nq, c)
 
     def backward(g):
@@ -460,12 +480,13 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> tuple[Tensor, np.n
         want_q = q.requires_grad
         want_k = k.requires_grad
         want_v = v.requires_grad
+        p_buf = np.empty(block, dtype)
         # dQ and dV are written straight into their merged (B, L, C) layouts
         if want_v:
-            gv = np.empty((b, lk, heads, dk), np.result_type(probs, g))
+            gv = np.empty((b, lk, heads, dk), np.result_type(dtype, g))
             gv4 = gv.transpose(0, 2, 1, 3)
         if want_q or want_k:
-            gs_all = np.empty((min(step, b), heads, nq, lk), np.result_type(g, v.data))
+            gs_all = np.empty(block, np.result_type(g, v.data))
         if want_q:
             gq = np.empty((b, nq, heads, dk), np.result_type(gs_all, k.data))
             gq4 = gq.transpose(0, 2, 1, 3)
@@ -474,7 +495,11 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> tuple[Tensor, np.n
         q4t = np.swapaxes(q4, -1, -2)
         for lo in range(0, b, step):
             s = slice(lo, lo + step)
-            p = probs[s]
+            # this block's probabilities, rebuilt with the forward's operations
+            p = scaled_logits(s, p_buf)
+            p -= row_max[s]
+            np.exp(p, out=p)
+            p /= row_sum[s]
             if want_v:
                 np.matmul(np.swapaxes(p, -1, -2), g4[s], out=gv4[s])
             if not (want_q or want_k):

@@ -290,13 +290,13 @@ def run_pretrain(cfg: RunConfig, images: list[np.ndarray], out_dir: str,
             if "epoch" not in meta:
                 raise ValueError(f"no {META_PREFIX}epoch entry")
             start_epoch = whole_count(meta["epoch"], META_PREFIX + "epoch")
+            model.load_state(params)
         except ValueError as e:
             raise ValueError(f"{resume_from}: {e}") from None
         try:
             optimizer.load_state(opt_state)
         except ValueError as e:  # its messages lead with the entry name past "opt."
             raise ValueError(f"{resume_from}: opt.{e}") from None
-        model.load_state(params)
     if on_start:
         on_start()
     os.makedirs(out_dir, exist_ok=True)
@@ -371,17 +371,17 @@ def run_finetune(cfg: RunConfig, items: list[LabeledItem], seed: int,
                  log=None, on_start=None) -> tuple[Detr, list[float]]:
     """Supervised finetuning; init_arrays (from a pretraining checkpoint)
     seeds the transformer, the class head is always fresh. `on_start` is
-    called once the inputs pass their checks."""
+    called once the inputs (items, init_arrays) pass their checks."""
     n_epochs = cfg.finetune_epochs
     if n_epochs < 1:
         raise ValueError(f"finetune needs at least 1 epoch, got {n_epochs}")
     _require_full_batch(len(items), cfg.finetune_batch_size, "finetune.batch_size")
-    if on_start:
-        on_start()
     backbone = FrozenBackbone(cfg.backbone_seed)
     model = make_model(cfg, backbone)
     if init_arrays is not None:
         model.load_state(init_arrays)
+    if on_start:
+        on_start()
     model.add_class_head(cfg.data_classes, seed=derive_seed(seed, 0xC1))
     params = trainable_params(model, cfg.finetune_freeze_transformer)
     optimizer = AdamW(params, lr=cfg.train_lr, weight_decay=cfg.train_weight_decay)

@@ -366,6 +366,37 @@ class TestExitCodes:
         assert capsys.readouterr().err == f"error: {ckpt}: {problem}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["pretrain", "finetune", "eval", "probe",
+                                         "export-attn"])
+    @pytest.mark.parametrize("value,problem", [
+        (np.zeros(1, np.float32), "input_proj.weight has shape (1,), expected (64, 32)"),
+        (None, "input_proj.weight is missing"),
+    ], ids=["reshaped", "missing"])
+    def test_bad_model_entry_names_the_file_and_is_two(self, workspace, tmp_path, capsys,
+                                                       command, value, problem):
+        # caught before run.txt or any other output is written
+        from mvdetr.checkpoint import load_checkpoint, save_checkpoint
+        root, cfg, manifest = workspace
+        ckpt = _untrained_checkpoint(cfg, tmp_path / "bad.ckpt", optimizer=True)
+        entries = load_checkpoint(ckpt)
+        entries.pop("input_proj.weight")
+        if value is not None:
+            entries["input_proj.weight"] = value
+        save_checkpoint(ckpt, entries)
+        out = tmp_path / "out"
+        argv = {
+            "pretrain": ["--data", manifest, "--resume", ckpt],
+            "finetune": ["--data", manifest, "--init", ckpt],
+            "eval": ["--data", manifest, "--checkpoint", ckpt],
+            "probe": ["--data", manifest, "--eval-data", manifest, "--init", ckpt],
+            "export-attn": ["--checkpoint", ckpt,
+                            "--image", os.path.join(os.path.dirname(manifest),
+                                                    "img_00000.ppm")],
+        }[command]
+        assert main([command, "--config", cfg, "--out", str(out)] + argv) == 2
+        assert capsys.readouterr().err == f"error: {ckpt}: {problem}\n"
+        assert not out.exists()
+
     def test_image_too_small_for_views_is_two(self, workspace, tmp_path, capsys):
         # four 96-px images, then a 40x24 one: index 4 in dataset order
         root, cfg, _ = workspace

@@ -1,5 +1,6 @@
 """Tensor engine: forward semantics, stop-gradient, and gradient checks."""
 
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -121,11 +122,64 @@ class TestAttention:
         fused = self._run(T.attention, arrays, w)
         ref = self._run(composed_attention, arrays, w)
         np.testing.assert_array_equal(fused[0], ref[0])
-        np.testing.assert_array_equal(fused[1], ref[1])
+        assert fused[1] is None  # a multi-block batch's probabilities never exist whole
         assert len(fused[2]) == 3
         for gf, gr in zip(fused[2], ref[2]):
             assert gf.dtype == np.float32
             np.testing.assert_array_equal(gf, gr)
+        # a batch of one fits one block, so it gets its probabilities back
+        for i in range(b):
+            one = [Tensor(a[i:i + 1]) for a in arrays]
+            probs = T.attention(*one, 4)[1]
+            assert probs.shape == (1, 4, n, n)
+            np.testing.assert_array_equal(probs, composed_attention(*one, 4)[1].data)
+
+    @pytest.mark.parametrize("wanted,dtype", [("q", np.float32), ("k", np.float32),
+                                              ("qkv", np.float64)],
+                             ids=["query_only", "key_only", "float64"])
+    def test_multi_block_partial_gradients_bit_identical(self, wanted, dtype):
+        # n=256 items go one to a block: 1 MiB of float32 or 2 MiB of float64
+        rng = np.random.default_rng(26)
+        arrays = [rng.standard_normal((3, 256, 16)).astype(dtype) for _ in range(3)]
+        w = rng.standard_normal((3, 256, 16)).astype(dtype)
+        results = []
+        for fn in (T.attention, composed_attention):
+            qkv = [Tensor(a.copy(), requires_grad=name in wanted)
+                   for a, name in zip(arrays, "qkv")]
+            out, _ = fn(*qkv, 4)
+            T.tsum(T.mul(out, Tensor(w))).backward()
+            results.append((out.data, [t.grad for t in qkv]))
+        (out_f, grads_f), (out_r, grads_r) = results
+        np.testing.assert_array_equal(out_f, out_r)
+        assert out_f.dtype == dtype
+        for name, gf, gr in zip("qkv", grads_f, grads_r):
+            if name in wanted:
+                assert gf.dtype == dtype
+                np.testing.assert_array_equal(gf, gr)
+            else:
+                assert gf is None and gr is None
+
+    def test_keeps_no_probability_tensor(self):
+        # a default pretrain encoder layer's shapes: its probabilities alone
+        # would be 16 MiB, which neither the tape nor the backward may hold
+        rng = np.random.default_rng(28)
+        q, k, v = (Tensor(rng.standard_normal((16, 256, 64)).astype(np.float32),
+                          requires_grad=True) for _ in range(3))
+        w = Tensor(rng.standard_normal((16, 256, 64)).astype(np.float32))
+        mib = 1 << 20
+        tracemalloc.start()
+        try:
+            out, probs = T.attention(q, k, v, 4)
+            assert probs is None
+            held = tracemalloc.get_traced_memory()[0]
+            loss = T.tsum(T.mul(out, w))
+            tracemalloc.reset_peak()
+            loss.backward()
+            backward_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert held < 4 * mib
+        assert backward_peak < 16 * mib
 
     def test_value_only_gradient_bit_identical_to_composed(self):
         # q and k constant: the blocked backward computes dV alone
