@@ -102,15 +102,22 @@ def _load_config(args):
 
 
 def _numerics_notes() -> list[str]:
-    """The numpy build and BLAS thread cap a run's timings depend on."""
+    """The numpy build, BLAS thread cap and malloc thresholds a run's timings
+    depend on."""
     import numpy as np
+    from .tensor import MALLOC_THRESHOLDS
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
         blas_text = f"{blas.get('name', 'unknown')} {blas.get('version', 'unknown')}"
     except (TypeError, KeyError):  # numpy before 1.25 has no dict mode
         blas_text = "unknown"
+    if MALLOC_THRESHOLDS is None:
+        malloc_text = "platform allocator left as it is"
+    else:
+        malloc_text = "mmap threshold {} B, trim threshold {} B".format(*MALLOC_THRESHOLDS)
     return [f"numpy: {np.__version__}", f"blas: {blas_text}",
-            f"SDTR_THREADS: {os.environ.get('SDTR_THREADS', 'unset')}"]
+            f"SDTR_THREADS: {os.environ.get('SDTR_THREADS', 'unset')}",
+            f"malloc: {malloc_text}"]
 
 
 def _write_run_manifest(out_dir: str, cfg, argv: list[str], notes: list[str]) -> None:

@@ -1,6 +1,7 @@
 """CLI: subcommand wiring, exit codes, reproducible file outputs."""
 
 import os
+import platform
 
 import numpy as np
 import pytest
@@ -491,6 +492,12 @@ class TestTooFewImages:
         assert not (out / "run.txt").exists()
 
 
+def test_run_notes_say_when_allocator_left_alone(monkeypatch):
+    from mvdetr import cli, tensor
+    monkeypatch.setattr(tensor, "MALLOC_THRESHOLDS", None)
+    assert cli._numerics_notes()[-1] == "malloc: platform allocator left as it is"
+
+
 class TestPipeline:
     def test_pretrain_finetune_eval_probe_export(self, workspace, monkeypatch):
         root, cfg, manifest = workspace
@@ -506,6 +513,9 @@ class TestPipeline:
         assert "SDTR_THREADS: 1" in run_txt
         (blas,) = [line for line in run_txt if line.startswith("blas: ")]
         assert len(blas.split()) == 3  # name and version
+        (malloc,) = [line for line in run_txt if line.startswith("malloc: ")]
+        if platform.libc_ver()[0] == "glibc":
+            assert malloc == "malloc: mmap threshold 33554432 B, trim threshold 67108864 B"
 
         ft_out = str(root / "ft")
         rc = main(["finetune", "--config", cfg, "--data", manifest,

@@ -1,5 +1,10 @@
 """Tensor engine: forward semantics, stop-gradient, and gradient checks."""
 
+import json
+import os
+import platform
+import subprocess
+import sys
 import tracemalloc
 import weakref
 
@@ -600,3 +605,76 @@ class TestGradients:
 
     def test_cosine(self):
         gradcheck(lambda ts: T.tsum(T.cosine(ts[0], ts[1])), [(3, 6), (3, 6)], self._rng())
+
+
+# -- malloc thresholds ----------------------------------------------------------------
+
+# One operation, repeated at default sizes in a fresh process; prints the minor
+# page faults of each call. Each operation gets its own process: freeing one
+# large mmapped block raises glibc's dynamic thresholds, so an operation run
+# first could hide the faults of the one run after it.
+_FAULT_SCRIPT = """
+import json, resource, sys
+import numpy as np
+from mvdetr.backbone import FrozenBackbone
+from mvdetr.config import RunConfig
+from mvdetr.metrics import detect_batch
+from mvdetr.optim import AdamW
+from mvdetr.training import LabeledItem, finetune_step, make_model
+
+cfg = RunConfig()
+backbone = FrozenBackbone(cfg.backbone_seed)
+model = make_model(cfg, backbone)
+model.add_class_head(cfg.data_classes, seed=1)
+rng = np.random.default_rng(0)
+if sys.argv[1] == "finetune_step":
+    optimizer = AdamW(model.params, lr=cfg.train_lr, weight_decay=cfg.train_weight_decay)
+    side = cfg.view_size // backbone.stride
+    features = rng.standard_normal((8, side, side, backbone.out_channels)).astype(np.float32)
+    items = [LabeledItem(np.zeros((1, 1, 3), np.uint8),
+                         np.array([[0.5, 0.5, 0.3, 0.4]], np.float32), np.array([i % 3]))
+             for i in range(8)]
+    op = lambda: finetune_step(model, optimizer, features, items, cfg)
+else:
+    images = [(i, rng.integers(0, 256, (160, 160, 3), dtype=np.uint8)) for i in range(16)]
+    op = lambda: detect_batch(model, backbone, images, view_size=cfg.view_size)
+counts = []
+for _ in range(6):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    op()
+    counts.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+print(json.dumps(counts))
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the thresholds are glibc's")
+@pytest.mark.parametrize("op", ["finetune_step", "detect_batch"])
+def test_steps_fault_in_no_pages_after_warm_up(op):
+    # with the heap trimmed and large arrays unmapped at each call's end, a call
+    # faults its memory back in: 1,000 to 4,000 minor faults per call
+    src = os.path.dirname(os.path.dirname(os.path.abspath(T.__file__)))
+    env = dict(os.environ, PYTHONPATH=src, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1",
+               MKL_NUM_THREADS="1")
+    out = subprocess.run([sys.executable, "-c", _FAULT_SCRIPT, op], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    counts = json.loads(out)
+    assert max(counts[2:]) < 250, counts
+
+
+def test_missing_mallopt_leaves_allocator_alone(monkeypatch):
+    class NoMallopt:  # a C library without mallopt
+        pass
+    monkeypatch.setattr(T.ctypes, "CDLL", lambda name: NoMallopt())
+    assert T._mallopt() is None
+    assert T._keep_freed_memory() is None
+
+
+def test_refused_mmap_threshold_sets_no_trim_threshold(monkeypatch):
+    calls = []
+
+    def mallopt(param, value):
+        calls.append(param)
+        return 0
+    monkeypatch.setattr(T, "_mallopt", lambda: mallopt)
+    assert T._keep_freed_memory() is None
+    assert calls == [T._M_MMAP_THRESHOLD]
