@@ -6,7 +6,8 @@ boxes) is an (n, 4) float64 array of (x1, y1, x2, y2) rows, which
 `pairwise_iou`, `map_boxes`, `bilinear_taps` and `roi_align` take whole; a
 single rectangle (a view rect, an overlap, a scene object) is one (4,) row.
 Model-side boxes use center-size (cxcywh) rows normalized to [0, 1] relative
-to their view.
+to their view; `boxes_to_targets` and `cxcywh_to_xyxy_array` convert between
+the two.
 Division guards use 1e-9 and degenerate boxes report IoU 0 instead of NaN.
 
 Every box resample (view crops, crop-level targets, RoIAlign) goes through
@@ -36,6 +37,26 @@ def pairwise_iou(a_xyxy: np.ndarray, b_xyxy: np.ndarray) -> tuple[np.ndarray, np
     union = area_a[:, None] + area_b[None, :] - inter
     iou = np.where(union > _EPS, inter / np.maximum(union, _EPS), 0.0)
     return iou, union
+
+
+def cxcywh_to_xyxy_array(boxes: np.ndarray) -> np.ndarray:
+    """(..., 4) center-size rows as (..., 4) xyxy rows, in the same frame."""
+    center, extent = boxes[..., :2], boxes[..., 2:]
+    return np.concatenate([center - extent / 2, center + extent / 2], axis=-1)
+
+
+def boxes_to_targets(boxes: np.ndarray, frame_w: float, frame_h: float) -> np.ndarray:
+    """(m, 4) xyxy pixel boxes as an (m, 4) float32 array of normalized
+    cxcywh rows."""
+    if frame_w <= 0 or frame_h <= 0:
+        raise ValueError(f"frame dims must be positive, got {frame_w}x{frame_h}")
+    lo, hi = boxes[:, :2], boxes[:, 2:]
+    empty = (hi <= lo).any(axis=1)
+    if empty.any():
+        raise ValueError(f"box with non-positive size: {boxes[empty][0].tolist()}")
+    frame = np.array([frame_w, frame_h])
+    return np.concatenate([0.5 * (lo + hi) / frame, (hi - lo) / frame],
+                          axis=1).astype(np.float32)
 
 
 # Python's min(a, b) and max(a, b), elementwise: a unless b is below (above)

@@ -17,7 +17,7 @@ import math
 import numpy as np
 
 from . import tensor as T
-from .geometry import pairwise_iou
+from .geometry import cxcywh_to_xyxy_array, pairwise_iou
 from .tensor import Tensor
 
 MATCH_COEF = (1.0, 2.0, 5.0)  # match-score, giou, l1
@@ -178,11 +178,6 @@ def matched_rows(costs, n_pred: int) -> np.ndarray:
 # -- box math on arrays (matching costs; gradient-free) -------------------------------
 
 
-def cxcywh_to_xyxy_array(boxes: np.ndarray) -> np.ndarray:
-    cx, cy, w, h = boxes[:, 0], boxes[:, 1], boxes[:, 2], boxes[:, 3]
-    return np.stack([cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2], axis=1)
-
-
 def giou_matrix(a_xyxy: np.ndarray, b_xyxy: np.ndarray) -> np.ndarray:
     """Pairwise GIoU, (m, 4) x (n, 4) -> (m, n)."""
     iou, union = pairwise_iou(a_xyxy, b_xyxy)
@@ -217,10 +212,7 @@ def _box_cost(score: np.ndarray, pred_boxes: np.ndarray,
 
 
 def _boxes_to_xyxy_t(boxes: Tensor) -> tuple[Tensor, Tensor, Tensor, Tensor]:
-    cx = T.narrow(boxes, 1, 0, 1)
-    cy = T.narrow(boxes, 1, 1, 1)
-    w = T.narrow(boxes, 1, 2, 1)
-    h = T.narrow(boxes, 1, 3, 1)
+    cx, cy, w, h = (T.take(boxes, [k], 1) for k in range(4))
     half = Tensor(np.asarray(0.5, dtype=boxes.data.dtype))
     return (T.sub(cx, T.mul(w, half)), T.sub(cy, T.mul(h, half)),
             T.add(cx, T.mul(w, half)), T.add(cy, T.mul(h, half)))
@@ -257,7 +249,7 @@ def box_regression(pred_flat: Tensor, rows: np.ndarray, targets: np.ndarray) -> 
     if not len(rows):
         raise ValueError("box regression needs at least one matched pair")
     dt = pred_flat.data.dtype
-    matched = T.gather_rows(pred_flat, rows)
+    matched = T.take(pred_flat, rows, 0)
     tgt = np.asarray(targets, dtype=dt)
     giou = giou_pairs(matched, tgt)
     one = Tensor(np.ones_like(giou.data))
@@ -303,7 +295,7 @@ def region_disc(sem_flat: Tensor, rows: np.ndarray, target_features: np.ndarray)
     if not len(rows):
         raise ValueError("region discrimination needs at least one matched pair")
     dt = sem_flat.data.dtype
-    matched = T.gather_rows(sem_flat, rows)
+    matched = T.take(sem_flat, rows, 0)
     tgt = np.asarray(target_features, dtype=np.float64)
     norms = np.linalg.norm(tgt, axis=-1, keepdims=True)
     if (norms <= 1e-12).any():
@@ -329,7 +321,7 @@ NO_OBJECT_WEIGHT = 0.1
 
 
 def set_loss(logits: Tensor, boxes: Tensor,
-             targets: list[tuple[np.ndarray, np.ndarray]], n_classes: int) -> Tensor:
+             targets: list[tuple[np.ndarray, np.ndarray]]) -> Tensor:
     """DETR-style set prediction loss over a batch of labeled images.
 
     logits is (B, N, K+1) with the no-object class last, boxes (B, N, 4)
@@ -339,24 +331,23 @@ def set_loss(logits: Tensor, boxes: Tensor,
     NO_OBJECT_WEIGHT), and GIoU/L1 regression averages over all matched
     pairs in the batch.
     """
-    b, n_q = logits.data.shape[:2]
+    b, n_q, width = logits.data.shape  # width: the K classes, then no-object
     dt = logits.data.dtype
-    logits_flat = T.reshape(logits, (b * n_q, n_classes + 1))
-    probs = T.softmax(logits_flat)
-    probs_np = probs.data.reshape(b, n_q, n_classes + 1)
+    probs = T.softmax(T.reshape(logits, (b * n_q, width)))
+    probs_np = probs.data.reshape(b, n_q, width)
     tgt_boxes, tgt_labels = zip(*targets)
     rows = matched_rows([finetune_matching_cost(boxes.data[i], probs_np[i], tb, tl)
                          for i, (tb, tl) in enumerate(targets)], n_q)
-    classes = np.full(b * n_q, n_classes, dtype=np.int64)
+    classes = np.full(b * n_q, width - 1, dtype=np.int64)
     classes[rows] = np.concatenate(tgt_labels)
-    weights = np.full((b * n_q, 1), NO_OBJECT_WEIGHT, dtype=dt)
+    weights = np.full(b * n_q, NO_OBJECT_WEIGHT, dtype=dt)
     weights[rows] = 1.0
 
-    onehot = np.zeros((b * n_q, n_classes + 1), dtype=dt)
+    onehot = np.zeros((b * n_q, width), dtype=dt)
     onehot[np.arange(b * n_q), classes] = 1.0
     logp = T.log(T.clamp(probs, 1e-9, 1.0))
-    per_query = T.sub(Tensor(np.zeros((b * n_q, 1), dtype=dt)),
-                      T.tsum(T.mul(logp, Tensor(onehot)), axis=-1, keepdims=True))
+    per_query = T.sub(Tensor(np.zeros(b * n_q, dtype=dt)),
+                      T.tsum(T.mul(logp, Tensor(onehot)), axis=-1))
     total = T.tmean(T.mul(per_query, Tensor(weights)))
     if len(rows):
         total = T.add(total, box_regression(T.reshape(boxes, (b * n_q, 4)), rows,

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import tensor as T
 from .backbone import FrozenBackbone
-from .geometry import pairwise_iou, py_max, py_min
+from .geometry import cxcywh_to_xyxy_array, pairwise_iou, py_max, py_min
 from .model import Detr
 from .tensor import Tensor
 from .views import resize_to_view
@@ -213,9 +213,9 @@ def detect_batch(model: Detr, backbone: FrozenBackbone,
     # cxcywh -> xyxy in float64 pixels, clamped to each image's frame
     size = np.array([pixels.shape[1::-1] for _, pixels in images],
                     dtype=np.float64)[:, None, :]  # (B, 1, 2): width, height
-    center, extent = np.split(boxes.data.astype(np.float64), 2, axis=-1)
-    lo = py_max(0.0, (center - extent / 2) * size)
-    hi = py_min(size, (center + extent / 2) * size)
+    xyxy = cxcywh_to_xyxy_array(boxes.data.astype(np.float64))
+    lo = py_max(0.0, xyxy[..., :2] * size)
+    hi = py_min(size, xyxy[..., 2:] * size)
     keep = ~(hi <= lo).any(axis=-1)
     out = np.empty(int(keep.sum()), DETECTION)
     out["image"] = np.repeat([image_id for image_id, _ in images], keep.sum(axis=1))

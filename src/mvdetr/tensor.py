@@ -26,7 +26,10 @@ Broadcasting is restricted to leading-dimension expansion: elementwise ops
 accept equal shapes, or one operand whose shape is a trailing suffix of the
 other's (the usual bias-add pattern). This keeps every backward rule a plain
 sum over the expanded axes. The one-operand ops share one rule (`_unary`)
-and the two-operand ops another (`_binary`).
+and the two-operand ops another (`_binary`). One op selects entries: `take`
+returns distinct entries of one axis (a permutation, a half of a batch, a
+single column, matched rows), so its backward adds g into zeros at them
+with no repeats to sum.
 
 Multi-head attention is one fused primitive, `attention`, rather than a chain
 of generic nodes. Its forward computes softmax(Q K^T / sqrt(d_k)) one block of
@@ -366,79 +369,53 @@ def transpose(x: Tensor, axes: tuple[int, ...]) -> Tensor:
     return _unary("transpose", x, np.transpose(x.data, axes), lambda g: np.transpose(g, inverse))
 
 
-def concatenate(tensors: list[Tensor], axis: int = 0) -> Tensor:
-    base = tensors[0].data.shape
-    for t in tensors[1:]:
-        s = t.data.shape
-        if len(s) != len(base) or any(s[i] != base[i] for i in range(len(s)) if i != axis % len(s)):
-            raise ShapeError(f"concatenate: shape {s} incompatible with {base} on axis {axis}")
-    data = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.data.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
-
-    def backward(g):
-        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            if t.requires_grad:
-                index = [slice(None)] * g.ndim
-                index[axis] = slice(lo, hi)
-                t.accumulate_grad(g[tuple(index)])
-
-    return _make(data, tuple(tensors), "concatenate", backward)
-
-
-def narrow(x: Tensor, axis: int, start: int, length: int) -> Tensor:
-    """Contiguous slice along one axis; backward scatters into zeros."""
-    index = (slice(None),) * (axis % x.data.ndim) + (slice(start, start + length),)
+def take(x: Tensor, index, axis: int) -> Tensor:
+    """The given entries of one axis, in order; backward adds g into zeros at
+    them. The entries must be distinct and in range, so no two output
+    entries share an input entry."""
+    idx = np.asarray(index, dtype=np.int64)
+    n = x.data.shape[axis]
+    seen = np.zeros(n, dtype=bool)
+    if idx.ndim == 1 and (not len(idx) or (idx.min() >= 0 and idx.max() < n)):
+        seen[idx] = True
+    if idx.ndim != 1 or np.count_nonzero(seen) != len(idx):
+        raise ShapeError(f"take: the {idx.size} entries of axis {axis} must be "
+                         f"distinct and in range({n})")
+    where = (slice(None),) * (axis % x.data.ndim) + (idx,)
 
     def scatter(g):
         full = np.zeros_like(x.data)
-        full[index] = g
+        full[where] += g
         return full
 
-    return _unary("narrow", x, x.data[index].copy(), scatter)
-
-
-def gather_rows(x: Tensor, indices) -> Tensor:
-    """out[i] = x[indices[i]]; backward scatter-adds (indices may repeat)."""
-    idx = np.asarray(indices, dtype=np.int64)
-
-    def scatter_add(g):
-        full = np.zeros_like(x.data)
-        np.add.at(full, idx, g)
-        return full
-
-    return _unary("gather_rows", x, x.data[idx], scatter_add)
+    return _unary("take", x, x.data[where], scatter)
 
 
 # -- reductions ------------------------------------------------------------------
 
 
-def _reduce(op: str, x: Tensor, data, axis, keepdims: bool, count=None) -> Tensor:
-    """Record a sum-like reduction; the backward divides by count (means only),
-    restores the reduced axis and broadcasts back to x's shape."""
+def _reduce(op: str, x: Tensor, data, axis, count=None) -> Tensor:
+    """Record a sum-like reduction over one axis or all of them; the backward
+    divides by count (means only), restores the reduced axis and broadcasts
+    back to x's shape."""
 
     def spread(g):
         if count is not None:
             g = g / count
-        if axis is not None and not keepdims:
+        if axis is not None:
             g = np.expand_dims(g, axis)
         return np.broadcast_to(g, x.data.shape).copy()
 
     return _unary(op, x, np.asarray(data), spread)
 
 
-def tsum(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    return _reduce("sum", x, x.data.sum(axis=axis, keepdims=keepdims), axis, keepdims)
+def tsum(x: Tensor, axis=None) -> Tensor:
+    return _reduce("sum", x, x.data.sum(axis=axis), axis)
 
 
 def tmean(x: Tensor, axis=None) -> Tensor:
-    if axis is None:
-        count = x.data.size
-    elif isinstance(axis, tuple):
-        count = int(np.prod([x.data.shape[a] for a in axis]))
-    else:
-        count = x.data.shape[axis]
-    return _reduce("mean", x, x.data.mean(axis=axis), axis, False, count)
+    count = x.data.size if axis is None else x.data.shape[axis]
+    return _reduce("mean", x, x.data.mean(axis=axis), axis, count)
 
 
 # -- normalization and attention support -----------------------------------------

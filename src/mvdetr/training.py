@@ -20,6 +20,7 @@ from .backbone import FrozenBackbone
 from .checkpoint import (array_to_text, load_checkpoint, save_checkpoint, text_to_array,
                          whole_count)
 from .config import RunConfig
+from .geometry import boxes_to_targets
 from .model import Detr
 from .optim import AdamW, clip_global_norm
 from .rng import Rng, derive_seed
@@ -32,20 +33,6 @@ CSV_COLUMNS = ("step", "epoch", "lr", "loss_total", "loss_loc", "loss_g", "loss_
 
 def make_model(cfg: RunConfig, backbone: FrozenBackbone) -> Detr:
     return Detr(cfg, backbone.out_channels, seed=derive_seed(cfg.seed, 11))
-
-
-def boxes_to_targets(boxes: np.ndarray, frame_w: float, frame_h: float) -> np.ndarray:
-    """(m, 4) xyxy pixel boxes as an (m, 4) float32 array of normalized
-    cxcywh rows."""
-    if frame_w <= 0 or frame_h <= 0:
-        raise ValueError(f"frame dims must be positive, got {frame_w}x{frame_h}")
-    lo, hi = boxes[:, :2], boxes[:, 2:]
-    empty = (hi <= lo).any(axis=1)
-    if empty.any():
-        raise ValueError(f"box with non-positive size: {boxes[empty][0].tolist()}")
-    frame = np.array([frame_w, frame_h])
-    return np.concatenate([0.5 * (lo + hi) / frame, (hi - lo) / frame],
-                          axis=1).astype(np.float32)
 
 
 # -- pretraining step ---------------------------------------------------------------
@@ -96,15 +83,15 @@ def pretrain_step(model: Detr, backbone: FrozenBackbone, optimizer: AdamW,
         else:  # object-level targets reuse z
             region_targets = z_all.reshape(n_rows, -1)
 
-    # decode: directions 1->2 use (c2, z1), then 2->1 use (c1, z2)
-    ctx_dec = T.concatenate([T.narrow(ctx_all, 0, b, b),
-                             T.narrow(ctx_all, 0, 0, b)], axis=0)
+    # decode: directions 1->2 use (c2, z1), then 2->1 use (c1, z2); swap[d] is
+    # the row of [view1 x B, view2 x B] whose context and proposals d uses
+    swap = np.roll(np.arange(2 * b), b)
+    ctx_dec = T.take(ctx_all, swap, 0)
     q_hat, _ = model.decode(ctx_dec, hw, z=Tensor(z_all))
     boxes, sem, match = model.predict(q_hat)
 
     # direction d < B predicts view 2's proposals, d >= B view 1's
-    box_targets = boxes_to_targets(np.roll(proposals, b, axis=0).reshape(-1, 4),
-                                   size, size)
+    box_targets = boxes_to_targets(proposals[swap].reshape(-1, 4), size, size)
     dir_targets = box_targets.reshape(2 * b, n_q, 4)
     rows = L.matched_rows([L.matching_cost(boxes.data[d], match.data[d], dir_targets[d])
                            for d in range(2 * b)], n_q)
@@ -126,8 +113,8 @@ def pretrain_step(model: Detr, backbone: FrozenBackbone, optimizer: AdamW,
     if need_global:
         pooled = T.tmean(ctx_all, axis=1)  # (2B, C)
         global_total = L.global_disc_loss(model.project_context,
-                                          T.narrow(pooled, 0, 0, b),
-                                          T.narrow(pooled, 0, b, b))
+                                          T.take(pooled, np.arange(b), 0),
+                                          T.take(pooled, np.arange(b, 2 * b), 0))
         total = T.add(total, T.mul(global_total, Tensor(np.asarray(lam_g, dtype=dt))))
         breakdown.global_disc = float(global_total.data)
     if need_region:
@@ -184,7 +171,7 @@ def _set_loss_update(model: Detr, optimizer: AdamW, layers: list[Tensor],
     total = None
     for q_hat in layers:
         boxes, _, _ = model.predict(q_hat)
-        loss = L.set_loss(model.class_logits(q_hat), boxes, targets, cfg.data_classes)
+        loss = L.set_loss(model.class_logits(q_hat), boxes, targets)
         total = loss if total is None else T.add(total, loss)
     return _update(model, optimizer, total, cfg)
 
@@ -303,10 +290,9 @@ def run_pretrain(cfg: RunConfig, images: list[np.ndarray], out_dir: str,
 
     batch = cfg.train_batch_size
     csv_path = os.path.join(out_dir, "metrics.csv")
-    mode = "a" if resume_from is not None and os.path.exists(csv_path) else "w"
     step = start_epoch * (len(images) // batch)
-    if mode == "a":
-        _drop_rows_from(csv_path, step)
+    mode = ("a" if resume_from is not None and os.path.exists(csv_path)
+            and _drop_rows_from(csv_path, step) else "w")
     final_path = resume_from  # stays so when no epoch is left to run
     with open(csv_path, mode, newline="") as f:
         writer = csv.writer(f)
@@ -348,17 +334,31 @@ def _resume_hint(out_dir: str, epochs_done: int) -> str:
     return f"no epoch_*.ckpt in {out_dir} yet"
 
 
-def _drop_rows_from(csv_path: str, first_step: int) -> None:
+def _drop_rows_from(csv_path: str, first_step: int) -> bool:
     """Cut metrics rows for steps >= first_step, which a resumed run writes
     again (left there when the run went on past the resumed checkpoint, or
-    crashed mid-epoch); a partly written last line goes too."""
+    crashed mid-epoch); a partly written last line goes too. Returns False,
+    changing nothing, for a file with no whole header line (empty, or cut
+    inside it), which the caller then writes afresh."""
     with open(csv_path, newline="") as f:
         lines = f.readlines()
-    keep = lines[:1] + [ln for ln in lines[1:]
-                        if ln.endswith("\n") and int(ln.split(",", 1)[0]) < first_step]
+    if not lines or not lines[0].endswith("\n"):
+        return False
+    keep = lines[:1]
+    for number, line in enumerate(lines[1:], 2):
+        if not line.endswith("\n"):
+            continue
+        field = line.split(",", 1)[0]
+        try:
+            step = int(field)
+        except ValueError:
+            raise ValueError(f"{csv_path}:{number}: step {field!r} is not an integer") from None
+        if step < first_step:
+            keep.append(line)
     if len(keep) < len(lines):
         with open(csv_path, "w", newline="") as f:
             f.writelines(keep)
+    return True
 
 
 def _fmt(x: float) -> str:

@@ -82,13 +82,11 @@ def _primitive_cases():
         ("reshape_transpose",
          lambda ts: T.tsum(T.mul(T.transpose(T.reshape(ts[0], (4, 3)), (1, 0)), ts[1])),
          [(2, 6), (3, 4)], False),
-        ("concatenate",
-         lambda ts: T.tsum(T.mul(T.concatenate([ts[0], ts[1]], axis=1), ts[2])),
-         [(2, 3), (2, 4), (2, 7)], False),
-        ("narrow", lambda ts: T.tsum(T.mul(T.narrow(ts[0], 1, 1, 2), ts[1])),
-         [(3, 5), (3, 2)], False),
-        ("gather_rows", lambda ts: T.tsum(T.mul(T.gather_rows(ts[0], [2, 0, 2]), ts[1])),
-         [(4, 3), (3, 3)], False),
+        ("take_rows", lambda ts: T.tsum(T.mul(T.take(ts[0], [2, 3, 0, 1], 0), ts[1])),
+         [(4, 3), (4, 3)], False),
+        ("take_columns",
+         lambda ts: T.tsum(T.mul(T.mul(T.take(ts[0], [3], 1), T.take(ts[0], [1], 1)), ts[1])),
+         [(3, 5), (3, 1)], False),
         ("mean", lambda ts: T.tsum(T.mul(T.tmean(ts[0], axis=0), ts[1])),
          [(4, 3), (3,)], False),
         ("l2_normalize", lambda ts: T.tsum(T.mul(T.l2_normalize(ts[0]), ts[1])),

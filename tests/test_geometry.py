@@ -5,8 +5,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from mvdetr import geometry as G
+from mvdetr.geometry import boxes_to_targets
 from mvdetr.tensor import Tensor, tsum
-from mvdetr.training import boxes_to_targets
 
 from helpers import (Box, box_giou, grid_count_iou, dense_bilinear_average, gradcheck,
                      same_bits, scalar_iou, scalar_map_box)

@@ -329,8 +329,7 @@ class TestFinetuneLoss:
         boxes = np.tile(np.array([[0.9, 0.9, 0.05, 0.05]], dtype=np.float32), (4, 1))
         boxes[0] = tgt_boxes[0]
         boxes[1] = tgt_boxes[1]
-        loss = L.set_loss(Tensor(logits[None]), Tensor(boxes[None]),
-                          [(tgt_boxes, labels)], n_classes=3)
+        loss = L.set_loss(Tensor(logits[None]), Tensor(boxes[None]), [(tgt_boxes, labels)])
         a = _set_assignment(logits, boxes, tgt_boxes, labels)
         assert a == (0, 1)
         assert float(loss.data) < 0.01
@@ -339,7 +338,7 @@ class TestFinetuneLoss:
         logits = np.zeros((1, 5, 4), dtype=np.float32)
         boxes = np.full((1, 5, 4), 0.5, dtype=np.float32)
         empty = (np.zeros((0, 4)), np.zeros(0, dtype=np.int64))
-        loss = L.set_loss(Tensor(logits), Tensor(boxes), [empty], n_classes=3)
+        loss = L.set_loss(Tensor(logits), Tensor(boxes), [empty])
         a = _set_assignment(logits[0], boxes[0], *empty)
         assert len(a) == 0
         assert float(loss.data) == pytest.approx(0.1 * math.log(4), abs=1e-6)

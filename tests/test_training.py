@@ -2,6 +2,7 @@
 
 import gc
 import os
+import re
 import weakref
 
 import numpy as np
@@ -14,6 +15,7 @@ from mvdetr.backbone import FrozenBackbone
 from mvdetr.checkpoint import load_checkpoint, save_checkpoint
 from mvdetr.config import parse_config
 from mvdetr.data import SceneSpec, render_scene
+from mvdetr.geometry import boxes_to_targets
 from mvdetr.model import Detr
 from mvdetr.optim import AdamW
 from mvdetr.rng import derive_seed
@@ -95,7 +97,7 @@ def _direction_oracle(model, backbone, pairs, cfg) -> tuple[float, float]:
     proposals = np.stack([p.proposals1 for p in pairs] + [p.proposals2 for p in pairs])
     h = backbone.extract_batch(views)
     ctx, hw = model.encode(Tensor(h))
-    ctx_dec = T.concatenate([T.narrow(ctx, 0, b, b), T.narrow(ctx, 0, 0, b)], axis=0)
+    ctx_dec = T.take(ctx, np.roll(np.arange(2 * b), b), 0)
     q_hat, _ = model.decode(ctx_dec, hw,
                             z=Tensor(backbone.object_level_features(h, proposals)))
     boxes, sem, match = model.predict(q_hat)
@@ -114,7 +116,7 @@ def _direction_oracle(model, backbone, pairs, cfg) -> tuple[float, float]:
             predicted, source, source_boxes = p.proposals2, p.view1, p.proposals1
         else:
             predicted, source, source_boxes = p.proposals1, p.view2, p.proposals2
-        targets = TR.boxes_to_targets(predicted, size, size)
+        targets = boxes_to_targets(predicted, size, size)
         feats = region_features(source, source_boxes)
         cost = L.matching_cost(boxes.data[d], match.data[d], targets)
         for t, j in enumerate(L.hungarian(cost)):
@@ -319,6 +321,29 @@ class TestRunPretrain:
         _, csv_path = TR.run_pretrain(cfg, images, str(run), resume_from=mid)
         assert open(csv_path, "rb").read() == full
 
+    def test_resume_names_the_csv_line_of_a_step_that_is_no_integer(self, images, tmp_path):
+        cfg = small_cfg()
+        run = str(tmp_path / "run")
+        _, csv_path = TR.run_pretrain(cfg, images, run)
+        lines = open(csv_path).read().splitlines(keepends=True)
+        lines[2] = "abc" + lines[2][lines[2].index(","):]
+        open(csv_path, "w").write("".join(lines))
+        with pytest.raises(ValueError, match=f"^{re.escape(csv_path)}:3: step 'abc' "):
+            TR.run_pretrain(cfg, images, run, resume_from=os.path.join(run, "epoch_0001.ckpt"))
+
+    @pytest.mark.parametrize("left", [b"", b"step,ep"], ids=["empty", "cut_in_header"])
+    def test_resume_into_csv_with_no_whole_header_writes_it(self, images, tmp_path, left):
+        cfg = small_cfg()
+        _, full_csv = TR.run_pretrain(cfg, images, str(tmp_path / "full"))
+        run = tmp_path / "run"
+        run.mkdir()
+        (run / "metrics.csv").write_bytes(left)
+        mid = os.path.join(str(tmp_path / "full"), "epoch_0001.ckpt")
+        _, csv_path = TR.run_pretrain(cfg, images, str(run), resume_from=mid)
+        lines = open(full_csv, "rb").read().splitlines(keepends=True)
+        steps_per_epoch = len(images) // cfg.train_batch_size
+        assert open(csv_path, "rb").read() == b"".join(lines[:1] + lines[1 + steps_per_epoch:])
+
     def test_checkpoint_with_seed_entries_still_resumes(self, images, tmp_path):
         # checkpoints once also stored __meta__.seed and __meta__.backbone_seed,
         # each a u64 as four 16-bit chunks; nothing reads them
@@ -455,8 +480,8 @@ class TestFinetune:
         model.decode(c, hw, layers=layers)
         assert len(layers) == 2
         targets = [(it.boxes, it.labels) for it in items]
-        per_layer = [L.set_loss(model.class_logits(q), model.predict(q)[0], targets,
-                                cfg.data_classes).data for q in layers]
+        per_layer = [L.set_loss(model.class_logits(q), model.predict(q)[0], targets).data
+                     for q in layers]
         assert total == float(per_layer[0] + per_layer[1])
         assert total != float(per_layer[1])
 
@@ -503,8 +528,8 @@ class TestPretrainOracleInit:
         pairs = _pairs(images, cfg)
         # direction order in the step: [targets2 per item, targets1 per item]
         size = cfg.view_size
-        t2 = [TR.boxes_to_targets(p.proposals2, size, size) for p in pairs]
-        t1 = [TR.boxes_to_targets(p.proposals1, size, size) for p in pairs]
+        t2 = [boxes_to_targets(p.proposals2, size, size) for p in pairs]
+        t1 = [boxes_to_targets(p.proposals1, size, size) for p in pairs]
         oracle_boxes = np.stack(t2 + t1)
 
         import mvdetr.tensor as T
