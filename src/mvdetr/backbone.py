@@ -1,7 +1,7 @@
 """Frozen, seeded convolutional feature extractor.
 
-Three stride-2 3x3 conv layers (3 -> 16 -> 32 -> 64) with ReLU, He-style
-initialization drawn once from the seed, never updated. Every entry point
+Three stride-2 3x3 conv layers (3 -> 16 -> 32 -> 64) with ReLU and no bias,
+He-style weights drawn once from the seed, never updated. Every entry point
 takes a batch and returns plain arrays (no backbone parameter ever reaches an
 optimizer): image-level feature maps at stride 8 (`extract_batch`), pooled
 object-level region features (RoIAlign on each map, `object_level_features`),
@@ -14,12 +14,13 @@ pixels, the box-set format of `geometry`.
 to the next, with a fixed input-pixel budget per block, so a block's im2col
 columns and activations stay in a 2 MiB L2 cache instead of streaming the
 whole batch's through L3 (the 160 crop-level targets of a default pretraining
-step have 18-24 MiB of columns per layer). Each output pixel is one row of the
-im2col GEMM, built from the same operands whatever the block, and the GEMM
-kernel sums a row over its 9 * Cin inputs in an order set by the kernel, not
-by the number of rows; the features are bit-identical to one GEMM over the
-whole batch, which `tests/test_backbone.py` checks against an unblocked
-reference.
+step have 18-24 MiB of columns per layer). Each layer writes its ReLU straight
+into the zero-padded input of the next, and the last into the output. Each
+output pixel is one row of the im2col GEMM, built from the same operands
+whatever the block, and the GEMM kernel sums a row over its 9 * Cin inputs in
+an order set by the kernel, not by the number of rows; the features are
+bit-identical to one GEMM over the whole batch, which `tests/test_backbone.py`
+checks against an unblocked reference.
 """
 
 from __future__ import annotations
@@ -28,29 +29,24 @@ import math
 
 import numpy as np
 
-from .geometry import bilinear_taps, resample, roi_align
+from .geometry import resample, roi_align
 from .rng import Rng
 from .tensor import Tensor
 
 
-def _conv_forward(x: np.ndarray, weight: np.ndarray, bias: np.ndarray) -> np.ndarray:
-    """Stride-2, pad-1, 3x3 convolution on (B, H, W, Cin) via im2col."""
-    B, H, W, Cin = x.shape
-    Ho, Wo = (H + 1) // 2, (W + 1) // 2
-    padded = np.zeros((B, H + 2, W + 2, Cin), dtype=x.dtype)
-    padded[:, 1:-1, 1:-1] = x
+def _conv_relu(padded: np.ndarray, weight: np.ndarray, out: np.ndarray) -> None:
+    """Stride-2 3x3 convolution of a zero-padded (B, H + 2, W + 2, Cin) batch
+    via im2col, its ReLU written into `out`, (B, H / 2, W / 2, Cout)."""
+    B, Ho, Wo = out.shape[:3]
     sB, sH, sW, sC = padded.strides
     windows = np.lib.stride_tricks.as_strided(
         padded,
-        shape=(B, Ho, Wo, 3, 3, Cin),
+        shape=(B, Ho, Wo, 3, 3, padded.shape[3]),
         strides=(sB, 2 * sH, 2 * sW, sH, sW, sC),
         writeable=False,
     )
-    cols = windows.reshape(B * Ho * Wo, 9 * Cin)
-    out = cols @ weight
-    out += bias
-    np.maximum(out, 0.0, out=out)
-    return out.reshape(B, Ho, Wo, weight.shape[1])
+    y = windows.reshape(B * Ho * Wo, -1) @ weight
+    np.maximum(y.reshape(out.shape), 0.0, out=out)
 
 
 # Input pixels one block of images may hold in `extract_batch`: 2**14 is one
@@ -70,14 +66,12 @@ class FrozenBackbone:
         self.out_channels = CHANNELS[-1]
         rng = Rng(seed)
         self.weights: list[np.ndarray] = []
-        self.biases: list[np.ndarray] = []
         cin = 3
         for cout in CHANNELS:
             fan_in = 9 * cin
             std = math.sqrt(2.0 / fan_in)
             w = rng.normals(fan_in * cout, 0.0, std).astype(np.float32).reshape(fan_in, cout)
             self.weights.append(w)
-            self.biases.append(np.zeros(cout, dtype=np.float32))
             cin = cout
 
     # -- feature extraction -----------------------------------------------------
@@ -91,10 +85,17 @@ class FrozenBackbone:
         out = np.empty((n, h // 8, w // 8, self.out_channels), dtype=np.float32)
         step = max(1, _BLOCK_PIXELS // max(1, h * w))
         for lo in range(0, n, step):
-            x = batch[lo:lo + step].astype(np.float32, copy=False)
-            for weight, bias in zip(self.weights, self.biases):
-                x = _conv_forward(x, weight, bias)
-            out[lo:lo + step] = x
+            block = batch[lo:lo + step]
+            x = np.zeros((len(block), h + 2, w + 2, 3), dtype=np.float32)
+            x[:, 1:-1, 1:-1] = block
+            for weight in self.weights[:-1]:
+                # the ReLU lands inside the next layer's zero border: an
+                # (H + 2)-row input gives H / 2 + 2 rows
+                y = np.zeros((len(block), x.shape[1] // 2 + 1, x.shape[2] // 2 + 1,
+                              weight.shape[1]), dtype=np.float32)
+                _conv_relu(x, weight, y[:, 1:-1, 1:-1])
+                x = y
+            _conv_relu(x, self.weights[-1], out[lo:lo + step])
         return out
 
     def object_level_features(self, maps: np.ndarray, boxes: np.ndarray) -> np.ndarray:
@@ -122,8 +123,7 @@ class FrozenBackbone:
             thin = (boxes[:, 2] - boxes[:, 0] < 2.0) | (boxes[:, 3] - boxes[:, 1] < 2.0)
             if thin.any():
                 raise ValueError(f"degenerate crop box {boxes[thin][0].tolist()}")
-            ay, ax = bilinear_taps(boxes, pixels.shape[0], pixels.shape[1], (size, size))
-            resample(pixels, ay, ax, out=crops[start:start + len(boxes)])
+            resample(pixels, boxes, (size, size), out=crops[start:start + len(boxes)])
             start += len(boxes)
         feats = self.extract_batch(crops)
         return feats.mean(axis=(1, 2))

@@ -26,7 +26,7 @@ import numpy as np
 
 from .config import RunConfig
 from .data import as_float_pixels
-from .geometry import bilinear_taps, map_boxes, pairwise_iou, py_max, py_min, resample
+from .geometry import map_boxes, pairwise_iou, py_max, py_min, resample
 from .rng import Rng
 
 _LUMA = np.array([0.299, 0.587, 0.114], dtype=np.float32)
@@ -58,8 +58,7 @@ class ViewPair:
 
 def crop_resize(pixels: np.ndarray, rect: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     """Bilinearly resample a source rectangle, an xyxy row, to (out_h, out_w)."""
-    ay, ax = bilinear_taps(rect[None], pixels.shape[0], pixels.shape[1], (out_h, out_w))
-    return resample(pixels, ay, ax)[0].astype(np.float32, copy=False)
+    return resample(pixels, rect[None], (out_h, out_w))[0].astype(np.float32, copy=False)
 
 
 def resize_to_view(pixels: np.ndarray, view_size: int) -> np.ndarray:
@@ -92,9 +91,9 @@ def gaussian_blur(pixels: np.ndarray, sigma: float) -> np.ndarray:
     return out2
 
 
-def sobel_magnitude(pixels: np.ndarray) -> np.ndarray:
-    """Gradient magnitude of the luma channel, same spatial shape."""
-    gray = pixels @ _LUMA
+def sobel_magnitude(gray: np.ndarray) -> np.ndarray:
+    """Gradient magnitude of an (H, W) luma plane (`pixels @ _LUMA`), same
+    shape, with edge padding."""
     padded = np.pad(gray, 1, mode="edge")
     gx = (padded[1:-1, 2:] - padded[1:-1, :-2]) * 2 \
         + (padded[:-2, 2:] - padded[:-2, :-2]) \
@@ -210,9 +209,20 @@ def generate_proposals(pixels: np.ndarray, overlap: np.ndarray, mode: str, count
 def _edge_contrast(pixels: np.ndarray, boxes: np.ndarray) -> np.ndarray:
     """Per (x1, y1, x2, y2) row: mean Sobel magnitude over the box's central
     half minus the mean over the ring around it, on the pixels each box
-    touches (0 for an empty region)."""
-    mag = sobel_magnitude(pixels).astype(np.float64)
-    h, w = mag.shape
+    touches (0 for an empty region).
+
+    The map covers only the top-left (h, w) corner the boxes reach. One more
+    row and column go into `sobel_magnitude`, so the last kept ones read their
+    true neighbours rather than the edge padding, and the prefix sums of the
+    integral image are the whole image's: the scores are bit-identical. Luma
+    is taken over whole rows, since the per-row gemv behind `@` rounds a row's
+    last columns by the row's width.
+    """
+    H, W = pixels.shape[:2]
+    h = min(H, math.ceil(boxes[:, 3].max()))
+    w = min(W, math.ceil(boxes[:, 2].max()))
+    gray = (pixels[:h + 1] @ _LUMA)[:, :w + 1]
+    mag = sobel_magnitude(gray)[:h, :w].astype(np.float64)
     ii = np.zeros((h + 1, w + 1))
     ii[1:, 1:] = mag.cumsum(0).cumsum(1)
 

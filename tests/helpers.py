@@ -3,10 +3,12 @@
 These deliberately avoid the library's own computation paths: gradients come
 from central finite differences, box overlaps from grid-cell counting (with
 a closed-form GIoU checked against it), and RoIAlign references from dense
-sampling. Oracles run in float64. Three exceptions are held to exact bits
+sampling. Oracles run in float64. Several are held to exact bits
 instead: the attention reference composes the library's generic primitives
 (themselves gradient-checked), the backbone reference runs each float32
-conv layer as one GEMM over the whole batch, the AP/AR reference scores
+conv layer as one GEMM over the whole batch, the resample reference applies
+every box's dense tap matrices as two matmuls, the edge-contrast reference
+takes the Sobel map of the whole image, the AP/AR reference scores
 each (detection, ground truth) pair with `scalar_iou` at every match,
 the random-stream references (`scalar_normal`, `scalar_proposals`,
 `scalar_jitter_box`) make one draw at a time where the library draws a
@@ -22,9 +24,10 @@ from collections import namedtuple
 import numpy as np
 
 from mvdetr import tensor as T
+from mvdetr.geometry import bilinear_taps
 from mvdetr.metrics import IOU_GRID, RECALL_GRID
 from mvdetr.tensor import Tensor
-from mvdetr.views import sobel_magnitude
+from mvdetr.views import _LUMA, sobel_magnitude
 
 
 def numerical_gradient(fn, arrays, h=1e-3):
@@ -103,21 +106,59 @@ def composed_attention(q: Tensor, k: Tensor, v: Tensor, heads: int):
 
 def unblocked_extract(backbone, batch):
     """Backbone reference: each conv layer as one im2col GEMM over the whole
-    batch, `cols @ w + b` then ReLU, with no blocking and no in-place steps.
+    batch, `cols @ w` then ReLU, with no blocking and no in-place steps.
 
     The 3x3 stride-2 windows are gathered by slicing the padded input, in the
     (dy, dx, channel) column order of the backbone's weights.
     """
     x = batch.astype(np.float32)
-    for w, b in zip(backbone.weights, backbone.biases):
+    for w in backbone.weights:
         n, h, wd, cin = x.shape
         ho, wo = (h + 1) // 2, (wd + 1) // 2
         padded = np.pad(x, ((0, 0), (1, 1), (1, 1), (0, 0)))
         cols = np.stack([padded[:, dy:dy + 2 * ho:2, dx:dx + 2 * wo:2]
                          for dy in range(3) for dx in range(3)], axis=3)
-        out = cols.reshape(n * ho * wo, 9 * cin) @ w + b
+        out = cols.reshape(n * ho * wo, 9 * cin) @ w
         x = np.maximum(out, 0.0).reshape(n, ho, wo, w.shape[1])
     return x
+
+
+def dense_resample(source, boxes, out_hw):
+    """`geometry.resample` reference: Ay . F . Axᵀ of every box with the
+    dense tap matrices, one 2-D matmul for y over all boxes, then one
+    stacked matmul for x."""
+    H, W, C = source.shape
+    ay, ax = bilinear_taps(boxes, H, W, out_hw)
+    n, out_h = ay.shape[:2]
+    rows = (ay.reshape(n * out_h, H) @ source.reshape(H, W * C)).reshape(n, out_h, W, C)
+    return np.matmul(ax[:, None], rows)
+
+
+def full_image_edge_contrast(pixels, boxes):
+    """`views._edge_contrast` reference: the same integral-image scores, from
+    the Sobel map of the whole image."""
+    mag = sobel_magnitude(pixels @ _LUMA).astype(np.float64)
+    h, w = mag.shape
+    ii = np.zeros((h + 1, w + 1))
+    ii[1:, 1:] = mag.cumsum(0).cumsum(1)
+
+    def box_sums(x1, y1, x2, y2):
+        x1 = np.clip(np.floor(x1), 0, w).astype(np.intp)
+        y1 = np.clip(np.floor(y1), 0, h).astype(np.intp)
+        x2 = np.clip(np.ceil(x2), 0, w).astype(np.intp)
+        y2 = np.clip(np.ceil(y2), 0, h).astype(np.intp)
+        inside = (x2 > x1) & (y2 > y1)
+        s = ii[y2, x2] - ii[y1, x2] - ii[y2, x1] + ii[y1, x1]
+        return np.where(inside, s, 0.0), np.where(inside, (x2 - x1) * (y2 - y1), 0)
+
+    x1, y1, x2, y2 = boxes.T
+    sx, sy = 0.25 * (x2 - x1), 0.25 * (y2 - y1)
+    total, n_total = box_sums(x1, y1, x2, y2)
+    interior, n_in = box_sums(x1 + sx, y1 + sy, x2 - sx, y2 - sy)
+    ring, n_ring = total - interior, n_total - n_in
+    mean_in = np.divide(interior, n_in, out=np.zeros_like(interior), where=n_in != 0)
+    mean_ring = np.divide(ring, n_ring, out=np.zeros_like(ring), where=n_ring != 0)
+    return mean_in - mean_ring
 
 
 def grid_count_iou(a, b, cell=0.01):
@@ -381,7 +422,7 @@ def scalar_proposals(pixels, overlap, mode, count, rng, min_side=8.0):
     if mode == "random":
         return random_boxes(count)
     candidates = random_boxes(4 * count)
-    mag = sobel_magnitude(pixels).astype(np.float64)
+    mag = sobel_magnitude(pixels @ _LUMA).astype(np.float64)
     ii = np.zeros((mag.shape[0] + 1, mag.shape[1] + 1))
     ii[1:, 1:] = mag.cumsum(0).cumsum(1)
 

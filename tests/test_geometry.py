@@ -8,8 +8,8 @@ from mvdetr import geometry as G
 from mvdetr.geometry import boxes_to_targets
 from mvdetr.tensor import Tensor, tsum
 
-from helpers import (Box, box_giou, grid_count_iou, dense_bilinear_average, gradcheck,
-                     same_bits, scalar_iou, scalar_map_box)
+from helpers import (Box, box_giou, grid_count_iou, dense_bilinear_average, dense_resample,
+                     gradcheck, same_bits, scalar_iou, scalar_map_box)
 
 
 def _rand_int_box(rng, extent=64):
@@ -178,6 +178,54 @@ class TestFrameTransform:
                 continue
             assert inside[k]
             assert same_bits(mapped[k], want)
+
+
+def _crop_target_boxes(rng):
+    """Ten boxes in a 128 px view, as pretraining's crop targets take them:
+    jittered proposals at least 8 px a side, two of them 8 px squares."""
+    x1, y1 = rng.uniform(0, 100, 10), rng.uniform(0, 100, 10)
+    side = rng.uniform(8, 128 - np.maximum(x1, y1))
+    side[:2] = 8.0
+    return np.stack([x1, y1, x1 + side, y1 + side * rng.uniform(0.5, 1.0, 10)], axis=1)
+
+
+class TestResample:
+    # (source side, boxes, output side); the dense tap matrices are the oracle
+    CASES = {
+        "crop_targets": (128, _crop_target_boxes(np.random.default_rng(11)), 64),
+        # the far border clamp puts both taps of a read on column W - 1
+        "border": (128, np.array([[120.0, 100.0, 131.0, 140.0], [-5.0, -3.0, 128.0, 128.0],
+                                  [90.0, 121.5, 128.0, 128.0]]), 64),
+        # a box as wide as its output reads at whole pixels (w = 0)
+        "integral": (128, np.array([[0.0, 0.0, 64.0, 64.0], [17.0, 40.0, 81.0, 104.0]]), 64),
+        "view": (160, np.array([[12.3, 20.7, 141.9, 150.2]]), 128),
+        "resize_to_view": (160, np.array([[0.0, 0.0, 160.0, 160.0]]), 128),
+    }
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_equals_dense_oracle_bit_for_bit(self, case, dtype):
+        side, boxes, out_side = self.CASES[case]
+        src = np.random.default_rng(3).uniform(0, 1, (side, side, 3)).astype(dtype)
+        got = G.resample(src, boxes, (out_side, out_side))
+        want = dense_resample(src, boxes, (out_side, out_side))
+        assert got.dtype == want.dtype == dtype
+        assert got.tobytes() == want.tobytes()
+
+    def test_cases_reach_merged_and_integral_taps(self):
+        ay, ax = G.bilinear_taps(self.CASES["border"][1], 128, 128, (64, 64))
+        for taps in (ay[0], ax[0], ax[2]):  # last read of boxes 0 and 2
+            assert taps[-1, -1] == 1.0 and (taps[-1, :-1] == 0.0).all()
+        _, ax = G.bilinear_taps(self.CASES["integral"][1], 128, 128, (64, 64))
+        assert ((ax != 0).sum(axis=2) == 1).all()
+
+    def test_out_writes_into_a_slice(self):
+        src = np.random.default_rng(4).uniform(0, 1, (128, 128, 3)).astype(np.float32)
+        boxes = _crop_target_boxes(np.random.default_rng(5))
+        buf = np.full((14, 64, 64, 3), -1.0, dtype=np.float32)
+        G.resample(src, boxes, (64, 64), out=buf[2:12])
+        assert buf[2:12].tobytes() == dense_resample(src, boxes, (64, 64)).tobytes()
+        assert (buf[:2] == -1.0).all() and (buf[12:] == -1.0).all()
 
 
 class TestRoiAlign:

@@ -11,8 +11,8 @@ from mvdetr.config import RunConfig
 from mvdetr.geometry import map_boxes
 from mvdetr.rng import Rng
 
-from helpers import (Box, dense_bilinear_average, same_bits, scalar_iou, scalar_jitter_box,
-                     scalar_proposals)
+from helpers import (Box, dense_bilinear_average, full_image_edge_contrast, same_bits,
+                     scalar_iou, scalar_jitter_box, scalar_proposals)
 
 NO_AUGMENT = dict(aug_flip_p=0.0, aug_color_p=0.0, aug_grayscale_p=0.0, aug_blur_p=0.0)
 
@@ -200,6 +200,26 @@ class TestProposals:
         want = [scalar_jitter_box(b, amount, want_rng, 64.0, 48.0) for b in boxes]
         assert same_bits(got, np.array(want).reshape(-1, 4))
         assert got_rng.next_u64() == want_rng.next_u64()
+
+    @pytest.mark.parametrize("far", ["interior", "right_edge", "bottom_edge", "corner"])
+    @pytest.mark.parametrize("shape", [(160, 160), (97, 131)])
+    def test_edge_contrast_equals_full_image_oracle(self, far, shape):
+        # the Sobel map covers only the corner the boxes reach; the scores
+        # must be the whole image's, bit for bit, also when a box's far
+        # corner reaches the right or bottom edge (w == W, h == H)
+        H, W = shape
+        img = _noise_image(9, W, H)
+        rng = np.random.default_rng(10)
+        x1, y1 = rng.uniform(0, W / 2, 24), rng.uniform(0, H / 2, 24)
+        x2 = x1 + rng.uniform(8, W / 2 - 9, 24)
+        y2 = y1 + rng.uniform(8, H / 2 - 9, 24)
+        if far in ("right_edge", "corner"):
+            x2[3] = W
+        if far in ("bottom_edge", "corner"):
+            y2[5] = H
+        boxes = np.stack([x1, y1, x2, y2], axis=1)
+        got = V._edge_contrast(img, boxes)
+        assert same_bits(got, full_image_edge_contrast(img, boxes))
 
     def test_small_overlap_errors(self):
         with pytest.raises(ValueError):
