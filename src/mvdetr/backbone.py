@@ -7,8 +7,9 @@ optimizer): image-level feature maps at stride 8 (`extract_batch`), pooled
 object-level region features (RoIAlign on each map, `object_level_features`),
 and pooled crop-level region features (each box resampled from its image,
 then extracted, `crop_features_multi`). A single image is a batch of one.
-Region boxes come as (n, 4) float64 arrays of (x1, y1, x2, y2) rows in view
-pixels, the box-set format of `geometry`.
+Region boxes come as one (n_images, n, 4) float64 array: an (n, 4) box set
+of (x1, y1, x2, y2) rows in view pixels per image or map, the format of
+`geometry`.
 
 `extract_batch` runs all three layers on one block of images before it moves
 to the next, with a fixed input-pixel budget per block, so a block's im2col
@@ -108,22 +109,17 @@ class FrozenBackbone:
             out[i] = roi_align(Tensor(maps[i]), rows, (4, 4)).data.mean(axis=(1, 2))
         return out
 
-    def crop_features_multi(self, groups: list[tuple[np.ndarray, np.ndarray]]
-                            ) -> np.ndarray:
-        """Crop each box from its image, resize to CROP_SIZE, extract, pool.
-
-        Each group is an image and its (n, 4) boxes, resampled in one call
-        into a shared crop buffer; all crops go through one `extract_batch`
-        call, and rows follow group order."""
-        size = CROP_SIZE
-        crops = np.empty((sum(len(boxes) for _, boxes in groups), size, size, 3),
-                         dtype=np.float32)
-        start = 0
-        for pixels, boxes in groups:
-            thin = (boxes[:, 2] - boxes[:, 0] < 2.0) | (boxes[:, 3] - boxes[:, 1] < 2.0)
-            if thin.any():
-                raise ValueError(f"degenerate crop box {boxes[thin][0].tolist()}")
-            resample(pixels, boxes, (size, size), out=crops[start:start + len(boxes)])
-            start += len(boxes)
-        feats = self.extract_batch(crops)
-        return feats.mean(axis=(1, 2))
+    def crop_features_multi(self, images: np.ndarray, boxes: np.ndarray) -> np.ndarray:
+        """Crop-level region features: each box of the (n_images, n, 4) array
+        resampled from its image of the (n_images, H, W, 3) array to
+        CROP_SIZE, extracted and spatially pooled: (n_images * n, C), rows in
+        image order. All crops share one buffer and one `extract_batch` call.
+        A box needs x2 > x1 and y2 > y1; any positive extent resamples."""
+        size, n = CROP_SIZE, boxes.shape[1]
+        bad = ~((boxes[..., 2] > boxes[..., 0]) & (boxes[..., 3] > boxes[..., 1]))
+        if bad.any():
+            raise ValueError(f"degenerate crop box {boxes[bad][0].tolist()}")
+        crops = np.empty((len(boxes) * n, size, size, 3), dtype=np.float32)
+        for i, rows in enumerate(boxes):
+            resample(images[i], rows, (size, size), out=crops[i * n:(i + 1) * n])
+        return self.extract_batch(crops).mean(axis=(1, 2))

@@ -10,11 +10,13 @@ to their view; `boxes_to_targets` and `cxcywh_to_xyxy_array` convert between
 the two.
 Division guards use 1e-9 and degenerate boxes report IoU 0 instead of NaN.
 
-Every box resample (view crops, crop-level targets, RoIAlign) goes through
-one separable bilinear sampler, `bilinear_taps`: per-axis tap matrices with
-half-pixel centres and a border clamp. RoIAlign applies them as two dense
-matrix products; `resample`, which reads each output pixel once, applies
-them per box to only the rows the taps touch, with the same bits.
+Every box resample (view crops, crop-level targets, RoIAlign) reads through
+one separable bilinear rule, `_axis_reads`: one read per output row and
+axis, half-pixel centred and clamped to the border; `bilinear_taps` holds
+the reads as per-axis tap matrices. `resample` applies Ay per box to only
+the rows it touches and x as a two-tap lerp, with the bits of the dense
+product. RoIAlign averages each bin's rows of the taps of a grid
+ROI_SAMPLING times finer and applies them as two dense matrix products.
 """
 
 from __future__ import annotations
@@ -87,41 +89,40 @@ def map_boxes(boxes: np.ndarray, rect: np.ndarray, flip: bool,
     return np.concatenate([lo, hi], axis=1), (hi > lo).all(axis=1)
 
 
-def _axis_taps(lo: np.ndarray, extent: np.ndarray, n_out: int, size: int,
-               sampling: int, dtype) -> np.ndarray:
-    """Bilinear taps along one axis, (n, n_out, size).
-
-    Row o of box k averages `sampling` reads at interior points of bin o of
-    [lo[k], lo[k] + extent[k]), half-pixel aligned and clamped to the border.
-    """
-    n = len(lo)
-    frac = (np.arange(sampling) + 0.5) / sampling
-    steps = (np.arange(n_out)[:, None] + frac[None, :]).reshape(-1)
-    g = np.clip(lo[:, None] + steps[None, :] * (extent / n_out)[:, None] - 0.5,
+def _axis_reads(lo: np.ndarray, extent: np.ndarray, n_out: int,
+                size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The one bilinear read of each output row along one axis, (1 - w)·F[i0]
+    + w·F[i1] at the centre of row o of [lo[k], lo[k] + extent[k]), half-pixel
+    aligned and clamped to the border (i1 == i0, w == 0 there): (i0, i1, w),
+    each (n, n_out)."""
+    g = np.clip(lo[:, None] + (np.arange(n_out) + 0.5) * (extent / n_out)[:, None] - 0.5,
                 0.0, size - 1.0)
     i0 = np.floor(g).astype(np.int64)
-    i1 = np.minimum(i0 + 1, size - 1)
-    w = g - i0
-    taps = np.zeros((n, n_out * sampling, size), dtype=dtype)
-    box, row = np.ogrid[:n, :n_out * sampling]
+    return i0, np.minimum(i0 + 1, size - 1), g - i0
+
+
+def _axis_taps(lo: np.ndarray, extent: np.ndarray, n_out: int, size: int,
+               dtype) -> np.ndarray:
+    """The reads of `_axis_reads` as a dense (n, n_out, size) tap matrix."""
+    i0, i1, w = _axis_reads(lo, extent, n_out, size)
+    taps = np.zeros(i0.shape + (size,), dtype=dtype)
+    box, row = np.ogrid[:len(lo), :n_out]
     taps[box, row, i0] = 1.0 - w
-    taps[box, row, i1] += w  # i1 == i0 at the far border
-    if sampling > 1:
-        taps = taps.reshape(n, n_out, sampling, size).mean(axis=2, dtype=dtype)
+    taps[box, row, i1] += w  # i1 == i0 at the far border, where w == 0
     return taps
 
 
 def bilinear_taps(boxes: np.ndarray, H: int, W: int, out_hw: tuple[int, int],
-                  sampling: int = 1, dtype=np.float32) -> tuple[np.ndarray, np.ndarray]:
-    """Per-axis sampling matrices Ay (n, out_h, H) and Ax (n, out_w, W) of an
-    (n, 4) box set.
+                  dtype=np.float32) -> tuple[np.ndarray, np.ndarray]:
+    """Per-axis tap matrices Ay (n, out_h, H) and Ax (n, out_w, W) of an
+    (n, 4) box set, one bilinear read per output row.
 
-    Bilinear reads and bin averaging factor by axis, so box k resamples an
-    (H, W) plane as Ay[k] @ F @ Ax[k].T.
+    Bilinear reads factor by axis, so box k resamples an (H, W) plane as
+    Ay[k] @ F @ Ax[k].T.
     """
     x1, y1, x2, y2 = boxes.T
-    return (_axis_taps(y1, y2 - y1, out_hw[0], H, sampling, dtype),
-            _axis_taps(x1, x2 - x1, out_hw[1], W, sampling, dtype))
+    return (_axis_taps(y1, y2 - y1, out_hw[0], H, dtype),
+            _axis_taps(x1, x2 - x1, out_hw[1], W, dtype))
 
 
 def resample(source: np.ndarray, boxes: np.ndarray, out_hw: tuple[int, int],
@@ -137,22 +138,22 @@ def resample(source: np.ndarray, boxes: np.ndarray, out_hw: tuple[int, int],
     - y: one GEMM per box over only the source rows its Ay taps touch, laid
       out x-major, (W·C, rows) @ (rows, out_h). The zero taps it skips only
       add exact zeros to BLAS's FMA chain along K, so the sums are unchanged.
-    - x: a tap row holds at most two adjacent nonzeros, so x is a lerp of
-      whole rows, `fl(w0·x0) + fl(w1·x1)`: the plain sum the stacked
-      (out_w, W) @ (W, 3) matmul makes. A tap merged by the border clamp
-      (w = 0) is read once, its neighbour weighted 0.
+    - x: each output column is one read (i0, i1, w) of `_axis_reads`, a lerp
+      of whole rows `fl(w0·x0) + fl(w1·x1)` with the float32 weights of a
+      dense Ax row (w1 = 0 where the border clamp merges the taps): the plain
+      sum the stacked (out_w, W) @ (W, 3) matmul makes.
     One GEMM per box for x, or a y GEMM cut to fewer x columns, changes bits.
     """
     H, W, C = source.shape
     out_h, out_w = out_hw
-    ay, ax = bilinear_taps(boxes, H, W, out_hw)
+    x1, y1, x2, y2 = boxes.T
+    ay = _axis_taps(y1, y2 - y1, out_h, H, np.float32)
     if out is None:
         out = np.empty((len(boxes), out_h, out_w, C), np.result_type(source, ay))
     flat = source.reshape(H, W * C)
-    j0 = (ax != 0).argmax(axis=2)  # each output column's first tap
-    j1 = np.minimum(j0 + 1, W - 1)
-    w0 = np.take_along_axis(ax, j0[..., None], 2)
-    w1 = np.where((j1 > j0)[..., None], np.take_along_axis(ax, j1[..., None], 2), 0)
+    j0, j1, w = _axis_reads(x1, x2 - x1, out_w, W)
+    w0 = (1.0 - w).astype(np.float32)[..., None]
+    w1 = np.where(j1 > j0, w, 0.0).astype(np.float32)[..., None]
     touched = ay.any(axis=1)
     for k, rows in enumerate(touched):
         y0, y1 = rows.argmax(), H - rows[::-1].argmax()
@@ -170,20 +171,24 @@ def roi_align(features: Tensor, boxes: np.ndarray, out_hw: tuple[int, int]) -> T
     Boxes are in feature-frame coordinates; regions outside the map clamp to
     the border. Differentiable w.r.t. the feature map.
 
-    The forward is the dense pair Ay . F . Axᵀ (ROI_SAMPLING reads per bin,
-    so up to four taps per axis), which the backward transposes. The
-    two-tap lerp of `resample` does not apply, and a GEMM over a 4-tap,
-    C = 64 contraction does not round like a lerp.
+    Each bin averages ROI_SAMPLING reads per axis: the `bilinear_taps` of a
+    grid ROI_SAMPLING times finer, each bin's rows averaged (its reads are
+    the sampled o + (i + 0.5) / ROI_SAMPLING scaled by a power of two, so
+    exact). The forward is the dense pair Ay . F . Axᵀ, which the backward
+    transposes; a GEMM over up to four taps per axis and C = 64 does not
+    round like `resample`'s two-tap lerp.
     """
     if features.data.ndim != 3:
         raise ValueError(f"roi_align expects (H, W, C) features, got {features.data.shape}")
     H, W, C = features.data.shape
     if H == 0 or W == 0:
         raise ValueError("roi_align: empty feature map")
-    ay, ax = bilinear_taps(boxes, H, W, out_hw, ROI_SAMPLING,
-                           np.result_type(features.data.dtype, np.float32))
-    rows = (ay.reshape(-1, H) @ features.data.reshape(H, W * C)).reshape(
-        len(boxes), out_hw[0], W, C)
+    n, (h_out, w_out), s = len(boxes), out_hw, ROI_SAMPLING
+    dtype = np.result_type(features.data.dtype, np.float32)
+    fine_y, fine_x = bilinear_taps(boxes, H, W, (s * h_out, s * w_out), dtype)
+    ay = fine_y.reshape(n, h_out, s, H).mean(axis=2, dtype=dtype)
+    ax = fine_x.reshape(n, w_out, s, W).mean(axis=2, dtype=dtype)
+    rows = (ay.reshape(-1, H) @ features.data.reshape(H, W * C)).reshape(n, h_out, W, C)
     data = np.matmul(ax[:, None], rows)
 
     def backward(g):

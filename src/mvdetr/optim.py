@@ -19,8 +19,7 @@ class AdamW:
     gradient this step are treated as zero-gradient (decay still applies).
     """
 
-    def __init__(self, params: dict[str, Tensor], lr: float = 1e-4,
-                 weight_decay: float = 1e-4):
+    def __init__(self, params: dict[str, Tensor], lr: float, weight_decay: float):
         self.names = list(params)
         self.params = dict(params)
         self.lr = lr

@@ -451,10 +451,11 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int
 
     For the backward the node keeps q, k, v and each softmax row's max and
     sum, two (B, heads, Nq, 1) arrays, not the probabilities: the backward
-    rebuilds them block by block with the forward's operations. It works in
-    place only on buffers it allocates itself; it never writes into the
-    incoming gradient or into an array already handed to `accumulate_grad`,
-    which adopts arrays without copying.
+    rebuilds them block by block with the forward's operations and computes
+    dQ, dK and dV for every block, accumulating each only into an input that
+    requires a gradient. It works in place only on buffers it allocates
+    itself; it never writes into the incoming gradient or into an array
+    already handed to `accumulate_grad`, which adopts arrays without copying.
     """
     sq, sk, sv = q.data.shape, k.data.shape, v.data.shape
     if len(sq) != 3 or len(sk) != 3 or sk != sv or sq[0] != sk[0] or sq[2] != sk[2]:
@@ -502,21 +503,14 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int
 
     def backward(g):
         g4 = g.reshape(b, nq, heads, dk).transpose(0, 2, 1, 3)
-        want_q = q.requires_grad
-        want_k = k.requires_grad
-        want_v = v.requires_grad
         p_buf = np.empty(block, dtype)
         # dQ and dV are written straight into their merged (B, L, C) layouts
-        if want_v:
-            gv = np.empty((b, lk, heads, dk), np.result_type(dtype, g))
-            gv4 = gv.transpose(0, 2, 1, 3)
-        if want_q or want_k:
-            gs_all = np.empty(block, np.result_type(g, v.data))
-        if want_q:
-            gq = np.empty((b, nq, heads, dk), np.result_type(gs_all, k.data))
-            gq4 = gq.transpose(0, 2, 1, 3)
-        if want_k:
-            gk4 = np.empty((b, heads, dk, lk), np.result_type(q.data, gs_all))
+        gv = np.empty((b, lk, heads, dk), np.result_type(dtype, g))
+        gv4 = gv.transpose(0, 2, 1, 3)
+        gs_all = np.empty(block, np.result_type(g, v.data))
+        gq = np.empty((b, nq, heads, dk), np.result_type(gs_all, k.data))
+        gq4 = gq.transpose(0, 2, 1, 3)
+        gk4 = np.empty((b, heads, dk, lk), np.result_type(q.data, gs_all))
         q4t = np.swapaxes(q4, -1, -2)
         for lo in range(0, b, step):
             s = slice(lo, lo + step)
@@ -525,25 +519,20 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int
             p -= row_max[s]
             np.exp(p, out=p)
             p /= row_sum[s]
-            if want_v:
-                np.matmul(np.swapaxes(p, -1, -2), g4[s], out=gv4[s])
-            if not (want_q or want_k):
-                continue
+            np.matmul(np.swapaxes(p, -1, -2), g4[s], out=gv4[s])
             # softmax backward, then the scale, in place on this block's dL/dP
             gs = gs_all[:len(p)]
             np.matmul(g4[s], v4t[s], out=gs)
             gs -= (gs * p).sum(axis=-1, keepdims=True)
             gs *= p
             gs *= scale
-            if want_q:
-                np.matmul(gs, k4[s], out=gq4[s])
-            if want_k:
-                np.matmul(q4t[s], gs, out=gk4[s])
-        if want_v:
+            np.matmul(gs, k4[s], out=gq4[s])
+            np.matmul(q4t[s], gs, out=gk4[s])
+        if v.requires_grad:
             v.accumulate_grad(gv.reshape(b, lk, c))
-        if want_q:
+        if q.requires_grad:
             q.accumulate_grad(gq.reshape(b, nq, c))
-        if want_k:
+        if k.requires_grad:
             k.accumulate_grad(gk4.transpose(0, 3, 1, 2).reshape(b, lk, c))
 
     return _make(data, (q, k, v), "attention", backward), probs

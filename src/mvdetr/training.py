@@ -79,7 +79,7 @@ def pretrain_step(model: Detr, backbone: FrozenBackbone, optimizer: AdamW,
     # conditioned on, in the same [view1 x B, view2 x B] order
     if need_region:
         if cfg.loss_region_target == "crop":
-            region_targets = backbone.crop_features_multi(list(zip(all_views, proposals)))
+            region_targets = backbone.crop_features_multi(all_views, proposals)
         else:  # object-level targets reuse z
             region_targets = z_all.reshape(n_rows, -1)
 

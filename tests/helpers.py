@@ -7,7 +7,8 @@ sampling. Oracles run in float64. Several are held to exact bits
 instead: the attention reference composes the library's generic primitives
 (themselves gradient-checked), the backbone reference runs each float32
 conv layer as one GEMM over the whole batch, the resample reference applies
-every box's dense tap matrices as two matmuls, the edge-contrast reference
+every box's dense tap matrices as two matmuls, the RoIAlign tap reference
+averages its sampled reads on the bin grid, the edge-contrast reference
 takes the Sobel map of the whole image, the AP/AR reference scores
 each (detection, ground truth) pair with `scalar_iou` at every match,
 the random-stream references (`scalar_normal`, `scalar_proposals`,
@@ -132,6 +133,26 @@ def dense_resample(source, boxes, out_hw):
     n, out_h = ay.shape[:2]
     rows = (ay.reshape(n * out_h, H) @ source.reshape(H, W * C)).reshape(n, out_h, W, C)
     return np.matmul(ax[:, None], rows)
+
+
+def sampled_taps(lo, extent, n_out, size, sampling, dtype):
+    """`roi_align` tap reference, (n, n_out, size) along one axis: row o of
+    box k averages `sampling` reads at o + (i + 0.5) / sampling of bin o of
+    [lo[k], lo[k] + extent[k]), half-pixel aligned and clamped to the border,
+    computed on the bin grid itself rather than on a finer grid."""
+    n = len(lo)
+    frac = (np.arange(sampling) + 0.5) / sampling
+    steps = (np.arange(n_out)[:, None] + frac[None, :]).reshape(-1)
+    g = np.clip(lo[:, None] + steps[None, :] * (extent / n_out)[:, None] - 0.5,
+                0.0, size - 1.0)
+    i0 = np.floor(g).astype(np.int64)
+    i1 = np.minimum(i0 + 1, size - 1)
+    w = g - i0
+    taps = np.zeros((n, n_out * sampling, size), dtype=dtype)
+    box, row = np.ogrid[:n, :n_out * sampling]
+    taps[box, row, i0] = 1.0 - w
+    taps[box, row, i1] += w  # i1 == i0 at the far border
+    return taps.reshape(n, n_out, sampling, size).mean(axis=2, dtype=dtype)
 
 
 def full_image_edge_contrast(pixels, boxes):

@@ -74,7 +74,7 @@ class TestExtract:
         h = backbone.extract_batch(img[None])
         box = np.array([[8.0, 8.0, 40.0, 40.0]])
         for out in (h, backbone.object_level_features(h, box[None]),
-                    backbone.crop_features_multi([(img, box)])):
+                    backbone.crop_features_multi(img[None], box[None])):
             assert type(out) is np.ndarray
 
 
@@ -128,15 +128,15 @@ class TestObjectFeatures:
 class TestCropFeatures:
     def test_full_view_crop_reduces_to_extract(self, backbone):
         img = _image(6)
-        p = backbone.crop_features_multi([(img, np.array([[0.0, 0.0, 128.0, 128.0]]))])
+        p = backbone.crop_features_multi(img[None], np.array([[[0.0, 0.0, 128.0, 128.0]]]))
         resized = crop_resize(img, np.array([0.0, 0.0, 128.0, 128.0]), 64, 64)
         direct = _extract(backbone, resized).mean(axis=(0, 1))
         np.testing.assert_allclose(p[0], direct, atol=1e-6)
 
     def test_constant_crops_identical(self, backbone):
         img = np.full((128, 128, 3), 0.4, dtype=np.float32)
-        p = backbone.crop_features_multi([(img, np.array([[0.0, 0.0, 30.0, 30.0],
-                                                          [50.0, 60.0, 100.0, 90.0]]))])
+        p = backbone.crop_features_multi(img[None], np.array([[[0.0, 0.0, 30.0, 30.0],
+                                                               [50.0, 60.0, 100.0, 90.0]]]))
         np.testing.assert_allclose(p[0], p[1], atol=1e-5)
 
     def test_crop_vs_object_features_differ_on_texture(self, backbone):
@@ -144,23 +144,37 @@ class TestCropFeatures:
         h = backbone.extract_batch(img[None])
         box = np.array([[20.0, 20.0, 52.0, 52.0]])
         z = backbone.object_level_features(h, box[None])
-        p = backbone.crop_features_multi([(img, box)])
+        p = backbone.crop_features_multi(img[None], box[None])
         assert float(np.linalg.norm(p[0] - z[0, 0])) > 1e-3
 
     def test_degenerate_box_errors(self, backbone):
-        with pytest.raises(ValueError):
-            backbone.crop_features_multi([(_image(8), np.array([[10.0, 10.0, 11.0, 30.0]]))])
+        # zero width, negative height, NaN
+        for box in ([10.0, 10.0, 10.0, 30.0], [10.0, 30.0, 20.0, 29.0],
+                    [np.nan, 10.0, 20.0, 30.0]):
+            with pytest.raises(ValueError, match="degenerate crop box"):
+                backbone.crop_features_multi(_image(8)[None], np.array([[box]]))
+
+    def test_box_under_two_pixels_gives_features(self, backbone):
+        # a jittered proposal on a 32 px view whose 2 px side rounds to
+        # 1.9999999999999996; any positive extent resamples
+        box = np.array([[[2.555890509460902, 27.935952704768965,
+                          4.555890509460902, 31.207778609850394]]])
+        assert box[0, 0, 2] - box[0, 0, 0] < 2.0
+        img = _image(8, 32, 32)
+        p = backbone.crop_features_multi(img[None], box)
+        direct = _extract(backbone, crop_resize(img, box[0, 0], 64, 64)).mean(axis=(0, 1))
+        assert p.shape == (1, backbone.out_channels) and np.isfinite(p).all()
+        np.testing.assert_allclose(p[0], direct, atol=1e-6)
 
     def test_rows_follow_groups_and_match_one_box_path(self, backbone):
-        # each row of a two-group call equals resizing that box alone through
-        # crop_resize and pooling the extracted map
-        groups = [(_image(9), np.array([[3.5, 7.25, 60.0, 41.0],
-                                        [0.0, 0.0, 128.0, 128.0]])),
-                  (_image(10, h=96, w=160), np.array([[100.5, 2.0, 158.0, 90.5],
-                                                      [-4.0, 80.0, 30.0, 99.0],
-                                                      [20.0, 20.0, 24.0, 23.0]]))]
-        p = backbone.crop_features_multi(groups)
+        # each row equals resizing that box alone through crop_resize and
+        # pooling the extracted map, rows in image order and each image's
+        # box order
+        images = np.stack([_image(9), _image(10)])
+        boxes = np.array([[[3.5, 7.25, 60.0, 41.0], [0.0, 0.0, 128.0, 128.0]],
+                          [[100.5, 2.0, 131.0, 90.5], [-4.0, 80.0, 30.0, 99.0]]])
+        p = backbone.crop_features_multi(images, boxes)
         rows = [_extract(backbone, crop_resize(img, b, 64, 64)).mean(axis=(0, 1))
-                for img, boxes in groups for b in boxes]
-        assert p.shape == (5, backbone.out_channels)
+                for img, group in zip(images, boxes) for b in group]
+        assert p.shape == (4, backbone.out_channels)
         np.testing.assert_allclose(p, np.stack(rows), atol=1e-6)

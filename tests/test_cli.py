@@ -41,7 +41,7 @@ def _untrained_checkpoint(cfg_path, path, optimizer=False, meta=None) -> str:
     from mvdetr.training import checkpoint_entries, make_model
     cfg = parse_config(open(cfg_path).read())
     model = make_model(cfg, FrozenBackbone(cfg.backbone_seed))
-    opt = AdamW(model.params, lr=cfg.train_lr) if optimizer else None
+    opt = AdamW(model.params, lr=cfg.train_lr, weight_decay=1e-4) if optimizer else None
     entries = checkpoint_entries(model, opt, cfg, 0)
     for key, value in (meta or {}).items():
         entries.pop(f"__meta__.{key}")

@@ -9,7 +9,7 @@ from mvdetr.geometry import boxes_to_targets
 from mvdetr.tensor import Tensor, tsum
 
 from helpers import (Box, box_giou, grid_count_iou, dense_bilinear_average, dense_resample,
-                     gradcheck, same_bits, scalar_iou, scalar_map_box)
+                     gradcheck, same_bits, sampled_taps, scalar_iou, scalar_map_box)
 
 
 def _rand_int_box(rng, extent=64):
@@ -260,6 +260,32 @@ class TestRoiAlign:
             # 2x2 sampling equals the dense average only for globally linear
             # fields; bins straddling cell boundaries see curvature error
             np.testing.assert_allclose(out.data[0], oracle, atol=0.15)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape,out_hw", [((16, 16, 64), (4, 4)), ((5, 7, 3), (2, 3))],
+                             ids=["object_features", "small_map"])
+    def test_forward_equals_sampled_tap_oracle_bit_for_bit(self, shape, out_hw, dtype):
+        # Ay . F . Axᵀ with taps averaged from ROI_SAMPLING reads per bin,
+        # built on the bin grid itself
+        H, W, C = shape
+        rng = np.random.default_rng(H * W + C)
+        lo = rng.uniform(-2, [W, H], (40, 2))
+        random = np.concatenate([lo, lo + rng.uniform(0.05, 1.5 * max(H, W), (40, 2))], 1)
+        past_border = np.array([[-3.0, -2.0, W + 4.0, H + 3.0], [W - 1.5, 1.0, W + 2.0, H + 0.5]])
+        # integer x1, y1 and extents of 2 px per bin put every read on a whole pixel
+        whole = np.array([[0.0, 1.0, 2.0 * out_hw[1], 1.0 + 2.0 * out_hw[0]],
+                          [2.0, 0.0, 2.0 + 2.0 * out_hw[1], 2.0 * out_hw[0]]])
+        feat = rng.standard_normal(shape).astype(dtype)
+        for boxes in (random, past_border, whole):
+            x1, y1, x2, y2 = boxes.T
+            ay = sampled_taps(y1, y2 - y1, out_hw[0], H, G.ROI_SAMPLING, dtype)
+            ax = sampled_taps(x1, x2 - x1, out_hw[1], W, G.ROI_SAMPLING, dtype)
+            rows = (ay.reshape(-1, H) @ feat.reshape(H, W * C)).reshape(
+                len(boxes), out_hw[0], W, C)
+            want = np.matmul(ax[:, None], rows)
+            got = G.roi_align(Tensor(feat), boxes, out_hw).data
+            assert got.dtype == want.dtype == dtype
+            assert got.tobytes() == want.tobytes()
 
     def test_border_clamp_no_error(self):
         feat = Tensor(np.ones((4, 4, 1), dtype=np.float32))

@@ -295,7 +295,7 @@ class TestTotalLoss:
                  for i in range(2)]
         backbone = FrozenBackbone(cfg.backbone_seed)
         model = TR.make_model(cfg, backbone)
-        opt = AdamW(model.params, lr=0.0)
+        opt = AdamW(model.params, lr=0.0, weight_decay=1e-4)
         return TR.pretrain_step(model, backbone, opt, pairs, cfg)
 
     def test_weighted_sum(self, monkeypatch):

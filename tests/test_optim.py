@@ -47,7 +47,7 @@ class TestAdamW:
     def test_nan_grad_aborts_with_name(self):
         w = _param([1.0])
         w.grad = np.array([np.nan], dtype=np.float32)
-        opt = AdamW({"w": w}, lr=0.1)
+        opt = AdamW({"w": w}, lr=0.1, weight_decay=1e-4)
         with pytest.raises(FloatingPointError, match="w"):
             opt.step()
 
@@ -84,13 +84,13 @@ class TestAdamW:
 
     def test_state_round_trip(self):
         w = _param([1.0, 2.0])
-        opt = AdamW({"w": w}, lr=1e-2)
+        opt = AdamW({"w": w}, lr=1e-2, weight_decay=1e-4)
         for step in range(3):
             w.grad = np.array([0.1, -0.2], dtype=np.float32)
             opt.step()
         state = opt.state_arrays()
         w2 = _param([5.0, 6.0])
-        opt2 = AdamW({"w": w2}, lr=1e-2)
+        opt2 = AdamW({"w": w2}, lr=1e-2, weight_decay=1e-4)
         opt2.load_state(state)
         assert opt2.t == 3
         np.testing.assert_array_equal(opt2.m["w"], opt.m["w"])
@@ -100,7 +100,7 @@ class TestAdamW:
     def test_rejected_state_changes_nothing(self):
         # `t` and the first moment are fine, the second moment of "w" is not
         w = _param([1.0, 2.0])
-        opt = AdamW({"w": w}, lr=1e-2)
+        opt = AdamW({"w": w}, lr=1e-2, weight_decay=1e-4)
         state = {"m.w": np.ones(2, np.float32), "v.w": np.ones(3, np.float32),
                  "t": np.array([4.0], np.float32)}
         with pytest.raises(ValueError, match=r"^v\.w has shape \(3,\), expected \(2,\)$"):

@@ -187,16 +187,18 @@ class TestAttention:
         assert backward_peak < 16 * mib
 
     def test_value_only_gradient_bit_identical_to_composed(self):
-        # q and k constant: the blocked backward computes dV alone
+        # q and k constant: only dV reaches an input, and q and k get no .grad
         rng = np.random.default_rng(25)
         q, k, v = (rng.standard_normal((3, 256, 16)).astype(np.float32) for _ in range(3))
         w = rng.standard_normal((3, 256, 16)).astype(np.float32)
         grads = []
         for fn in (T.attention, composed_attention):
+            consts = Tensor(q), Tensor(k)
             leaf = Tensor(v.copy(), requires_grad=True)
-            out, _ = fn(Tensor(q), Tensor(k), leaf, 4)
+            out, _ = fn(*consts, leaf, 4)
             T.tsum(T.mul(out, Tensor(w))).backward()
             grads.append(leaf.grad)
+            assert all(t.grad is None for t in consts)
         np.testing.assert_array_equal(grads[0], grads[1])
 
     def test_probabilities_read_only(self):

@@ -104,7 +104,7 @@ def _direction_oracle(model, backbone, pairs, cfg) -> tuple[float, float]:
 
     def region_features(view, boxes_xyxy):
         if cfg.loss_region_target == "crop":
-            return backbone.crop_features_multi([(view, boxes_xyxy)])
+            return backbone.crop_features_multi(view[None], boxes_xyxy[None])
         maps = backbone.extract_batch(view[None])
         return backbone.object_level_features(maps, boxes_xyxy[None])[0]
 
@@ -158,7 +158,7 @@ class TestPretrainStep:
         model = TR.make_model(cfg, backbone)
         pairs = _pairs(images, cfg)
         expected = _direction_oracle(model, backbone, pairs, cfg)
-        opt = AdamW(model.params, lr=0.0)
+        opt = AdamW(model.params, lr=0.0, weight_decay=1e-4)
         bd = TR.pretrain_step(model, backbone, opt, pairs, cfg)
         assert (bd.loc, bd.region_disc) == expected
 
@@ -168,7 +168,7 @@ class TestPretrainStep:
                            "loss.lambda_loc": 0.4})
         backbone = FrozenBackbone(cfg.backbone_seed)
         model = TR.make_model(cfg, backbone)
-        opt = AdamW(model.params, lr=cfg.train_lr)
+        opt = AdamW(model.params, lr=cfg.train_lr, weight_decay=1e-4)
         bd = TR.pretrain_step(model, backbone, opt, _pairs(images, cfg), cfg)
         # recomputed in pretrain_step's own float32 order, so the check is exact
         f32 = np.float32
@@ -184,7 +184,7 @@ class TestPretrainStep:
         def run():
             backbone = FrozenBackbone(cfg.backbone_seed)
             model = TR.make_model(cfg, backbone)
-            opt = AdamW(model.params, lr=cfg.train_lr)
+            opt = AdamW(model.params, lr=cfg.train_lr, weight_decay=1e-4)
             out = []
             for epoch in range(2):
                 bd = TR.pretrain_step(model, backbone, opt,
@@ -200,7 +200,7 @@ class TestPretrainStep:
         cfg = small_cfg(**{"loss.lambda_g": 0.0, "loss.lambda_r": 0.0})
         backbone = FrozenBackbone(cfg.backbone_seed)
         model = TR.make_model(cfg, backbone)
-        opt = AdamW(model.params, lr=cfg.train_lr)
+        opt = AdamW(model.params, lr=cfg.train_lr, weight_decay=1e-4)
 
         def not_built(*args):
             raise AssertionError("a term of weight 0 was built")
@@ -220,7 +220,7 @@ class TestPretrainStep:
                            base_rect=p.base_rect, rect1=p.rect2, rect2=p.rect1,
                            flip1=p.flip2, flip2=p.flip1, padded=p.padded)
                    for p in pairs]
-        opt_a = AdamW(model.params, lr=0.0)  # lr 0: no parameter drift
+        opt_a = AdamW(model.params, lr=0.0, weight_decay=1e-4)  # lr 0: no parameter drift
         bd_a = TR.pretrain_step(model, backbone, opt_a, pairs, cfg)
         bd_b = TR.pretrain_step(model, backbone, opt_a, swapped, cfg)
         assert bd_a.total == pytest.approx(bd_b.total, abs=1e-5)
@@ -230,7 +230,7 @@ class TestPretrainStep:
         cfg = small_cfg(**{"loss.region_target": "object"})
         backbone = FrozenBackbone(cfg.backbone_seed)
         model = TR.make_model(cfg, backbone)
-        opt = AdamW(model.params, lr=cfg.train_lr)
+        opt = AdamW(model.params, lr=cfg.train_lr, weight_decay=1e-4)
         bd = TR.pretrain_step(model, backbone, opt, _pairs(images, cfg), cfg)
         assert bd.region_disc > 0.0
 
@@ -238,7 +238,7 @@ class TestPretrainStep:
         cfg = small_cfg()
         backbone = FrozenBackbone(cfg.backbone_seed)
         model = TR.make_model(cfg, backbone)
-        opt = AdamW(model.params, lr=cfg.train_lr)
+        opt = AdamW(model.params, lr=cfg.train_lr, weight_decay=1e-4)
         pairs = _pairs(images, cfg)
         made, alive = _tape_left_by(
             lambda: TR.pretrain_step(model, backbone, opt, pairs, cfg), monkeypatch)
@@ -248,7 +248,7 @@ class TestPretrainStep:
         cfg = small_cfg()
         backbone = FrozenBackbone(cfg.backbone_seed)
         model = TR.make_model(cfg, backbone)
-        opt = AdamW(model.params, lr=cfg.train_lr)
+        opt = AdamW(model.params, lr=cfg.train_lr, weight_decay=1e-4)
         with pytest.raises(ValueError):
             TR.pretrain_step(model, backbone, opt, [], cfg)
 
@@ -500,7 +500,7 @@ class TestFinetune:
         model.add_class_head(cfg.data_classes, seed=1)
         feats = backbone.extract_batch(
             np.stack([resize_to_view(it.pixels, cfg.view_size) for it in items]))
-        opt = AdamW(model.params, lr=cfg.train_lr)
+        opt = AdamW(model.params, lr=cfg.train_lr, weight_decay=1e-4)
         made, alive = _tape_left_by(
             lambda: TR.finetune_step(model, opt, feats, items, cfg), monkeypatch)
         assert made > 0 and alive == 0
@@ -544,6 +544,6 @@ class TestPretrainOracleInit:
             return boxes, sem, match
 
         model.predict = oracle_predict
-        opt = AdamW({}, lr=0.0)
+        opt = AdamW({}, lr=0.0, weight_decay=1e-4)
         bd = TR.pretrain_step(model, backbone, opt, pairs, cfg)
         assert bd.loc < 0.1
