@@ -252,15 +252,17 @@ class Detr:
 
     def load_state(self, arrays: dict[str, np.ndarray]) -> None:
         """Parameter values from checkpoint arrays. A missing entry, one not
-        of its parameter's shape, or an entry the model does not have (a
-        class head aside) raises ValueError led by the entry's name, changing
-        nothing."""
+        of its parameter's shape or not finite, or an entry the model does
+        not have (a class head aside) raises ValueError led by the entry's
+        name, changing nothing."""
         for name, p in self.params.items():
             if name not in arrays:
                 raise ValueError(f"{name} is missing")
             if arrays[name].shape != p.data.shape:
                 raise ValueError(f"{name} has shape {arrays[name].shape}, expected "
                                  f"{p.data.shape}")
+            if not np.isfinite(arrays[name]).all():
+                raise ValueError(f"{name} holds a non-finite value")
         extra = [n for n in arrays if n not in self.params and not n.startswith("class_head")]
         if extra:
             raise ValueError(f"{extra[0]} is not a model parameter")

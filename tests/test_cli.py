@@ -348,8 +348,13 @@ class TestExitCodes:
          "opt.m.input_proj.weight has shape (1,), expected (64, 32)"),
         ("opt.v.head.match.bias", np.zeros(3, np.float32),
          "opt.v.head.match.bias has shape (3,), expected (1,)"),
+        ("opt.m.input_proj.weight", np.full((64, 32), np.nan, np.float32),
+         "opt.m.input_proj.weight holds a non-finite value"),
+        ("opt.v.input_proj.weight", np.full((64, 32), -1.0, np.float32),
+         "opt.v.input_proj.weight holds a negative value"),
     ], ids=["epoch_empty", "epoch_negative", "epoch_fractional", "t_empty",
-            "moment_missing", "moment_misshapen", "second_moment_misshapen"])
+            "moment_missing", "moment_misshapen", "second_moment_misshapen",
+            "moment_non_finite", "second_moment_negative"])
     def test_bad_resume_state_names_the_file_and_is_two(self, workspace, tmp_path, capsys,
                                                         entry, value, problem):
         # each fault is caught before run.txt, metrics.csv or a checkpoint is written
@@ -372,7 +377,8 @@ class TestExitCodes:
     @pytest.mark.parametrize("value,problem", [
         (np.zeros(1, np.float32), "input_proj.weight has shape (1,), expected (64, 32)"),
         (None, "input_proj.weight is missing"),
-    ], ids=["reshaped", "missing"])
+        (np.full((64, 32), np.nan, np.float32), "input_proj.weight holds a non-finite value"),
+    ], ids=["reshaped", "missing", "non_finite"])
     def test_bad_model_entry_names_the_file_and_is_two(self, workspace, tmp_path, capsys,
                                                        command, value, problem):
         # caught before run.txt or any other output is written

@@ -14,7 +14,7 @@ import pytest
 from mvdetr import tensor as T
 from mvdetr.tensor import Tensor
 
-from helpers import composed_attention, gradcheck
+from helpers import composed_attention, gradcheck, var_normalize
 
 
 def test_add_basic():
@@ -220,6 +220,30 @@ class TestAttention:
         out._backward(g)
         np.testing.assert_array_equal(g, before)
 
+    def test_non_finite_logit_rows_match_composed(self):
+        # key 0 of item 0 and every key of item 1 carry +inf in head 0's first
+        # dimension, so there a query's logit is +inf, -inf or NaN by the sign
+        # of its own first entry: item 0 gets rows with one +inf, one -inf or
+        # one NaN logit among finite ones, item 1 rows of all +inf, all -inf
+        # or all NaN; each row must come out as the composed softmax's does
+        rng = np.random.default_rng(27)
+        q = rng.standard_normal((2, 6, 8)).astype(np.float32)
+        k, v = (rng.standard_normal((2, 5, 8)).astype(np.float32) for _ in range(2))
+        q[:, :, 0] = [2.0, -1.5, 0.0, 1.0, -0.5, 0.0]
+        k[0, 0, 0] = np.inf
+        k[1, :, 0] = np.inf
+        w = rng.standard_normal((2, 6, 8)).astype(np.float32)
+        with np.errstate(invalid="ignore"):
+            fused = self._run(T.attention, [q, k, v], w)
+            ref = self._run(composed_attention, [q, k, v], w)
+        probs = fused[1][:, 0]
+        assert np.isnan(probs[0, [0, 2, 3, 5]]).all() and np.isnan(probs[1]).all()
+        assert np.isfinite(probs[0, [1, 4]]).all() and not probs[0, [1, 4], 0].any()
+        np.testing.assert_array_equal(fused[0], ref[0])  # NaN for NaN
+        np.testing.assert_array_equal(fused[1], ref[1])
+        for gf, gr in zip(fused[2], ref[2]):
+            np.testing.assert_array_equal(gf, gr)
+
     def test_shape_errors(self):
         x = Tensor(np.zeros((2, 3, 8), np.float32))
         with pytest.raises(T.ShapeError):
@@ -260,6 +284,48 @@ class TestNormalization:
     def test_batch_norm_rejects_single_row(self):
         with pytest.raises(T.ShapeError):
             T.batch_norm_1d(Tensor(np.ones((1, 4))), Tensor(np.ones(4)), Tensor(np.zeros(4)))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("op,shape,axis", [("layer_norm", (3, 17, 24), -1),
+                                               ("batch_norm_1d", (13, 24), 0)],
+                             ids=["layer_norm", "batch_norm_1d"])
+    @pytest.mark.parametrize("wanted", ["x_scale_shift", "x", "scale_shift"])
+    def test_bit_equal_to_var_oracle(self, dtype, op, shape, axis, wanted):
+        rng = np.random.default_rng(41)
+        x = (rng.standard_normal(shape) * 3.0 + 1.5).astype(dtype)
+        scale, shift = (rng.standard_normal(shape[-1]).astype(dtype) for _ in range(2))
+        w = rng.standard_normal(shape).astype(dtype)
+        leaves = [Tensor(a.copy(), requires_grad=name in wanted)
+                  for a, name in zip((x, scale, shift), ("x", "scale", "shift"))]
+        out = getattr(T, op)(*leaves)
+        T.tsum(T.mul(out, Tensor(w))).backward()  # out's gradient is exactly w
+        want = var_normalize(x, scale, shift, w, axis)
+        assert out.data.dtype == dtype and out.data.tobytes() == want[0].tobytes()
+        for leaf, g in zip(leaves, want[1:]):
+            if leaf.requires_grad:
+                assert leaf.grad.dtype == dtype and leaf.grad.tobytes() == g.tobytes()
+            else:
+                assert leaf.grad is None
+
+    def test_layer_norm_memory(self):
+        # a default encoder layer's (8, 256, 64) float32 activations, 512 KiB
+        # each: the forward keeps x-hat and the output, the backward adds its
+        # two buffers, so the peak stays near four of them (2 MiB); taking
+        # the variance with np.var and x-hat as a fresh (x - mean) * inv
+        # peaks at 2.56 MiB
+        rng = np.random.default_rng(43)
+        x = Tensor(rng.standard_normal((8, 256, 64)).astype(np.float32), requires_grad=True)
+        scale, shift = (Tensor(rng.standard_normal(64).astype(np.float32), requires_grad=True)
+                        for _ in range(2))
+        g = rng.standard_normal((8, 256, 64)).astype(np.float32)
+        tracemalloc.start()
+        try:
+            out = T.layer_norm(x, scale, shift)
+            out._backward(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.25 * (1 << 20)
 
 
 class TestSimilarity:

@@ -6,8 +6,9 @@
 Each side is a git ref of this repository (exported with `git archive`) or a
 directory that holds `src/`. Both sides run the same CLI matrix (`MATRIX`:
 two datasets, three pretraining runs, three finetuning runs, eval with each
-score source, export-attn and probe), each in its own directory under the
-same relative paths, with `PYTHONPATH=<side>/src` and `SDTR_THREADS=1`; the
+score source, export-attn, probe, and the first pretraining run resumed
+from its checkpoint and optimizer state), each in its own directory under
+the same relative paths, with `PYTHONPATH=<side>/src` and `SDTR_THREADS=1`; the
 two sides run side by side. Then the sha256 of every output file except
 `run.txt` (which names the numpy build and the command line) is compared.
 
@@ -57,6 +58,9 @@ MATRIX = (
      "--image", "data/val/img_00000.ppm", "--out", "attn"),
     ("probe", "--data", "data/train/manifest.txt", "--eval-data", "data/val/manifest.txt",
      "--init", "pre/epoch_0002.ckpt", "--epochs", "2", "--seeds", "1", "--out", "probe"),
+    # resumes the first run from its epoch-2 checkpoint, optimizer state included
+    _PRETRAIN + ("--out", "pre_resumed", "--set", "train.epochs=3",
+                 "--resume", "pre/epoch_0002.ckpt"),
 )
 
 SKIPPED = {"run.txt"}
