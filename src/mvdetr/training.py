@@ -2,15 +2,21 @@
 seeding, and checkpoint persistence.
 
 Every stochastic choice derives statelessly from (config seed, epoch, item),
-so resuming from a checkpoint reproduces the uninterrupted run bit for bit
-and batch construction could be farmed out to workers without shared state.
+so resuming from a checkpoint reproduces the uninterrupted run bit for bit,
+and batch construction is farmed out without shared state: `run_pretrain`
+forks one producer process that builds batch k+1's view pairs and frozen
+backbone inputs while the parent trains on batch k.
 """
 
 from __future__ import annotations
 
 import csv
 import os
-from dataclasses import dataclass
+import pickle
+import signal
+import sys
+import traceback
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -46,29 +52,24 @@ class LossBreakdown:
     total: float
 
 
-def pretrain_step(model: Detr, backbone: FrozenBackbone, optimizer: AdamW,
-                  pairs: list[ViewPair], cfg: RunConfig) -> LossBreakdown:
-    """One symmetric two-view step, batched over items and both directions.
+@dataclass
+class FrozenInputs:
+    """What `pretrain_step` reads of a batch before its tape starts, each in
+    [view1 x B, view2 x B] order: the views' backbone maps, their proposals,
+    the proposals' pooled features z and, when lambda_r > 0, the region
+    targets (one row per proposal)."""
+    h_all: np.ndarray           # (2B, H1, W1, Cb)
+    proposals: np.ndarray       # (2B, n, 4) xyxy in view pixels
+    z_all: np.ndarray           # (2B, n, Cb)
+    region_targets: np.ndarray | None
 
-    The batch stacks [view1 x B, view2 x B] through one backbone pass and one
-    encoder pass; the decoder runs once over the 2B (context, conditioning)
-    combinations [(c2, z1) x B, (c1, z2) x B]. Per-direction means over
-    aligned counts make the flat means equal to the per-item symmetric sums
-    up to summation order.
-    """
-    if not pairs:
-        raise ValueError("empty batch")
-    lam_r, lam_g, lam_loc = cfg.loss_lambda_r, cfg.loss_lambda_g, cfg.loss_lambda_loc
-    need_region = lam_r > 0
-    need_global = lam_g > 0
-    size = float(cfg.view_size)
-    b = len(pairs)
-    n_q = cfg.view_n
-    n_rows = 2 * b * n_q
 
+def frozen_inputs(backbone: FrozenBackbone, pairs: list[ViewPair],
+                  cfg: RunConfig) -> FrozenInputs:
+    """The frozen, pre-tape part of `pretrain_step`: one backbone pass over
+    the stacked views, RoIAlign of the proposals, and the region targets."""
     all_views = np.stack([p.view1 for p in pairs] + [p.view2 for p in pairs])
     h_all = backbone.extract_batch(all_views)  # (2B, H1, W1, Cb), frozen
-    ctx_all, hw = model.encode(Tensor(h_all))  # (2B, L, C)
 
     # proposals and their pooled region features z, both [view1 x B, view2 x B]
     # (no tape: h is frozen)
@@ -77,17 +78,44 @@ def pretrain_step(model: Detr, backbone: FrozenBackbone, optimizer: AdamW,
 
     # direction d reconstructs the region features of the view it is
     # conditioned on, in the same [view1 x B, view2 x B] order
-    if need_region:
+    region_targets = None
+    if cfg.loss_lambda_r > 0:
         if cfg.loss_region_target == "crop":
             region_targets = backbone.crop_features_multi(all_views, proposals)
         else:  # object-level targets reuse z
-            region_targets = z_all.reshape(n_rows, -1)
+            region_targets = z_all.reshape(2 * len(pairs) * cfg.view_n, -1)
+    return FrozenInputs(h_all, proposals, z_all, region_targets)
+
+
+def pretrain_step(model: Detr, backbone: FrozenBackbone, optimizer: AdamW,
+                  pairs: list[ViewPair], cfg: RunConfig,
+                  frozen: FrozenInputs | None = None) -> LossBreakdown:
+    """One symmetric two-view step, batched over items and both directions.
+
+    The batch stacks [view1 x B, view2 x B] through one backbone pass and one
+    encoder pass; the decoder runs once over the 2B (context, conditioning)
+    combinations [(c2, z1) x B, (c1, z2) x B]. Per-direction means over
+    aligned counts make the flat means equal to the per-item symmetric sums
+    up to summation order. `frozen` is `frozen_inputs` of these pairs when it
+    was computed ahead; the step then reads no view.
+    """
+    if not pairs:
+        raise ValueError("empty batch")
+    if frozen is None:
+        frozen = frozen_inputs(backbone, pairs, cfg)
+    lam_r, lam_g, lam_loc = cfg.loss_lambda_r, cfg.loss_lambda_g, cfg.loss_lambda_loc
+    size = float(cfg.view_size)
+    b = len(pairs)
+    n_q = cfg.view_n
+    n_rows = 2 * b * n_q
+    proposals, region_targets = frozen.proposals, frozen.region_targets
+    ctx_all, hw = model.encode(Tensor(frozen.h_all))  # (2B, L, C)
 
     # decode: directions 1->2 use (c2, z1), then 2->1 use (c1, z2); swap[d] is
     # the row of [view1 x B, view2 x B] whose context and proposals d uses
     swap = np.roll(np.arange(2 * b), b)
     ctx_dec = T.take(ctx_all, swap, 0)
-    q_hat, _ = model.decode(ctx_dec, hw, z=Tensor(z_all))
+    q_hat, _ = model.decode(ctx_dec, hw, z=Tensor(frozen.z_all))
     boxes, sem, match = model.predict(q_hat)
 
     # direction d < B predicts view 2's proposals, d >= B view 1's
@@ -110,14 +138,14 @@ def pretrain_step(model: Detr, backbone: FrozenBackbone, optimizer: AdamW,
     total = T.mul(loc_total, Tensor(np.asarray(lam_loc, dtype=dt)))
     breakdown = LossBreakdown(loc=float(loc_total.data), global_disc=0.0,
                               region_disc=0.0, total=0.0)
-    if need_global:
+    if lam_g > 0:
         pooled = T.tmean(ctx_all, axis=1)  # (2B, C)
         global_total = L.global_disc_loss(model.project_context,
                                           T.take(pooled, np.arange(b), 0),
                                           T.take(pooled, np.arange(b, 2 * b), 0))
         total = T.add(total, T.mul(global_total, Tensor(np.asarray(lam_g, dtype=dt))))
         breakdown.global_disc = float(global_total.data)
-    if need_region:
+    if lam_r > 0:
         sem_flat = T.reshape(sem, (n_rows, sem.data.shape[-1]))
         region_total = T.mul(L.region_disc(sem_flat, rows, region_targets), two)
         total = T.add(total, T.mul(region_total, Tensor(np.asarray(lam_r, dtype=dt))))
@@ -288,38 +316,158 @@ def run_pretrain(cfg: RunConfig, images: list[np.ndarray], out_dir: str,
         on_start()
     os.makedirs(out_dir, exist_ok=True)
 
-    batch = cfg.train_batch_size
     csv_path = os.path.join(out_dir, "metrics.csv")
-    step = start_epoch * (len(images) // batch)
+    step = start_epoch * (len(images) // cfg.train_batch_size)
     mode = ("a" if resume_from is not None and os.path.exists(csv_path)
             and _drop_rows_from(csv_path, step) else "w")
     final_path = resume_from  # stays so when no epoch is left to run
-    with open(csv_path, mode, newline="") as f:
-        writer = csv.writer(f)
-        if mode == "w":
-            writer.writerow(CSV_COLUMNS)
-        for epoch in range(start_epoch, cfg.train_epochs):
-            optimizer.lr = lr_at_epoch(cfg.train_lr, epoch, cfg.train_decay_epoch)
-            order = list(range(len(images)))
-            Rng(derive_seed(cfg.seed, 0xD5, epoch)).shuffle(order)
-            for lo in range(0, len(order) - batch + 1, batch):
-                pairs = [build_view_pair(images[i], cfg, derive_seed(cfg.seed, epoch, i))
-                         for i in order[lo:lo + batch]]
+    plan = [(epoch, indices) for epoch in range(start_epoch, cfg.train_epochs)
+            for indices in _epoch_batches(cfg, len(images), epoch)]
+    # the run's first batch is built here, with its frozen inputs inside its
+    # step; the producer builds each later batch while the one before it trains
+    producer = _Producer(images, backbone, cfg) if len(plan) > 1 else None
+    try:
+        with open(csv_path, mode, newline="") as f:
+            writer = csv.writer(f)
+            if mode == "w":
+                writer.writerow(CSV_COLUMNS)
+            for k, (epoch, indices) in enumerate(plan):
+                if k == 0:
+                    pairs, frozen = _view_pairs(images, epoch, indices, cfg), None
+                else:
+                    pairs, frozen = producer.receive()
+                if k + 1 < len(plan):
+                    producer.request(*plan[k + 1])
+                optimizer.lr = lr_at_epoch(cfg.train_lr, epoch, cfg.train_decay_epoch)
                 try:
-                    bd = pretrain_step(model, backbone, optimizer, pairs, cfg)
+                    bd = pretrain_step(model, backbone, optimizer, pairs, cfg, frozen)
                 except FloatingPointError as e:
                     raise FloatingPointError(
                         f"{e} in epoch {epoch + 1}; {_resume_hint(out_dir, epoch)}") from e
                 writer.writerow([step, epoch, _fmt(optimizer.lr), _fmt(bd.total),
                                  _fmt(bd.loc), _fmt(bd.global_disc), _fmt(bd.region_disc)])
                 step += 1
-            f.flush()
-            final_path = _epoch_path(out_dir, epoch + 1)
-            save_checkpoint(final_path, checkpoint_entries(model, optimizer, cfg, epoch + 1))
-            if log:
-                log(f"epoch {epoch + 1}/{cfg.train_epochs} done; "
-                    f"last total {bd.total:.4f}")
+                if k + 1 < len(plan) and plan[k + 1][0] == epoch:
+                    continue  # the epoch goes on
+                f.flush()
+                final_path = _epoch_path(out_dir, epoch + 1)
+                save_checkpoint(final_path, checkpoint_entries(model, optimizer, cfg, epoch + 1))
+                if log:
+                    log(f"epoch {epoch + 1}/{cfg.train_epochs} done; "
+                        f"last total {bd.total:.4f}")
+    finally:
+        if producer is not None:
+            producer.close()
     return final_path, csv_path
+
+
+def _epoch_batches(cfg: RunConfig, n_images: int, epoch: int) -> list[list[int]]:
+    """Image indices of each batch of an epoch: the images in the epoch's
+    shuffled order, the last partial batch dropped."""
+    order = list(range(n_images))
+    Rng(derive_seed(cfg.seed, 0xD5, epoch)).shuffle(order)
+    size = cfg.train_batch_size
+    return [order[lo:lo + size] for lo in range(0, n_images - size + 1, size)]
+
+
+def _view_pairs(images: list[np.ndarray], epoch: int, indices: list[int],
+                cfg: RunConfig) -> list[ViewPair]:
+    return [build_view_pair(images[i], cfg, derive_seed(cfg.seed, epoch, i)) for i in indices]
+
+
+class _Producer:
+    """One forked process that builds a batch's view pairs and frozen inputs
+    ahead of the step that trains on it.
+
+    The parent keeps the shuffle and sends (epoch, image indices); the child
+    only evaluates pure functions of the images, those seeds and the frozen
+    weights, so every bit is the one the parent would compute. A fork starts
+    the child with the images, the weights and this module's names already
+    as the parent has them, at no import cost; a thread would contend with
+    the step for the interpreter lock.
+
+    The child answers each request, in order, with the pairs stripped of
+    their views (which only the frozen pass reads) and their `FrozenInputs`,
+    or with the exception it hit, which `receive` raises again. It ignores
+    SIGINT, exits when its request pipe closes, and ends with `os._exit`, so
+    no stdio or file buffer it inherited is written twice. A child that dies
+    makes `request` or `receive` raise ChildProcessError naming its exit
+    status.
+    """
+
+    def __init__(self, images: list[np.ndarray], backbone: FrozenBackbone, cfg: RunConfig):
+        sys.stdout.flush()
+        sys.stderr.flush()
+        request_r, request_w = os.pipe()
+        result_r, result_w = os.pipe()
+        self.pid = os.fork()
+        if self.pid == 0:
+            status = 1
+            try:
+                # the parent's ends, or the child would never see end of file
+                os.close(request_w)
+                os.close(result_r)
+                signal.signal(signal.SIGINT, signal.SIG_IGN)
+                with open(request_r, "rb") as requests, open(result_w, "wb") as results:
+                    _serve(images, backbone, cfg, requests, results)
+                status = 0
+            finally:
+                os._exit(status)
+        os.close(request_r)
+        os.close(result_w)
+        self._requests = request_w
+        self._results = open(result_r, "rb")
+
+    def request(self, epoch: int, indices: list[int]) -> None:
+        try:
+            os.write(self._requests, pickle.dumps((epoch, indices)))
+        except BrokenPipeError:
+            raise self._died() from None
+
+    def receive(self) -> tuple[list[ViewPair], FrozenInputs]:
+        try:
+            reply = pickle.load(self._results)
+        except (EOFError, pickle.UnpicklingError):  # none, or cut short
+            raise self._died() from None
+        if isinstance(reply, BaseException):
+            raise reply
+        return reply
+
+    def close(self) -> None:
+        """Close both pipes, which ends the child, and reap it."""
+        os.close(self._requests)
+        self._results.close()
+        if self.pid is not None:
+            self._reap()
+
+    def _died(self) -> ChildProcessError:
+        return ChildProcessError(f"batch producer process {self.pid} {self._reap()}")
+
+    def _reap(self) -> str:
+        _, status = os.waitpid(self.pid, 0)
+        self.pid = None
+        code = os.waitstatus_to_exitcode(status)
+        return f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
+
+
+def _serve(images: list[np.ndarray], backbone: FrozenBackbone, cfg: RunConfig,
+           requests, results) -> None:
+    """The producer's loop: one reply per request until end of file."""
+    while True:
+        try:
+            epoch, indices = pickle.load(requests)
+        except EOFError:
+            return
+        try:
+            pairs = _view_pairs(images, epoch, indices, cfg)
+            reply = ([replace(p, view1=None, view2=None) for p in pairs],
+                     frozen_inputs(backbone, pairs, cfg))
+        except Exception as e:  # raised again in the parent, at this batch
+            e.add_note("raised in the batch producer:\n"
+                       + "".join(traceback.format_tb(e.__traceback__)))
+            reply = e
+        pickle.dump(reply, results, pickle.HIGHEST_PROTOCOL)
+        results.flush()
 
 
 def _epoch_path(out_dir: str, epochs_done: int) -> str:

@@ -18,22 +18,30 @@ block, and `scalar_map_box` maps one box where the library maps a set.
 sign of zero. `PerTensorAdamW` and `per_tensor_clip` update and clip one
 parameter at a time where the library works on flat buffers, and
 `var_normalize` takes normalization statistics with `np.var` where the
-library forms x - mean once. The one-box oracles take and return `Box`
+library forms x - mean once. `serial_pretrain` is the pretraining loop in
+one process, each batch's view pairs built right before its step, where
+`run_pretrain` has a forked producer build them a batch ahead. The one-box oracles take and return `Box`
 records, plain 4-tuples that share no code with the library's (4,) xyxy
 rows.
 """
 
+import csv
 import math
+import os
 from collections import namedtuple
 
 import numpy as np
 
 from mvdetr import tensor as T
+from mvdetr import training as TR
+from mvdetr.backbone import FrozenBackbone
+from mvdetr.checkpoint import load_checkpoint, save_checkpoint
 from mvdetr.geometry import bilinear_taps
 from mvdetr.metrics import IOU_GRID, RECALL_GRID
-from mvdetr.optim import BETAS, EPS
+from mvdetr.optim import BETAS, EPS, AdamW
+from mvdetr.rng import Rng, derive_seed
 from mvdetr.tensor import Tensor
-from mvdetr.views import _LUMA, sobel_magnitude
+from mvdetr.views import _LUMA, build_view_pair, sobel_magnitude
 
 
 def numerical_gradient(fn, arrays, h=1e-3):
@@ -138,6 +146,43 @@ class PerTensorAdamW:
             m_hat = self.m[name] / bc1
             v_hat = self.v[name] / bc2
             p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + EPS)
+
+
+def serial_pretrain(cfg, images, out_dir, resume_from=None):
+    """`run_pretrain` into a fresh directory, every batch in this process:
+    shuffle, build the batch's view pairs, `pretrain_step` on them, and at
+    each epoch's end a checkpoint. Returns the last checkpoint's path."""
+    backbone = FrozenBackbone(cfg.backbone_seed)
+    model = TR.make_model(cfg, backbone)
+    optimizer = AdamW(model.params, lr=cfg.train_lr, weight_decay=cfg.train_weight_decay)
+    start_epoch = 0
+    if resume_from is not None:
+        params, opt_state, meta = TR.split_checkpoint(load_checkpoint(resume_from))
+        model.load_state(params)
+        optimizer.load_state(opt_state)
+        start_epoch = int(meta["epoch"][0])
+    os.makedirs(out_dir)
+    batch = cfg.train_batch_size
+    step = start_epoch * (len(images) // batch)
+    path = resume_from
+    with open(os.path.join(out_dir, "metrics.csv"), "w", newline="") as f:
+        writer = csv.writer(f)
+        writer.writerow(TR.CSV_COLUMNS)
+        for epoch in range(start_epoch, cfg.train_epochs):
+            optimizer.lr = TR.lr_at_epoch(cfg.train_lr, epoch, cfg.train_decay_epoch)
+            order = list(range(len(images)))
+            Rng(derive_seed(cfg.seed, 0xD5, epoch)).shuffle(order)
+            for lo in range(0, len(order) - batch + 1, batch):
+                pairs = [build_view_pair(images[i], cfg, derive_seed(cfg.seed, epoch, i))
+                         for i in order[lo:lo + batch]]
+                bd = TR.pretrain_step(model, backbone, optimizer, pairs, cfg)
+                writer.writerow([step, epoch, TR._fmt(optimizer.lr), TR._fmt(bd.total),
+                                 TR._fmt(bd.loc), TR._fmt(bd.global_disc),
+                                 TR._fmt(bd.region_disc)])
+                step += 1
+            path = os.path.join(out_dir, f"epoch_{epoch + 1:04d}.ckpt")
+            save_checkpoint(path, TR.checkpoint_entries(model, optimizer, cfg, epoch + 1))
+    return path
 
 
 def per_tensor_clip(params, max_norm):

@@ -1,7 +1,10 @@
 """CLI: subcommand wiring, exit codes, reproducible file outputs."""
 
+import io
 import os
 import platform
+import re
+import sys
 
 import numpy as np
 import pytest
@@ -502,6 +505,46 @@ def test_run_notes_say_when_allocator_left_alone(monkeypatch):
     from mvdetr import cli, tensor
     monkeypatch.setattr(tensor, "MALLOC_THRESHOLDS", None)
     assert cli._numerics_notes()[-1] == "malloc: platform allocator left as it is"
+
+
+class TestPretrainProducer:
+    """`pretrain` forks a batch producer; the process that runs the CLI
+    still writes each line once and fails with exit 2, never a traceback."""
+
+    def test_each_log_line_appears_once(self, workspace, tmp_path, capfd, monkeypatch):
+        root, cfg, manifest = workspace
+        out = str(tmp_path / "pre")
+        # block-buffered, as when stdout is a pipe or a file, and holding a
+        # line when the producer is forked
+        stdout = io.TextIOWrapper(io.BufferedWriter(io.FileIO(os.dup(1), "w")))
+        monkeypatch.setattr(sys, "stdout", stdout)
+        try:
+            stdout.write("written before the run\n")
+            assert main(["pretrain", "--config", cfg, "--data", manifest, "--out", out,
+                         "--set", "train.epochs=2", "--set", "train.decay_epoch=1"]) == 0
+        finally:
+            stdout.close()
+        lines = capfd.readouterr().out.splitlines()
+        assert [re.sub(r";.*|: .*", "", line) for line in lines] == [
+            "written before the run", "epoch 1/2 done", "epoch 2/2 done",
+            "final checkpoint", "metrics"]
+
+    def test_dead_producer_is_two(self, workspace, tmp_path, capsys, monkeypatch):
+        from mvdetr import training
+        root, cfg, manifest = workspace
+        real = training.build_view_pair
+        parent = os.getpid()
+
+        def build(*args):
+            if os.getpid() != parent:
+                os._exit(3)
+            return real(*args)
+
+        monkeypatch.setattr(training, "build_view_pair", build)
+        assert main(["pretrain", "--config", cfg, "--data", manifest,
+                     "--out", str(tmp_path / "pre")]) == 2
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"error: batch producer process \d+ exited with status 3\n", err)
 
 
 class TestPipeline:

@@ -2,8 +2,11 @@
 
 import gc
 import os
+import pickle
 import re
+import signal
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,6 +24,8 @@ from mvdetr.optim import AdamW
 from mvdetr.rng import derive_seed
 from mvdetr.tensor import Tensor
 from mvdetr.views import build_view_pair, resize_to_view
+
+from helpers import serial_pretrain
 
 
 def small_cfg(**overrides):
@@ -379,6 +384,184 @@ class TestRunPretrain:
         other = small_cfg(**{"model.d_model": 16})
         with pytest.raises(ValueError, match="model.d_model"):
             TR.run_pretrain(other, images, str(tmp_path / "run2"), resume_from=ckpt)
+
+
+def _same_files(a, b):
+    """Both directories hold the same file names with the same bytes."""
+    names = sorted(os.listdir(a))
+    assert names == sorted(os.listdir(b))
+    for name in names:
+        with open(os.path.join(a, name), "rb") as fa, open(os.path.join(b, name), "rb") as fb:
+            assert fa.read() == fb.read(), name
+
+
+def _producer_pids(monkeypatch) -> list[int]:
+    """Record the pid of every batch producer `run_pretrain` forks."""
+    pids = []
+
+    class Recorded(TR._Producer):
+        def __init__(self, *args):
+            super().__init__(*args)
+            pids.append(self.pid)
+
+    monkeypatch.setattr(TR, "_Producer", Recorded)
+    return pids
+
+
+def _assert_reaped(pids):
+    for pid in pids:
+        with pytest.raises(ChildProcessError):  # no longer a child of this process
+            os.waitpid(pid, os.WNOHANG)
+
+
+@pytest.fixture
+def deadline():
+    """Fail, rather than hang, a test still waiting on the producer after 60 s.
+    A forked child does not inherit the alarm."""
+    def expire(signum, frame):
+        raise TimeoutError("still waiting after 60 s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.usefixtures("deadline")
+class TestProducerMatchesSerialLoop:
+    """`run_pretrain`, whose forked producer builds each batch after the
+    first one step ahead, writes the bytes of the one-process loop."""
+
+    @pytest.mark.parametrize("overrides", [
+        {},
+        {"train.batch_size": 6, "train.epochs": 3},  # every lookahead crosses an epoch
+        {"loss.lambda_r": 0.0},
+        {"loss.region_target": "object"},
+    ], ids=["default", "one_batch_epochs", "no_region_targets", "object_targets"])
+    def test_fresh_run(self, images, tmp_path, monkeypatch, overrides):
+        cfg = small_cfg(**overrides)
+        pids = _producer_pids(monkeypatch)
+        TR.run_pretrain(cfg, images, str(tmp_path / "forked"))
+        serial_pretrain(cfg, images, str(tmp_path / "serial"))
+        _same_files(tmp_path / "forked", tmp_path / "serial")
+        assert len(pids) == 1
+        _assert_reaped(pids)
+
+    def test_resumed_run(self, images, tmp_path):
+        cfg = small_cfg(**{"train.epochs": 3, "train.decay_epoch": 2})
+        TR.run_pretrain(cfg, images, str(tmp_path / "full"))
+        mid = str(tmp_path / "full" / "epoch_0001.ckpt")
+        TR.run_pretrain(cfg, images, str(tmp_path / "forked"), resume_from=mid)
+        serial_pretrain(cfg, images, str(tmp_path / "serial"), resume_from=mid)
+        _same_files(tmp_path / "forked", tmp_path / "serial")
+
+    @pytest.mark.parametrize("overrides", [{}, {"loss.lambda_r": 0.0},
+                                           {"loss.region_target": "object"}],
+                             ids=["crop", "no_region_targets", "object"])
+    def test_step_with_precomputed_frozen_inputs_is_bit_equal(self, images, overrides):
+        """The frozen inputs as the producer sends them, pickled beside the
+        pairs stripped of their views, give the step's own bits."""
+        cfg = small_cfg(**overrides)
+        backbone = FrozenBackbone(cfg.backbone_seed)
+        pairs = _pairs(images, cfg)
+        sent = pickle.loads(pickle.dumps(
+            ([replace(p, view1=None, view2=None) for p in pairs],
+             TR.frozen_inputs(backbone, pairs, cfg)), pickle.HIGHEST_PROTOCOL))
+        runs = []
+        for batch, frozen in ((pairs, None), sent):
+            model = TR.make_model(cfg, backbone)
+            opt = AdamW(model.params, lr=cfg.train_lr, weight_decay=1e-4)
+            bds = [TR.pretrain_step(model, backbone, opt, batch, cfg, frozen)
+                   for _ in range(2)]
+            runs.append((bds, {n: p.data.tobytes() for n, p in model.params.items()}))
+        assert runs[0] == runs[1]
+
+    def test_no_producer_without_a_second_batch(self, images, tmp_path, monkeypatch):
+        cfg = small_cfg(**{"train.batch_size": 6, "train.epochs": 1,
+                           "train.decay_epoch": 0})
+        pids = _producer_pids(monkeypatch)
+        done, _ = TR.run_pretrain(cfg, images, str(tmp_path / "one"))
+        TR.run_pretrain(cfg, images, str(tmp_path / "resumed"), resume_from=done)
+        assert pids == []
+
+
+@pytest.mark.usefixtures("deadline")
+class TestProducerFailures:
+    """A failure ends the run as the one-process loop ends it, after the
+    same metrics rows, and leaves no producer process behind."""
+
+    def _rows(self, tmp_path, name):
+        return (tmp_path / name / "metrics.csv").read_text().splitlines()
+
+    def _second_batch_image(self, images, cfg):
+        first, second = TR._epoch_batches(cfg, len(images), 0)[:2]
+        return images[next(i for i in second if i not in first)]
+
+    def test_exception_in_a_later_batch_is_raised_at_that_batch(self, images, tmp_path,
+                                                                monkeypatch):
+        cfg = small_cfg()
+        serial_pretrain(cfg, images, str(tmp_path / "serial"))
+        bad = self._second_batch_image(images, cfg)
+        real = TR.build_view_pair
+
+        def build(pixels, *args):
+            if pixels is bad:
+                raise ValueError("cannot view this image")
+            return real(pixels, *args)
+
+        monkeypatch.setattr(TR, "build_view_pair", build)  # before the fork
+        pids = _producer_pids(monkeypatch)
+        with pytest.raises(ValueError) as raised:
+            TR.run_pretrain(cfg, images, str(tmp_path / "run"))
+        assert str(raised.value) == "cannot view this image"
+        assert "in build" in raised.value.__notes__[0]  # the producer's traceback
+        assert self._rows(tmp_path, "run") == self._rows(tmp_path, "serial")[:2]
+        _assert_reaped(pids)
+
+    @pytest.mark.parametrize("end, message", [
+        (lambda: os._exit(3), "exited with status 3"),
+        (lambda: os.kill(os.getpid(), signal.SIGKILL), "was killed by signal 9"),
+    ], ids=["exit", "killed"])
+    def test_dead_producer_raises_child_process_error(self, images, tmp_path, monkeypatch,
+                                                      end, message):
+        cfg = small_cfg()
+        bad = self._second_batch_image(images, cfg)
+        real = TR.build_view_pair
+
+        def build(pixels, *args):
+            if pixels is bad:
+                end()
+            return real(pixels, *args)
+
+        monkeypatch.setattr(TR, "build_view_pair", build)
+        pids = _producer_pids(monkeypatch)
+        with pytest.raises(ChildProcessError, match=f"^batch producer process \\d+ {message}$"):
+            TR.run_pretrain(cfg, images, str(tmp_path / "run"))
+        assert len(self._rows(tmp_path, "run")) == 2  # the header and step 0
+        _assert_reaped(pids)
+
+    @pytest.mark.parametrize("error", [FloatingPointError, KeyboardInterrupt])
+    def test_failed_step_reaps_the_producer(self, images, tmp_path, monkeypatch, error):
+        cfg = small_cfg()
+        steps = []
+        real = AdamW.step
+
+        def step(self):
+            steps.append(1)
+            if len(steps) == 2:
+                raise error("non-finite gradient")
+            real(self)
+
+        monkeypatch.setattr(AdamW, "step", step)
+        pids = _producer_pids(monkeypatch)
+        with pytest.raises(error, match="non-finite gradient") as raised:
+            TR.run_pretrain(cfg, images, str(tmp_path / "run"))
+        if error is FloatingPointError:
+            assert str(raised.value).endswith(
+                f"in epoch 1; no epoch_*.ckpt in {tmp_path / 'run'} yet")
+        assert len(self._rows(tmp_path, "run")) == 2
+        assert len(pids) == 1
+        _assert_reaped(pids)
 
 
 class TestTooFewImages:

@@ -6,8 +6,9 @@
 Each side is a git ref of this repository (exported with `git archive`) or a
 directory that holds `src/`. Both sides run the same CLI matrix (`MATRIX`:
 two datasets, three pretraining runs, three finetuning runs, eval with each
-score source, export-attn, probe, and the first pretraining run resumed
-from its checkpoint and optimizer state), each in its own directory under
+score source, export-attn, probe, the first pretraining run resumed from
+its checkpoint and optimizer state, a run with the localization loss only
+and a run with one batch per epoch), each in its own directory under
 the same relative paths, with `PYTHONPATH=<side>/src` and `SDTR_THREADS=1`; the
 two sides run side by side. Then the sha256 of every output file except
 `run.txt` (which names the numpy build and the command line) is compared.
@@ -61,6 +62,11 @@ MATRIX = (
     # resumes the first run from its epoch-2 checkpoint, optimizer state included
     _PRETRAIN + ("--out", "pre_resumed", "--set", "train.epochs=3",
                  "--resume", "pre/epoch_0002.ckpt"),
+    # no region or global term, so the batch producer builds no region targets
+    _PRETRAIN + ("--out", "pre_loc_only", "--set", "loss.lambda_r=0",
+                 "--set", "loss.lambda_g=0"),
+    # one batch per epoch: every batch the producer builds starts an epoch
+    _PRETRAIN + ("--out", "pre_one_batch", "--set", "train.batch_size=16"),
 )
 
 SKIPPED = {"run.txt"}
