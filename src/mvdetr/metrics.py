@@ -1,5 +1,11 @@
 """COCO-style AP/AR, detection running and attention export.
 
+Detection splits into `view_features`, the frozen part (resize to the view,
+one backbone pass), and `detect_batch`'s decode. `evaluate_model` runs the
+first two batches whole and, when the process may run on two CPUs, has a
+forked producer compute each later batch's features while the batch before
+it decodes.
+
 AP uses 101-point interpolation over the recall grid {0, 0.01, ..., 1} and
 greedy confidence-ordered matching (ties by detection index) with each
 ground-truth box matched at most once. AR@K averages recall over the IoU
@@ -23,6 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import prefetch
 from . import tensor as T
 from .backbone import FrozenBackbone
 from .geometry import cxcywh_to_xyxy_array, pairwise_iou, py_max, py_min
@@ -182,9 +189,18 @@ def evaluate_detections(detections: np.ndarray,
 # -- running the model over images ------------------------------------------------------
 
 
+def view_features(backbone: FrozenBackbone, images: list[tuple[int, np.ndarray]],
+                  view_size: int) -> np.ndarray:
+    """The frozen part of `detect_batch`: each image of a batch of
+    (image_id, pixels) resized to the `view_size` square, then one backbone
+    pass over the stack."""
+    return backbone.extract_batch(np.stack([resize_to_view(pixels, view_size)
+                                            for _, pixels in images]))
+
+
 def detect_batch(model: Detr, backbone: FrozenBackbone,
                  images: list[tuple[int, np.ndarray]], score_source: str = "class", *,
-                 view_size: int) -> np.ndarray:
+                 view_size: int, features: np.ndarray | None = None) -> np.ndarray:
     """Set prediction over a batch of (image_id, pixels); no NMS.
 
     Returns a `DETECTION` record array, one record per query whose box keeps
@@ -194,11 +210,13 @@ def detect_batch(model: Detr, backbone: FrozenBackbone,
     binary match score (pretraining checkpoints, no classes). Inputs are
     resized to the training geometry, `view_size` square; predicted boxes
     stay in each image's original pixel frame (they are normalized).
+    `features` is `view_features` of these images when it was computed
+    ahead; the pixels are then read only for each image's size.
     """
-    inputs = [resize_to_view(pixels, view_size) for _, pixels in images]
+    if features is None:
+        features = view_features(backbone, images, view_size)
     with T.no_grad():
-        h = Tensor(backbone.extract_batch(np.stack(inputs)))
-        c, hw = model.encode(h)
+        c, hw = model.encode(Tensor(features))
         q_hat, _ = model.decode(c, hw, z=None)
         boxes, _, match = model.predict(q_hat)
         if score_source == "class":
@@ -237,11 +255,34 @@ def evaluate_model(model: Detr, backbone: FrozenBackbone,
                    dataset: list[tuple[np.ndarray, np.ndarray, np.ndarray]],
                    n_classes: int, score_source: str = "class", *,
                    view_size: int, batch: int = 16) -> MetricReport:
+    """AP/AR of the model's detections on the dataset, `batch` images per
+    `detect_batch`.
+
+    Batches 0 and 1 are built here. Once batch 0 has returned, a forked
+    producer (`prefetch.Producer`) computes `view_features` of each later
+    batch while the one before it decodes; the parent keeps the batch
+    order, so the report is the one-process loop's, bit for bit. A set of
+    one or two batches, or a process that may run on one CPU only, forks
+    nothing.
+    """
     check_eval_set(dataset)
     images = [(image_id, pixels) for image_id, (pixels, _, _) in enumerate(dataset)]
-    detections = [detect_batch(model, backbone, images[lo:lo + batch], score_source,
-                               view_size=view_size)
-                  for lo in range(0, len(images), batch)]
+    batches = [images[lo:lo + batch] for lo in range(0, len(images), batch)]
+    detections = []
+    producer = None
+    try:
+        for k, chunk in enumerate(batches):
+            if k == 1 and len(batches) > 2 and prefetch.overlaps():
+                producer = prefetch.Producer(
+                    lambda i: view_features(backbone, batches[i], view_size))
+            features = producer.receive() if producer is not None and k > 1 else None
+            if producer is not None and k + 1 < len(batches):
+                producer.request(k + 1, last=k + 2 == len(batches))
+            detections.append(detect_batch(model, backbone, chunk, score_source,
+                                           view_size=view_size, features=features))
+    finally:
+        if producer is not None:
+            producer.close()
     return evaluate_detections(np.concatenate(detections),
                                [(boxes, labels) for _, boxes, labels in dataset],
                                n_classes)

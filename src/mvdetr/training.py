@@ -4,23 +4,20 @@ seeding, and checkpoint persistence.
 Every stochastic choice derives statelessly from (config seed, epoch, item),
 so resuming from a checkpoint reproduces the uninterrupted run bit for bit,
 and batch construction is farmed out without shared state: `run_pretrain`
-forks one producer process that builds batch k+1's view pairs and frozen
-backbone inputs while the parent trains on batch k.
+forks one producer process (`prefetch.Producer`) that builds batch k+1's
+view pairs and frozen backbone inputs while the parent trains on batch k.
 """
 
 from __future__ import annotations
 
 import csv
 import os
-import pickle
-import signal
-import sys
-import traceback
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import losses as L
+from . import prefetch
 from . import tensor as T
 from .backbone import FrozenBackbone
 from .checkpoint import (array_to_text, load_checkpoint, save_checkpoint, text_to_array,
@@ -323,21 +320,30 @@ def run_pretrain(cfg: RunConfig, images: list[np.ndarray], out_dir: str,
     final_path = resume_from  # stays so when no epoch is left to run
     plan = [(epoch, indices) for epoch in range(start_epoch, cfg.train_epochs)
             for indices in _epoch_batches(cfg, len(images), epoch)]
+
+    def prepared_batch(epoch: int, indices: list[int]):
+        """A batch as the producer sends it: the pairs stripped of their
+        views, which only the frozen pass reads, and their frozen inputs."""
+        pairs = _view_pairs(images, epoch, indices, cfg)
+        return ([replace(p, view1=None, view2=None) for p in pairs],
+                frozen_inputs(backbone, pairs, cfg))
+
     # the run's first batch is built here, with its frozen inputs inside its
     # step; the producer builds each later batch while the one before it trains
-    producer = _Producer(images, backbone, cfg) if len(plan) > 1 else None
+    producer = (prefetch.Producer(prepared_batch)
+                if len(plan) > 1 and prefetch.overlaps() else None)
     try:
         with open(csv_path, mode, newline="") as f:
             writer = csv.writer(f)
             if mode == "w":
                 writer.writerow(CSV_COLUMNS)
             for k, (epoch, indices) in enumerate(plan):
-                if k == 0:
+                if k == 0 or producer is None:
                     pairs, frozen = _view_pairs(images, epoch, indices, cfg), None
                 else:
                     pairs, frozen = producer.receive()
-                if k + 1 < len(plan):
-                    producer.request(*plan[k + 1])
+                if producer is not None and k + 1 < len(plan):
+                    producer.request(*plan[k + 1], last=k + 2 == len(plan))
                 optimizer.lr = lr_at_epoch(cfg.train_lr, epoch, cfg.train_decay_epoch)
                 try:
                     bd = pretrain_step(model, backbone, optimizer, pairs, cfg, frozen)
@@ -373,101 +379,6 @@ def _epoch_batches(cfg: RunConfig, n_images: int, epoch: int) -> list[list[int]]
 def _view_pairs(images: list[np.ndarray], epoch: int, indices: list[int],
                 cfg: RunConfig) -> list[ViewPair]:
     return [build_view_pair(images[i], cfg, derive_seed(cfg.seed, epoch, i)) for i in indices]
-
-
-class _Producer:
-    """One forked process that builds a batch's view pairs and frozen inputs
-    ahead of the step that trains on it.
-
-    The parent keeps the shuffle and sends (epoch, image indices); the child
-    only evaluates pure functions of the images, those seeds and the frozen
-    weights, so every bit is the one the parent would compute. A fork starts
-    the child with the images, the weights and this module's names already
-    as the parent has them, at no import cost; a thread would contend with
-    the step for the interpreter lock.
-
-    The child answers each request, in order, with the pairs stripped of
-    their views (which only the frozen pass reads) and their `FrozenInputs`,
-    or with the exception it hit, which `receive` raises again. It ignores
-    SIGINT, exits when its request pipe closes, and ends with `os._exit`, so
-    no stdio or file buffer it inherited is written twice. A child that dies
-    makes `request` or `receive` raise ChildProcessError naming its exit
-    status.
-    """
-
-    def __init__(self, images: list[np.ndarray], backbone: FrozenBackbone, cfg: RunConfig):
-        sys.stdout.flush()
-        sys.stderr.flush()
-        request_r, request_w = os.pipe()
-        result_r, result_w = os.pipe()
-        self.pid = os.fork()
-        if self.pid == 0:
-            status = 1
-            try:
-                # the parent's ends, or the child would never see end of file
-                os.close(request_w)
-                os.close(result_r)
-                signal.signal(signal.SIGINT, signal.SIG_IGN)
-                with open(request_r, "rb") as requests, open(result_w, "wb") as results:
-                    _serve(images, backbone, cfg, requests, results)
-                status = 0
-            finally:
-                os._exit(status)
-        os.close(request_r)
-        os.close(result_w)
-        self._requests = request_w
-        self._results = open(result_r, "rb")
-
-    def request(self, epoch: int, indices: list[int]) -> None:
-        try:
-            os.write(self._requests, pickle.dumps((epoch, indices)))
-        except BrokenPipeError:
-            raise self._died() from None
-
-    def receive(self) -> tuple[list[ViewPair], FrozenInputs]:
-        try:
-            reply = pickle.load(self._results)
-        except (EOFError, pickle.UnpicklingError):  # none, or cut short
-            raise self._died() from None
-        if isinstance(reply, BaseException):
-            raise reply
-        return reply
-
-    def close(self) -> None:
-        """Close both pipes, which ends the child, and reap it."""
-        os.close(self._requests)
-        self._results.close()
-        if self.pid is not None:
-            self._reap()
-
-    def _died(self) -> ChildProcessError:
-        return ChildProcessError(f"batch producer process {self.pid} {self._reap()}")
-
-    def _reap(self) -> str:
-        _, status = os.waitpid(self.pid, 0)
-        self.pid = None
-        code = os.waitstatus_to_exitcode(status)
-        return f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
-
-
-def _serve(images: list[np.ndarray], backbone: FrozenBackbone, cfg: RunConfig,
-           requests, results) -> None:
-    """The producer's loop: one reply per request until end of file."""
-    while True:
-        try:
-            epoch, indices = pickle.load(requests)
-        except EOFError:
-            return
-        try:
-            pairs = _view_pairs(images, epoch, indices, cfg)
-            reply = ([replace(p, view1=None, view2=None) for p in pairs],
-                     frozen_inputs(backbone, pairs, cfg))
-        except Exception as e:  # raised again in the parent, at this batch
-            e.add_note("raised in the batch producer:\n"
-                       + "".join(traceback.format_tb(e.__traceback__)))
-            reply = e
-        pickle.dump(reply, results, pickle.HIGHEST_PROTOCOL)
-        results.flush()
 
 
 def _epoch_path(out_dir: str, epochs_done: int) -> str:

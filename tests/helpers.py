@@ -20,9 +20,13 @@ parameter at a time where the library works on flat buffers, and
 `var_normalize` takes normalization statistics with `np.var` where the
 library forms x - mean once. `serial_pretrain` is the pretraining loop in
 one process, each batch's view pairs built right before its step, where
-`run_pretrain` has a forked producer build them a batch ahead. The one-box oracles take and return `Box`
-records, plain 4-tuples that share no code with the library's (4,) xyxy
-rows.
+`run_pretrain` has a forked producer build them a batch ahead;
+`serial_evaluate` is the eval loop in one process, each batch resized and
+through the backbone right before its decode, where `evaluate_model` has the
+same producer build them a batch ahead. `producer_pids` and `assert_reaped`
+check that every producer forked is reaped. The one-box oracles take and
+return `Box` records, plain 4-tuples that share no code with the library's
+(4,) xyxy rows.
 """
 
 import csv
@@ -31,7 +35,10 @@ import os
 from collections import namedtuple
 
 import numpy as np
+import pytest
 
+from mvdetr import metrics as M
+from mvdetr import prefetch
 from mvdetr import tensor as T
 from mvdetr import training as TR
 from mvdetr.backbone import FrozenBackbone
@@ -183,6 +190,41 @@ def serial_pretrain(cfg, images, out_dir, resume_from=None):
             path = os.path.join(out_dir, f"epoch_{epoch + 1:04d}.ckpt")
             save_checkpoint(path, TR.checkpoint_entries(model, optimizer, cfg, epoch + 1))
     return path
+
+
+def serial_evaluate(model, backbone, dataset, n_classes, score_source, *, view_size,
+                    batch=16):
+    """`evaluate_model` with every batch in this process: each batch's
+    images resized, through the backbone and decoded in turn by
+    `detect_batch`. Returns (report, the detection records)."""
+    images = [(image_id, pixels) for image_id, (pixels, _, _) in enumerate(dataset)]
+    detections = np.concatenate([
+        M.detect_batch(model, backbone, images[lo:lo + batch], score_source,
+                       view_size=view_size)
+        for lo in range(0, len(images), batch)])
+    truth = [(boxes, labels) for _, boxes, labels in dataset]
+    return M.evaluate_detections(detections, truth, n_classes), detections
+
+
+def producer_pids(monkeypatch, cpus=2) -> list[int]:
+    """Record the pid of every batch producer `run_pretrain` or
+    `evaluate_model` forks, in a process that may run on `cpus` CPUs."""
+    pids = []
+
+    class Recorded(prefetch.Producer):
+        def __init__(self, *args):
+            super().__init__(*args)
+            pids.append(self.pid)
+
+    monkeypatch.setattr(prefetch, "Producer", Recorded)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    return pids
+
+
+def assert_reaped(pids):
+    for pid in pids:
+        with pytest.raises(ChildProcessError):  # no longer a child of this process
+            os.waitpid(pid, os.WNOHANG)
 
 
 def per_tensor_clip(params, max_norm):

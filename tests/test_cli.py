@@ -9,6 +9,7 @@ import sys
 import numpy as np
 import pytest
 
+from helpers import assert_reaped, producer_pids
 from mvdetr.cli import main
 
 CFG_SMALL = "\n".join([
@@ -514,6 +515,7 @@ class TestPretrainProducer:
     def test_each_log_line_appears_once(self, workspace, tmp_path, capfd, monkeypatch):
         root, cfg, manifest = workspace
         out = str(tmp_path / "pre")
+        pids = producer_pids(monkeypatch)
         # block-buffered, as when stdout is a pipe or a file, and holding a
         # line when the producer is forked
         stdout = io.TextIOWrapper(io.BufferedWriter(io.FileIO(os.dup(1), "w")))
@@ -528,6 +530,8 @@ class TestPretrainProducer:
         assert [re.sub(r";.*|: .*", "", line) for line in lines] == [
             "written before the run", "epoch 1/2 done", "epoch 2/2 done",
             "final checkpoint", "metrics"]
+        assert len(pids) == 1
+        assert_reaped(pids)
 
     def test_dead_producer_is_two(self, workspace, tmp_path, capsys, monkeypatch):
         from mvdetr import training
@@ -541,10 +545,68 @@ class TestPretrainProducer:
             return real(*args)
 
         monkeypatch.setattr(training, "build_view_pair", build)
+        pids = producer_pids(monkeypatch)
         assert main(["pretrain", "--config", cfg, "--data", manifest,
                      "--out", str(tmp_path / "pre")]) == 2
         err = capsys.readouterr().err
         assert re.fullmatch(r"error: batch producer process \d+ exited with status 3\n", err)
+        assert len(pids) == 1
+        assert_reaped(pids)
+
+
+@pytest.mark.usefixtures("deadline")
+class TestEvalProducer:
+    """`eval` on a set of three or more batches forks a producer; the process
+    that runs the CLI still prints the report once and fails with exit 2."""
+
+    @pytest.fixture(scope="class")
+    def eval_set(self, workspace):
+        root, cfg, _ = workspace
+        data = root / "eval40"
+        assert main(["gen-data", "--count", "40", "--seed", "9", "--out", str(data),
+                     "--size", "64"]) == 0  # three batches of 16
+        ckpt = _untrained_checkpoint(cfg, root / "eval40.ckpt")
+        return cfg, str(data / "manifest.txt"), ckpt
+
+    def _eval(self, eval_set):
+        cfg, manifest, ckpt = eval_set
+        return main(["eval", "--config", cfg, "--data", manifest, "--checkpoint", ckpt,
+                     "--score", "match"])
+
+    def test_report_printed_once(self, eval_set, capfd, monkeypatch):
+        pids = producer_pids(monkeypatch)
+        # block-buffered, as when stdout is a pipe or a file, and holding a
+        # line when the producer is forked
+        stdout = io.TextIOWrapper(io.BufferedWriter(io.FileIO(os.dup(1), "w")))
+        monkeypatch.setattr(sys, "stdout", stdout)
+        try:
+            stdout.write("written before the run\n")
+            assert self._eval(eval_set) == 0
+        finally:
+            stdout.close()
+        lines = capfd.readouterr().out.splitlines()
+        assert lines[:2] == ["written before the run", "ap,ap50,ap75,ar1,ar10"]
+        assert len(lines) == 3 and re.fullmatch(r"[0-9.]+(,[0-9.]+){4}", lines[2])
+        assert len(pids) == 1
+        assert_reaped(pids)
+
+    def test_dead_producer_is_two(self, eval_set, capsys, monkeypatch):
+        from mvdetr import metrics
+        real = metrics.resize_to_view
+        parent = os.getpid()
+
+        def resize(*args):
+            if os.getpid() != parent:
+                os._exit(3)
+            return real(*args)
+
+        monkeypatch.setattr(metrics, "resize_to_view", resize)
+        pids = producer_pids(monkeypatch)
+        assert self._eval(eval_set) == 2
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"error: batch producer process \d+ exited with status 3\n", err)
+        assert len(pids) == 1
+        assert_reaped(pids)
 
 
 class TestPipeline:

@@ -1,15 +1,19 @@
 """AP/AR metrics against hand-enumerated PR curves; export formats."""
 
 import contextlib
+import os
+import pickle
+import signal
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import (per_pair_average_precision, per_pair_average_recall_at_k,
-                     per_pair_report, same_bits)
+from helpers import (assert_reaped, per_pair_average_precision, per_pair_average_recall_at_k,
+                     per_pair_report, producer_pids, same_bits, serial_evaluate)
 from mvdetr import metrics as M
 from mvdetr import tensor as T
+from mvdetr.data import SceneSpec, render_scene
 
 
 def _dets(*rows):
@@ -267,6 +271,130 @@ class TestEvaluateModel:
             f"eval set has no ground-truth boxes ({len(dataset)} images)")
 
 
+@pytest.fixture(scope="module")
+def scenes():
+    """64 labeled 64-px scenes, in `load_dataset`'s (pixels, boxes, labels) form."""
+    spec = SceneSpec(image_size=64, seed=12)
+    out = []
+    for i in range(64):
+        pixels, objects = render_scene(spec, i)
+        out.append((pixels, np.array([o.bbox() for o in objects]).reshape(-1, 4),
+                    np.array([o.label for o in objects], np.int64)))
+    return out
+
+
+def _recorded_detections(monkeypatch) -> list[np.ndarray]:
+    """Record the detection records every `evaluate_detections` call scores."""
+    seen = []
+    real = M.evaluate_detections
+
+    def record(detections, *args):
+        seen.append(detections)
+        return real(detections, *args)
+
+    monkeypatch.setattr(M, "evaluate_detections", record)
+    return seen
+
+
+@pytest.mark.usefixtures("deadline")
+class TestEvaluateProducer:
+    """`evaluate_model`, whose forked producer builds every batch after the
+    second one batch ahead, gives the one-process loop's report and records."""
+
+    @pytest.mark.parametrize("score_source", ["class", "match"])
+    @pytest.mark.parametrize("n_images", [16, 32, 37, 64])
+    def test_matches_serial_loop(self, scenes, monkeypatch, n_images, score_source):
+        model, backbone = TestInferenceTape._model()
+        dataset = scenes[:n_images]
+        want, want_dets = serial_evaluate(model, backbone, dataset, 3, score_source,
+                                          view_size=64)
+        seen = _recorded_detections(monkeypatch)
+        pids = producer_pids(monkeypatch)
+        got = M.evaluate_model(model, backbone, dataset, 3, score_source, view_size=64)
+        assert got.as_csv() == want.as_csv()
+        assert len(want_dets) and seen[0].tobytes() == want_dets.tobytes()
+        n_batches = -(-n_images // 16)
+        assert len(pids) == (1 if n_batches > 2 else 0)  # one or two batches fork nothing
+        assert_reaped(pids)
+
+    @pytest.mark.parametrize("score_source", ["class", "match"])
+    def test_one_cpu_forks_nothing(self, scenes, monkeypatch, score_source):
+        model, backbone = TestInferenceTape._model()
+        want, want_dets = serial_evaluate(model, backbone, scenes, 3, score_source,
+                                          view_size=64)
+        seen = _recorded_detections(monkeypatch)
+        pids = producer_pids(monkeypatch, cpus=1)
+        got = M.evaluate_model(model, backbone, scenes, 3, score_source, view_size=64)
+        assert got.as_csv() == want.as_csv()
+        assert seen[0].tobytes() == want_dets.tobytes()
+        assert pids == []
+
+
+@pytest.mark.usefixtures("deadline")
+class TestEvaluateProducerFailures:
+    """A failure in the producer surfaces in the parent at its batch, and no
+    producer process is left behind on any exit path."""
+
+    BAD = 40  # image 40 is in batch 2, which only the producer builds
+
+    def _failing_resize(self, monkeypatch, scenes, fail):
+        bad = scenes[self.BAD][0]
+        real = M.resize_to_view
+
+        def resize(pixels, size):
+            if pixels is bad:
+                fail()
+            return real(pixels, size)
+
+        monkeypatch.setattr(M, "resize_to_view", resize)  # before the fork
+
+    def test_exception_in_a_later_batch_is_raised(self, scenes, monkeypatch):
+        def fail():
+            raise ValueError("cannot resize this image")
+
+        model, backbone = TestInferenceTape._model()
+        self._failing_resize(monkeypatch, scenes, fail)
+        pids = producer_pids(monkeypatch)
+        with pytest.raises(ValueError) as raised:
+            M.evaluate_model(model, backbone, scenes, 3, view_size=64)
+        assert str(raised.value) == "cannot resize this image"
+        assert "in resize" in raised.value.__notes__[0]  # the producer's traceback
+        assert len(pids) == 1
+        assert_reaped(pids)
+
+    @pytest.mark.parametrize("end, message", [
+        (lambda: os._exit(3), "exited with status 3"),
+        (lambda: os.kill(os.getpid(), signal.SIGKILL), "was killed by signal 9"),
+    ], ids=["exit", "killed"])
+    def test_dead_producer_raises_child_process_error(self, scenes, monkeypatch, end,
+                                                      message):
+        model, backbone = TestInferenceTape._model()
+        self._failing_resize(monkeypatch, scenes, end)
+        pids = producer_pids(monkeypatch)
+        with pytest.raises(ChildProcessError, match=f"^batch producer process \\d+ {message}$"):
+            M.evaluate_model(model, backbone, scenes, 3, view_size=64)
+        assert len(pids) == 1
+        assert_reaped(pids)
+
+    def test_interrupted_decode_reaps_the_producer(self, scenes, monkeypatch):
+        model, backbone = TestInferenceTape._model()
+        real = M.detect_batch
+        calls = []
+
+        def detect(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 3:  # the first batch the producer built
+                raise KeyboardInterrupt
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(M, "detect_batch", detect)
+        pids = producer_pids(monkeypatch)
+        with pytest.raises(KeyboardInterrupt):
+            M.evaluate_model(model, backbone, scenes, 3, view_size=64)
+        assert len(pids) == 1
+        assert_reaped(pids)
+
+
 class TestPgm:
     def test_write_pgm(self, tmp_path):
         path = str(tmp_path / "m.pgm")
@@ -354,6 +482,21 @@ class TestInferenceTape:
         taped = M.detect_batch(model, backbone, images, score_source, view_size=64)
         assert recorded  # the taped run really recorded nodes
         assert len(untaped) and untaped.tobytes() == taped.tobytes()
+
+    @pytest.mark.parametrize("score_source", ["class", "match"])
+    def test_precomputed_features_are_bit_equal(self, score_source):
+        """The features as the producer sends them, through a pickle round
+        trip, give the records of the batch's own backbone pass."""
+        model, backbone = self._model()
+        rng = np.random.default_rng(8)
+        images = [(i, rng.integers(0, 256, (h, w, 3), dtype=np.uint8))
+                  for i, (h, w) in enumerate([(64, 64), (48, 80), (100, 60)])]
+        sent = pickle.loads(pickle.dumps(M.view_features(backbone, images, 64),
+                                         pickle.HIGHEST_PROTOCOL))
+        own = M.detect_batch(model, backbone, images, score_source, view_size=64)
+        ahead = M.detect_batch(model, backbone, images, score_source, view_size=64,
+                               features=sent)
+        assert len(own) and own.tobytes() == ahead.tobytes()
 
     def test_export_attention(self, monkeypatch, tmp_path):
         model, backbone = self._model()

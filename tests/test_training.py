@@ -25,7 +25,7 @@ from mvdetr.rng import derive_seed
 from mvdetr.tensor import Tensor
 from mvdetr.views import build_view_pair, resize_to_view
 
-from helpers import serial_pretrain
+from helpers import assert_reaped, producer_pids, serial_pretrain
 
 
 def small_cfg(**overrides):
@@ -395,38 +395,6 @@ def _same_files(a, b):
             assert fa.read() == fb.read(), name
 
 
-def _producer_pids(monkeypatch) -> list[int]:
-    """Record the pid of every batch producer `run_pretrain` forks."""
-    pids = []
-
-    class Recorded(TR._Producer):
-        def __init__(self, *args):
-            super().__init__(*args)
-            pids.append(self.pid)
-
-    monkeypatch.setattr(TR, "_Producer", Recorded)
-    return pids
-
-
-def _assert_reaped(pids):
-    for pid in pids:
-        with pytest.raises(ChildProcessError):  # no longer a child of this process
-            os.waitpid(pid, os.WNOHANG)
-
-
-@pytest.fixture
-def deadline():
-    """Fail, rather than hang, a test still waiting on the producer after 60 s.
-    A forked child does not inherit the alarm."""
-    def expire(signum, frame):
-        raise TimeoutError("still waiting after 60 s")
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.alarm(60)
-    yield
-    signal.alarm(0)
-    signal.signal(signal.SIGALRM, previous)
-
-
 @pytest.mark.usefixtures("deadline")
 class TestProducerMatchesSerialLoop:
     """`run_pretrain`, whose forked producer builds each batch after the
@@ -440,12 +408,12 @@ class TestProducerMatchesSerialLoop:
     ], ids=["default", "one_batch_epochs", "no_region_targets", "object_targets"])
     def test_fresh_run(self, images, tmp_path, monkeypatch, overrides):
         cfg = small_cfg(**overrides)
-        pids = _producer_pids(monkeypatch)
+        pids = producer_pids(monkeypatch)
         TR.run_pretrain(cfg, images, str(tmp_path / "forked"))
         serial_pretrain(cfg, images, str(tmp_path / "serial"))
         _same_files(tmp_path / "forked", tmp_path / "serial")
         assert len(pids) == 1
-        _assert_reaped(pids)
+        assert_reaped(pids)
 
     def test_resumed_run(self, images, tmp_path):
         cfg = small_cfg(**{"train.epochs": 3, "train.decay_epoch": 2})
@@ -479,9 +447,19 @@ class TestProducerMatchesSerialLoop:
     def test_no_producer_without_a_second_batch(self, images, tmp_path, monkeypatch):
         cfg = small_cfg(**{"train.batch_size": 6, "train.epochs": 1,
                            "train.decay_epoch": 0})
-        pids = _producer_pids(monkeypatch)
+        pids = producer_pids(monkeypatch)
         done, _ = TR.run_pretrain(cfg, images, str(tmp_path / "one"))
         TR.run_pretrain(cfg, images, str(tmp_path / "resumed"), resume_from=done)
+        assert pids == []
+
+    def test_one_cpu_forks_nothing(self, images, tmp_path, monkeypatch):
+        """On one CPU the producer could not run beside the step, so the
+        loop builds every batch itself, with the same bytes."""
+        cfg = small_cfg()
+        pids = producer_pids(monkeypatch, cpus=1)
+        TR.run_pretrain(cfg, images, str(tmp_path / "one_cpu"))
+        serial_pretrain(cfg, images, str(tmp_path / "serial"))
+        _same_files(tmp_path / "one_cpu", tmp_path / "serial")
         assert pids == []
 
 
@@ -510,13 +488,13 @@ class TestProducerFailures:
             return real(pixels, *args)
 
         monkeypatch.setattr(TR, "build_view_pair", build)  # before the fork
-        pids = _producer_pids(monkeypatch)
+        pids = producer_pids(monkeypatch)
         with pytest.raises(ValueError) as raised:
             TR.run_pretrain(cfg, images, str(tmp_path / "run"))
         assert str(raised.value) == "cannot view this image"
         assert "in build" in raised.value.__notes__[0]  # the producer's traceback
         assert self._rows(tmp_path, "run") == self._rows(tmp_path, "serial")[:2]
-        _assert_reaped(pids)
+        assert_reaped(pids)
 
     @pytest.mark.parametrize("end, message", [
         (lambda: os._exit(3), "exited with status 3"),
@@ -534,11 +512,11 @@ class TestProducerFailures:
             return real(pixels, *args)
 
         monkeypatch.setattr(TR, "build_view_pair", build)
-        pids = _producer_pids(monkeypatch)
+        pids = producer_pids(monkeypatch)
         with pytest.raises(ChildProcessError, match=f"^batch producer process \\d+ {message}$"):
             TR.run_pretrain(cfg, images, str(tmp_path / "run"))
         assert len(self._rows(tmp_path, "run")) == 2  # the header and step 0
-        _assert_reaped(pids)
+        assert_reaped(pids)
 
     @pytest.mark.parametrize("error", [FloatingPointError, KeyboardInterrupt])
     def test_failed_step_reaps_the_producer(self, images, tmp_path, monkeypatch, error):
@@ -553,7 +531,7 @@ class TestProducerFailures:
             real(self)
 
         monkeypatch.setattr(AdamW, "step", step)
-        pids = _producer_pids(monkeypatch)
+        pids = producer_pids(monkeypatch)
         with pytest.raises(error, match="non-finite gradient") as raised:
             TR.run_pretrain(cfg, images, str(tmp_path / "run"))
         if error is FloatingPointError:
@@ -561,7 +539,7 @@ class TestProducerFailures:
                 f"in epoch 1; no epoch_*.ckpt in {tmp_path / 'run'} yet")
         assert len(self._rows(tmp_path, "run")) == 2
         assert len(pids) == 1
-        _assert_reaped(pids)
+        assert_reaped(pids)
 
 
 class TestTooFewImages:

@@ -7,8 +7,9 @@ Each side is a git ref of this repository (exported with `git archive`) or a
 directory that holds `src/`. Both sides run the same CLI matrix (`MATRIX`:
 two datasets, three pretraining runs, three finetuning runs, eval with each
 score source, export-attn, probe, the first pretraining run resumed from
-its checkpoint and optimizer state, a run with the localization loss only
-and a run with one batch per epoch), each in its own directory under
+its checkpoint and optimizer state, a run with the localization loss only,
+a run with one batch per epoch, and a 40-image set scored with each score
+source in three batches), each in its own directory under
 the same relative paths, with `PYTHONPATH=<side>/src` and `SDTR_THREADS=1`; the
 two sides run side by side. Then the sha256 of every output file except
 `run.txt` (which names the numpy build and the command line) is compared.
@@ -67,6 +68,12 @@ MATRIX = (
                  "--set", "loss.lambda_g=0"),
     # one batch per epoch: every batch the producer builds starts an epoch
     _PRETRAIN + ("--out", "pre_one_batch", "--set", "train.batch_size=16"),
+    # three eval batches of 16, the last ragged: the producer builds the third
+    ("gen-data", "--count", "40", "--seed", "7", "--out", "data/val40"),
+    ("eval", "--data", "data/val40/manifest.txt", "--checkpoint", "ft/finetuned.ckpt",
+     "--score", "class", "--out", "eval40_class"),
+    ("eval", "--data", "data/val40/manifest.txt", "--checkpoint", "pre/epoch_0002.ckpt",
+     "--score", "match", "--out", "eval40_match"),
 )
 
 SKIPPED = {"run.txt"}
